@@ -6,20 +6,20 @@ error, 2 runtime error.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import json
 import os
 import sys
 
 import click
-import numpy as np
 
 from . import metrics as metrics_mod
 from . import rl
 from .errors import ValidationError
 from .mdp import RewardConfig
 from .network import load_scenario
-from .noise import NoiseSample, NpdModel, fit_npd
+from .noise import NoiseSample, fit_npd
 from .rl import TrainConfig, load_checkpoint, save_checkpoint
 from .sim import SimConfig
 
@@ -45,46 +45,35 @@ def main():
     """Noise-aware UAM airspace simulator and trainer."""
 
 
-def _sim_options(fn):
-    for name, default in (("dt_s", 1.0), ("decision_interval_s", 10.0),
-                          ("cruise_speed_mps", 67.0), ("climb_rate_fpm", 500.0),
-                          ("d_comm_m", 2500.0), ("d_los_m", 150.0),
-                          ("max_episode_time_s", 7200.0)):
-        fn = click.option(f"--{name}", type=float, default=default, show_default=True)(fn)
-    return fn
+def _field_options(cls, names=None):
+    """Click options --<field>, typed and defaulted by the fields of config
+    dataclass cls (all of them, or those in names)."""
+    def decorate(fn):
+        for f in dataclasses.fields(cls):
+            if names is None or f.name in names:
+                fn = click.option(f"--{f.name}", type=type(f.default), default=f.default,
+                                  show_default=True)(fn)
+        return fn
+    return decorate
 
 
-def _train_options(fn):
-    for name, typ, default in (("gamma", float, 0.99), ("gae_lambda", float, 0.95),
-                               ("clip_eps", float, 0.2), ("learning_rate", float, 3e-4),
-                               ("epochs", int, 4), ("minibatch_size", int, 256),
-                               ("entropy_coef", float, 0.01), ("value_coef", float, 0.5),
-                               ("hidden", int, 64), ("checkpoint_interval", int, 0)):
-        fn = click.option(f"--{name}", type=typ, default=default, show_default=True)(fn)
-    return fn
-
-
-def _reward_options(fn):
-    fn = click.option("--lam", type=float, default=0.1, show_default=True)(fn)
-    return fn
+_sim_options = _field_options(SimConfig)
+# --iterations and --seed are per-command options, not shared config.
+_train_options = _field_options(
+    TrainConfig, [f.name for f in dataclasses.fields(TrainConfig)
+                  if f.name not in ("iterations", "seed")])
+_reward_options = _field_options(RewardConfig, ["lam"])
 
 
 def _build_configs(scenario, kw, rho, seed, iterations=0):
-    sim_cfg = SimConfig(
-        dt_s=kw["dt_s"], decision_interval_s=kw["decision_interval_s"],
-        cruise_speed_mps=kw["cruise_speed_mps"], climb_rate_fpm=kw["climb_rate_fpm"],
-        d_comm_m=kw["d_comm_m"], d_los_m=kw["d_los_m"],
-        max_episode_time_s=kw["max_episode_time_s"])
-    reward_cfg = RewardConfig.for_layers(
-        scenario.network.layers, rho, lam=kw.get("lam", 0.1),
-        d_los_m=kw["d_los_m"], d_comm_m=kw["d_comm_m"])
-    train_cfg = TrainConfig(
-        gamma=kw.get("gamma", 0.99), gae_lambda=kw.get("gae_lambda", 0.95),
-        clip_eps=kw.get("clip_eps", 0.2), learning_rate=kw.get("learning_rate", 3e-4),
-        epochs=kw.get("epochs", 4), minibatch_size=kw.get("minibatch_size", 256),
-        iterations=iterations, entropy_coef=kw.get("entropy_coef", 0.01),
-        value_coef=kw.get("value_coef", 0.5), hidden=kw.get("hidden", 64),
-        seed=seed, checkpoint_interval=kw.get("checkpoint_interval", 0))
+    """Configs from the parsed options in kw; a field without an option keeps
+    its dataclass default."""
+    def given(cls):
+        return {f.name: kw[f.name] for f in dataclasses.fields(cls) if f.name in kw}
+
+    sim_cfg = SimConfig(**given(SimConfig))
+    reward_cfg = RewardConfig.for_layers(scenario.network.layers, rho, **given(RewardConfig))
+    train_cfg = TrainConfig(iterations=iterations, seed=seed, **given(TrainConfig))
     return sim_cfg, reward_cfg, train_cfg
 
 
@@ -135,7 +124,8 @@ def train(scenario_path, rho, iterations, seed, out_path, metrics_log, **kw):
     """Train a policy for one rho value and write a checkpoint."""
     scenario = load_scenario(scenario_path)
     sim_cfg, reward_cfg, train_cfg = _build_configs(scenario, kw, rho, seed, iterations)
-    params, rows = rl.train(scenario, train_cfg, sim_cfg, reward_cfg)
+    params, rows = rl.train(scenario, train_cfg, sim_cfg, reward_cfg,
+                            checkpoint_dir=os.path.dirname(os.path.abspath(out_path)))
     save_checkpoint(out_path, params, train_cfg, reward_cfg, scenario.network.layers)
     if metrics_log:
         _write_metrics_log(metrics_log, rows)
@@ -188,9 +178,10 @@ def sweep(scenario_path, rhos, iterations, seeds, out_dir, seed, **kw):
     scenario = load_scenario(scenario_path)
     rho_values = [float(tok) for tok in rhos.split(",") if tok != ""]
     seed_values = _parse_int_list(seeds)
-    sim_cfg, _, train_cfg = _build_configs(scenario, kw, 0.0, seed, iterations)
+    sim_cfg, reward_cfg, train_cfg = _build_configs(scenario, kw, 0.0, seed, iterations)
     os.makedirs(out_dir, exist_ok=True)
-    result = metrics_mod.sweep_rho(rho_values, scenario, train_cfg, sim_cfg, seed_values)
+    result = metrics_mod.sweep_rho(rho_values, scenario, train_cfg, sim_cfg, seed_values,
+                                   lam=reward_cfg.lam)
     metrics_mod.export_sweep_csv(result, os.path.join(out_dir, "sweep_episodes.csv"))
     agg_path = os.path.join(out_dir, "sweep_tradeoff.csv")
     aggregates = result.aggregates()

@@ -6,7 +6,6 @@ neighbors. A single tradeoff weight rho blends the two.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -10,17 +10,18 @@ from __future__ import annotations
 import csv
 import json
 import math
+import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import nnet, rl
+from . import rl
 from .errors import ValidationError
-from .mdp import RewardConfig, agent_reward
+from .mdp import RewardConfig
 from .network import AltitudeLayerSet, Network, Scenario
-from .noise import NO_CONTRIBUTION, Condition, NpdModel, cumulative_increase, single_event_level
-from .rl import TraceRow, TrainConfig, collect_rollout
+from .noise import NO_CONTRIBUTION, Condition, NpdModel, zone_noise_report
+from .rl import TraceRow, TrainConfig, attribute_layers, collect_rollout
 from .sim import Action, SimConfig
 
 TRACE_COLUMNS = ("t", "id", "x", "y", "z_ft", "action", "b_changing")
@@ -72,21 +73,6 @@ def read_trace(path) -> list[TraceRow]:
 # Altitude occupancy
 
 
-def attribute_layers(trace: list[TraceRow], layers: AltitudeLayerSet) -> list[float]:
-    """Layer attributed to each trace row; mid-transition rows go to the layer
-    the aircraft departed (its last level layer)."""
-    levels = set(layers.levels_ft)
-    last_level: dict[str, float] = {}
-    out = []
-    for row in sorted(trace, key=lambda r: (r.t, r.id)):
-        if row.z_ft in levels:
-            last_level[row.id] = row.z_ft
-            out.append(row.z_ft)
-        else:
-            out.append(last_level.get(row.id, layers.z_min))
-    return out
-
-
 def altitude_histogram(trace: list[TraceRow], layers: AltitudeLayerSet) -> dict[float, float]:
     """Fraction of enroute aircraft-ticks per layer; fractions sum to 1."""
     if not trace:
@@ -131,16 +117,16 @@ def zone_noise_series(
     model = model or NpdModel()
     if not network.zones:
         return {}
-    ticks: dict[float, dict[str, list[float]]] = {}
+    ticks: dict[float, list[tuple[str, float]]] = {}
     for row in trace:
         zone = network.zone_of(nearest_link(network, row.x_m, row.y_m))
-        level = single_event_level(model, condition, row.z_ft)
-        ticks.setdefault(row.t, {}).setdefault(zone, []).append(level)
+        ticks.setdefault(row.t, []).append((zone, row.z_ft))
+    ambients = {zid: zone.ambient_db for zid, zone in network.zones.items()}
     series: dict[str, list[tuple[float, float]]] = {z: [] for z in network.zones}
     for t in sorted(ticks):
-        for zid, zone in network.zones.items():
-            levels = ticks[t].get(zid, [])
-            series[zid].append((t, cumulative_increase(levels, zone.ambient_db)))
+        report = zone_noise_report(ambients, ticks[t], model, condition)
+        for zid in series:
+            series[zid].append((t, report[zid]))
     return series
 
 
@@ -154,14 +140,6 @@ def summarize_zones(series) -> dict[str, tuple[float | None, float | None]]:
     return out
 
 
-def _median(vals: list[float]) -> float | None:
-    if not vals:
-        return None
-    s = sorted(vals)
-    n = len(s)
-    return s[n // 2] if n % 2 else 0.5 * (s[n // 2 - 1] + s[n // 2])
-
-
 def metrics_from_trace(trace, network, los_count, mean_return, wall_time_s=0.0,
                        seed=0, rho=None) -> EpisodeMetrics:
     series = zone_noise_series(trace, network)
@@ -172,7 +150,7 @@ def metrics_from_trace(trace, network, los_count, mean_return, wall_time_s=0.0,
         los_count=los_count,
         zone_series=series,
         zone_summary=summary,
-        noise_increase_median_db=_median(means),
+        noise_increase_median_db=statistics.median(means) if means else None,
         noise_increase_max_db=max(maxes) if maxes else None,
         histogram=altitude_histogram(trace, network.layers),
         mean_return=mean_return,
@@ -246,7 +224,7 @@ class SweepResult:
                        if r.metrics.noise_increase_median_db is not None]
             out.append({
                 "rho": rho,
-                "median_noise_increase_db": _median(medians),
+                "median_noise_increase_db": statistics.median(medians) if medians else None,
                 "mean_los": sum(r.metrics.los_count for r in group) / len(group),
                 "top_layer_fraction": sum(
                     r.metrics.histogram[layer_keys[-1]] for r in group) / len(group),
@@ -266,6 +244,7 @@ def sweep_rho(
     seeds: list[int],
     trained: dict[float, dict] | None = None,
     progress=None,
+    lam: float = RewardConfig.lam,
 ) -> SweepResult:
     """Train (or reuse) one policy per rho and evaluate it over the seeds."""
     rows: list[SweepRow] = []
@@ -274,7 +253,7 @@ def sweep_rho(
         if not 0.0 <= rho <= 1.0:
             raise ValidationError(f"rho must be in [0, 1], got {rho}")
         reward_config = RewardConfig.for_layers(
-            scenario.network.layers, rho,
+            scenario.network.layers, rho, lam=lam,
             d_los_m=sim_config.d_los_m, d_comm_m=sim_config.d_comm_m)
         if rho not in trained:
             params, _ = rl.train(scenario, train_config, sim_config, reward_config,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -311,62 +311,37 @@ def route_nodes(network: Network, route: Route) -> list[str]:
     return nodes
 
 
-def _segment_crossing(p1, p2, p3, p4) -> tuple[float, float] | None:
-    """Proper interior crossing point of two segments, or None."""
+def _segment_crossing(p1, p2, p3, p4) -> bool:
+    """True if the two segments cross at an interior point of both."""
     d1 = (p2[0] - p1[0], p2[1] - p1[1])
     d2 = (p4[0] - p3[0], p4[1] - p3[1])
     denom = d1[0] * d2[1] - d1[1] * d2[0]
     if denom == 0.0:
-        return None
+        return False
     dx, dy = p3[0] - p1[0], p3[1] - p1[1]
     t = (dx * d2[1] - dy * d2[0]) / denom
     u = (dx * d1[1] - dy * d1[0]) / denom
-    if 0.0 < t < 1.0 and 0.0 < u < 1.0:
-        return (p1[0] + t * d1[0], p1[1] + t * d1[1])
-    return None
+    return 0.0 < t < 1.0 and 0.0 < u < 1.0
 
 
-def routes_related(network: Network, r1: Route, r2: Route) -> list[tuple[float, float]] | None:
-    """Shared/crossing points if the two routes interact, else None.
-
-    Routes interact when they share a corridor (either direction), share a
-    vertiport, or their link segments cross at an interior point.
-    """
-    points: list[tuple[float, float]] = []
-    pairs1 = {tuple(sorted((network.links[l].from_id, network.links[l].to_id)))
-              for l in r1.link_ids}
-    pairs2 = {tuple(sorted((network.links[l].from_id, network.links[l].to_id)))
-              for l in r2.link_ids}
-    related = bool(pairs1 & pairs2)
-
-    nodes1 = set(route_nodes(network, r1))
-    nodes2 = set(route_nodes(network, r2))
-    for vid in sorted(nodes1 & nodes2):
-        vp = network.vertiports[vid]
-        points.append((vp.x_m, vp.y_m))
-        related = True
-
-    for l1 in r1.link_ids:
-        a1, b1 = network.link_segment(l1)
-        for l2 in r2.link_ids:
-            a2, b2 = network.link_segment(l2)
-            pt = _segment_crossing(a1, b1, a2, b2)
-            if pt is not None:
-                points.append(pt)
-                related = True
-    return points if related else None
+def routes_related(network: Network, r1: Route, r2: Route) -> bool:
+    """Routes interact when they share a vertiport (as they do when they share
+    a corridor in either direction) or their link segments cross at an
+    interior point."""
+    if set(route_nodes(network, r1)) & set(route_nodes(network, r2)):
+        return True
+    return any(_segment_crossing(*network.link_segment(l1), *network.link_segment(l2))
+               for l1 in r1.link_ids for l2 in r2.link_ids)
 
 
-def route_intersections(network: Network, routes: list[Route]) -> dict[
-        tuple[tuple[str, ...], tuple[str, ...]], list[tuple[float, float]]]:
-    """Symmetric relation over route keys; value is the interaction points."""
-    relation: dict = {}
+def route_intersections(network: Network, routes: list[Route]) -> set[
+        tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Symmetric relation over route keys, as the set of related key pairs."""
+    relation = set()
     for i, r1 in enumerate(routes):
         for r2 in routes[i:]:
-            pts = routes_related(network, r1, r2)
-            if pts is not None:
-                relation[(r1.key, r2.key)] = pts
-                relation[(r2.key, r1.key)] = pts
+            if routes_related(network, r1, r2):
+                relation |= {(r1.key, r2.key), (r2.key, r1.key)}
     return relation
 
 

@@ -13,9 +13,6 @@ zero probability.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SimulationError, ValidationError

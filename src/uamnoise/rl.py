@@ -8,17 +8,17 @@ PPO update over the collected batch.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import nnet
 from .errors import ValidationError
-from .mdp import (INTRUDER_DIM, N_MAX_INTRUDERS, OWN_DIM, RewardConfig,
-                  action_mask, agent_reward, encode_observation, observe)
-from .network import Scenario
-from .sim import Action, Phase, SimConfig, World
+from .mdp import (INTRUDER_DIM, OWN_DIM, RewardConfig, action_mask, agent_reward,
+                  encode_observation, observe)
+from .network import AltitudeLayerSet, Scenario
+from .noise import Condition
+from .sim import Action, SimConfig, World
 
 
 @dataclass
@@ -73,9 +73,19 @@ class RolloutResult:
     episode_returns: dict[str, float]
 
 
-def hold_policy(*_args, **_kw):
-    """Marker for the no-training baseline; see collect_rollout(params=None)."""
-    return None
+def attribute_layers(trace: list[TraceRow], layers: AltitudeLayerSet) -> list[float]:
+    """Layer attributed to each trace row; mid-transition rows go to the layer
+    the aircraft departed (its last level layer)."""
+    levels = set(layers.levels_ft)
+    last_level: dict[str, float] = {}
+    out = []
+    for row in sorted(trace, key=lambda r: (r.t, r.id)):
+        if row.z_ft in levels:
+            last_level[row.id] = row.z_ft
+            out.append(row.z_ft)
+        else:
+            out.append(last_level.get(row.id, layers.z_min))
+    return out
 
 
 def collect_rollout(
@@ -91,7 +101,6 @@ def collect_rollout(
     episodes take argmax actions; otherwise actions are sampled from rng."""
     world = World(scenario, sim_config)
     layers = scenario.network.layers
-    interval_steps = round(sim_config.decision_interval_s / sim_config.dt_s)
 
     records: dict[str, list] = {fl.id: [] for fl in scenario.flights}
     pending_reward: dict[str, int] = {}  # agent -> index in records awaiting reward
@@ -106,14 +115,14 @@ def collect_rollout(
         records[ac_id][idx]["done"] = done
 
     while not world.terminal:
-        world.spawn_due_aircraft()
+        joint: dict[str, Action] = {}
         if world.is_decision_tick():
+            world.spawn_due_aircraft()
             enroute = world.enroute_ids()
             # close out transitions for agents that arrived since the last tick
-            for ac_id, rec in records.items():
+            for ac_id in records:
                 if ac_id in pending_reward and ac_id not in enroute:
                     finalize(ac_id, done=True)
-            joint: dict[str, Action] = {}
             if enroute:
                 obs_list = [observe(world, i, reward_config) for i in enroute]
                 masks = [action_mask(world.aircraft[i], layers) for i in enroute]
@@ -135,13 +144,7 @@ def collect_rollout(
                     ac = world.aircraft[ac_id]
                     trace.append(TraceRow(world.t, ac_id, ac.x_m, ac.y_m, ac.z_ft,
                                           Action(action), ac.b_changing))
-            world.step(joint)
-            for _ in range(interval_steps - 1):
-                if world.terminal:
-                    break
-                world.step()
-        else:
-            world.step()
+        world.step(joint)
     for ac_id in list(pending_reward):
         finalize(ac_id, done=True)
 
@@ -210,7 +213,8 @@ def compute_advantages(batch: RolloutResult, gamma: float, gae_lambda: float):
 
 def ppo_update(params, batch: RolloutResult, config: TrainConfig, adam: nnet.Adam,
                rng: np.random.Generator):
-    """Minibatched clipped-surrogate update; returns aggregate stats."""
+    """Minibatched clipped-surrogate update; returns (params, stats of the
+    last minibatch)."""
     advantages, returns = compute_advantages(batch, config.gamma, config.gae_lambda)
     b = len(batch.actions)
     stats = {}
@@ -228,16 +232,6 @@ def ppo_update(params, batch: RolloutResult, config: TrainConfig, adam: nnet.Ada
                 params, mb, config.clip_eps, config.value_coef, config.entropy_coef)
             params = adam.step(params, grads)
     return params, stats
-
-
-def top_layer_occupancy(trace, layers) -> float:
-    """Fraction of enroute aircraft-ticks attributed to the highest layer."""
-    if not trace:
-        return 0.0
-    from .metrics import attribute_layers
-    attributed = attribute_layers(trace, layers)
-    top = layers.levels_ft[-1]
-    return sum(1 for z in attributed if z == top) / len(attributed)
 
 
 def train(
@@ -266,7 +260,9 @@ def train(
             params, _ = ppo_update(params, batch, train_config, adam, rng)
         mean_return = (sum(batch.episode_returns.values()) / len(batch.episode_returns)
                        if batch.episode_returns else 0.0)
-        row = (it, mean_return, batch.los_count, top_layer_occupancy(batch.trace, layers))
+        attributed = attribute_layers(batch.trace, layers)
+        top = attributed.count(layers.z_max) / len(attributed) if attributed else 0.0
+        row = (it, mean_return, batch.los_count, top)
         metrics.append(row)
         if progress is not None:
             progress(row)
@@ -313,7 +309,6 @@ def load_checkpoint(path):
     params = nnet.params_from_doc(doc["params"])
     tc = TrainConfig(**doc["train_config"])
     rc_doc = dict(doc["reward_config"])
-    from .noise import Condition
     rc_doc["condition"] = Condition(rc_doc["condition"])
     rc = RewardConfig(**rc_doc)
     return params, tc, rc, tuple(doc["layers_ft"])

@@ -10,7 +10,7 @@ Altitudes live in feet; positions in meters. Altitude is converted to meters
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 from .errors import SimulationError, ValidationError
@@ -49,7 +49,7 @@ class SimConfig:
             if getattr(self, name) <= 0:
                 raise ValidationError(f"SimConfig.{name} must be positive")
         ratio = self.decision_interval_s / self.dt_s
-        if abs(ratio - round(ratio)) > 1e-9:
+        if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
             raise ValidationError("decision_interval_s must be an integer multiple of dt_s")
 
 
@@ -64,7 +64,6 @@ class AircraftState:
     z_ft: float = 0.0
     z_target_ft: float = 0.0
     b_changing: bool = False
-    vertical_rate_fps: float = 0.0
     last_action: Action = Action.HOLD
 
 
@@ -85,7 +84,10 @@ class World:
         self.scenario = scenario
         self.net: Network = scenario.network
         self.config = config
-        self.t = 0.0
+        # Integer clock: t, decision ticks and the horizon all derive from n_steps.
+        self.n_steps = 0
+        self._interval_steps = round(config.decision_interval_s / config.dt_s)
+        self._horizon_steps = math.ceil(config.max_episode_time_s / config.dt_s - 1e-9)
         self.aircraft: dict[str, AircraftState] = {}
         for fl in scenario.flights:
             self.aircraft[fl.id] = AircraftState(id=fl.id, route=scenario.routes[fl.id])
@@ -116,13 +118,16 @@ class World:
     def enroute_ids(self) -> list[str]:
         return [a.id for a in self.aircraft.values() if a.phase is Phase.ENROUTE]
 
+    @property
+    def t(self) -> float:
+        return self.n_steps * self.config.dt_s
+
     def is_decision_tick(self) -> bool:
-        ratio = self.t / self.config.decision_interval_s
-        return abs(ratio - round(ratio)) < 1e-9
+        return self.n_steps % self._interval_steps == 0
 
     @property
     def terminal(self) -> bool:
-        if self.t >= self.config.max_episode_time_s:
+        if self.n_steps >= self._horizon_steps:
             return True
         return all(a.phase is Phase.ARRIVED for a in self.aircraft.values())
 
@@ -158,7 +163,6 @@ class World:
                 ac.z_ft = z0
                 ac.z_target_ft = z0
                 ac.b_changing = False
-                ac.vertical_rate_fps = 0.0
                 ac.last_action = Action.HOLD
 
     def apply_altitude_command(self, ac: AircraftState, action: Action) -> None:
@@ -212,9 +216,7 @@ class World:
                 if abs(delta) <= step_ft:
                     ac.z_ft = ac.z_target_ft
                     ac.b_changing = False
-                    ac.vertical_rate_fps = 0.0
                 else:
-                    ac.vertical_rate_fps = math.copysign(rate_fps, delta)
                     ac.z_ft += math.copysign(step_ft, delta)
 
     def neighbors(self, ac_id: str) -> list[AircraftState]:
@@ -278,7 +280,7 @@ class World:
                     )
                 self.apply_altitude_command(self.aircraft[ac_id], actions[ac_id])
         self.advance_kinematics(self.config.dt_s)
-        self.t += self.config.dt_s
+        self.n_steps += 1
         violations = self.detect_los()
         self._update_los_bookkeeping(violations)
         if self.terminal:

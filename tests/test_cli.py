@@ -105,6 +105,39 @@ class TestTrainEvalSweep:
             agg = list(csv.reader(fh))
         assert len(agg) == 3
 
+    def test_sweep_lam_sets_separation_penalty(self, runner, tmp_path):
+        # Four co-located aircraft and an untrained policy (0 iterations): the
+        # trajectories match, so only lam moves the separation-only return.
+        net = make_corridor_network(length_m=2000.0)
+        sc = generate_scenario(net, 4, [("A", "B")], departure_spacing_s=0.0, seed=0)
+        path = tmp_path / "colocated.json"
+        save_scenario(sc, path)
+        returns = {}
+        for lam in ("0.1", "0.9"):
+            out_dir = tmp_path / f"sweep_{lam}"
+            result = runner.invoke(main, [
+                "sweep", "--scenario", str(path), "--rhos", "0.0", "--iterations", "0",
+                "--seeds", "0", "--out-dir", str(out_dir), "--hidden", "4", "--lam", lam])
+            assert result.exit_code == 0, result.output
+            with open(out_dir / "sweep_episodes.csv") as fh:
+                returns[lam] = float(next(csv.DictReader(fh))["mean_return"])
+        assert returns["0.9"] < returns["0.1"] < 0.0
+
+    def test_train_checkpoint_interval_writes_next_to_out(self, runner, scenario_file,
+                                                          tmp_path):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        result = runner.invoke(main, [
+            "train", "--scenario", scenario_file, "--rho", "0.5",
+            "--iterations", "2", "--seed", "0", "--out", str(run_dir / "policy.json"),
+            "--hidden", "4", "--minibatch_size", "32", "--checkpoint_interval", "1"])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "checkpoint_000001.json", "checkpoint_000002.json", "policy.json"]
+        # the last periodic checkpoint holds the final policy
+        assert ((run_dir / "checkpoint_000002.json").read_bytes()
+                == (run_dir / "policy.json").read_bytes())
+
 
 class TestNoiseCommands:
     def test_fit_npd(self, runner, tmp_path):

@@ -123,12 +123,12 @@ class TestRouteIntersections:
     def test_shared_link_related(self, line_network):
         r1 = build_route(line_network, "A", "C")
         r2 = build_route(line_network, "A", "B")
-        assert routes_related(line_network, r1, r2) is not None
+        assert routes_related(line_network, r1, r2)
 
     def test_opposite_directions_related(self, line_network):
         r1 = build_route(line_network, "A", "C")
         r2 = build_route(line_network, "C", "A")
-        assert routes_related(line_network, r1, r2) is not None
+        assert routes_related(line_network, r1, r2)
 
     def test_parallel_disjoint_unrelated(self):
         vp = {"A": Vertiport("A", 0, 0), "B": Vertiport("B", 1000, 0),
@@ -137,7 +137,7 @@ class TestRouteIntersections:
         net = Network(vp, links, AltitudeLayerSet(), {})
         r1 = Route(("A-B",), "A", "B")
         r2 = Route(("C-D",), "C", "D")
-        assert routes_related(net, r1, r2) is None
+        assert not routes_related(net, r1, r2)
 
     def test_crossing_segments(self):
         vp = {"P1": Vertiport("P1", 0, 0), "P2": Vertiport("P2", 1000, 1000),
@@ -146,8 +146,7 @@ class TestRouteIntersections:
         net = Network(vp, links, AltitudeLayerSet(), {})
         r1 = Route(("P1-P2",), "P1", "P2")
         r2 = Route(("P3-P4",), "P3", "P4")
-        pts = routes_related(net, r1, r2)
-        assert pts is not None
+        assert routes_related(net, r1, r2)
 
         # independent oracle: orientation tests confirm a proper crossing
         def orient(p, q, r):
@@ -156,12 +155,12 @@ class TestRouteIntersections:
         a, b, c, d = (0, 0), (1000, 1000), (0, 1000), (1000, 0)
         assert orient(a, b, c) * orient(a, b, d) < 0
         assert orient(c, d, a) * orient(c, d, b) < 0
-        assert pts[0] == pytest.approx((500.0, 500.0))
 
     def test_relation_symmetric(self, line_network):
         routes = [build_route(line_network, a, b)
                   for a, b in (("A", "C"), ("C", "A"), ("A", "B"), ("B", "C"))]
         rel = route_intersections(line_network, routes)
+        assert rel
         for (k1, k2) in rel:
             assert (k2, k1) in rel
 

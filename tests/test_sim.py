@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from uamnoise.errors import SimulationError
-from uamnoise.network import generate_scenario
+from uamnoise.errors import SimulationError, ValidationError
+from uamnoise.network import Flight, Scenario, build_route, generate_scenario
 from uamnoise.sim import (FT_TO_M, Action, AircraftState, Phase, SimConfig, World)
 
 from conftest import make_corridor_network, make_line_network
@@ -45,6 +45,30 @@ class TestSpawn:
             world.step(hold_all(world))
         world.spawn_due_aircraft()
         assert len(world.enroute_ids()) == 2
+
+
+class TestClock:
+    @pytest.mark.parametrize("dt_s, interval_s, steps, ticks", [
+        (1.0, 10.0, 7200, 720), (0.1, 1.0, 72000, 7200),
+        (0.2, 1.0, 36000, 7200), (0.3, 0.9, 24000, 8000)])
+    def test_ticks_steps_and_horizon(self, line_network, dt_s, interval_s, steps, ticks):
+        # a flight departing after the horizon keeps the episode running to it
+        sc = Scenario(line_network, (Flight("AC001", "A", "C", 1e6),),
+                      {"AC001": build_route(line_network, "A", "C")})
+        config = SimConfig(dt_s=dt_s, decision_interval_s=interval_s)
+        world = World(sc, config)
+        n_steps = n_ticks = 0
+        while not world.terminal:
+            n_ticks += world.is_decision_tick()
+            world.step({})
+            n_steps += 1
+        assert (n_steps, n_ticks) == (steps, ticks)
+        assert world.t == config.max_episode_time_s
+
+    @pytest.mark.parametrize("dt_s, interval_s", [(1.0, 1.5), (1.0, 1e-10)])
+    def test_interval_must_be_a_positive_step_multiple(self, dt_s, interval_s):
+        with pytest.raises(ValidationError, match="integer multiple"):
+            SimConfig(dt_s=dt_s, decision_interval_s=interval_s)
 
 
 class TestAltitudeCommands:
