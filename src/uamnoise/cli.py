@@ -57,33 +57,41 @@ def _field_options(cls, names=None):
     return decorate
 
 
+def _train_options_without(*excluded):
+    return _field_options(TrainConfig, [f.name for f in dataclasses.fields(TrainConfig)
+                                        if f.name not in excluded])
+
+
 _sim_options = _field_options(SimConfig)
 # --iterations and --seed are per-command options, not shared config.
-_train_options = _field_options(
-    TrainConfig, [f.name for f in dataclasses.fields(TrainConfig)
-                  if f.name not in ("iterations", "seed")])
+_train_options = _train_options_without("iterations", "seed")
+# sweep writes no periodic checkpoints.
+_sweep_train_options = _train_options_without("iterations", "seed", "checkpoint_interval")
 _reward_options = _field_options(RewardConfig, ["lam"])
 
 
-def _build_configs(scenario, kw, rho, seed, iterations=0):
-    """Configs from the parsed options in kw; a field without an option keeps
-    its dataclass default."""
+def _build_configs(scenario, kw, seed, iterations=0, **reward):
+    """Configs from the parsed options in kw and the reward fields in reward
+    (rho at least); a field given by neither keeps its dataclass default."""
     def given(cls):
         return {f.name: kw[f.name] for f in dataclasses.fields(cls) if f.name in kw}
 
     sim_cfg = SimConfig(**given(SimConfig))
-    reward_cfg = RewardConfig.for_layers(scenario.network.layers, rho, **given(RewardConfig))
+    reward_cfg = RewardConfig.for_layers(scenario.network.layers,
+                                         **{**given(RewardConfig), **reward})
     train_cfg = TrainConfig(iterations=iterations, seed=seed, **given(TrainConfig))
     return sim_cfg, reward_cfg, train_cfg
 
 
 def _load_policy(spec_str, scenario):
-    """A checkpoint path or 'baseline:hold'. Returns (params, rho)."""
+    """A checkpoint path or 'baseline:hold'. Returns (params, the reward
+    fields the policy was trained with: rho, and lam and condition from a
+    checkpoint)."""
     if spec_str == "baseline:hold":
-        return None, 0.0
+        return None, {"rho": 0.0}
     params, _tc, rc, layers_ft = load_checkpoint(spec_str)
     metrics_mod.check_compatible(layers_ft, scenario)
-    return params, rc.rho
+    return params, {"rho": rc.rho, "lam": rc.lam, "condition": rc.condition}
 
 
 @main.command()
@@ -97,8 +105,8 @@ def _load_policy(spec_str, scenario):
 def simulate(scenario_path, policy, seed, trace_path, out_path, **kw):
     """Run one evaluation episode and report its metrics."""
     scenario = load_scenario(scenario_path)
-    params, rho = _load_policy(policy, scenario)
-    sim_cfg, reward_cfg, _ = _build_configs(scenario, kw, rho, seed)
+    params, reward = _load_policy(policy, scenario)
+    sim_cfg, reward_cfg, _ = _build_configs(scenario, kw, seed, **reward)
     episode, _trace = metrics_mod.run_episode(
         params, scenario, sim_cfg, reward_cfg, seed=seed, greedy=True,
         trace_path=trace_path)
@@ -123,7 +131,7 @@ def simulate(scenario_path, policy, seed, trace_path, out_path, **kw):
 def train(scenario_path, rho, iterations, seed, out_path, metrics_log, **kw):
     """Train a policy for one rho value and write a checkpoint."""
     scenario = load_scenario(scenario_path)
-    sim_cfg, reward_cfg, train_cfg = _build_configs(scenario, kw, rho, seed, iterations)
+    sim_cfg, reward_cfg, train_cfg = _build_configs(scenario, kw, seed, iterations, rho=rho)
     params, rows = rl.train(scenario, train_cfg, sim_cfg, reward_cfg,
                             checkpoint_dir=os.path.dirname(os.path.abspath(out_path)))
     save_checkpoint(out_path, params, train_cfg, reward_cfg, scenario.network.layers)
@@ -150,8 +158,8 @@ def _write_metrics_log(path, rows):
 def eval_cmd(scenario_path, checkpoint, seeds, out_path, **kw):
     """Evaluate a checkpoint over several seeds; write a metrics CSV."""
     scenario = load_scenario(scenario_path)
-    params, rho = _load_policy(checkpoint, scenario)
-    sim_cfg, reward_cfg, _ = _build_configs(scenario, kw, rho, 0)
+    params, reward = _load_policy(checkpoint, scenario)
+    sim_cfg, reward_cfg, _ = _build_configs(scenario, kw, 0, **reward)
     episodes = []
     for seed in _parse_int_list(seeds):
         episode, _ = metrics_mod.run_episode(
@@ -170,7 +178,7 @@ def eval_cmd(scenario_path, checkpoint, seeds, out_path, **kw):
 @click.option("--seed", type=int, default=0, show_default=True,
               help="training seed")
 @_sim_options
-@_train_options
+@_sweep_train_options
 @_reward_options
 @_handle_errors
 def sweep(scenario_path, rhos, iterations, seeds, out_dir, seed, **kw):
@@ -178,7 +186,7 @@ def sweep(scenario_path, rhos, iterations, seeds, out_dir, seed, **kw):
     scenario = load_scenario(scenario_path)
     rho_values = [float(tok) for tok in rhos.split(",") if tok != ""]
     seed_values = _parse_int_list(seeds)
-    sim_cfg, reward_cfg, train_cfg = _build_configs(scenario, kw, 0.0, seed, iterations)
+    sim_cfg, reward_cfg, train_cfg = _build_configs(scenario, kw, seed, iterations, rho=0.0)
     os.makedirs(out_dir, exist_ok=True)
     result = metrics_mod.sweep_rho(rho_values, scenario, train_cfg, sim_cfg, seed_values,
                                    lam=reward_cfg.lam)

@@ -128,12 +128,15 @@ def reward_total(r_noise: float, r_sep: float, rho: float) -> float:
     return rho * r_noise + (1.0 - rho) * r_sep
 
 
-def agent_reward(world: World, ac: AircraftState, config: RewardConfig) -> float:
+def agent_reward(world: World, ac: AircraftState, config: RewardConfig,
+                 obs: Observation | None = None) -> float:
     """Blended reward at the aircraft's current state. Arrived aircraft see an
-    empty intruder set."""
+    empty intruder set. obs, if given, is the aircraft's observation at this
+    state, reused instead of observing again."""
     rn = reward_noise(ac.z_ft, config)
     if ac.phase.value == "enroute":
-        obs = observe(world, ac.id, config)
+        if obs is None:
+            obs = observe(world, ac.id, config)
         rs = reward_separation(obs, config)
     else:
         rs = 0.0

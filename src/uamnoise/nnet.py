@@ -163,21 +163,35 @@ def masked_log_softmax(masked_logits):
     return masked_logits - shift - np.log(expd.sum(axis=1, keepdims=True))
 
 
-def policy_forward(params, own_vec, intr_mat, mask3):
-    """Single-observation convenience: (probability triple, value)."""
-    if not any(mask3):
+def pad_intruders(mats):
+    """Stack per-row intruder matrices (n_i, 5) into the padded batch layout:
+    (B, K, 5) and a validity mask (B, K), with K = max(1, max n_i)."""
+    kk = max([1] + [m.shape[0] for m in mats])
+    intr = np.zeros((len(mats), kk, INTRUDER_DIM))
+    valid = np.zeros((len(mats), kk), dtype=bool)
+    for i, m in enumerate(mats):
+        n = m.shape[0]
+        if n:
+            intr[i, :n] = m
+            valid[i, :n] = True
+    return intr, valid
+
+
+def policy_batch(params, own, intr, intr_mask, act_mask):
+    """Action probabilities (B, 3) and values (B,) for a batch of observations."""
+    if not act_mask.any(axis=1).all():
         raise SimulationError("action mask allows no action")
-    kk = max(1, intr_mat.shape[0])
-    intr = np.zeros((1, kk, INTRUDER_DIM))
-    valid = np.zeros((1, kk), dtype=bool)
-    if intr_mat.shape[0]:
-        intr[0, :intr_mat.shape[0]] = intr_mat
-        valid[0, :intr_mat.shape[0]] = True
-    logits, value, _ = forward(params, own_vec[None, :], intr, valid,
-                               np.asarray(mask3, dtype=bool)[None, :])
-    logp = masked_log_softmax(logits)[0]
-    probs = np.where(np.isfinite(logp), np.exp(logp), 0.0)
-    return probs, float(value[0])
+    logits, value, _ = forward(params, own, intr, intr_mask, act_mask)
+    logp = masked_log_softmax(logits)
+    return np.where(np.isfinite(logp), np.exp(logp), 0.0), value
+
+
+def policy_forward(params, own_vec, intr_mat, mask3):
+    """Single-observation case of policy_batch: (probability triple, value)."""
+    intr, valid = pad_intruders([intr_mat])
+    probs, value = policy_batch(params, own_vec[None, :], intr, valid,
+                                np.asarray(mask3, dtype=bool)[None, :])
+    return probs[0], float(value[0])
 
 
 def sample_action(probs, rng=None):

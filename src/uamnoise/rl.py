@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nnet
 from .errors import ValidationError
-from .mdp import (INTRUDER_DIM, OWN_DIM, RewardConfig, action_mask, agent_reward,
+from .mdp import (OWN_DIM, RewardConfig, action_mask, agent_reward,
                   encode_observation, observe)
 from .network import AltitudeLayerSet, Scenario
 from .noise import Condition
@@ -98,7 +98,14 @@ def collect_rollout(
 ) -> RolloutResult:
     """Run one full episode with every enroute aircraft acting from the shared
     params. params=None means the hold-only baseline. greedy (or baseline)
-    episodes take argmax actions; otherwise actions are sampled from rng."""
+    episodes take argmax actions; otherwise actions are sampled from rng.
+
+    Each decision tick observes every enroute agent once: that observation
+    feeds both the policy and the reward closing the agent's previous
+    transition (only transitions closed at episode end observe afresh). The
+    policy runs as one batched nnet.forward over the tick's enroute agents,
+    and actions are then sampled per agent in enroute order.
+    """
     world = World(scenario, sim_config)
     layers = scenario.network.layers
 
@@ -106,12 +113,12 @@ def collect_rollout(
     pending_reward: dict[str, int] = {}  # agent -> index in records awaiting reward
     trace: list[TraceRow] = []
 
-    def finalize(ac_id: str, done: bool) -> None:
+    def finalize(ac_id: str, done: bool, obs=None) -> None:
         idx = pending_reward.pop(ac_id, None)
         if idx is None:
             return
         ac = world.aircraft[ac_id]
-        records[ac_id][idx]["reward"] = agent_reward(world, ac, reward_config)
+        records[ac_id][idx]["reward"] = agent_reward(world, ac, reward_config, obs)
         records[ac_id][idx]["done"] = done
 
     while not world.terminal:
@@ -120,24 +127,29 @@ def collect_rollout(
             world.spawn_due_aircraft()
             enroute = world.enroute_ids()
             # close out transitions for agents that arrived since the last tick
-            for ac_id in records:
-                if ac_id in pending_reward and ac_id not in enroute:
-                    finalize(ac_id, done=True)
+            enroute_set = set(enroute)
+            for ac_id in [i for i in pending_reward if i not in enroute_set]:
+                finalize(ac_id, done=True)
             if enroute:
                 obs_list = [observe(world, i, reward_config) for i in enroute]
-                masks = [action_mask(world.aircraft[i], layers) for i in enroute]
-                for ac_id in enroute:
-                    finalize(ac_id, done=False)
-                for ac_id, obs, mask in zip(enroute, obs_list, masks):
-                    own_vec, intr_mat = encode_observation(obs)
-                    probs, value = nnet.policy_forward(params, own_vec, intr_mat, mask) \
-                        if params is not None else (np.array([1.0, 0.0, 0.0]), 0.0)
-                    action, logp = nnet.sample_action(
-                        probs, None if (greedy or params is None) else rng)
+                masks = np.array([action_mask(world.aircraft[i], layers) for i in enroute])
+                for ac_id, obs in zip(enroute, obs_list):
+                    finalize(ac_id, done=False, obs=obs)
+                encoded = [encode_observation(obs) for obs in obs_list]
+                if params is not None:
+                    intr, intr_mask = nnet.pad_intruders([e[1] for e in encoded])
+                    probs, values = nnet.policy_batch(
+                        params, np.stack([e[0] for e in encoded]), intr, intr_mask, masks)
+                else:
+                    probs = np.tile([1.0, 0.0, 0.0], (len(enroute), 1))
+                    values = np.zeros(len(enroute))
+                sample_rng = None if (greedy or params is None) else rng
+                for j, (ac_id, (own_vec, intr_mat)) in enumerate(zip(enroute, encoded)):
+                    action, logp = nnet.sample_action(probs[j], sample_rng)
                     joint[ac_id] = Action(action)
                     records[ac_id].append({
-                        "own": own_vec, "intr": intr_mat, "act_mask": np.asarray(mask),
-                        "action": action, "logp": logp, "value": value,
+                        "own": own_vec, "intr": intr_mat, "act_mask": masks[j],
+                        "action": action, "logp": logp, "value": float(values[j]),
                         "reward": 0.0, "done": False,
                     })
                     pending_reward[ac_id] = len(records[ac_id]) - 1
@@ -160,11 +172,8 @@ def _pack(records, trace, world) -> RolloutResult:
         agent_slices[ac_id] = slice(len(flat), len(flat) + len(recs))
         flat.extend(recs)
     b = len(flat)
-    kmax = max((r["intr"].shape[0] for r in flat), default=0)
-    kmax = max(kmax, 1)
     own = np.zeros((b, OWN_DIM))
-    intr = np.zeros((b, kmax, INTRUDER_DIM))
-    intr_mask = np.zeros((b, kmax), dtype=bool)
+    intr, intr_mask = nnet.pad_intruders([r["intr"] for r in flat])
     act_mask = np.zeros((b, 3), dtype=bool)
     actions = np.zeros(b, dtype=int)
     old_logp = np.zeros(b)
@@ -173,10 +182,6 @@ def _pack(records, trace, world) -> RolloutResult:
     dones = np.zeros(b, dtype=bool)
     for i, r in enumerate(flat):
         own[i] = r["own"]
-        n = r["intr"].shape[0]
-        if n:
-            intr[i, :n] = r["intr"]
-            intr_mask[i, :n] = True
         act_mask[i] = r["act_mask"]
         actions[i] = r["action"]
         old_logp[i] = r["logp"]

@@ -10,6 +10,7 @@ Altitudes live in feet; positions in meters. Altitude is converted to meters
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -78,7 +79,15 @@ class LosEvent:
 
 
 class World:
-    """Single-writer episode state; one world per rollout worker."""
+    """Single-writer episode state; one world per rollout worker.
+
+    Enroute index invariant: ``_enroute`` holds exactly the aircraft whose
+    phase is ENROUTE, in scenario-flight order, and ``_queue[_next:]`` exactly
+    the PENDING ones, sorted by (departure time, flight index). Only
+    ``spawn_due_aircraft`` (PENDING -> ENROUTE) and ``advance_kinematics``
+    (ENROUTE -> ARRIVED) change ``phase``, and each keeps the index in step, so
+    the queries read the index instead of scanning every aircraft.
+    """
 
     def __init__(self, scenario: Scenario, config: SimConfig):
         self.scenario = scenario
@@ -91,7 +100,13 @@ class World:
         self.aircraft: dict[str, AircraftState] = {}
         for fl in scenario.flights:
             self.aircraft[fl.id] = AircraftState(id=fl.id, route=scenario.routes[fl.id])
-        self._departures = {fl.id: fl.departure_s for fl in scenario.flights}
+        # Enroute index (see the class docstring): a spawn queue of
+        # (departure, aircraft) with a cursor, and the enroute list.
+        self._flight_index = {fl.id: i for i, fl in enumerate(scenario.flights)}
+        by_departure = sorted(enumerate(scenario.flights), key=lambda p: (p[1].departure_s, p[0]))
+        self._queue = [(fl.departure_s, self.aircraft[fl.id]) for _, fl in by_departure]
+        self._next = 0
+        self._enroute: list[AircraftState] = []
 
         # Frozen route geometry: polyline points and cumulative lengths.
         self._polylines: dict[tuple[str, ...], tuple[list[tuple[float, float]], list[float]]] = {}
@@ -116,7 +131,8 @@ class World:
     # -- queries ----------------------------------------------------------
 
     def enroute_ids(self) -> list[str]:
-        return [a.id for a in self.aircraft.values() if a.phase is Phase.ENROUTE]
+        """Enroute aircraft ids in scenario-flight order."""
+        return [a.id for a in self._enroute]
 
     @property
     def t(self) -> float:
@@ -129,7 +145,7 @@ class World:
     def terminal(self) -> bool:
         if self.n_steps >= self._horizon_steps:
             return True
-        return all(a.phase is Phase.ARRIVED for a in self.aircraft.values())
+        return self._next == len(self._queue) and not self._enroute
 
     def routes_related(self, id_a: str, id_b: str) -> bool:
         key = (self.aircraft[id_a].route.key, self.aircraft[id_b].route.key)
@@ -151,19 +167,22 @@ class World:
     # -- dynamics ---------------------------------------------------------
 
     def spawn_due_aircraft(self) -> None:
-        """Pending flights at or past their departure time enter the network at
-        their origin on the lowest layer, level."""
+        """Pending flights at or past their departure time leave the spawn
+        queue and enter the network at their origin on the lowest layer, level."""
         z0 = self.net.layers.z_min
-        for ac in self.aircraft.values():
-            if ac.phase is Phase.PENDING and self._departures[ac.id] <= self.t:
-                pts, _ = self._polylines[ac.route.key]
-                ac.phase = Phase.ENROUTE
-                ac.dist_along_m = 0.0
-                ac.x_m, ac.y_m = pts[0]
-                ac.z_ft = z0
-                ac.z_target_ft = z0
-                ac.b_changing = False
-                ac.last_action = Action.HOLD
+        t = self.t
+        while self._next < len(self._queue) and self._queue[self._next][0] <= t:
+            ac = self._queue[self._next][1]
+            self._next += 1
+            insort(self._enroute, ac, key=lambda a: self._flight_index[a.id])
+            pts, _ = self._polylines[ac.route.key]
+            ac.phase = Phase.ENROUTE
+            ac.dist_along_m = 0.0
+            ac.x_m, ac.y_m = pts[0]
+            ac.z_ft = z0
+            ac.z_target_ft = z0
+            ac.b_changing = False
+            ac.last_action = Action.HOLD
 
     def apply_altitude_command(self, ac: AircraftState, action: Action) -> None:
         """Sets a new target layer unless locked mid-transition or at a
@@ -190,11 +209,10 @@ class World:
 
     def advance_kinematics(self, dt: float) -> None:
         """Moves each enroute aircraft along its polyline and toward its target
-        layer, snapping without overshoot."""
+        layer, snapping without overshoot. Arrivals leave the enroute index."""
         rate_fps = self.config.climb_rate_fpm / 60.0
-        for ac in self.aircraft.values():
-            if ac.phase is not Phase.ENROUTE:
-                continue
+        still_enroute = []
+        for ac in self._enroute:
             pts, cum = self._polylines[ac.route.key]
             ac.dist_along_m += self.config.cruise_speed_mps * dt
             if ac.dist_along_m >= cum[-1]:
@@ -202,6 +220,7 @@ class World:
                 ac.dist_along_m = cum[-1]
                 ac.x_m, ac.y_m = pts[-1]
             else:
+                still_enroute.append(ac)
                 i = _segment_index(cum, ac.dist_along_m)
                 seg_len = cum[i + 1] - cum[i]
                 f = (ac.dist_along_m - cum[i]) / seg_len
@@ -218,6 +237,7 @@ class World:
                     ac.b_changing = False
                 else:
                     ac.z_ft += math.copysign(step_ft, delta)
+        self._enroute = still_enroute
 
     def neighbors(self, ac_id: str) -> list[AircraftState]:
         """Enroute aircraft within d_comm planar range on a related route,
@@ -226,8 +246,8 @@ class World:
         if own.phase is not Phase.ENROUTE:
             raise SimulationError(f"aircraft '{ac_id}' is not enroute")
         found = []
-        for other in self.aircraft.values():
-            if other.id == ac_id or other.phase is not Phase.ENROUTE:
+        for other in self._enroute:
+            if other is own:
                 continue
             planar = math.hypot(own.x_m - other.x_m, own.y_m - other.y_m)
             if planar <= self.config.d_comm_m and self.routes_related(ac_id, other.id):
@@ -238,7 +258,7 @@ class World:
     def detect_los(self) -> list[tuple[str, str, float]]:
         """All enroute pairs closer than d_los in 3-D, as (id_a, id_b, dist).
         Not route-filtered: separation is violated by geometry alone."""
-        enroute = [a for a in self.aircraft.values() if a.phase is Phase.ENROUTE]
+        enroute = self._enroute
         out = []
         for i, a in enumerate(enroute):
             for b in enroute[i + 1:]:

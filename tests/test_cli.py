@@ -123,6 +123,45 @@ class TestTrainEvalSweep:
                 returns[lam] = float(next(csv.DictReader(fh))["mean_return"])
         assert returns["0.9"] < returns["0.1"] < 0.0
 
+    def test_eval_scores_with_checkpoint_lam(self, runner, tmp_path):
+        # The co-located set-up of test_sweep_lam_sets_separation_penalty: eval
+        # of an untrained lam=0.9 checkpoint must use lam=0.9, not the default.
+        net = make_corridor_network(length_m=2000.0)
+        sc = generate_scenario(net, 4, [("A", "B")], departure_spacing_s=0.0, seed=0)
+        path = tmp_path / "colocated.json"
+        save_scenario(sc, path)
+        common = ["--scenario", str(path), "--iterations", "0", "--hidden", "4",
+                  "--lam", "0.9"]
+        ck = tmp_path / "policy.json"
+        result = runner.invoke(main, ["train", *common, "--rho", "0", "--seed", "0",
+                                      "--out", str(ck)])
+        assert result.exit_code == 0, result.output
+        out = tmp_path / "eval.csv"
+        result = runner.invoke(main, ["eval", "--scenario", str(path), "--checkpoint",
+                                      str(ck), "--seeds", "0", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        with open(out) as fh:
+            evaluated = float(next(csv.DictReader(fh))["mean_return"])
+        out_dir = tmp_path / "sweep"
+        result = runner.invoke(main, ["sweep", *common, "--rhos", "0.0", "--seeds", "0",
+                                      "--out-dir", str(out_dir)])
+        assert result.exit_code == 0, result.output
+        with open(out_dir / "sweep_episodes.csv") as fh:
+            swept = float(next(csv.DictReader(fh))["mean_return"])
+        assert evaluated == swept == -2.0
+
+    def test_sweep_has_no_checkpoint_interval(self, runner, tmp_path):
+        net = make_corridor_network(length_m=2000.0)
+        sc = generate_scenario(net, 1, [("A", "B")], seed=0)
+        path = tmp_path / "tiny.json"
+        save_scenario(sc, path)
+        result = runner.invoke(main, [
+            "sweep", "--scenario", str(path), "--rhos", "0.0", "--iterations", "1",
+            "--seeds", "0", "--out-dir", str(tmp_path / "sweep"), "--hidden", "4",
+            "--checkpoint_interval", "1"])
+        assert result.exit_code != 0
+        assert "--checkpoint_interval" in result.output
+
     def test_train_checkpoint_interval_writes_next_to_out(self, runner, scenario_file,
                                                           tmp_path):
         run_dir = tmp_path / "run"

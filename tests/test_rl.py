@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from uamnoise import nnet
-from uamnoise.mdp import RewardConfig
-from uamnoise.network import generate_scenario
-from uamnoise.rl import (RolloutResult, TrainConfig, collect_rollout,
+import uamnoise
+from uamnoise import mdp, nnet, rl
+from uamnoise.mdp import (RewardConfig, action_mask, agent_reward, encode_observation,
+                          observe)
+from uamnoise.network import generate_scenario, load_scenario
+from uamnoise.rl import (RolloutResult, TraceRow, TrainConfig, collect_rollout,
                          compute_advantages, load_checkpoint, ppo_update,
                          save_checkpoint, train)
-from uamnoise.sim import SimConfig
+from uamnoise.sim import Action, SimConfig, World
 
 from conftest import make_corridor_network
 
@@ -78,6 +80,120 @@ class TestCollectRollout:
                 assert batch.actions[i] != 2
             if zt == 0.0:
                 assert batch.actions[i] != 1
+
+
+def reference_rollout(scenario, params, sim_config, reward_config, rng=None, greedy=False):
+    """collect_rollout one agent at a time: a policy_forward call per agent,
+    and a fresh observe inside every agent_reward. Returns (per-agent
+    transition lists, trace, LOS event count)."""
+    world = World(scenario, sim_config)
+    layers = scenario.network.layers
+    records = {fl.id: [] for fl in scenario.flights}
+    pending = {}
+    trace = []
+
+    def finalize(ac_id, done):
+        if ac_id in pending:
+            rec = records[ac_id][pending.pop(ac_id)]
+            rec["reward"] = agent_reward(world, world.aircraft[ac_id], reward_config)
+            rec["done"] = done
+
+    while not world.terminal:
+        joint = {}
+        if world.is_decision_tick():
+            world.spawn_due_aircraft()
+            enroute = world.enroute_ids()
+            for ac_id in records:
+                if ac_id not in enroute:
+                    finalize(ac_id, done=True)
+            obs_list = [observe(world, i, reward_config) for i in enroute]
+            for ac_id in enroute:
+                finalize(ac_id, done=False)
+            for ac_id, obs in zip(enroute, obs_list):
+                ac = world.aircraft[ac_id]
+                mask = action_mask(ac, layers)
+                own_vec, intr_mat = encode_observation(obs)
+                if params is None:
+                    probs, value = np.array([1.0, 0.0, 0.0]), 0.0
+                else:
+                    probs, value = nnet.policy_forward(params, own_vec, intr_mat, mask)
+                action, logp = nnet.sample_action(
+                    probs, None if (greedy or params is None) else rng)
+                joint[ac_id] = Action(action)
+                records[ac_id].append({"own": own_vec, "intr": intr_mat, "act_mask": mask,
+                                       "action": action, "logp": logp, "value": value})
+                pending[ac_id] = len(records[ac_id]) - 1
+                trace.append(TraceRow(world.t, ac_id, ac.x_m, ac.y_m, ac.z_ft,
+                                      Action(action), ac.b_changing))
+        world.step(joint)
+    for ac_id in list(pending):
+        finalize(ac_id, done=True)
+    return {k: v for k, v in records.items() if v}, trace, len(world.los_events)
+
+
+@pytest.fixture(scope="module")
+def bundled_scenario():
+    return load_scenario(uamnoise.bundled_scenario_path())
+
+
+class TestBatchedTickMatchesReference:
+    @pytest.mark.parametrize("mode", ["hold", "greedy", "sampled"])
+    @pytest.mark.parametrize("which", ["line", "bundled"])
+    def test_collect_rollout_equals_per_agent_loop(self, which, mode, line_scenario,
+                                                   request):
+        scenario = line_scenario if which == "line" else request.getfixturevalue(
+            "bundled_scenario")
+        params = None if mode == "hold" else nnet.init_params(8, 21)
+        rc = RewardConfig.for_layers(scenario.network.layers, 0.5)
+
+        def run(fn):
+            return fn(scenario, params, SimConfig(), rc, rng=np.random.default_rng(4),
+                      greedy=mode == "greedy")
+
+        batch = run(collect_rollout)
+        records, trace, los_count = run(reference_rollout)
+        assert batch.trace == trace and batch.los_count == los_count
+        assert list(batch.agent_slices) == list(records)
+        for ac_id, recs in records.items():
+            rows = range(len(batch.actions))[batch.agent_slices[ac_id]]
+            assert len(rows) == len(recs)
+            for i, rec in zip(rows, recs):
+                n = rec["intr"].shape[0]
+                assert np.array_equal(batch.own[i], rec["own"])
+                assert np.array_equal(batch.intr[i, :n], rec["intr"])
+                assert batch.intr_mask[i].sum() == n and batch.intr_mask[i, :n].all()
+                assert not batch.intr[i, n:].any()
+                assert tuple(batch.act_mask[i]) == rec["act_mask"]
+                assert batch.actions[i] == rec["action"]
+                assert batch.rewards[i] == rec["reward"]
+                assert batch.dones[i] == rec["done"]
+                # float64 GEMM may sum a batch in another order than one row
+                assert batch.old_logp[i] == pytest.approx(rec["logp"], rel=0, abs=1e-12)
+                assert batch.values[i] == pytest.approx(rec["value"], rel=0, abs=1e-12)
+        if mode == "sampled":
+            assert len(set(batch.actions.tolist())) > 1  # sampling must not be vacuous
+
+    def test_one_observe_and_one_forward_per_tick(self, line_scenario, monkeypatch):
+        calls = {"observe": 0, "forward": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(rl, "observe", counting("observe", mdp.observe))
+        monkeypatch.setattr(mdp, "observe", counting("observe", mdp.observe))
+        monkeypatch.setattr(nnet, "forward", counting("forward", nnet.forward))
+        rc = RewardConfig.for_layers(line_scenario.network.layers, 0.5)
+        batch = collect_rollout(line_scenario, nnet.init_params(8, 3), SimConfig(), rc,
+                                rng=np.random.default_rng(7))
+        ticks = sorted({row.t for row in batch.trace})
+        # an agent with a row at the last tick has its transition closed at episode end
+        closed_at_end = sum(row.t == ticks[-1] for row in batch.trace)
+        assert len(ticks) < len(batch.trace)  # several agents share a tick
+        assert calls["observe"] <= len(batch.trace) + closed_at_end
+        assert calls["forward"] == len(ticks)
 
 
 class TestComputeAdvantages:

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uamnoise.errors import SimulationError, ValidationError
 from uamnoise.network import Flight, Scenario, build_route, generate_scenario
@@ -277,3 +280,75 @@ class TestStep:
                     locked_target[ac.id] = ac.z_target_ft
                 else:
                     locked_target.pop(ac.id, None)
+
+
+def scan_enroute(world):
+    return [a for a in world.aircraft.values() if a.phase is Phase.ENROUTE]
+
+
+def scan_neighbors(world, ac_id):
+    own = world.aircraft[ac_id]
+    found = []
+    for other in scan_enroute(world):
+        planar = math.hypot(own.x_m - other.x_m, own.y_m - other.y_m)
+        if (other is not own and planar <= world.config.d_comm_m
+                and world.routes_related(ac_id, other.id)):
+            found.append((world.distance_3d_m(own, other), other.id))
+    return [aid for _, aid in sorted(found)]
+
+
+def scan_los(world):
+    enroute = scan_enroute(world)
+    out = []
+    for i, a in enumerate(enroute):
+        for b in enroute[i + 1:]:
+            d = world.distance_3d_m(a, b)
+            if d < world.config.d_los_m:
+                out.append((*sorted((a.id, b.id)), d))
+    return out
+
+
+@st.composite
+def index_cases(draw):
+    n = draw(st.integers(1, 40))
+    net = make_line_network(link_len_m=1500.0)
+    sc = generate_scenario(net, n, [("A", "C"), ("C", "A"), ("A", "B")],
+                           departure_spacing_s=draw(st.sampled_from([0.0, 7.0, 25.0])),
+                           seed=draw(st.integers(0, 99)))
+    # scenario-flight order need not follow departure order
+    flights = tuple(sc.flights[i] for i in draw(st.permutations(range(n))))
+    dt_s, interval_s = draw(st.sampled_from([(1.0, 10.0), (0.5, 1.0), (2.0, 10.0),
+                                             (0.3, 0.9)]))
+    config = SimConfig(dt_s=dt_s, decision_interval_s=interval_s,
+                       max_episode_time_s=draw(st.sampled_from([60.0, 250.0, 7200.0])))
+    return Scenario(net, flights, sc.routes), config, draw(st.integers(0, 2**16))
+
+
+class TestEnrouteIndexProperty:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(index_cases())
+    def test_index_matches_full_scan(self, case):
+        scenario, config, seed = case
+        world = World(scenario, config)
+        rng = np.random.default_rng(seed)
+        horizon_steps = math.ceil(config.max_episode_time_s / config.dt_s - 1e-9)
+
+        def check():
+            enroute = [a.id for a in scan_enroute(world)]
+            assert world.enroute_ids() == enroute
+            all_arrived = all(a.phase is Phase.ARRIVED for a in world.aircraft.values())
+            assert world.terminal == (world.n_steps >= horizon_steps or all_arrived)
+            for aid in enroute:
+                assert [n.id for n in world.neighbors(aid)] == scan_neighbors(world, aid)
+            assert world.detect_los() == scan_los(world)
+
+        departures = {fl.id: fl.departure_s for fl in scenario.flights}
+        check()
+        while not world.terminal:
+            world.spawn_due_aircraft()
+            assert all((a.phase is Phase.PENDING) == (departures[a.id] > world.t)
+                       for a in world.aircraft.values())
+            check()
+            actions = {aid: Action(int(rng.integers(0, 3))) for aid in world.enroute_ids()}
+            world.step(actions if world.is_decision_tick() else {})
+            check()
