@@ -1,7 +1,8 @@
 """Command-line surface: simulate, train, eval, sweep, fit-npd, noise-report.
 
 All randomness flows from --seed flags. Exit codes: 0 success, 1 validation
-error, 2 runtime error.
+error or unreadable/unwritable file, 2 runtime error. Reports are written by
+metrics' writers, checkpoints by rl.save_checkpoint.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ def _handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ValidationError as exc:
+        except (ValidationError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
         except click.ClickException:
@@ -112,8 +113,7 @@ def simulate(scenario_path, policy, seed, trace_path, out_path, **kw):
         trace_path=trace_path)
     if out_path:
         metrics_mod.export_metrics([episode], out_path, "json")
-    rec = metrics_mod.metrics_record(episode)
-    click.echo(json.dumps({k: rec[k] for k in rec}, default=str))
+    click.echo(json.dumps(metrics_mod.metrics_record(episode), default=str))
 
 
 @main.command()
@@ -136,16 +136,9 @@ def train(scenario_path, rho, iterations, seed, out_path, metrics_log, **kw):
                             checkpoint_dir=os.path.dirname(os.path.abspath(out_path)))
     save_checkpoint(out_path, params, train_cfg, reward_cfg, scenario.network.layers)
     if metrics_log:
-        _write_metrics_log(metrics_log, rows)
+        metrics_mod.write_csv(metrics_log, ("iteration", "mean_return", "los_count",
+                                            "top_layer_occupancy"), rows, cell=str)
     click.echo(f"checkpoint written to {out_path} ({len(rows)} iterations)")
-
-
-def _write_metrics_log(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "mean_return", "los_count", "top_layer_occupancy"])
-        for it, ret, los, top in rows:
-            writer.writerow([it, repr(ret), los, repr(top)])
 
 
 @main.command(name="eval")
@@ -190,21 +183,9 @@ def sweep(scenario_path, rhos, iterations, seeds, out_dir, seed, **kw):
     os.makedirs(out_dir, exist_ok=True)
     result = metrics_mod.sweep_rho(rho_values, scenario, train_cfg, sim_cfg, seed_values,
                                    lam=reward_cfg.lam)
-    metrics_mod.export_sweep_csv(result, os.path.join(out_dir, "sweep_episodes.csv"))
-    agg_path = os.path.join(out_dir, "sweep_tradeoff.csv")
-    aggregates = result.aggregates()
-    with open(agg_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        layer_cols = [f"hist_{z:g}" for z in aggregates[0]["histogram"]] if aggregates else []
-        writer.writerow(["rho", "median_noise_increase_db", "mean_los",
-                         "top_layer_fraction", *layer_cols])
-        for agg in aggregates:
-            writer.writerow(
-                [f"{agg['rho']:.6g}",
-                 "" if agg["median_noise_increase_db"] is None
-                 else f"{agg['median_noise_increase_db']:.6g}",
-                 f"{agg['mean_los']:.6g}", f"{agg['top_layer_fraction']:.6g}",
-                 *[f"{v:.6g}" for v in agg["histogram"].values()]])
+    metrics_mod.export_metrics(result.rows, os.path.join(out_dir, "sweep_episodes.csv"),
+                               "csv")
+    metrics_mod.export_tradeoff(result, os.path.join(out_dir, "sweep_tradeoff.csv"))
     click.echo(f"sweep results in {out_dir}")
 
 
@@ -223,9 +204,7 @@ def fit_npd_cmd(samples_path, out_path):
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"cannot read samples {samples_path}: {exc}") from exc
     c0, c1, c2, rms = fit_npd(samples)
-    with open(out_path, "w") as fh:
-        json.dump({"c0": c0, "c1": c1, "c2": c2, "rms_residual": rms}, fh, indent=2)
-        fh.write("\n")
+    metrics_mod.write_json(out_path, {"c0": c0, "c1": c1, "c2": c2, "rms_residual": rms})
     click.echo(f"c0={c0:.6g} c1={c1:.6g} c2={c2:.6g} rms={rms:.3g}")
 
 
@@ -239,13 +218,8 @@ def noise_report(trace_path, scenario_path, out_path):
     scenario = load_scenario(scenario_path)
     trace = metrics_mod.read_trace(trace_path)
     series = metrics_mod.zone_noise_series(trace, scenario.network)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "zone", "increase_db"])
-        for zid in sorted(series):
-            for t, inc in series[zid]:
-                writer.writerow([f"{t:.6g}", zid,
-                                 "" if inc == float("-inf") else f"{inc:.6g}"])
+    metrics_mod.write_csv(out_path, ("t", "zone", "increase_db"),
+                          ((t, zid, inc) for zid in sorted(series) for t, inc in series[zid]))
     click.echo(f"wrote zone report to {out_path}")
 
 

@@ -1,4 +1,5 @@
-"""Episode metrics, trace I/O, and the rho-sweep harness.
+"""Episode metrics, trace I/O, the rho-sweep harness, and the CSV/JSON
+writers behind every report the CLI emits.
 
 All trace-derivable metrics (altitude histogram, per-zone noise series) are
 pure functions of the decision-tick trace, so recomputing them from a saved
@@ -11,7 +12,6 @@ import csv
 import json
 import math
 import statistics
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +36,6 @@ class EpisodeMetrics:
     noise_increase_max_db: float | None
     histogram: dict[float, float]  # layer -> fraction of aircraft-ticks
     mean_return: float
-    wall_time_s: float
     seed: int = 0
     rho: float | None = None
 
@@ -46,12 +45,9 @@ class EpisodeMetrics:
 
 
 def write_trace(trace: list[TraceRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for row in trace:
-            writer.writerow([repr(row.t), row.id, repr(row.x_m), repr(row.y_m),
-                             repr(row.z_ft), int(row.action), int(row.b_changing)])
+    write_csv(path, TRACE_COLUMNS,
+              ((r.t, r.id, r.x_m, r.y_m, r.z_ft, int(r.action), int(r.b_changing))
+               for r in trace), cell=str)
 
 
 def read_trace(path) -> list[TraceRow]:
@@ -140,8 +136,8 @@ def summarize_zones(series) -> dict[str, tuple[float | None, float | None]]:
     return out
 
 
-def metrics_from_trace(trace, network, los_count, mean_return, wall_time_s=0.0,
-                       seed=0, rho=None) -> EpisodeMetrics:
+def metrics_from_trace(trace, network, los_count, mean_return, seed=0,
+                       rho=None) -> EpisodeMetrics:
     series = zone_noise_series(trace, network)
     summary = summarize_zones(series)
     means = [m for _, m in summary.values() if m is not None]
@@ -154,7 +150,6 @@ def metrics_from_trace(trace, network, los_count, mean_return, wall_time_s=0.0,
         noise_increase_max_db=max(maxes) if maxes else None,
         histogram=altitude_histogram(trace, network.layers),
         mean_return=mean_return,
-        wall_time_s=wall_time_s,
         seed=seed,
         rho=rho,
     )
@@ -174,15 +169,13 @@ def run_episode(
     trace_path=None,
 ) -> tuple[EpisodeMetrics, list[TraceRow]]:
     """Full episode under the policy (params=None is the hold-only baseline)."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     batch = collect_rollout(scenario, params, sim_config, reward_config,
                             rng=rng, greedy=greedy)
     mean_return = (sum(batch.episode_returns.values()) / len(batch.episode_returns)
                    if batch.episode_returns else 0.0)
     metrics = metrics_from_trace(batch.trace, scenario.network, batch.los_count,
-                                 mean_return, time.perf_counter() - start, seed,
-                                 reward_config.rho)
+                                 mean_return, seed, reward_config.rho)
     if trace_path is not None:
         write_trace(batch.trace, trace_path)
     return metrics, batch.trace
@@ -200,36 +193,29 @@ def check_compatible(layers_ft, scenario: Scenario) -> None:
 
 
 @dataclass
-class SweepRow:
-    rho: float
-    seed: int
-    metrics: EpisodeMetrics
-
-
-@dataclass
 class SweepResult:
-    rows: list[SweepRow]
+    rows: list[EpisodeMetrics]  # rho-major, then seed
 
     def aggregates(self) -> list[dict]:
         """One dict per rho: median noise increase, mean LOS, mean top-layer
         fraction, mean histogram."""
-        by_rho: dict[float, list[SweepRow]] = {}
-        for row in self.rows:
-            by_rho.setdefault(row.rho, []).append(row)
+        by_rho: dict[float, list[EpisodeMetrics]] = {}
+        for m in self.rows:
+            by_rho.setdefault(m.rho, []).append(m)
         out = []
         for rho in sorted(by_rho):
             group = by_rho[rho]
-            layer_keys = list(group[0].metrics.histogram)
-            medians = [r.metrics.noise_increase_median_db for r in group
-                       if r.metrics.noise_increase_median_db is not None]
+            layer_keys = list(group[0].histogram)
+            medians = [m.noise_increase_median_db for m in group
+                       if m.noise_increase_median_db is not None]
             out.append({
                 "rho": rho,
                 "median_noise_increase_db": statistics.median(medians) if medians else None,
-                "mean_los": sum(r.metrics.los_count for r in group) / len(group),
+                "mean_los": sum(m.los_count for m in group) / len(group),
                 "top_layer_fraction": sum(
-                    r.metrics.histogram[layer_keys[-1]] for r in group) / len(group),
+                    m.histogram[layer_keys[-1]] for m in group) / len(group),
                 "histogram": {
-                    z: sum(r.metrics.histogram[z] for r in group) / len(group)
+                    z: sum(m.histogram[z] for m in group) / len(group)
                     for z in layer_keys
                 },
             })
@@ -242,35 +228,33 @@ def sweep_rho(
     train_config: TrainConfig,
     sim_config: SimConfig,
     seeds: list[int],
-    trained: dict[float, dict] | None = None,
-    progress=None,
     lam: float = RewardConfig.lam,
 ) -> SweepResult:
-    """Train (or reuse) one policy per rho and evaluate it over the seeds."""
-    rows: list[SweepRow] = []
-    trained = dict(trained or {})
+    """Train one policy per rho and evaluate it over the seeds."""
+    rows: list[EpisodeMetrics] = []
     for rho in rho_values:
         if not 0.0 <= rho <= 1.0:
             raise ValidationError(f"rho must be in [0, 1], got {rho}")
         reward_config = RewardConfig.for_layers(
             scenario.network.layers, rho, lam=lam,
             d_los_m=sim_config.d_los_m, d_comm_m=sim_config.d_comm_m)
-        if rho not in trained:
-            params, _ = rl.train(scenario, train_config, sim_config, reward_config,
-                                 progress=progress)
-            trained[rho] = params
-        for seed in seeds:
-            metrics, _ = run_episode(trained[rho], scenario, sim_config,
-                                     reward_config, seed=seed, greedy=True)
-            rows.append(SweepRow(rho, seed, metrics))
+        params, _ = rl.train(scenario, train_config, sim_config, reward_config)
+        rows += [run_episode(params, scenario, sim_config, reward_config, seed=seed)[0]
+                 for seed in seeds]
     return SweepResult(rows)
 
 
 # ---------------------------------------------------------------------------
 # Export
 
+EPISODE_COLUMNS = ("rho", "seed", "los_count", "median_noise_increase_db",
+                   "max_noise_increase_db", "mean_return")
+TRADEOFF_COLUMNS = ("rho", "median_noise_increase_db", "mean_los", "top_layer_fraction")
+
 
 def _fmt(value) -> str:
+    """Report cell: floats at 6 significant digits; None and the
+    no-contribution sentinel as an empty cell."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -280,59 +264,60 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def write_csv(path, columns, rows, cell=_fmt) -> None:
+    """Header plus one line per row, each value written as cell(value): the
+    report format by default; str keeps floats exact (their repr)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([cell(v) for v in row] for row in rows)
+
+
+def write_json(path, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def _layer_fractions(histogram: dict[float, float]) -> dict[str, float]:
+    return {f"hist_{z:g}": frac for z, frac in histogram.items()}
+
+
 def metrics_record(m: EpisodeMetrics) -> dict:
-    rec = {
-        "rho": m.rho,
-        "seed": m.seed,
-        "los_count": m.los_count,
-        "median_noise_increase_db": m.noise_increase_median_db,
-        "max_noise_increase_db": m.noise_increase_max_db,
-        "mean_return": m.mean_return,
-    }
-    for z, frac in m.histogram.items():
-        rec[f"hist_{z:g}"] = frac
-    return rec
+    values = (m.rho, m.seed, m.los_count, m.noise_increase_median_db,
+              m.noise_increase_max_db, m.mean_return)
+    return {**dict(zip(EPISODE_COLUMNS, values)), **_layer_fractions(m.histogram)}
+
+
+def _export(records: list[dict], columns, path, fmt: str) -> None:
+    """Columns first, then any further record keys in first-seen order."""
+    if fmt not in ("csv", "json"):
+        raise ValidationError(f"unknown export format '{fmt}'")
+    columns = list(columns)
+    for rec in records:
+        columns += [key for key in rec if key not in columns]
+    if fmt == "csv":
+        write_csv(path, columns, ([rec.get(c) for c in columns] for rec in records))
+    else:
+        write_json(path, [{c: _json_value(rec.get(c)) for c in columns} for rec in records])
+
+
+def _json_value(value):
+    """The report cell format as a JSON value: a float rounded to its cell,
+    null for an empty one."""
+    if isinstance(value, float):
+        cell = _fmt(value)
+        return float(cell) if cell else None
+    return value
 
 
 def export_metrics(metrics_list: list[EpisodeMetrics], path, fmt: str) -> None:
-    """Stable column order; floats at 6 significant digits; the no-contribution
-    sentinel serializes as empty cell / null."""
-    if fmt not in ("csv", "json"):
-        raise ValidationError(f"unknown export format '{fmt}'")
-    records = [metrics_record(m) for m in metrics_list]
-    columns: list[str] = []
-    for rec in records:
-        for key in rec:
-            if key not in columns:
-                columns.append(key)
-    if not columns:
-        columns = ["rho", "seed", "los_count", "median_noise_increase_db",
-                   "max_noise_increase_db", "mean_return"]
-    try:
-        if fmt == "csv":
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(columns)
-                for rec in records:
-                    writer.writerow([_fmt(rec.get(c)) for c in columns])
-        else:
-            doc = []
-            for rec in records:
-                clean = {}
-                for c in columns:
-                    v = rec.get(c)
-                    if isinstance(v, float) and v == NO_CONTRIBUTION:
-                        v = None
-                    clean[c] = float(f"{v:.6g}") if isinstance(v, float) else v
-                doc.append(clean)
-            with open(path, "w") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
+    """One record per episode, as a CSV table or a JSON list."""
+    _export([metrics_record(m) for m in metrics_list], EPISODE_COLUMNS, path, fmt)
 
 
-def export_sweep_csv(result: SweepResult, path) -> None:
-    """Per-(rho, seed) rows followed by nothing else; aggregates go to a second
-    file written by the CLI."""
-    export_metrics([row.metrics for row in result.rows], path, "csv")
+def export_tradeoff(result: SweepResult, path) -> None:
+    """The per-rho aggregates as a CSV table."""
+    records = [{**{c: agg[c] for c in TRADEOFF_COLUMNS},
+                **_layer_fractions(agg["histogram"])} for agg in result.aggregates()]
+    _export(records, TRADEOFF_COLUMNS, path, "csv")

@@ -5,7 +5,6 @@ Levels are A-weighted SEL in dB; distances are slant distances in feet.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -73,32 +72,6 @@ class NpdModel:
             raise ValidationError(
                 f"distance domain invalid: [{self.z_lo_ft}, {self.z_hi_ft}]"
             )
-
-    def to_file(self, path) -> None:
-        doc = {
-            "z_lo_ft": self.z_lo_ft,
-            "z_hi_ft": self.z_hi_ft,
-            "conditions": {c.value: list(self.coefficients[c]) for c in self.coefficients},
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def from_file(cls, path) -> "NpdModel":
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read noise model file {path}: {exc}") from exc
-        try:
-            coeffs = {
-                Condition(label): tuple(float(v) for v in triple)
-                for label, triple in doc["conditions"].items()
-            }
-            return cls(coeffs, float(doc["z_lo_ft"]), float(doc["z_hi_ft"]))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ValidationError(f"malformed noise model file {path}: {exc}") from exc
 
 
 def single_event_level(model: NpdModel, condition: Condition, slant_distance_ft: float) -> float:

@@ -155,15 +155,6 @@ class World:
         dz_m = (a.z_ft - b.z_ft) * FT_TO_M
         return math.hypot(math.hypot(a.x_m - b.x_m, a.y_m - b.y_m), dz_m)
 
-    def current_link_id(self, ac: AircraftState) -> str:
-        """Link the aircraft is currently on (last link once arrived)."""
-        pts, cum = self._polylines[ac.route.key]
-        d = min(ac.dist_along_m, cum[-1])
-        for i in range(len(cum) - 1):
-            if d < cum[i + 1] or i == len(cum) - 2:
-                return ac.route.link_ids[i]
-        return ac.route.link_ids[-1]
-
     # -- dynamics ---------------------------------------------------------
 
     def spawn_due_aircraft(self) -> None:

@@ -178,6 +178,21 @@ class TestTrainEvalSweep:
                 == (run_dir / "policy.json").read_bytes())
 
 
+    def test_empty_sweep_writes_header_only_tables(self, runner, tmp_path):
+        net = make_corridor_network(length_m=2000.0)
+        path = tmp_path / "tiny.json"
+        save_scenario(generate_scenario(net, 1, [("A", "B")], seed=0), path)
+        out_dir = tmp_path / "sweep"
+        result = runner.invoke(main, [
+            "sweep", "--scenario", str(path), "--rhos", "", "--iterations", "0",
+            "--seeds", "0", "--out-dir", str(out_dir)])
+        assert result.exit_code == 0, result.output
+        assert (out_dir / "sweep_episodes.csv").read_text().splitlines() == [
+            "rho,seed,los_count,median_noise_increase_db,max_noise_increase_db,mean_return"]
+        assert (out_dir / "sweep_tradeoff.csv").read_text().splitlines() == [
+            "rho,median_noise_increase_db,mean_los,top_layer_fraction"]
+
+
 class TestNoiseCommands:
     def test_fit_npd(self, runner, tmp_path):
         import math
@@ -216,3 +231,34 @@ class TestNoiseCommands:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "zone", "increase_db"]
         assert len(rows) > 1
+
+
+@pytest.mark.parametrize("command", [
+    "simulate --out", "simulate --trace", "train --out", "train --metrics-log",
+    "eval --out", "noise-report --out", "fit-npd --out", "sweep --out-dir",
+])
+def test_unwritable_output_path_exits_1(runner, scenario_file, tmp_path, command):
+    name, option = command.split()
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,id,x,y,z_ft,action,b_changing\n0.0,AC001,0.0,0.0,1000.0,0,0\n")
+    samples = tmp_path / "samples.csv"
+    samples.write_text("distance_ft,level_db\n200,80\n1000,70\n5000,60\n")
+    args = {
+        "simulate": ["--scenario", scenario_file, "--policy", "baseline:hold", "--seed", "0"],
+        "train": ["--scenario", scenario_file, "--rho", "0.5", "--iterations", "0",
+                  "--seed", "0", "--hidden", "4"],
+        "eval": ["--scenario", scenario_file, "--checkpoint", "baseline:hold",
+                 "--seeds", "0"],
+        "noise-report": ["--trace", str(trace), "--scenario", scenario_file],
+        "fit-npd": ["--samples", str(samples)],
+        "sweep": ["--scenario", scenario_file, "--rhos", "0.0", "--iterations", "0",
+                  "--seeds", "0", "--hidden", "4"],
+    }[name]
+    if command == "train --metrics-log":
+        args += ["--out", str(tmp_path / "policy.json")]
+    # a path in a missing directory; for sweep's --out-dir, one below a regular file
+    (tmp_path / "file").write_text("")
+    bad = str(tmp_path / ("file" if name == "sweep" else "missing") / "out")
+    result = runner.invoke(main, [name, *args, option, bad])
+    assert result.exit_code == 1, result.output
+    assert "error: " in result.output and bad in result.output

@@ -1,6 +1,6 @@
 """Static checks over the package source, by AST and without a linter: every
-imported name is used, and the intra-package import graph has no cycle
-(function-level imports included)."""
+imported name is used, the intra-package import graph has no cycle
+(function-level imports included), and cli opens no file for writing."""
 import ast
 from pathlib import Path
 
@@ -69,3 +69,22 @@ def test_import_graph_acyclic():
     for mod in sorted(graph):
         if mod not in done:
             visit([mod])
+
+
+def _write_opens(tree):
+    """Lines of open(...) calls whose mode is not a constant read-only mode."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(not (isinstance(m, ast.Constant) and set(m.value) <= set("rbt"))
+                   for m in modes):
+                yield node.lineno
+
+
+def test_cli_opens_no_file_for_writing():
+    # reports go through the metrics writers, checkpoints through rl
+    assert list(_write_opens(ast.parse("open(p)\nopen(p, 'rb')"))) == []
+    assert list(_write_opens(ast.parse("open(p, 'w')\nopen(p, mode=m)"))) == [1, 2]
+    lines = list(_write_opens(MODULES["cli"]))
+    assert not lines, f"cli opens files for writing at lines {lines}"

@@ -140,8 +140,9 @@ class TestKinematics:
         ac = world.aircraft["AC001"]
         ac.dist_along_m = 12000.0 + 500.0
         world.advance_kinematics(1.0)
-        assert world.current_link_id(ac) in ("A-B", "B-C", "C-A", "B-A", "C-B")
-        assert 0.0 <= ac.x_m <= 24000.0 and ac.y_m == 0.0
+        # 12567 m along the route: 567 m past B, on the second link
+        assert abs(ac.x_m - 12000.0) == pytest.approx(567.0)
+        assert ac.y_m == 0.0
 
 
 class TestNeighbors:
