@@ -84,6 +84,14 @@ def _build_configs(scenario, kw, seed, iterations=0, **reward):
     return sim_cfg, reward_cfg, train_cfg
 
 
+def _check_output_dirs(*paths):
+    """Fail before any work when the directory of an output path is missing;
+    None stands for an output not asked for."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ValidationError(f"cannot write {path}: its directory does not exist")
+
+
 def _load_policy(spec_str, scenario):
     """A checkpoint path or 'baseline:hold'. Returns (params, the reward
     fields the policy was trained with: rho, and lam and condition from a
@@ -105,6 +113,7 @@ def _load_policy(spec_str, scenario):
 @_handle_errors
 def simulate(scenario_path, policy, seed, trace_path, out_path, **kw):
     """Run one evaluation episode and report its metrics."""
+    _check_output_dirs(trace_path, out_path)
     scenario = load_scenario(scenario_path)
     params, reward = _load_policy(policy, scenario)
     sim_cfg, reward_cfg, _ = _build_configs(scenario, kw, seed, **reward)
@@ -130,6 +139,7 @@ def simulate(scenario_path, policy, seed, trace_path, out_path, **kw):
 @_handle_errors
 def train(scenario_path, rho, iterations, seed, out_path, metrics_log, **kw):
     """Train a policy for one rho value and write a checkpoint."""
+    _check_output_dirs(out_path, metrics_log)
     scenario = load_scenario(scenario_path)
     sim_cfg, reward_cfg, train_cfg = _build_configs(scenario, kw, seed, iterations, rho=rho)
     params, rows = rl.train(scenario, train_cfg, sim_cfg, reward_cfg,
@@ -150,6 +160,7 @@ def train(scenario_path, rho, iterations, seed, out_path, metrics_log, **kw):
 @_handle_errors
 def eval_cmd(scenario_path, checkpoint, seeds, out_path, **kw):
     """Evaluate a checkpoint over several seeds; write a metrics CSV."""
+    _check_output_dirs(out_path)
     scenario = load_scenario(scenario_path)
     params, reward = _load_policy(checkpoint, scenario)
     sim_cfg, reward_cfg, _ = _build_configs(scenario, kw, 0, **reward)
@@ -176,11 +187,11 @@ def eval_cmd(scenario_path, checkpoint, seeds, out_path, **kw):
 @_handle_errors
 def sweep(scenario_path, rhos, iterations, seeds, out_dir, seed, **kw):
     """Train one policy per rho, evaluate over the seeds, emit tradeoff tables."""
+    os.makedirs(out_dir, exist_ok=True)
     scenario = load_scenario(scenario_path)
     rho_values = [float(tok) for tok in rhos.split(",") if tok != ""]
     seed_values = _parse_int_list(seeds)
     sim_cfg, reward_cfg, train_cfg = _build_configs(scenario, kw, seed, iterations, rho=0.0)
-    os.makedirs(out_dir, exist_ok=True)
     result = metrics_mod.sweep_rho(rho_values, scenario, train_cfg, sim_cfg, seed_values,
                                    lam=reward_cfg.lam)
     metrics_mod.export_metrics(result.rows, os.path.join(out_dir, "sweep_episodes.csv"),
@@ -196,6 +207,7 @@ def sweep(scenario_path, rhos, iterations, seeds, out_dir, seed, **kw):
 @_handle_errors
 def fit_npd_cmd(samples_path, out_path):
     """Fit quadratic-in-log regression coefficients to noise samples."""
+    _check_output_dirs(out_path)
     samples = []
     try:
         with open(samples_path, newline="") as fh:
@@ -215,6 +227,7 @@ def fit_npd_cmd(samples_path, out_path):
 @_handle_errors
 def noise_report(trace_path, scenario_path, out_path):
     """Per-zone noise-increase time series recomputed from a saved trace."""
+    _check_output_dirs(out_path)
     scenario = load_scenario(scenario_path)
     trace = metrics_mod.read_trace(trace_path)
     series = metrics_mod.zone_noise_series(trace, scenario.network)

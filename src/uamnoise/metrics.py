@@ -172,10 +172,8 @@ def run_episode(
     rng = np.random.default_rng(seed)
     batch = collect_rollout(scenario, params, sim_config, reward_config,
                             rng=rng, greedy=greedy)
-    mean_return = (sum(batch.episode_returns.values()) / len(batch.episode_returns)
-                   if batch.episode_returns else 0.0)
     metrics = metrics_from_trace(batch.trace, scenario.network, batch.los_count,
-                                 mean_return, seed, reward_config.rho)
+                                 batch.mean_return, seed, reward_config.rho)
     if trace_path is not None:
         write_trace(batch.trace, trace_path)
     return metrics, batch.trace
@@ -233,8 +231,6 @@ def sweep_rho(
     """Train one policy per rho and evaluate it over the seeds."""
     rows: list[EpisodeMetrics] = []
     for rho in rho_values:
-        if not 0.0 <= rho <= 1.0:
-            raise ValidationError(f"rho must be in [0, 1], got {rho}")
         reward_config = RewardConfig.for_layers(
             scenario.network.layers, rho, lam=lam,
             d_los_m=sim_config.d_los_m, d_comm_m=sim_config.d_comm_m)

@@ -14,11 +14,10 @@ import numpy as np
 
 from . import nnet
 from .errors import ValidationError
-from .mdp import (OWN_DIM, RewardConfig, action_mask, agent_reward,
-                  encode_observation, observe)
+from .mdp import OWN_DIM, RewardConfig, agent_reward, observe
 from .network import AltitudeLayerSet, Scenario
 from .noise import Condition
-from .sim import Action, SimConfig, World
+from .sim import Action, SimConfig, World, action_mask
 
 
 @dataclass
@@ -72,6 +71,12 @@ class RolloutResult:
     los_count: int
     episode_returns: dict[str, float]
 
+    @property
+    def mean_return(self) -> float:
+        """Mean episode return over the agents that acted; 0 with none."""
+        returns = self.episode_returns
+        return sum(returns.values()) / len(returns) if returns else 0.0
+
 
 def attribute_layers(trace: list[TraceRow], layers: AltitudeLayerSet) -> list[float]:
     """Layer attributed to each trace row; mid-transition rows go to the layer
@@ -113,12 +118,12 @@ def collect_rollout(
     pending_reward: dict[str, int] = {}  # agent -> index in records awaiting reward
     trace: list[TraceRow] = []
 
-    def finalize(ac_id: str, done: bool, obs=None) -> None:
+    def finalize(ac_id: str, done: bool, intr=None) -> None:
         idx = pending_reward.pop(ac_id, None)
         if idx is None:
             return
         ac = world.aircraft[ac_id]
-        records[ac_id][idx]["reward"] = agent_reward(world, ac, reward_config, obs)
+        records[ac_id][idx]["reward"] = agent_reward(world, ac, reward_config, intr)
         records[ac_id][idx]["done"] = done
 
     while not world.terminal:
@@ -131,20 +136,19 @@ def collect_rollout(
             for ac_id in [i for i in pending_reward if i not in enroute_set]:
                 finalize(ac_id, done=True)
             if enroute:
-                obs_list = [observe(world, i, reward_config) for i in enroute]
+                owns, intrs = zip(*[observe(world, i, reward_config) for i in enroute])
                 masks = np.array([action_mask(world.aircraft[i], layers) for i in enroute])
-                for ac_id, obs in zip(enroute, obs_list):
-                    finalize(ac_id, done=False, obs=obs)
-                encoded = [encode_observation(obs) for obs in obs_list]
+                for ac_id, intr_mat in zip(enroute, intrs):
+                    finalize(ac_id, done=False, intr=intr_mat)
                 if params is not None:
-                    intr, intr_mask = nnet.pad_intruders([e[1] for e in encoded])
+                    intr, intr_mask = nnet.pad_intruders(intrs)
                     probs, values = nnet.policy_batch(
-                        params, np.stack([e[0] for e in encoded]), intr, intr_mask, masks)
+                        params, np.stack(owns), intr, intr_mask, masks)
                 else:
                     probs = np.tile([1.0, 0.0, 0.0], (len(enroute), 1))
                     values = np.zeros(len(enroute))
                 sample_rng = None if (greedy or params is None) else rng
-                for j, (ac_id, (own_vec, intr_mat)) in enumerate(zip(enroute, encoded)):
+                for j, (ac_id, own_vec, intr_mat) in enumerate(zip(enroute, owns, intrs)):
                     action, logp = nnet.sample_action(probs[j], sample_rng)
                     joint[ac_id] = Action(action)
                     records[ac_id].append({
@@ -263,11 +267,9 @@ def train(
         batch = collect_rollout(scenario, params, sim_config, reward_config, rng=rng)
         if len(batch.actions):
             params, _ = ppo_update(params, batch, train_config, adam, rng)
-        mean_return = (sum(batch.episode_returns.values()) / len(batch.episode_returns)
-                       if batch.episode_returns else 0.0)
         attributed = attribute_layers(batch.trace, layers)
         top = attributed.count(layers.z_max) / len(attributed) if attributed else 0.0
-        row = (it, mean_return, batch.los_count, top)
+        row = (it, batch.mean_return, batch.los_count, top)
         metrics.append(row)
         if progress is not None:
             progress(row)
@@ -292,7 +294,7 @@ def save_checkpoint(path, params, train_config: TrainConfig,
         "reward_config": {
             "rho": reward_config.rho, "lam": reward_config.lam,
             "d_los_m": reward_config.d_los_m, "d_comm_m": reward_config.d_comm_m,
-            "z_min_ft": reward_config.z_min_ft, "z_max_ft": reward_config.z_max_ft,
+            "z_min_ft": reward_config.layers.z_min, "z_max_ft": reward_config.layers.z_max,
             "condition": reward_config.condition.value,
         },
         "params": nnet.params_to_doc(params),
@@ -313,7 +315,9 @@ def load_checkpoint(path):
         raise ValidationError(f"unsupported checkpoint version in {path}")
     params = nnet.params_from_doc(doc["params"])
     tc = TrainConfig(**doc["train_config"])
-    rc_doc = dict(doc["reward_config"])
+    layers = AltitudeLayerSet(tuple(doc["layers_ft"]))
+    rc_doc = {k: v for k, v in doc["reward_config"].items()
+              if k not in ("z_min_ft", "z_max_ft")}  # bounds of layers_ft
     rc_doc["condition"] = Condition(rc_doc["condition"])
-    rc = RewardConfig(**rc_doc)
-    return params, tc, rc, tuple(doc["layers_ft"])
+    rc = RewardConfig(**rc_doc, layers=layers)
+    return params, tc, rc, layers.levels_ft

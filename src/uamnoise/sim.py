@@ -10,12 +10,13 @@ Altitudes live in feet; positions in meters. Altitude is converted to meters
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 from .errors import SimulationError, ValidationError
-from .network import Network, Route, Scenario, route_intersections, route_nodes
+from .network import (AltitudeLayerSet, Network, Route, Scenario, route_intersections,
+                      route_nodes)
 
 FT_TO_M = 0.3048
 
@@ -66,6 +67,15 @@ class AircraftState:
     z_target_ft: float = 0.0
     b_changing: bool = False
     last_action: Action = Action.HOLD
+
+
+def action_mask(state: AircraftState, layers: AltitudeLayerSet) -> tuple[bool, bool, bool]:
+    """(hold, descend, climb) allowed flags, indexed by Action: hold always;
+    no change while locked mid-transition, nor past the bottom or top layer."""
+    if state.b_changing:
+        return (True, False, False)
+    idx = layers.index_of(state.z_target_ft)
+    return (True, idx > 0, idx < len(layers.levels_ft) - 1)
 
 
 @dataclass
@@ -176,27 +186,17 @@ class World:
             ac.last_action = Action.HOLD
 
     def apply_altitude_command(self, ac: AircraftState, action: Action) -> None:
-        """Sets a new target layer unless locked mid-transition or at a
-        boundary layer; the action actually executed goes to last_action."""
+        """Moves the target one layer in the commanded direction when
+        action_mask allows it, and holds otherwise; the action actually
+        executed goes to last_action."""
         layers = self.net.layers
-        executed = action
-        if ac.b_changing:
-            executed = Action.HOLD
-        elif action is Action.CLIMB:
-            idx = layers.index_of(ac.z_target_ft)
-            if idx + 1 >= len(layers.levels_ft):
-                executed = Action.HOLD
-            else:
-                ac.z_target_ft = layers.levels_ft[idx + 1]
-                ac.b_changing = True
-        elif action is Action.DESCEND:
-            idx = layers.index_of(ac.z_target_ft)
-            if idx == 0:
-                executed = Action.HOLD
-            else:
-                ac.z_target_ft = layers.levels_ft[idx - 1]
-                ac.b_changing = True
-        ac.last_action = executed
+        if action is not Action.HOLD and action_mask(ac, layers)[action]:
+            step = 1 if action is Action.CLIMB else -1
+            ac.z_target_ft = layers.levels_ft[layers.index_of(ac.z_target_ft) + step]
+            ac.b_changing = True
+        else:
+            action = Action.HOLD
+        ac.last_action = action
 
     def advance_kinematics(self, dt: float) -> None:
         """Moves each enroute aircraft along its polyline and toward its target
@@ -212,7 +212,7 @@ class World:
                 ac.x_m, ac.y_m = pts[-1]
             else:
                 still_enroute.append(ac)
-                i = _segment_index(cum, ac.dist_along_m)
+                i = bisect_right(cum, ac.dist_along_m) - 1
                 seg_len = cum[i + 1] - cum[i]
                 f = (ac.dist_along_m - cum[i]) / seg_len
                 ax, ay = pts[i]
@@ -230,9 +230,9 @@ class World:
                     ac.z_ft += math.copysign(step_ft, delta)
         self._enroute = still_enroute
 
-    def neighbors(self, ac_id: str) -> list[AircraftState]:
-        """Enroute aircraft within d_comm planar range on a related route,
-        ascending by 3-D distance (id tie-break)."""
+    def neighbors(self, ac_id: str) -> list[tuple[float, AircraftState]]:
+        """(3-D distance in m, aircraft) for each enroute aircraft within d_comm
+        planar range on a related route, ascending by distance (id tie-break)."""
         own = self.aircraft[ac_id]
         if own.phase is not Phase.ENROUTE:
             raise SimulationError(f"aircraft '{ac_id}' is not enroute")
@@ -242,9 +242,9 @@ class World:
                 continue
             planar = math.hypot(own.x_m - other.x_m, own.y_m - other.y_m)
             if planar <= self.config.d_comm_m and self.routes_related(ac_id, other.id):
-                found.append((self.distance_3d_m(own, other), other.id, other))
-        found.sort(key=lambda rec: (rec[0], rec[1]))
-        return [rec[2] for rec in found]
+                found.append((self.distance_3d_m(own, other), other))
+        found.sort(key=lambda rec: (rec[0], rec[1].id))
+        return found
 
     def detect_los(self) -> list[tuple[str, str, float]]:
         """All enroute pairs closer than d_los in 3-D, as (id_a, id_b, dist).
@@ -297,14 +297,3 @@ class World:
         if self.terminal:
             self.finalize_los()
         return violations
-
-
-def _segment_index(cum: list[float], d: float) -> int:
-    lo, hi = 0, len(cum) - 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cum[mid + 1] <= d:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo

@@ -1,7 +1,19 @@
+import os
+import tempfile
+
 import pytest
+from hypothesis import settings
 
 from uamnoise.network import (AltitudeLayerSet, Link, Network, NoiseZone,
                               Vertiport, generate_scenario)
+
+# The same examples on every run, and no example database in the checkout.
+settings.register_profile("repo", derandomize=True, database=None)
+settings.load_profile("repo")
+# Hypothesis also caches the constants it reads from source files in its
+# storage directory, ./.hypothesis unless this variable names another.
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(), "uamnoise-hypothesis"))
 
 
 def make_line_network(link_len_m=12000.0, with_zone=True):

@@ -14,8 +14,7 @@ from click.testing import CliRunner
 from uamnoise import metrics as M
 from uamnoise import nnet, rl
 from uamnoise.cli import main as cli_main
-from uamnoise.mdp import (IntruderObservation, Observation, OwnObservation,
-                          RewardConfig, reward_noise, reward_separation,
+from uamnoise.mdp import (INTRUDER_DIM, RewardConfig, reward_noise, reward_separation,
                           reward_total)
 from uamnoise.network import generate_scenario, save_scenario
 from uamnoise.noise import (DEFAULT_COEFFICIENTS, Condition, NoiseSample,
@@ -113,8 +112,10 @@ def test_criterion_05_reward_contract():
         assert reward_noise(1000.0, cfg) == -1.0
 
         def obs_with(z_rels):
-            intr = tuple(IntruderObservation(z, 0.1, Action.HOLD) for z in z_rels)
-            return Observation(OwnObservation(0.0, 0.0, 0.0, Action.HOLD), intr)
+            """Intruder matrix: z_rel, d_o = 0.1, last action HOLD per row."""
+            intr = np.zeros((len(z_rels), INTRUDER_DIM))
+            intr[:, 0], intr[:, 1], intr[:, 2 + int(Action.HOLD)] = z_rels, 0.1, 1.0
+            return intr
 
         for count, expected in ((0, 0.0), (4, -0.4), (12, -1.0)):
             assert reward_separation(obs_with([0.0] * count), cfg) == expected

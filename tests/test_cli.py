@@ -254,11 +254,18 @@ def test_unwritable_output_path_exits_1(runner, scenario_file, tmp_path, command
         "sweep": ["--scenario", scenario_file, "--rhos", "0.0", "--iterations", "0",
                   "--seeds", "0", "--hidden", "4"],
     }[name]
-    if command == "train --metrics-log":
-        args += ["--out", str(tmp_path / "policy.json")]
+    # a writable second output, which the failing command must not write either
+    args += {
+        "simulate --out": ["--trace", str(tmp_path / "trace_out.csv")],
+        "simulate --trace": ["--out", str(tmp_path / "metrics.json")],
+        "train --out": ["--metrics-log", str(tmp_path / "log.csv")],
+        "train --metrics-log": ["--out", str(tmp_path / "policy.json")],
+    }.get(command, [])
     # a path in a missing directory; for sweep's --out-dir, one below a regular file
     (tmp_path / "file").write_text("")
     bad = str(tmp_path / ("file" if name == "sweep" else "missing") / "out")
+    inputs = set(tmp_path.iterdir())
     result = runner.invoke(main, [name, *args, option, bad])
     assert result.exit_code == 1, result.output
     assert "error: " in result.output and bad in result.output
+    assert set(tmp_path.iterdir()) == inputs  # found before any output was written

@@ -4,21 +4,22 @@ import numpy as np
 import pytest
 
 from uamnoise.errors import ValidationError
-from uamnoise.mdp import (IntruderObservation, Observation, OwnObservation,
-                          RewardConfig, action_mask, encode_observation, observe,
-                          reward_noise, reward_separation, reward_total)
+from uamnoise.mdp import (INTRUDER_DIM, N_MAX_INTRUDERS, OWN_DIM, RewardConfig,
+                          observe, reward_noise, reward_separation, reward_total)
 from uamnoise.network import generate_scenario
-from uamnoise.sim import FT_TO_M, Action, SimConfig, World
+from uamnoise.sim import FT_TO_M, Action, SimConfig, World, action_mask
 
 CFG = RewardConfig(rho=0.5)
 
 
-def own(z=0.0):
-    return OwnObservation(z=z, b_changing=0.0, z_target=z, last_action=Action.HOLD)
-
-
-def intruder(dz_ft, d_o=0.1):
-    return IntruderObservation(z_rel=dz_ft / 2000.0, d_o=d_o, last_action=Action.HOLD)
+def intruders(*dz_ft, d_o=0.1):
+    """Intruder matrix, one holding intruder per altitude difference in ft."""
+    intr = np.zeros((len(dz_ft), INTRUDER_DIM))
+    for row, dz in zip(intr, dz_ft):
+        row[0] = dz / 2000.0
+        row[1] = d_o
+        row[2 + int(Action.HOLD)] = 1.0
+    return intr
 
 
 class TestObserve:
@@ -34,17 +35,17 @@ class TestObserve:
     def test_lone_aircraft_no_intruders(self, solo_scenario):
         world = World(solo_scenario, SimConfig())
         world.spawn_due_aircraft()
-        obs = observe(world, "AC001", CFG)
-        assert obs.intruders == ()
+        own, intr = observe(world, "AC001", CFG)
+        assert own.shape == (OWN_DIM,) and intr.shape == (0, INTRUDER_DIM)
 
     def test_normalization_endpoints(self, solo_scenario):
         world = World(solo_scenario, SimConfig())
         world.spawn_due_aircraft()
-        obs = observe(world, "AC001", CFG)
-        assert obs.own.z == 0.0  # spawned at z_min
+        own, _ = observe(world, "AC001", CFG)
+        assert own[0] == 0.0  # spawned at z_min
         world.aircraft["AC001"].z_ft = 3000.0
         world.aircraft["AC001"].z_target_ft = 3000.0
-        assert observe(world, "AC001", CFG).own.z == 1.0
+        assert observe(world, "AC001", CFG)[0][0] == 1.0
 
     def test_intruder_fields(self):
         world = self.make_world()
@@ -53,10 +54,10 @@ class TestObserve:
         b.z_ft = a.z_ft + 500.0
         planar = 0.0
         d3 = math.hypot(planar, 500.0 * FT_TO_M)
-        obs = observe(world, "AC001", CFG)
-        assert len(obs.intruders) == 1
-        assert obs.intruders[0].z_rel == pytest.approx(0.25)
-        assert obs.intruders[0].d_o == pytest.approx(d3 / 2500.0)
+        _, intr = observe(world, "AC001", CFG)
+        assert intr.shape == (1, INTRUDER_DIM)
+        assert intr[0, 0] == pytest.approx(0.25)
+        assert intr[0, 1] == pytest.approx(d3 / 2500.0)
 
     def test_intruder_at_1km_normalized(self):
         world = self.make_world()
@@ -66,13 +67,22 @@ class TestObserve:
         b.z_ft = a.z_ft + 500.0
         b.x_m = a.x_m + math.sqrt(1000.0 ** 2 - dz_m ** 2)
         b.y_m = a.y_m
-        obs = observe(world, "AC001", CFG)
-        assert obs.intruders[0].z_rel == pytest.approx(0.25)
-        assert obs.intruders[0].d_o == pytest.approx(0.4)
+        _, intr = observe(world, "AC001", CFG)
+        assert intr[0, 0] == pytest.approx(0.25)
+        assert intr[0, 1] == pytest.approx(0.4)
 
     def test_intruders_sorted_and_capped(self):
-        obs = Observation(own(), tuple(intruder(0.0, d_o=d) for d in (0.1, 0.2, 0.3)))
-        assert [i.d_o for i in obs.intruders] == sorted(i.d_o for i in obs.intruders)
+        from conftest import make_line_network
+        sc = generate_scenario(make_line_network(), 14, [("A", "C"), ("C", "A")],
+                               departure_spacing_s=0.0, seed=3)
+        world = World(sc, SimConfig())
+        world.spawn_due_aircraft()
+        # 13 intruders on a line, 150 m apart in reverse flight order
+        for k, ac_id in enumerate(world.enroute_ids()):
+            world.aircraft[ac_id].x_m = 150.0 * (14 - k)
+        _, intr = observe(world, "AC014", CFG)
+        assert intr.shape == (N_MAX_INTRUDERS, INTRUDER_DIM)
+        assert intr[:, 1].tolist() == [150.0 * k / 2500.0 for k in range(1, 11)]
 
 
 class TestRewardNoise:
@@ -96,32 +106,28 @@ class TestRewardNoise:
 
 class TestRewardSeparation:
     def test_no_intruders(self):
-        assert reward_separation(Observation(own(), ()), CFG) == 0.0
+        assert reward_separation(intruders(), CFG) == 0.0
 
     def test_four_violating_intruders(self):
-        obs = Observation(own(), tuple(intruder(0.0) for _ in range(4)))
-        assert reward_separation(obs, CFG) == pytest.approx(-0.4)
+        assert reward_separation(intruders(*[0.0] * 4), CFG) == pytest.approx(-0.4)
 
     def test_twelve_intruders_clamped(self):
-        obs = Observation(own(), tuple(intruder(0.0) for _ in range(12)))
-        assert reward_separation(obs, CFG) == -1.0
+        assert reward_separation(intruders(*[0.0] * 12), CFG) == -1.0
 
     def test_adjacent_layer_knife_edge(self):
         # 500 ft = 152.4 m > 150 m: adjacent layers never trigger the penalty
-        obs = Observation(own(), (intruder(500.0), intruder(-500.0)))
-        assert reward_separation(obs, CFG) == 0.0
+        assert reward_separation(intruders(500.0, -500.0), CFG) == 0.0
         # just inside 150 m vertically does trigger
         dz_ft = 149.9 / FT_TO_M
-        assert reward_separation(Observation(own(), (intruder(dz_ft),)), CFG) == \
-            pytest.approx(-0.1)
+        assert reward_separation(intruders(dz_ft), CFG) == pytest.approx(-0.1)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(2)
-        intr = [intruder(float(rng.uniform(-2000, 2000))) for _ in range(8)]
-        base = reward_separation(Observation(own(), tuple(intr)), CFG)
+        intr = intruders(*rng.uniform(-2000, 2000, size=8))
+        base = reward_separation(intr, CFG)
         for _ in range(10):
             rng.shuffle(intr)
-            assert reward_separation(Observation(own(), tuple(intr)), CFG) == base
+            assert reward_separation(intr, CFG) == base
 
 
 class TestRewardTotal:
@@ -171,10 +177,11 @@ class TestActionMask:
 
 class TestEncode:
     def test_shapes_and_one_hot(self):
-        obs = Observation(
-            OwnObservation(z=0.5, b_changing=1.0, z_target=0.75, last_action=Action.CLIMB),
-            (intruder(500.0),))
-        own_vec, intr_mat = encode_observation(obs)
+        world = TestObserve().make_world()
+        a, b = world.aircraft["AC001"], world.aircraft["AC002"]
+        a.z_ft, a.z_target_ft, a.b_changing, a.last_action = 2000.0, 2500.0, True, Action.CLIMB
+        b.x_m, b.y_m, b.z_ft, b.last_action = a.x_m, a.y_m, 2500.0, Action.DESCEND
+        own_vec, intr_mat = observe(world, "AC001", CFG)
         assert own_vec.shape == (6,) and intr_mat.shape == (1, 5)
-        assert own_vec[3 + int(Action.CLIMB)] == 1.0
-        assert own_vec[:3].tolist() == [0.5, 1.0, 0.75]
+        assert own_vec.tolist() == [0.5, 1.0, 0.75, 0.0, 0.0, 1.0]
+        assert intr_mat[0].tolist() == [0.25, 500.0 * FT_TO_M / 2500.0, 0.0, 1.0, 0.0]

@@ -3,13 +3,12 @@ import pytest
 
 import uamnoise
 from uamnoise import mdp, nnet, rl
-from uamnoise.mdp import (RewardConfig, action_mask, agent_reward, encode_observation,
-                          observe)
+from uamnoise.mdp import RewardConfig, agent_reward, observe
 from uamnoise.network import generate_scenario, load_scenario
 from uamnoise.rl import (RolloutResult, TraceRow, TrainConfig, collect_rollout,
                          compute_advantages, load_checkpoint, ppo_update,
                          save_checkpoint, train)
-from uamnoise.sim import Action, SimConfig, World
+from uamnoise.sim import Action, SimConfig, World, action_mask
 
 from conftest import make_corridor_network
 
@@ -109,10 +108,9 @@ def reference_rollout(scenario, params, sim_config, reward_config, rng=None, gre
             obs_list = [observe(world, i, reward_config) for i in enroute]
             for ac_id in enroute:
                 finalize(ac_id, done=False)
-            for ac_id, obs in zip(enroute, obs_list):
+            for ac_id, (own_vec, intr_mat) in zip(enroute, obs_list):
                 ac = world.aircraft[ac_id]
                 mask = action_mask(ac, layers)
-                own_vec, intr_mat = encode_observation(obs)
                 if params is None:
                     probs, value = np.array([1.0, 0.0, 0.0]), 0.0
                 else:
