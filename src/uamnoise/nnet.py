@@ -13,6 +13,8 @@ zero probability.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import SimulationError, ValidationError
@@ -20,38 +22,52 @@ from .mdp import INTRUDER_DIM, OWN_DIM
 
 N_ACTIONS = 3
 
-PARAM_KEYS = (
-    "w1", "b1", "w2", "b2",        # own encoder
-    "v1", "c1", "v2", "c2",        # intruder encoder
-    "wq", "wk", "wv",              # attention
-    "wt", "bt",                    # trunk
-    "wp", "bp",                    # policy head
-    "wu", "bu",                    # value head
-)
 
-
-def init_params(hidden: int, seed: int) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(seed)
-
-    def dense(n_in, n_out, scale=None):
-        s = scale if scale is not None else 1.0 / np.sqrt(n_in)
-        return rng.normal(0.0, s, size=(n_in, n_out))
-
+def param_layout(hidden: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(key, shape) of every weight tensor, in storage order: the one
+    statement of the parameter layout."""
     h = hidden
-    return {
-        "w1": dense(OWN_DIM, h), "b1": np.zeros(h),
-        "w2": dense(h, h), "b2": np.zeros(h),
-        "v1": dense(INTRUDER_DIM, h), "c1": np.zeros(h),
-        "v2": dense(h, h), "c2": np.zeros(h),
-        "wq": dense(h, h), "wk": dense(h, h), "wv": dense(h, h),
-        "wt": dense(2 * h, h), "bt": np.zeros(h),
-        "wp": dense(h, N_ACTIONS, scale=0.01), "bp": np.zeros(N_ACTIONS),
-        "wu": dense(h, 1, scale=0.01), "bu": np.zeros(1),
-    }
+    return (
+        ("w1", (OWN_DIM, h)), ("b1", (h,)),              # own encoder
+        ("w2", (h, h)), ("b2", (h,)),
+        ("v1", (INTRUDER_DIM, h)), ("c1", (h,)),         # intruder encoder
+        ("v2", (h, h)), ("c2", (h,)),
+        ("wq", (h, h)), ("wk", (h, h)), ("wv", (h, h)),  # attention
+        ("wt", (2 * h, h)), ("bt", (h,)),                # trunk
+        ("wp", (h, N_ACTIONS)), ("bp", (N_ACTIONS,)),    # policy head
+        ("wu", (h, 1)), ("bu", (1,)),                    # value head
+    )
 
 
-def hidden_size(params: dict[str, np.ndarray]) -> int:
-    return params["w1"].shape[1]
+PARAM_KEYS = tuple(key for key, _ in param_layout(1))
+
+
+class Params(dict):
+    """Weight tensors (or their gradients) as named views into one contiguous
+    float64 vector, `flat`, laid out by param_layout(hidden); a given flat is
+    shared, not copied, and None starts from zeros."""
+
+    def __init__(self, hidden: int, flat: np.ndarray | None = None):
+        layout = param_layout(hidden)
+        size = sum(math.prod(shape) for _, shape in layout)
+        self.hidden = hidden
+        self.flat = np.zeros(size) if flat is None else flat
+        if self.flat.shape != (size,) or self.flat.dtype != np.float64:
+            raise ValueError(f"hidden {hidden} needs a float64 vector of {size}")
+        start = 0
+        for key, shape in layout:
+            self[key] = self.flat[start:start + math.prod(shape)].reshape(shape)
+            start += self[key].size
+
+
+def init_params(hidden: int, seed: int) -> Params:
+    rng = np.random.default_rng(seed)
+    params = Params(hidden)
+    for key, shape in param_layout(hidden):  # biases stay zero
+        if len(shape) == 2:
+            scale = 0.01 if key in ("wp", "wu") else 1.0 / np.sqrt(shape[0])
+            params[key][...] = rng.normal(0.0, scale, size=shape)
+    return params
 
 
 def forward(params, own, intr, intr_mask, act_mask):
@@ -60,7 +76,7 @@ def forward(params, own, intr, intr_mask, act_mask):
     Returns (masked logits (B,3), value (B,), cache for backward). Masked
     logit entries are -inf.
     """
-    h = hidden_size(params)
+    h = params.hidden
     e1 = np.tanh(own @ params["w1"] + params["b1"])
     e2 = np.tanh(e1 @ params["w2"] + params["b2"])
 
@@ -91,19 +107,19 @@ def backward(params, cache, dlogits, dvalue):
 
     dlogits must be zero at masked entries (the -inf offsets are constants).
     """
-    h = hidden_size(params)
+    h = params.hidden
     t1 = cache["t1"]
-    grads = {}
+    grads = Params(h)
 
-    grads["wp"] = t1.T @ dlogits
-    grads["bp"] = dlogits.sum(axis=0)
-    grads["wu"] = (t1 * dvalue[:, None]).sum(axis=0)[:, None]
-    grads["bu"] = np.array([dvalue.sum()])
+    grads["wp"][...] = t1.T @ dlogits
+    grads["bp"][...] = dlogits.sum(axis=0)
+    grads["wu"][:, 0] = (t1 * dvalue[:, None]).sum(axis=0)
+    grads["bu"][0] = dvalue.sum()
 
     dt1 = dlogits @ params["wp"].T + dvalue[:, None] * params["wu"][:, 0][None, :]
     dz_t = dt1 * (1.0 - t1 * t1)
-    grads["wt"] = cache["t0"].T @ dz_t
-    grads["bt"] = dz_t.sum(axis=0)
+    grads["wt"][...] = cache["t0"].T @ dz_t
+    grads["bt"][...] = dz_t.sum(axis=0)
     dt0 = dz_t @ params["wt"].T
     de2 = dt0[:, :h].copy()
     dpooled = dt0[:, h:]
@@ -117,30 +133,30 @@ def backward(params, cache, dlogits, dvalue):
     dk = dscores[:, :, None] * q[:, None, :]
 
     e2, f2, f1 = cache["e2"], cache["f2"], cache["f1"]
-    grads["wq"] = e2.T @ dq
+    grads["wq"][...] = e2.T @ dq
     de2 += dq @ params["wq"].T
     b, kk, _ = f2.shape
     f2_flat = f2.reshape(b * kk, h)
-    grads["wk"] = f2_flat.T @ dk.reshape(b * kk, h)
-    grads["wv"] = f2_flat.T @ dv.reshape(b * kk, h)
+    grads["wk"][...] = f2_flat.T @ dk.reshape(b * kk, h)
+    grads["wv"][...] = f2_flat.T @ dv.reshape(b * kk, h)
     df2 = dk @ params["wk"].T + dv @ params["wv"].T
 
     dz_f2 = df2 * (1.0 - f2 * f2)
-    grads["v2"] = f1.reshape(b * kk, h).T @ dz_f2.reshape(b * kk, h)
-    grads["c2"] = dz_f2.sum(axis=(0, 1))
+    grads["v2"][...] = f1.reshape(b * kk, h).T @ dz_f2.reshape(b * kk, h)
+    grads["c2"][...] = dz_f2.sum(axis=(0, 1))
     df1 = dz_f2 @ params["v2"].T
     dz_f1 = df1 * (1.0 - f1 * f1)
-    grads["v1"] = cache["intr"].reshape(b * kk, -1).T @ dz_f1.reshape(b * kk, h)
-    grads["c1"] = dz_f1.sum(axis=(0, 1))
+    grads["v1"][...] = cache["intr"].reshape(b * kk, -1).T @ dz_f1.reshape(b * kk, h)
+    grads["c1"][...] = dz_f1.sum(axis=(0, 1))
 
     e1 = cache["e1"]
     dz_e2 = de2 * (1.0 - e2 * e2)
-    grads["w2"] = e1.T @ dz_e2
-    grads["b2"] = dz_e2.sum(axis=0)
+    grads["w2"][...] = e1.T @ dz_e2
+    grads["b2"][...] = dz_e2.sum(axis=0)
     de1 = dz_e2 @ params["w2"].T
     dz_e1 = de1 * (1.0 - e1 * e1)
-    grads["w1"] = cache["own"].T @ dz_e1
-    grads["b1"] = dz_e1.sum(axis=0)
+    grads["w1"][...] = cache["own"].T @ dz_e1
+    grads["b1"][...] = dz_e1.sum(axis=0)
     return grads
 
 
@@ -148,11 +164,9 @@ def _masked_softmax(scores, mask):
     """Softmax over valid entries per row; all-invalid rows return zeros."""
     neg = np.where(mask, scores, -np.inf)
     any_valid = mask.any(axis=1)
-    shift = np.where(any_valid, np.max(np.where(mask, scores, -np.inf), axis=1), 0.0)
-    expd = np.exp(np.where(mask, neg - shift[:, None], -np.inf))
-    expd = np.where(mask, expd, 0.0)
-    total = expd.sum(axis=1)
-    total = np.where(any_valid, total, 1.0)
+    shift = np.where(any_valid, neg.max(axis=1), 0.0)
+    expd = np.exp(neg - shift[:, None])  # exactly 0 at masked entries
+    total = np.where(any_valid, expd.sum(axis=1), 1.0)
     return expd / total[:, None]
 
 
@@ -182,8 +196,7 @@ def policy_batch(params, own, intr, intr_mask, act_mask):
     if not act_mask.any(axis=1).all():
         raise SimulationError("action mask allows no action")
     logits, value, _ = forward(params, own, intr, intr_mask, act_mask)
-    logp = masked_log_softmax(logits)
-    return np.where(np.isfinite(logp), np.exp(logp), 0.0), value
+    return np.exp(masked_log_softmax(logits)), value
 
 
 def policy_forward(params, own_vec, intr_mat, mask3):
@@ -235,7 +248,7 @@ def ppo_loss_and_grads(params, batch, clip_eps, value_coef, entropy_coef):
     verr = value - batch["returns"]
     value_loss = (verr * verr).mean()
 
-    probs = np.where(np.isfinite(logp_all), np.exp(logp_all), 0.0)
+    probs = np.exp(logp_all)  # exactly 0 at masked entries
     safe_lp = np.where(np.isfinite(logp_all), logp_all, 0.0)  # masked entries have p=0
     entropy = -(probs * safe_lp).sum(axis=1)
 
@@ -270,51 +283,52 @@ def ppo_loss_and_grads(params, batch, clip_eps, value_coef, entropy_coef):
 
 
 class Adam:
-    """Adaptive-moment optimizer over a parameter dict."""
+    """Adaptive-moment optimizer (Kingma & Ba, 2015) over the flat parameter
+    vector; step updates params in place."""
 
-    def __init__(self, params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self.t = 0
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def step(self, params, grads):
+    def __init__(self, params: Params, lr=3e-4):
+        self.lr, self.t = lr, 0
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
+
+    def step(self, params: Params, grads: Params) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
-        for key in params:
-            g = grads[key]
-            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * g * g
-            mhat = self.m[key] / b1c
-            vhat = self.v[key] / b2c
-            params[key] = params[key] - self.lr * mhat / (np.sqrt(vhat) + self.eps)
-        return params
+        g = grads.flat
+        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * g
+        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * g * g
+        mhat = self.m / (1.0 - self.BETA1 ** self.t)
+        vhat = self.v / (1.0 - self.BETA2 ** self.t)
+        params.flat -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
 
 
 # ---------------------------------------------------------------------------
-# Flatten / serialization
+# Serialization
 
 
-def flatten_params(params):
-    return np.concatenate([params[k].ravel() for k in PARAM_KEYS])
-
-
-def unflatten_params(flat, template):
-    out, i = {}, 0
-    for k in PARAM_KEYS:
-        n = template[k].size
-        out[k] = flat[i:i + n].reshape(template[k].shape)
-        i += n
-    return out
-
-
-def params_to_doc(params):
+def params_to_doc(params: Params) -> dict[str, list]:
     return {k: params[k].tolist() for k in PARAM_KEYS}
 
 
-def params_from_doc(doc):
-    try:
-        return {k: np.asarray(doc[k], dtype=float) for k in PARAM_KEYS}
-    except KeyError as exc:
-        raise ValidationError(f"checkpoint missing weight tensor {exc}") from exc
+def params_from_doc(doc: dict, hidden: int) -> Params:
+    """Params of the given hidden size from params_to_doc's output; every
+    tensor must be present, finite and of exactly its layout shape."""
+    unknown = sorted(set(doc) - set(PARAM_KEYS))
+    if unknown:
+        raise ValidationError(f"unknown weight tensor(s) {', '.join(unknown)}")
+    params = Params(hidden)
+    for key, shape in param_layout(hidden):
+        if key not in doc:
+            raise ValidationError(f"missing weight tensor '{key}'")
+        try:
+            tensor = np.asarray(doc[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"weight tensor '{key}': {exc}") from exc
+        if tensor.shape != shape:
+            raise ValidationError(f"weight tensor '{key}' has shape {tensor.shape}, "
+                                  f"expected {shape} for hidden {hidden}")
+        if not np.isfinite(tensor).all():  # a JSON null reads as nan
+            raise ValidationError(f"weight tensor '{key}' has non-finite entries")
+        params[key][...] = tensor
+    return params

@@ -8,7 +8,7 @@ PPO update over the collected batch.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -40,6 +40,14 @@ class TrainConfig:
             raise ValidationError("gamma and gae_lambda must lie in [0, 1]")
         if self.clip_eps <= 0:
             raise ValidationError("clip_eps must be positive")
+        if not self.learning_rate > 0:
+            raise ValidationError("TrainConfig.learning_rate must be positive")
+        for name in ("hidden", "epochs", "minibatch_size"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"TrainConfig.{name} must be at least 1")
+        for name in ("iterations", "checkpoint_interval"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"TrainConfig.{name} must not be negative")
 
 
 @dataclass
@@ -222,8 +230,8 @@ def compute_advantages(batch: RolloutResult, gamma: float, gae_lambda: float):
 
 def ppo_update(params, batch: RolloutResult, config: TrainConfig, adam: nnet.Adam,
                rng: np.random.Generator):
-    """Minibatched clipped-surrogate update; returns (params, stats of the
-    last minibatch)."""
+    """Minibatched clipped-surrogate update of params in place; returns
+    (params, stats of the last minibatch)."""
     advantages, returns = compute_advantages(batch, config.gamma, config.gae_lambda)
     b = len(batch.actions)
     stats = {}
@@ -239,7 +247,7 @@ def ppo_update(params, batch: RolloutResult, config: TrainConfig, adam: nnet.Ada
             }
             loss, grads, stats = nnet.ppo_loss_and_grads(
                 params, mb, config.clip_eps, config.value_coef, config.entropy_coef)
-            params = adam.step(params, grads)
+            adam.step(params, grads)
     return params, stats
 
 
@@ -266,7 +274,7 @@ def train(
     for it in range(train_config.iterations):
         batch = collect_rollout(scenario, params, sim_config, reward_config, rng=rng)
         if len(batch.actions):
-            params, _ = ppo_update(params, batch, train_config, adam, rng)
+            ppo_update(params, batch, train_config, adam, rng)
         attributed = attribute_layers(batch.trace, layers)
         top = attributed.count(layers.z_max) / len(attributed) if attributed else 0.0
         row = (it, batch.mean_return, batch.los_count, top)
@@ -288,7 +296,7 @@ def save_checkpoint(path, params, train_config: TrainConfig,
                     reward_config: RewardConfig, layers) -> None:
     doc = {
         "version": 1,
-        "hidden": nnet.hidden_size(params),
+        "hidden": params.hidden,
         "layers_ft": list(layers.levels_ft),
         "train_config": asdict(train_config),
         "reward_config": {
@@ -311,13 +319,38 @@ def load_checkpoint(path):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read checkpoint {path}: {exc}") from exc
+    try:
+        return _checkpoint_from_doc(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"bad checkpoint {path}: {exc}") from exc
+
+
+def _checkpoint_from_doc(doc):
     if doc.get("version") != 1:
-        raise ValidationError(f"unsupported checkpoint version in {path}")
-    params = nnet.params_from_doc(doc["params"])
-    tc = TrainConfig(**doc["train_config"])
+        raise ValidationError(f"unsupported version {doc.get('version')!r}")
+    missing = [k for k in ("hidden", "layers_ft", "train_config", "reward_config", "params")
+               if k not in doc]
+    if missing:
+        raise ValidationError(f"missing section(s) {', '.join(missing)}")
+    tc = TrainConfig(**_known_fields(TrainConfig, doc["train_config"], "train_config"))
+    if doc["hidden"] != tc.hidden:
+        raise ValidationError(f"hidden {doc['hidden']} differs from "
+                              f"train_config.hidden {tc.hidden}")
+    params = nnet.params_from_doc(doc["params"], tc.hidden)
     layers = AltitudeLayerSet(tuple(doc["layers_ft"]))
     rc_doc = {k: v for k, v in doc["reward_config"].items()
               if k not in ("z_min_ft", "z_max_ft")}  # bounds of layers_ft
-    rc_doc["condition"] = Condition(rc_doc["condition"])
+    rc_doc = _known_fields(RewardConfig, rc_doc, "reward_config")
+    try:
+        rc_doc["condition"] = Condition(rc_doc.get("condition"))
+    except ValueError as exc:
+        raise ValidationError(f"reward_config: {exc}") from exc
     rc = RewardConfig(**rc_doc, layers=layers)
     return params, tc, rc, layers.levels_ft
+
+
+def _known_fields(cls, section: dict, name: str) -> dict:
+    unknown = sorted(set(section) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValidationError(f"unknown {name} field(s) {', '.join(unknown)}")
+    return section

@@ -134,7 +134,7 @@ def test_criterion_06_gradient_check():
         start = time.perf_counter()
         rng = np.random.default_rng(21)
         params = nnet.init_params(4, 5)
-        flat = nnet.flatten_params(params)
+        flat = params.flat
         assert len(flat) <= 200
 
         b, k = 20, 6
@@ -155,10 +155,10 @@ def test_criterion_06_gradient_check():
             "advantages": rng.normal(size=b), "returns": rng.normal(size=b),
         }
         _, grads, _ = nnet.ppo_loss_and_grads(params, batch, 0.2, 0.5, 0.01)
-        gflat = nnet.flatten_params(grads)
+        gflat = grads.flat
 
         def loss_at(x):
-            p = nnet.unflatten_params(x, params)
+            p = nnet.Params(params.hidden, x)
             return nnet.ppo_loss_and_grads(p, batch, 0.2, 0.5, 0.01)[0]
 
         eps = 1e-5
@@ -207,6 +207,7 @@ def test_criterion_08_forced_optimum_convergence():
         assert time.perf_counter() - start < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_09_noise_separation_tradeoff_trend():
     with criterion(9, "rho=0.9 vs rho=0.0: higher top-layer occupancy, lower"
                       " noise, >= LOS, lower entropy"):

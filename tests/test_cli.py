@@ -269,3 +269,83 @@ def test_unwritable_output_path_exits_1(runner, scenario_file, tmp_path, command
     assert result.exit_code == 1, result.output
     assert "error: " in result.output and bad in result.output
     assert set(tmp_path.iterdir()) == inputs  # found before any output was written
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hidden", "0"), ("learning_rate", "-1"), ("iterations", "-3"),
+    ("minibatch_size", "0"), ("epochs", "0"), ("checkpoint_interval", "-1"),
+])
+def test_train_rejects_out_of_range_config(runner, scenario_file, tmp_path, field, value):
+    ck = tmp_path / "policy.json"
+    args = {"--rho": "0.5", "--iterations": "1", "--seed": "0", "--out": str(ck),
+            "--hidden": "4", "--minibatch_size": "32", f"--{field}": value}
+    result = runner.invoke(main, ["train", "--scenario", scenario_file,
+                                  *[tok for kv in args.items() for tok in kv]])
+    assert result.exit_code == 1, result.output
+    assert f"TrainConfig.{field} must" in result.output
+    assert not ck.exists()
+
+
+def _transpose_w1(doc):
+    doc["params"]["w1"] = [list(col) for col in zip(*doc["params"]["w1"])]
+
+
+def _break_hidden(doc):
+    doc["hidden"] = 99
+
+
+def _break_b1(doc):
+    doc["params"]["b1"] = [0.0]
+
+
+def _drop_params(doc):
+    del doc["params"]
+
+
+def _add_train_field(doc):
+    doc["train_config"]["momentum"] = 0.9
+
+
+def _add_tensor(doc):
+    doc["params"]["w9"] = [0.0]
+
+
+def _ragged_w2(doc):
+    doc["params"]["w2"][0] = [0.0]
+
+
+def _null_weight(doc):
+    doc["params"]["wq"][1][2] = None
+
+
+def _break_condition(doc):
+    doc["reward_config"]["condition"] = "Mode X"
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_break_b1, "weight tensor 'b1' has shape (1,), expected (4,)"),
+    (_transpose_w1, "weight tensor 'w1' has shape (4, 6), expected (6, 4)"),
+    (_break_hidden, "hidden 99 differs from train_config.hidden 4"),
+    (_drop_params, "missing section(s) params"),
+    (_add_train_field, "unknown train_config field(s) momentum"),
+    (_add_tensor, "unknown weight tensor(s) w9"),
+    (_ragged_w2, "weight tensor 'w2': "),
+    (_null_weight, "weight tensor 'wq' has non-finite entries"),
+    (_break_condition, "reward_config: 'Mode X' is not a valid Condition"),
+], ids=["tensor-shape", "tensor-transposed", "hidden", "no-params", "unknown-field",
+        "unknown-tensor", "ragged-tensor", "null-weight", "bad-condition"])
+def test_malformed_checkpoint_exits_1(runner, scenario_file, tmp_path, corrupt, message):
+    ck = tmp_path / "policy.json"
+    result = runner.invoke(main, ["train", "--scenario", scenario_file, "--rho", "0.5",
+                                  "--iterations", "0", "--seed", "0", "--hidden", "4",
+                                  "--out", str(ck)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(ck.read_text())
+    corrupt(doc)
+    ck.write_text(json.dumps(doc))
+    out = tmp_path / "eval.csv"
+    result = runner.invoke(main, ["eval", "--scenario", scenario_file, "--checkpoint",
+                                  str(ck), "--seeds", "0", "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert f"bad checkpoint {ck}: {message}" in result.output
+    assert not out.exists()

@@ -112,12 +112,12 @@ class TestGradients:
         params = nnet.init_params(4, 5)
         batch = self.make_loss_inputs(rng, params)
         _, grads, _ = nnet.ppo_loss_and_grads(params, batch, 0.2, 0.5, 0.01)
-        flat = nnet.flatten_params(params)
-        gflat = nnet.flatten_params(grads)
+        flat = params.flat
+        gflat = grads.flat
         assert len(flat) <= 200
 
         def loss_at(x):
-            p = nnet.unflatten_params(x, params)
+            p = nnet.Params(params.hidden, x)
             return nnet.ppo_loss_and_grads(p, batch, 0.2, 0.5, 0.01)[0]
 
         eps = 1e-5
@@ -167,7 +167,7 @@ class TestSerialization:
         rng = np.random.default_rng(13)
         params = nnet.init_params(8, 3)
         doc = nnet.params_to_doc(params)
-        restored = nnet.params_from_doc(doc)
+        restored = nnet.params_from_doc(doc, 8)
         for key in nnet.PARAM_KEYS:
             assert np.array_equal(params[key], restored[key])
         own = rng.normal(size=6)
@@ -180,13 +180,27 @@ class TestSerialization:
         import json
         params = nnet.init_params(4, 4)
         doc = json.loads(json.dumps(nnet.params_to_doc(params)))
-        restored = nnet.params_from_doc(doc)
+        restored = nnet.params_from_doc(doc, 4)
         for key in nnet.PARAM_KEYS:
             assert np.array_equal(params[key], restored[key])
 
-    def test_flatten_unflatten(self):
+    def test_views_share_the_buffer(self):
         params = nnet.init_params(6, 5)
-        flat = nnet.flatten_params(params)
-        back = nnet.unflatten_params(flat, params)
-        for key in nnet.PARAM_KEYS:
-            assert np.array_equal(params[key], back[key])
+        offsets = np.cumsum([0] + [params[k].size for k in nnet.PARAM_KEYS])
+        assert params.flat.size == offsets[-1]
+        # writing the vector changes every view, row-major from its offset
+        params.flat[:] = np.arange(params.flat.size)
+        for key, start in zip(nnet.PARAM_KEYS, offsets):
+            assert np.array_equal(params[key].ravel(),
+                                  np.arange(start, start + params[key].size))
+        # writing a view changes the vector there and nowhere else
+        params["wt"][...] = -1.0
+        i = nnet.PARAM_KEYS.index("wt")
+        assert (params.flat[offsets[i]:offsets[i + 1]] == -1.0).all()
+        assert np.count_nonzero(params.flat == -1.0) == params["wt"].size
+        # params rebuilt from a vector are views of that same vector
+        rebuilt = nnet.Params(6, params.flat)
+        assert all(np.shares_memory(rebuilt[k], params.flat) for k in nnet.PARAM_KEYS)
+        for wrong in (params.flat[:-1], params.flat.astype(np.float32)):
+            with pytest.raises(ValueError, match="float64 vector"):
+                nnet.Params(6, wrong)

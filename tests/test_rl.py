@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import uamnoise
 from uamnoise import mdp, nnet, rl
 from uamnoise.mdp import RewardConfig, agent_reward, observe
-from uamnoise.network import generate_scenario, load_scenario
+from uamnoise.network import AltitudeLayerSet, generate_scenario, load_scenario
+from uamnoise.noise import Condition
 from uamnoise.rl import (RolloutResult, TraceRow, TrainConfig, collect_rollout,
                          compute_advantages, load_checkpoint, ppo_update,
                          save_checkpoint, train)
@@ -280,15 +283,59 @@ class TestCheckpointFile:
         assert np.array_equal(p1, p2) and v1 == v2
 
 
+@st.composite
+def checkpoint_cases(draw):
+    """Params of a random hidden size with values over the whole float64
+    exponent range, and random train and reward configs and layer sets."""
+    hidden = draw(st.integers(1, 16))
+    params = nnet.init_params(hidden, draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    size = params.flat.size
+    params.flat[:] = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    unit = st.floats(0.0, 1.0)
+    positive = st.floats(1e-6, 1e3)
+    tc = TrainConfig(gamma=draw(unit), gae_lambda=draw(unit), clip_eps=draw(positive),
+                     learning_rate=draw(positive), epochs=draw(st.integers(1, 9)),
+                     minibatch_size=draw(st.integers(1, 512)),
+                     iterations=draw(st.integers(0, 5000)),
+                     entropy_coef=draw(st.floats(-1.0, 1.0)),
+                     value_coef=draw(st.floats(-1.0, 1.0)), hidden=hidden,
+                     seed=draw(st.integers(0, 2**31)),
+                     checkpoint_interval=draw(st.integers(0, 100)))
+    levels = draw(st.lists(st.floats(100.0, 10000.0), min_size=2, max_size=7, unique=True))
+    layers = AltitudeLayerSet(tuple(sorted(levels)))
+    rc = RewardConfig.for_layers(layers, draw(unit), lam=draw(st.floats(-10.0, 10.0)),
+                                 d_los_m=draw(positive), d_comm_m=draw(positive),
+                                 condition=draw(st.sampled_from(list(Condition))))
+    return params, tc, rc, layers
+
+
+class TestCheckpointRoundTripProperty:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(checkpoint_cases())
+    def test_load_of_save_is_exact_and_resaves_byte_identical(self, tmp_path_factory, case):
+        params, tc, rc, layers = case
+        path = tmp_path_factory.mktemp("ck") / "ck.json"
+        save_checkpoint(path, params, tc, rc, layers)
+        loaded, tc2, rc2, layers_ft = load_checkpoint(path)
+        assert loaded.hidden == params.hidden
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        assert tc2 == tc and rc2 == rc
+        assert rc2.layers == layers and layers_ft == layers.levels_ft
+        again = path.with_name("again.json")
+        save_checkpoint(again, loaded, tc2, rc2, AltitudeLayerSet(layers_ft))
+        assert again.read_bytes() == path.read_bytes()
+
+
 class TestPpoUpdate:
     def test_updates_change_params(self, solo_scenario):
         params = nnet.init_params(8, 0)
-        before = nnet.flatten_params(params)
+        before = params.flat.copy()
         cfg = small_train_config(1)
         rc = RewardConfig.for_layers(solo_scenario.network.layers, 1.0)
         rng = np.random.default_rng(0)
         batch = collect_rollout(solo_scenario, params, SimConfig(), rc, rng=rng)
         adam = nnet.Adam(params, lr=cfg.learning_rate)
         params, stats = ppo_update(params, batch, cfg, adam, rng)
-        assert not np.array_equal(before, nnet.flatten_params(params))
+        assert not np.array_equal(before, params.flat)
         assert np.isfinite(stats["policy_loss"])
