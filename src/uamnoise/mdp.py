@@ -6,6 +6,7 @@ neighbors. A single tradeoff weight rho blends the two.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -41,6 +42,9 @@ class RewardConfig:
     def __post_init__(self, layers):
         if not 0.0 <= self.rho <= 1.0:
             raise ValidationError(f"rho must be in [0, 1], got {self.rho}")
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValidationError(f"RewardConfig.lam must be finite and non-negative, "
+                                  f"got {self.lam}")
         self.layers = layers
         # Loudest/quietest single-event levels over the layer range, cached.
         self.n_max_noise = single_event_level(self.npd, self.condition, layers.z_min)

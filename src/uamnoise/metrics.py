@@ -88,18 +88,28 @@ def histogram_entropy(hist: dict[float, float]) -> float:
 # Zone noise from a trace
 
 
-def nearest_link(network: Network, x: float, y: float) -> str:
-    """Link whose segment is closest to (x, y); id tie-break."""
-    best = (math.inf, "")
-    for lid in sorted(network.links):
-        (ax, ay), (bx, by) = network.link_segment(lid)
-        dx, dy = bx - ax, by - ay
-        L2 = dx * dx + dy * dy
-        s = 0.0 if L2 == 0.0 else max(0.0, min(1.0, ((x - ax) * dx + (y - ay) * dy) / L2))
-        d = math.hypot(x - (ax + s * dx), y - (ay + s * dy))
-        if d < best[0]:
-            best = (d, lid)
-    return best[1]
+def nearest_link(network: Network, xs: list[float], ys: list[float]) -> list[str]:
+    """For each point (xs[i], ys[i]), the link whose segment is closest; on a
+    tie the lowest id, as at a vertiport, where several links are at 0.
+
+    One row per point, one column per link in id order; each entry takes the
+    operations, in the order, of a scalar point-to-segment distance."""
+    ids = sorted(network.links)
+    (ax, ay), (bx, by) = np.array([network.link_segment(lid) for lid in ids]).transpose(1, 2, 0)
+    dx, dy = bx - ax, by - ay
+    L2 = dx * dx + dy * dy
+    # A zero-length link has a zero numerator, so dividing by 1 gives s = 0.
+    L2[L2 == 0.0] = 1.0
+    x, y = np.asarray(xs, dtype=float)[:, None], np.asarray(ys, dtype=float)[:, None]
+    s = np.maximum(0.0, np.minimum(1.0, ((x - ax) * dx + (y - ay) * dy) / L2))
+    px, py = x - (ax + s * dx), y - (ay + s * dy)
+    d = np.hypot(px, py)
+    # np.hypot and math.hypot can differ in the last bit, so the links within a
+    # hair of each row's minimum get math.hypot's value before argmin takes
+    # the first (lowest id) minimum.
+    rows, cols = np.nonzero(d <= d.min(axis=1, keepdims=True) * (1.0 + 1e-9) + 1e-300)
+    d[rows, cols] = list(map(math.hypot, px[rows, cols].tolist(), py[rows, cols].tolist()))
+    return [ids[k] for k in d.argmin(axis=1)]
 
 
 def zone_noise_series(
@@ -113,14 +123,17 @@ def zone_noise_series(
     model = model or NpdModel()
     if not network.zones:
         return {}
-    ticks: dict[float, list[tuple[str, float]]] = {}
+    ticks: dict[float, list[TraceRow]] = {}
     for row in trace:
-        zone = network.zone_of(nearest_link(network, row.x_m, row.y_m))
-        ticks.setdefault(row.t, []).append((zone, row.z_ft))
+        ticks.setdefault(row.t, []).append(row)
     ambients = {zid: zone.ambient_db for zid, zone in network.zones.items()}
     series: dict[str, list[tuple[float, float]]] = {z: [] for z in network.zones}
     for t in sorted(ticks):
-        report = zone_noise_report(ambients, ticks[t], model, condition)
+        rows = ticks[t]
+        links = nearest_link(network, [r.x_m for r in rows], [r.y_m for r in rows])
+        report = zone_noise_report(
+            ambients, [(network.zone_of(lid), r.z_ft) for lid, r in zip(links, rows)],
+            model, condition)
         for zid in series:
             series[zid].append((t, report[zid]))
     return series

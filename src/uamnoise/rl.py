@@ -326,19 +326,24 @@ def load_checkpoint(path):
 
 
 def _checkpoint_from_doc(doc):
+    if not isinstance(doc, dict):
+        raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
     if doc.get("version") != 1:
         raise ValidationError(f"unsupported version {doc.get('version')!r}")
     missing = [k for k in ("hidden", "layers_ft", "train_config", "reward_config", "params")
                if k not in doc]
     if missing:
         raise ValidationError(f"missing section(s) {', '.join(missing)}")
-    tc = TrainConfig(**_known_fields(TrainConfig, doc["train_config"], "train_config"))
+    tc = TrainConfig(**_known_fields(TrainConfig, _section(doc, "train_config"), "train_config"))
     if doc["hidden"] != tc.hidden:
-        raise ValidationError(f"hidden {doc['hidden']} differs from "
+        raise ValidationError(f"hidden {doc['hidden']!r} differs from "
                               f"train_config.hidden {tc.hidden}")
-    params = nnet.params_from_doc(doc["params"], tc.hidden)
-    layers = AltitudeLayerSet(tuple(doc["layers_ft"]))
-    rc_doc = {k: v for k, v in doc["reward_config"].items()
+    params = nnet.params_from_doc(_section(doc, "params"), tc.hidden)
+    levels = doc["layers_ft"]
+    if not isinstance(levels, list) or not all(map(_is_number, levels)):
+        raise ValidationError(f"layers_ft must be a list of numbers, got {levels!r}")
+    layers = AltitudeLayerSet(tuple(levels))
+    rc_doc = {k: v for k, v in _section(doc, "reward_config").items()
               if k not in ("z_min_ft", "z_max_ft")}  # bounds of layers_ft
     rc_doc = _known_fields(RewardConfig, rc_doc, "reward_config")
     try:
@@ -349,8 +354,27 @@ def _checkpoint_from_doc(doc):
     return params, tc, rc, layers.levels_ft
 
 
+def _section(doc: dict, name: str) -> dict:
+    if not isinstance(doc[name], dict):
+        raise ValidationError(f"{name} must be a JSON object, got {doc[name]!r}")
+    return doc[name]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _known_fields(cls, section: dict, name: str) -> dict:
+    """The section, once every key is a field of cls and every value of a
+    numeric field has the field's type (an int is also a float)."""
     unknown = sorted(set(section) - {f.name for f in fields(cls)})
     if unknown:
         raise ValidationError(f"unknown {name} field(s) {', '.join(unknown)}")
+    for f in fields(cls):
+        kind = type(f.default)
+        if f.name in section and kind in (int, float):
+            value = section[f.name]
+            if not _is_number(value) or (kind is int and not isinstance(value, int)):
+                noun = "an integer" if kind is int else "a number"
+                raise ValidationError(f"{name}.{f.name} must be {noun}, got {value!r}")
     return section

@@ -10,9 +10,10 @@ Altitudes live in feet; positions in meters. Altitude is converted to meters
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from operator import attrgetter
 
 from .errors import SimulationError, ValidationError
 from .network import (AltitudeLayerSet, Network, Route, Scenario, route_intersections,
@@ -97,6 +98,11 @@ class World:
     ``spawn_due_aircraft`` (PENDING -> ENROUTE) and ``advance_kinematics``
     (ENROUTE -> ARRIVED) change ``phase``, and each keeps the index in step, so
     the queries read the index instead of scanning every aircraft.
+
+    x-order invariant: ``_by_x``, when set, holds the enroute aircraft sorted
+    by x (stably, so equal x keep enroute order). Positions and membership
+    change only in those same two methods, and each clears it, so
+    ``detect_los`` and ``neighbors`` share one sort per world state.
     """
 
     def __init__(self, scenario: Scenario, config: SimConfig):
@@ -117,6 +123,7 @@ class World:
         self._queue = [(fl.departure_s, self.aircraft[fl.id]) for _, fl in by_departure]
         self._next = 0
         self._enroute: list[AircraftState] = []
+        self._by_x: list[AircraftState] | None = None
 
         # Frozen route geometry: polyline points and cumulative lengths.
         self._polylines: dict[tuple[str, ...], tuple[list[tuple[float, float]], list[float]]] = {}
@@ -175,6 +182,7 @@ class World:
         while self._next < len(self._queue) and self._queue[self._next][0] <= t:
             ac = self._queue[self._next][1]
             self._next += 1
+            self._by_x = None
             insort(self._enroute, ac, key=lambda a: self._flight_index[a.id])
             pts, _ = self._polylines[ac.route.key]
             ac.phase = Phase.ENROUTE
@@ -202,6 +210,7 @@ class World:
         """Moves each enroute aircraft along its polyline and toward its target
         layer, snapping without overshoot. Arrivals leave the enroute index."""
         rate_fps = self.config.climb_rate_fpm / 60.0
+        self._by_x = None
         still_enroute = []
         for ac in self._enroute:
             pts, cum = self._polylines[ac.route.key]
@@ -230,34 +239,61 @@ class World:
                     ac.z_ft += math.copysign(step_ft, delta)
         self._enroute = still_enroute
 
+    def _x_order(self) -> list[AircraftState]:
+        """The enroute aircraft sorted by x (see the class docstring)."""
+        if self._by_x is None:
+            self._by_x = sorted(self._enroute, key=attrgetter("x_m"))
+        return self._by_x
+
     def neighbors(self, ac_id: str) -> list[tuple[float, AircraftState]]:
         """(3-D distance in m, aircraft) for each enroute aircraft within d_comm
-        planar range on a related route, ascending by distance (id tie-break)."""
+        planar range on a related route, ascending by distance (id tie-break).
+
+        Only the x-order window with |dx| <= d_comm is examined; planar range
+        implies it, since hypot is never below either leg."""
         own = self.aircraft[ac_id]
         if own.phase is not Phase.ENROUTE:
             raise SimulationError(f"aircraft '{ac_id}' is not enroute")
+        by_x = self._x_order()
+        d_comm = self.config.d_comm_m
+
+        def dx(other: AircraftState) -> float:
+            return other.x_m - own.x_m
+
+        # dx rises along by_x, so the window's ends bisect exactly.
+        lo = bisect_left(by_x, -d_comm, key=dx)
+        hi = bisect_right(by_x, d_comm, lo=lo, key=dx)
         found = []
-        for other in self._enroute:
+        for other in by_x[lo:hi]:
             if other is own:
                 continue
             planar = math.hypot(own.x_m - other.x_m, own.y_m - other.y_m)
-            if planar <= self.config.d_comm_m and self.routes_related(ac_id, other.id):
+            if planar <= d_comm and self.routes_related(ac_id, other.id):
                 found.append((self.distance_3d_m(own, other), other))
         found.sort(key=lambda rec: (rec[0], rec[1].id))
         return found
 
     def detect_los(self) -> list[tuple[str, str, float]]:
-        """All enroute pairs closer than d_los in 3-D, as (id_a, id_b, dist).
-        Not route-filtered: separation is violated by geometry alone."""
-        enroute = self._enroute
-        out = []
-        for i, a in enumerate(enroute):
-            for b in enroute[i + 1:]:
-                d = self.distance_3d_m(a, b)
-                if d < self.config.d_los_m:
-                    pair = tuple(sorted((a.id, b.id)))
-                    out.append((pair[0], pair[1], d))
-        return out
+        """All enroute pairs closer than d_los in 3-D, as (id_a, id_b, dist),
+        ordered by the pair's enroute positions. Not route-filtered:
+        separation is violated by geometry alone.
+
+        A sweep over the x-order tests only pairs with dx < d_los; the cut-off
+        is exact, since the 3-D distance is never below |dx|."""
+        by_x = self._x_order()
+        d_los, index = self.config.d_los_m, self._flight_index
+        hits = []  # (first, second, d), the pair in enroute order
+        start = 0
+        for j, b in enumerate(by_x):
+            while b.x_m - by_x[start].x_m >= d_los:
+                start += 1
+            for a in by_x[start:j]:
+                pair = (a, b) if index[a.id] < index[b.id] else (b, a)
+                d = self.distance_3d_m(*pair)
+                if d < d_los:
+                    hits.append((*pair, d))
+        hits.sort(key=lambda hit: (index[hit[0].id], index[hit[1].id]))
+        return [(*sorted((a.id, b.id)), d) for a, b, d in hits]
 
     def _update_los_bookkeeping(self, violations) -> None:
         now = {(a, b): d for a, b, d in violations}

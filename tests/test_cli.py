@@ -286,6 +286,17 @@ def test_train_rejects_out_of_range_config(runner, scenario_file, tmp_path, fiel
     assert not ck.exists()
 
 
+@pytest.mark.parametrize("lam", ["-0.1", "nan", "inf"])
+def test_train_rejects_out_of_range_lam(runner, scenario_file, tmp_path, lam):
+    ck = tmp_path / "policy.json"
+    result = runner.invoke(main, ["train", "--scenario", scenario_file, "--rho", "0.5",
+                                  "--iterations", "1", "--seed", "0", "--hidden", "4",
+                                  "--lam", lam, "--out", str(ck)])
+    assert result.exit_code == 1, result.output
+    assert "RewardConfig.lam must be finite and non-negative" in result.output
+    assert not ck.exists()
+
+
 def _transpose_w1(doc):
     doc["params"]["w1"] = [list(col) for col in zip(*doc["params"]["w1"])]
 
@@ -322,6 +333,22 @@ def _break_condition(doc):
     doc["reward_config"]["condition"] = "Mode X"
 
 
+def _string_hidden(doc):
+    doc["train_config"]["hidden"] = "4"
+
+
+def _null_gamma(doc):
+    doc["train_config"]["gamma"] = None
+
+
+def _string_lam(doc):
+    doc["reward_config"]["lam"] = "0.1"
+
+
+def _negative_lam(doc):
+    doc["reward_config"]["lam"] = -0.5
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_break_b1, "weight tensor 'b1' has shape (1,), expected (4,)"),
     (_transpose_w1, "weight tensor 'w1' has shape (4, 6), expected (6, 4)"),
@@ -332,8 +359,14 @@ def _break_condition(doc):
     (_ragged_w2, "weight tensor 'w2': "),
     (_null_weight, "weight tensor 'wq' has non-finite entries"),
     (_break_condition, "reward_config: 'Mode X' is not a valid Condition"),
+    (lambda doc: [doc], "expected a JSON object, got list"),
+    (_string_hidden, "train_config.hidden must be an integer, got '4'"),
+    (_null_gamma, "train_config.gamma must be a number, got None"),
+    (_string_lam, "reward_config.lam must be a number, got '0.1'"),
+    (_negative_lam, "RewardConfig.lam must be finite and non-negative, got -0.5"),
 ], ids=["tensor-shape", "tensor-transposed", "hidden", "no-params", "unknown-field",
-        "unknown-tensor", "ragged-tensor", "null-weight", "bad-condition"])
+        "unknown-tensor", "ragged-tensor", "null-weight", "bad-condition", "list-document",
+        "string-hidden", "null-gamma", "string-lam", "negative-lam"])
 def test_malformed_checkpoint_exits_1(runner, scenario_file, tmp_path, corrupt, message):
     ck = tmp_path / "policy.json"
     result = runner.invoke(main, ["train", "--scenario", scenario_file, "--rho", "0.5",
@@ -341,8 +374,8 @@ def test_malformed_checkpoint_exits_1(runner, scenario_file, tmp_path, corrupt, 
                                   "--out", str(ck)])
     assert result.exit_code == 0, result.output
     doc = json.loads(ck.read_text())
-    corrupt(doc)
-    ck.write_text(json.dumps(doc))
+    # a corruption edits doc in place or returns the document to write instead
+    ck.write_text(json.dumps(corrupt(doc) or doc))
     out = tmp_path / "eval.csv"
     result = runner.invoke(main, ["eval", "--scenario", scenario_file, "--checkpoint",
                                   str(ck), "--seeds", "0", "--out", str(out)])

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import uamnoise
 from uamnoise import metrics as M
 from uamnoise import nnet
 from uamnoise.errors import ValidationError
 from uamnoise.mdp import RewardConfig
-from uamnoise.network import generate_scenario
+from uamnoise.network import generate_scenario, load_scenario
 from uamnoise.rl import TraceRow, TrainConfig
 from uamnoise.sim import Action, SimConfig
 
@@ -18,6 +19,21 @@ from conftest import make_corridor_network, make_line_network
 
 def row(t, aid, z, x=0.0, changing=False):
     return TraceRow(t, aid, x, 0.0, z, Action.HOLD, changing)
+
+
+def scalar_nearest_link(network, x, y):
+    """The link closest to (x, y) by a loop over the links in id order,
+    keeping the first minimum."""
+    best = (math.inf, "")
+    for lid in sorted(network.links):
+        (ax, ay), (bx, by) = network.link_segment(lid)
+        dx, dy = bx - ax, by - ay
+        L2 = dx * dx + dy * dy
+        s = 0.0 if L2 == 0.0 else max(0.0, min(1.0, ((x - ax) * dx + (y - ay) * dy) / L2))
+        d = math.hypot(x - (ax + s * dx), y - (ay + s * dy))
+        if d < best[0]:
+            best = (d, lid)
+    return best[1]
 
 
 class TestAltitudeHistogram:
@@ -72,8 +88,29 @@ class TestZoneNoise:
         assert summary["Z1"][1] == pytest.approx(sum(vals) / 2)
 
     def test_nearest_link_attribution(self, line_network):
-        assert M.nearest_link(line_network, 100.0, 10.0) in ("A-B", "B-A")
-        assert M.nearest_link(line_network, 23000.0, -10.0) in ("B-C", "C-B")
+        # each point is 10 m from a link and its reverse; the lower id wins
+        assert M.nearest_link(line_network, [100.0, 23000.0], [10.0, -10.0]) == ["A-B", "B-C"]
+
+    def test_nearest_link_at_vertiport_lowest_id_wins(self, line_network):
+        # A-B, B-A, B-C and C-B all pass through B at distance 0
+        assert M.nearest_link(line_network, [12000.0, 0.0, 24000.0], [0.0, 0.0, 0.0]) == \
+            ["A-B", "A-B", "B-C"]
+
+    def test_nearest_link_matches_scalar_loop(self):
+        # diagonal links, so np.hypot and math.hypot disagree in the last bit
+        # on some rows; the ranking must still be the scalar loop's
+        net = load_scenario(uamnoise.bundled_scenario_path()).network
+        rng = np.random.default_rng(0)
+        vx = [v.x_m for v in net.vertiports.values()]
+        vy = [v.y_m for v in net.vertiports.values()]
+        f = rng.uniform(0.0, 1.0, 2000)
+        segments = [net.link_segment(lid) for lid in rng.choice(sorted(net.links), 2000)]
+        xs = vx + [a[0] + t * (b[0] - a[0]) for t, (a, b) in zip(f, segments)] + \
+            list(rng.uniform(min(vx) - 2000.0, max(vx) + 2000.0, 2000))
+        ys = vy + [a[1] + t * (b[1] - a[1]) for t, (a, b) in zip(f, segments)] + \
+            list(rng.uniform(min(vy) - 2000.0, max(vy) + 2000.0, 2000))
+        assert M.nearest_link(net, xs, ys) == [scalar_nearest_link(net, x, y)
+                                               for x, y in zip(xs, ys)]
 
 
 class TestRunEpisode:

@@ -304,7 +304,7 @@ def checkpoint_cases(draw):
                      checkpoint_interval=draw(st.integers(0, 100)))
     levels = draw(st.lists(st.floats(100.0, 10000.0), min_size=2, max_size=7, unique=True))
     layers = AltitudeLayerSet(tuple(sorted(levels)))
-    rc = RewardConfig.for_layers(layers, draw(unit), lam=draw(st.floats(-10.0, 10.0)),
+    rc = RewardConfig.for_layers(layers, draw(unit), lam=draw(st.floats(0.0, 10.0)),
                                  d_los_m=draw(positive), d_comm_m=draw(positive),
                                  condition=draw(st.sampled_from(list(Condition))))
     return params, tc, rc, layers

@@ -9,7 +9,7 @@ from uamnoise.errors import SimulationError, ValidationError
 from uamnoise.mdp import N_MAX_INTRUDERS, RewardConfig, observe
 from uamnoise.network import (AltitudeLayerSet, Flight, Network, Scenario, build_route,
                               generate_scenario)
-from uamnoise.sim import (FT_TO_M, Action, AircraftState, Phase, SimConfig, World,
+from uamnoise.sim import (FT_TO_M, Action, AircraftState, LosEvent, Phase, SimConfig, World,
                           action_mask)
 
 from conftest import make_corridor_network, make_line_network
@@ -221,6 +221,43 @@ class TestDetectLos:
         assert world.los_events[0].duration_s > 100.0
 
 
+class TestSweepCutoffs:
+    """The x-order sweep stops at |dx| == d_los (LOS needs d < d_los) and keeps
+    |dx| == d_comm (range is d <= d_comm); equal x exercise the sort's ties."""
+
+    def place(self, xs, **cfg):
+        world = make_world(n=len(xs), od=[("A", "C"), ("C", "A")], spacing=0.0, **cfg)
+        world.spawn_due_aircraft()
+        for aid, x in zip(world.enroute_ids(), xs):
+            world.aircraft[aid].x_m, world.aircraft[aid].y_m = x, 0.0
+        return world
+
+    @pytest.mark.parametrize("d_los", [150.0, 400.0])
+    def test_los_at_exactly_d_los_is_not_los(self, d_los):
+        world = self.place([1000.0, 1000.0 + d_los, 1000.0], d_los_m=d_los)
+        assert world.detect_los() == [("AC001", "AC003", 0.0)]
+
+    @pytest.mark.parametrize("d_los", [150.0, 400.0])
+    def test_los_just_below_d_los(self, d_los):
+        x = math.nextafter(1000.0 + d_los, 0.0)
+        world = self.place([1000.0, x, 1000.0], d_los_m=d_los)
+        assert world.detect_los() == [("AC001", "AC002", x - 1000.0), ("AC001", "AC003", 0.0),
+                                      ("AC002", "AC003", x - 1000.0)]
+
+    @pytest.mark.parametrize("d_comm", [2500.0, 900.0])
+    def test_neighbor_at_exactly_d_comm_is_returned(self, d_comm):
+        world = self.place([5000.0, 5000.0 + d_comm, 5000.0 + d_comm], d_comm_m=d_comm)
+        ids = [[other.id for _, other in world.neighbors(aid)] for aid in world.enroute_ids()]
+        assert ids == [["AC002", "AC003"], ["AC003", "AC001"], ["AC002", "AC001"]]
+
+    @pytest.mark.parametrize("d_comm", [2500.0, 900.0])
+    def test_neighbor_just_beyond_d_comm_is_not(self, d_comm):
+        x = math.nextafter(5000.0 + d_comm, math.inf)
+        world = self.place([5000.0, x, x], d_comm_m=d_comm)
+        ids = [[other.id for _, other in world.neighbors(aid)] for aid in world.enroute_ids()]
+        assert ids == [[], ["AC003"], ["AC002"]]
+
+
 class TestStep:
     def test_empty_world_terminal(self, line_network):
         sc = generate_scenario(line_network, 1, [("A", "C")], seed=0)
@@ -323,7 +360,9 @@ def index_cases(draw):
     dt_s, interval_s = draw(st.sampled_from([(1.0, 10.0), (0.5, 1.0), (2.0, 10.0),
                                              (0.3, 0.9)]))
     config = SimConfig(dt_s=dt_s, decision_interval_s=interval_s,
-                       max_episode_time_s=draw(st.sampled_from([60.0, 250.0, 7200.0])))
+                       max_episode_time_s=draw(st.sampled_from([60.0, 250.0, 7200.0])),
+                       d_los_m=draw(st.sampled_from([150.0, 40.0, 700.0, 3000.0])),
+                       d_comm_m=draw(st.sampled_from([2500.0, 300.0, 1200.0, 9000.0])))
     return Scenario(net, flights, sc.routes), config, draw(st.integers(0, 2**16))
 
 
@@ -356,6 +395,59 @@ class TestEnrouteIndexProperty:
             actions = {aid: Action(int(rng.integers(0, 3))) for aid in world.enroute_ids()}
             world.step(actions if world.is_decision_tick() else {})
             check()
+
+
+@st.composite
+def los_cases(draw):
+    """Layer sets, time steps, separation minima and dense departures."""
+    base = make_line_network(link_len_m=draw(st.sampled_from([1500.0, 4000.0])))
+    levels = draw(st.sampled_from([AltitudeLayerSet().levels_ft, (1000.0, 1100.0, 1200.0),
+                                   (400.0, 900.0, 1400.0, 1900.0)]))
+    net = Network(base.vertiports, base.links, AltitudeLayerSet(levels), base.zones)
+    sc = generate_scenario(net, draw(st.integers(2, 30)),
+                           [("A", "C"), ("C", "A"), ("A", "B"), ("B", "C")],
+                           departure_spacing_s=draw(st.sampled_from([0.0, 0.0, 7.0, 25.0])),
+                           seed=draw(st.integers(0, 99)))
+    dt_s, interval_s = draw(st.sampled_from([(1.0, 10.0), (0.5, 1.0), (2.0, 10.0),
+                                             (0.3, 0.9)]))
+    config = SimConfig(dt_s=dt_s, decision_interval_s=interval_s,
+                       d_los_m=draw(st.sampled_from([150.0, 40.0, 400.0, 1600.0])),
+                       climb_rate_fpm=draw(st.sampled_from([500.0, 1300.0])))
+    return sc, config, draw(st.integers(0, 2**16))
+
+
+class TestLosEventsProperty:
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(los_cases())
+    def test_events_match_brute_force_oracle(self, case):
+        """World.los_events against an all-pairs scan of every aircraft's
+        phase after each step, with its own onset, duration and
+        minimum-distance bookkeeping, run to episode end."""
+        scenario, config, seed = case
+        world = World(scenario, config)
+        rng = np.random.default_rng(seed)
+        active: dict[tuple[str, str], tuple[float, float]] = {}  # pair -> (onset, min d)
+        events = []
+        while not world.terminal:
+            world.spawn_due_aircraft()
+            actions = {aid: Action(int(rng.integers(0, 3))) for aid in world.enroute_ids()}
+            world.step(actions if world.is_decision_tick() else {})
+            now = {}
+            enroute = scan_enroute(world)
+            for i, a in enumerate(enroute):
+                for b in enroute[i + 1:]:
+                    d = world.distance_3d_m(a, b)
+                    if d < config.d_los_m:
+                        now[tuple(sorted((a.id, b.id)))] = d
+            for pair, d in now.items():
+                onset, dmin = active.get(pair, (world.t, d))
+                active[pair] = (onset, min(dmin, d))
+            for pair in [p for p in active if p not in now]:
+                onset, dmin = active.pop(pair)
+                events.append(LosEvent(pair, onset, world.t - onset, dmin))
+        events += [LosEvent(pair, onset, world.t - onset, dmin)
+                   for pair, (onset, dmin) in sorted(active.items())]
+        assert world.los_events == events
 
 
 def one_hot(action):
