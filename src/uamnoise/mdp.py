@@ -45,6 +45,10 @@ class RewardConfig:
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ValidationError(f"RewardConfig.lam must be finite and non-negative, "
                                   f"got {self.lam}")
+        for name in ("d_los_m", "d_comm_m"):
+            if not (math.isfinite(value := getattr(self, name)) and value > 0):
+                raise ValidationError(f"RewardConfig.{name} must be finite and positive, "
+                                      f"got {value}")
         self.layers = layers
         # Loudest/quietest single-event levels over the layer range, cached.
         self.n_max_noise = single_event_level(self.npd, self.condition, layers.z_min)

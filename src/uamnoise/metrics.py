@@ -88,18 +88,26 @@ def histogram_entropy(hist: dict[float, float]) -> float:
 # Zone noise from a trace
 
 
-def nearest_link(network: Network, xs: list[float], ys: list[float]) -> list[str]:
-    """For each point (xs[i], ys[i]), the link whose segment is closest; on a
-    tie the lowest id, as at a vertiport, where several links are at 0.
-
-    One row per point, one column per link in id order; each entry takes the
-    operations, in the order, of a scalar point-to-segment distance."""
+def link_segments(network: Network) -> tuple:
+    """The network's links as nearest_link reads them: ids in id order, and
+    per link its start (ax, ay), direction (dx, dy) and squared length L2."""
     ids = sorted(network.links)
     (ax, ay), (bx, by) = np.array([network.link_segment(lid) for lid in ids]).transpose(1, 2, 0)
     dx, dy = bx - ax, by - ay
     L2 = dx * dx + dy * dy
     # A zero-length link has a zero numerator, so dividing by 1 gives s = 0.
     L2[L2 == 0.0] = 1.0
+    return ids, ax, ay, dx, dy, L2
+
+
+def nearest_link(segments: tuple, xs: list[float], ys: list[float]) -> list[str]:
+    """For each point (xs[i], ys[i]), the link of segments (link_segments of a
+    network) that is closest; on a tie the lowest id, as at a vertiport, where
+    several links are at 0.
+
+    One row per point, one column per link in id order; each entry takes the
+    operations, in the order, of a scalar point-to-segment distance."""
+    ids, ax, ay, dx, dy, L2 = segments
     x, y = np.asarray(xs, dtype=float)[:, None], np.asarray(ys, dtype=float)[:, None]
     s = np.maximum(0.0, np.minimum(1.0, ((x - ax) * dx + (y - ay) * dy) / L2))
     px, py = x - (ax + s * dx), y - (ay + s * dy)
@@ -128,9 +136,10 @@ def zone_noise_series(
         ticks.setdefault(row.t, []).append(row)
     ambients = {zid: zone.ambient_db for zid, zone in network.zones.items()}
     series: dict[str, list[tuple[float, float]]] = {z: [] for z in network.zones}
+    segments = link_segments(network)
     for t in sorted(ticks):
         rows = ticks[t]
-        links = nearest_link(network, [r.x_m for r in rows], [r.y_m for r in rows])
+        links = nearest_link(segments, [r.x_m for r in rows], [r.y_m for r in rows])
         report = zone_noise_report(
             ambients, [(network.zone_of(lid), r.z_ft) for lid, r in zip(links, rows)],
             model, condition)

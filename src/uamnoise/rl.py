@@ -8,7 +8,9 @@ PPO update over the collected batch.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -38,8 +40,12 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0 or not 0.0 <= self.gae_lambda <= 1.0:
             raise ValidationError("gamma and gae_lambda must lie in [0, 1]")
-        if self.clip_eps <= 0:
-            raise ValidationError("clip_eps must be positive")
+        if not (math.isfinite(self.clip_eps) and self.clip_eps > 0):
+            raise ValidationError(f"TrainConfig.clip_eps must be finite and positive, "
+                                  f"got {self.clip_eps}")
+        for name in ("entropy_coef", "value_coef"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValidationError(f"TrainConfig.{name} must be finite, got {value}")
         if not self.learning_rate > 0:
             raise ValidationError("TrainConfig.learning_rate must be positive")
         for name in ("hidden", "epochs", "minibatch_size"):
@@ -63,7 +69,9 @@ class TraceRow:
 
 @dataclass
 class RolloutResult:
-    """Per-agent transition arrays plus episode bookkeeping."""
+    """Per-agent transition arrays plus episode bookkeeping. Agent id's
+    transitions are the rows agent_slices[id], in time order; the bootstrap
+    after its last one is 0, whether it arrived or was cut off by the horizon."""
 
     own: np.ndarray          # (B, OWN_DIM)
     intr: np.ndarray         # (B, K, INTRUDER_DIM)
@@ -73,17 +81,10 @@ class RolloutResult:
     old_logp: np.ndarray     # (B,)
     rewards: np.ndarray      # (B,)
     values: np.ndarray       # (B,)
-    dones: np.ndarray        # (B,)
     agent_slices: dict[str, slice]
     trace: list[TraceRow]
     los_count: int
-    episode_returns: dict[str, float]
-
-    @property
-    def mean_return(self) -> float:
-        """Mean episode return over the agents that acted; 0 with none."""
-        returns = self.episode_returns
-        return sum(returns.values()) / len(returns) if returns else 0.0
+    mean_return: float       # mean over the agents that acted; 0 with none
 
 
 def attribute_layers(trace: list[TraceRow], layers: AltitudeLayerSet) -> list[float]:
@@ -113,41 +114,34 @@ def collect_rollout(
     params. params=None means the hold-only baseline. greedy (or baseline)
     episodes take argmax actions; otherwise actions are sampled from rng.
 
-    Each decision tick observes every enroute agent once: that observation
-    feeds both the policy and the reward closing the agent's previous
-    transition (only transitions closed at episode end observe afresh). The
-    policy runs as one batched nnet.forward over the tick's enroute agents,
-    and actions are then sampled per agent in enroute order.
+    Each decision appends (own, intr, act_mask, action, logp, value) to its
+    agent's steps. The reward closing it comes at the agent's next tick, from
+    the observation the policy reads there, or afresh once the agent arrived
+    or the episode ended. The policy runs as one batched nnet.forward over the
+    tick's agents, and actions are then sampled per agent in enroute order.
     """
     world = World(scenario, sim_config)
     layers = scenario.network.layers
-
-    records: dict[str, list] = {fl.id: [] for fl in scenario.flights}
-    pending_reward: dict[str, int] = {}  # agent -> index in records awaiting reward
+    steps: dict[str, list[tuple]] = {fl.id: [] for fl in scenario.flights}
+    rewards: dict[str, list[float]] = {fl.id: [] for fl in scenario.flights}
+    acted: list[str] = []  # the agents of the last decision tick
     trace: list[TraceRow] = []
 
-    def finalize(ac_id: str, done: bool, intr=None) -> None:
-        idx = pending_reward.pop(ac_id, None)
-        if idx is None:
-            return
-        ac = world.aircraft[ac_id]
-        records[ac_id][idx]["reward"] = agent_reward(world, ac, reward_config, intr)
-        records[ac_id][idx]["done"] = done
+    def close(ac_id: str, intr=None) -> None:
+        rewards[ac_id].append(agent_reward(world, world.aircraft[ac_id], reward_config, intr))
 
     while not world.terminal:
         joint: dict[str, Action] = {}
         if world.is_decision_tick():
             world.spawn_due_aircraft()
             enroute = world.enroute_ids()
-            # close out transitions for agents that arrived since the last tick
-            enroute_set = set(enroute)
-            for ac_id in [i for i in pending_reward if i not in enroute_set]:
-                finalize(ac_id, done=True)
+            obs = {i: observe(world, i, reward_config) for i in enroute}
+            for ac_id in acted:
+                close(ac_id, obs[ac_id][1] if ac_id in obs else None)
+            acted = enroute
             if enroute:
-                owns, intrs = zip(*[observe(world, i, reward_config) for i in enroute])
+                owns, intrs = zip(*obs.values())
                 masks = np.array([action_mask(world.aircraft[i], layers) for i in enroute])
-                for ac_id, intr_mat in zip(enroute, intrs):
-                    finalize(ac_id, done=False, intr=intr_mat)
                 if params is not None:
                     intr, intr_mask = nnet.pad_intruders(intrs)
                     probs, values = nnet.policy_batch(
@@ -159,67 +153,51 @@ def collect_rollout(
                 for j, (ac_id, own_vec, intr_mat) in enumerate(zip(enroute, owns, intrs)):
                     action, logp = nnet.sample_action(probs[j], sample_rng)
                     joint[ac_id] = Action(action)
-                    records[ac_id].append({
-                        "own": own_vec, "intr": intr_mat, "act_mask": masks[j],
-                        "action": action, "logp": logp, "value": float(values[j]),
-                        "reward": 0.0, "done": False,
-                    })
-                    pending_reward[ac_id] = len(records[ac_id]) - 1
+                    steps[ac_id].append((own_vec, intr_mat, masks[j], action, logp,
+                                         float(values[j])))
                     ac = world.aircraft[ac_id]
                     trace.append(TraceRow(world.t, ac_id, ac.x_m, ac.y_m, ac.z_ft,
                                           Action(action), ac.b_changing))
         world.step(joint)
-    for ac_id in list(pending_reward):
-        finalize(ac_id, done=True)
+    for ac_id in acted:
+        close(ac_id)
+    return _pack(steps, rewards, trace, world)
 
-    return _pack(records, trace, world)
 
-
-def _pack(records, trace, world) -> RolloutResult:
-    flat = []
-    agent_slices = {}
-    for ac_id, recs in records.items():
-        if not recs:
-            continue
-        agent_slices[ac_id] = slice(len(flat), len(flat) + len(recs))
-        flat.extend(recs)
-    b = len(flat)
-    own = np.zeros((b, OWN_DIM))
-    intr, intr_mask = nnet.pad_intruders([r["intr"] for r in flat])
-    act_mask = np.zeros((b, 3), dtype=bool)
-    actions = np.zeros(b, dtype=int)
-    old_logp = np.zeros(b)
-    rewards = np.zeros(b)
-    values = np.zeros(b)
-    dones = np.zeros(b, dtype=bool)
-    for i, r in enumerate(flat):
-        own[i] = r["own"]
-        act_mask[i] = r["act_mask"]
-        actions[i] = r["action"]
-        old_logp[i] = r["logp"]
-        rewards[i] = r["reward"]
-        values[i] = r["value"]
-        dones[i] = r["done"]
-    returns = {aid: float(rewards[sl].sum()) for aid, sl in agent_slices.items()}
-    return RolloutResult(own, intr, intr_mask, act_mask, actions, old_logp,
-                         rewards, values, dones, agent_slices, trace,
-                         len(world.los_events), returns)
+def _pack(steps, rewards, trace, world) -> RolloutResult:
+    """Stack the agents' records, in flight order, into the batch columns."""
+    ids = [i for i, recs in steps.items() if recs]
+    ends = list(accumulate(len(steps[i]) for i in ids))
+    agent_slices = {i: slice(end - len(steps[i]), end) for i, end in zip(ids, ends)}
+    rows = [rec for i in ids for rec in steps[i]]
+    b = len(rows)
+    own, intrs, act_mask, actions, logp, values = zip(*rows) if rows else [()] * 6
+    intr, intr_mask = nnet.pad_intruders(intrs)
+    r = np.array([x for i in ids for x in rewards[i]], dtype=float)
+    mean_return = (sum(float(r[sl].sum()) for sl in agent_slices.values()) / len(ids)
+                   if ids else 0.0)
+    return RolloutResult(np.array(own, dtype=float).reshape(b, OWN_DIM), intr, intr_mask,
+                         np.array(act_mask, dtype=bool).reshape(b, 3),
+                         np.array(actions, dtype=int), np.array(logp, dtype=float), r,
+                         np.array(values, dtype=float), agent_slices, trace,
+                         len(world.los_events), mean_return)
 
 
 def compute_advantages(batch: RolloutResult, gamma: float, gae_lambda: float):
-    """Per-agent GAE over each agent's trajectory; terminal bootstrap is 0.
-    Advantages are normalized to zero mean / unit variance over the batch."""
+    """Per-agent GAE over each agent's trajectory. The bootstrap after an
+    agent's last transition is 0, whether it arrived or was cut off by the
+    horizon. Advantages are normalized to zero mean / unit variance over the
+    batch."""
     adv = np.zeros_like(batch.rewards)
     for sl in batch.agent_slices.values():
         r = batch.rewards[sl]
         v = batch.values[sl]
-        d = batch.dones[sl]
         acc = 0.0
         out = np.zeros_like(r)
         for i in range(len(r) - 1, -1, -1):
-            nxt = 0.0 if (d[i] or i + 1 >= len(r)) else v[i + 1]
+            nxt = v[i + 1] if i + 1 < len(r) else 0.0
             delta = r[i] + gamma * nxt - v[i]
-            acc = delta + gamma * gae_lambda * (0.0 if d[i] else acc)
+            acc = delta + gamma * gae_lambda * acc
             out[i] = acc
         adv[sl] = out
     returns = adv + batch.values

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from operator import attrgetter
 
@@ -47,10 +47,10 @@ class SimConfig:
     max_episode_time_s: float = 7200.0
 
     def __post_init__(self):
-        for name in ("dt_s", "decision_interval_s", "cruise_speed_mps", "climb_rate_fpm",
-                     "d_comm_m", "d_los_m", "max_episode_time_s"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"SimConfig.{name} must be positive")
+        for f in fields(self):
+            if not (math.isfinite(value := getattr(self, f.name)) and value > 0):
+                raise ValidationError(f"SimConfig.{f.name} must be finite and positive, "
+                                      f"got {value}")
         ratio = self.decision_interval_s / self.dt_s
         if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
             raise ValidationError("decision_interval_s must be an integer multiple of dt_s")

@@ -274,6 +274,7 @@ def test_unwritable_output_path_exits_1(runner, scenario_file, tmp_path, command
 @pytest.mark.parametrize("field, value", [
     ("hidden", "0"), ("learning_rate", "-1"), ("iterations", "-3"),
     ("minibatch_size", "0"), ("epochs", "0"), ("checkpoint_interval", "-1"),
+    ("clip_eps", "nan"), ("clip_eps", "inf"), ("entropy_coef", "nan"), ("value_coef", "inf"),
 ])
 def test_train_rejects_out_of_range_config(runner, scenario_file, tmp_path, field, value):
     ck = tmp_path / "policy.json"
@@ -284,6 +285,21 @@ def test_train_rejects_out_of_range_config(runner, scenario_file, tmp_path, fiel
     assert result.exit_code == 1, result.output
     assert f"TrainConfig.{field} must" in result.output
     assert not ck.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d_los_m", "nan"), ("d_comm_m", "inf"), ("dt_s", "nan"), ("max_episode_time_s", "inf"),
+    ("cruise_speed_mps", "-inf"), ("climb_rate_fpm", "0"),
+])
+def test_simulate_rejects_non_finite_or_non_positive_sim_config(runner, scenario_file,
+                                                                 tmp_path, field, value):
+    out = tmp_path / "metrics.json"
+    result = runner.invoke(main, ["simulate", "--scenario", scenario_file, "--policy",
+                                  "baseline:hold", "--seed", "0", f"--{field}", value,
+                                  "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert f"SimConfig.{field} must be finite and positive, got {float(value)}" in result.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lam", ["-0.1", "nan", "inf"])
@@ -349,6 +365,10 @@ def _negative_lam(doc):
     doc["reward_config"]["lam"] = -0.5
 
 
+def _negative_d_los(doc):
+    doc["reward_config"]["d_los_m"] = -5
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_break_b1, "weight tensor 'b1' has shape (1,), expected (4,)"),
     (_transpose_w1, "weight tensor 'w1' has shape (4, 6), expected (6, 4)"),
@@ -364,9 +384,10 @@ def _negative_lam(doc):
     (_null_gamma, "train_config.gamma must be a number, got None"),
     (_string_lam, "reward_config.lam must be a number, got '0.1'"),
     (_negative_lam, "RewardConfig.lam must be finite and non-negative, got -0.5"),
+    (_negative_d_los, "RewardConfig.d_los_m must be finite and positive, got -5"),
 ], ids=["tensor-shape", "tensor-transposed", "hidden", "no-params", "unknown-field",
         "unknown-tensor", "ragged-tensor", "null-weight", "bad-condition", "list-document",
-        "string-hidden", "null-gamma", "string-lam", "negative-lam"])
+        "string-hidden", "null-gamma", "string-lam", "negative-lam", "negative-d-los"])
 def test_malformed_checkpoint_exits_1(runner, scenario_file, tmp_path, corrupt, message):
     ck = tmp_path / "policy.json"
     result = runner.invoke(main, ["train", "--scenario", scenario_file, "--rho", "0.5",

@@ -130,6 +130,14 @@ class TestRewardSeparation:
             assert reward_separation(intr, CFG) == base
 
 
+@pytest.mark.parametrize("field, value", [
+    ("d_los_m", -5.0), ("d_los_m", 0.0), ("d_comm_m", math.nan), ("d_comm_m", math.inf),
+])
+def test_reward_config_rejects_non_finite_or_non_positive_distance(field, value):
+    with pytest.raises(ValidationError, match=f"RewardConfig.{field} must be finite and positive"):
+        RewardConfig(**{field: value})
+
+
 class TestRewardTotal:
     def test_endpoints(self):
         assert reward_total(-0.3, -0.7, 0.0) == -0.7

@@ -89,11 +89,13 @@ class TestZoneNoise:
 
     def test_nearest_link_attribution(self, line_network):
         # each point is 10 m from a link and its reverse; the lower id wins
-        assert M.nearest_link(line_network, [100.0, 23000.0], [10.0, -10.0]) == ["A-B", "B-C"]
+        segments = M.link_segments(line_network)
+        assert M.nearest_link(segments, [100.0, 23000.0], [10.0, -10.0]) == ["A-B", "B-C"]
 
     def test_nearest_link_at_vertiport_lowest_id_wins(self, line_network):
         # A-B, B-A, B-C and C-B all pass through B at distance 0
-        assert M.nearest_link(line_network, [12000.0, 0.0, 24000.0], [0.0, 0.0, 0.0]) == \
+        segments = M.link_segments(line_network)
+        assert M.nearest_link(segments, [12000.0, 0.0, 24000.0], [0.0, 0.0, 0.0]) == \
             ["A-B", "A-B", "B-C"]
 
     def test_nearest_link_matches_scalar_loop(self):
@@ -109,8 +111,8 @@ class TestZoneNoise:
             list(rng.uniform(min(vx) - 2000.0, max(vx) + 2000.0, 2000))
         ys = vy + [a[1] + t * (b[1] - a[1]) for t, (a, b) in zip(f, segments)] + \
             list(rng.uniform(min(vy) - 2000.0, max(vy) + 2000.0, 2000))
-        assert M.nearest_link(net, xs, ys) == [scalar_nearest_link(net, x, y)
-                                               for x, y in zip(xs, ys)]
+        assert M.nearest_link(M.link_segments(net), xs, ys) == \
+            [scalar_nearest_link(net, x, y) for x, y in zip(xs, ys)]
 
 
 class TestRunEpisode:

@@ -21,15 +21,21 @@ def small_train_config(iters, hidden=8, seed=0):
                        learning_rate=1e-3, minibatch_size=64)
 
 
-def fake_batch(rewards, values, dones, agent="A"):
+def fake_batch(rewards, values, lengths=None):
+    """A batch of the given rewards and values; one agent's slice per entry
+    of lengths (default: one agent over every row)."""
     n = len(rewards)
+    lengths = lengths or [n]
+    ends = np.cumsum(lengths).tolist()
     z = np.zeros
     return RolloutResult(
         own=z((n, 6)), intr=z((n, 1, 5)), intr_mask=z((n, 1), dtype=bool),
         act_mask=np.ones((n, 3), dtype=bool), actions=z(n, dtype=int),
         old_logp=z(n), rewards=np.asarray(rewards, dtype=float),
-        values=np.asarray(values, dtype=float), dones=np.asarray(dones, dtype=bool),
-        agent_slices={agent: slice(0, n)}, trace=[], los_count=0, episode_returns={})
+        values=np.asarray(values, dtype=float),
+        agent_slices={f"A{k}": slice(end - m, end)
+                      for k, (m, end) in enumerate(zip(lengths, ends))},
+        trace=[], los_count=0, mean_return=0.0)
 
 
 class TestCollectRollout:
@@ -41,7 +47,7 @@ class TestCollectRollout:
                                 rng=np.random.default_rng(0))
         # 30 km at 67 m/s, one decision every 10 s
         assert 0 < len(batch.actions) <= 46
-        assert batch.dones[-1]
+        assert batch.agent_slices == {solo_scenario.flights[0].id: slice(0, len(batch.actions))}
 
     def test_non_interacting_aircraft_have_empty_intruder_sets(self):
         net = make_corridor_network(length_m=5000.0)
@@ -139,16 +145,18 @@ def bundled_scenario():
 
 class TestBatchedTickMatchesReference:
     @pytest.mark.parametrize("mode", ["hold", "greedy", "sampled"])
-    @pytest.mark.parametrize("which", ["line", "bundled"])
+    # line-cut: the horizon ends the episode with aircraft still enroute
+    @pytest.mark.parametrize("which", ["line", "bundled", "line-cut"])
     def test_collect_rollout_equals_per_agent_loop(self, which, mode, line_scenario,
                                                    request):
-        scenario = line_scenario if which == "line" else request.getfixturevalue(
+        scenario = line_scenario if which != "bundled" else request.getfixturevalue(
             "bundled_scenario")
+        sim = SimConfig(max_episode_time_s=400.0) if which == "line-cut" else SimConfig()
         params = None if mode == "hold" else nnet.init_params(8, 21)
         rc = RewardConfig.for_layers(scenario.network.layers, 0.5)
 
         def run(fn):
-            return fn(scenario, params, SimConfig(), rc, rng=np.random.default_rng(4),
+            return fn(scenario, params, sim, rc, rng=np.random.default_rng(4),
                       greedy=mode == "greedy")
 
         batch = run(collect_rollout)
@@ -158,6 +166,8 @@ class TestBatchedTickMatchesReference:
         for ac_id, recs in records.items():
             rows = range(len(batch.actions))[batch.agent_slices[ac_id]]
             assert len(rows) == len(recs)
+            # done exactly at an agent's last transition, where GAE bootstraps 0
+            assert [rec["done"] for rec in recs] == [False] * (len(recs) - 1) + [True]
             for i, rec in zip(rows, recs):
                 n = rec["intr"].shape[0]
                 assert np.array_equal(batch.own[i], rec["own"])
@@ -167,7 +177,6 @@ class TestBatchedTickMatchesReference:
                 assert tuple(batch.act_mask[i]) == rec["act_mask"]
                 assert batch.actions[i] == rec["action"]
                 assert batch.rewards[i] == rec["reward"]
-                assert batch.dones[i] == rec["done"]
                 # float64 GEMM may sum a batch in another order than one row
                 assert batch.old_logp[i] == pytest.approx(rec["logp"], rel=0, abs=1e-12)
                 assert batch.values[i] == pytest.approx(rec["value"], rel=0, abs=1e-12)
@@ -199,13 +208,13 @@ class TestBatchedTickMatchesReference:
 
 class TestComputeAdvantages:
     def test_single_done_transition(self):
-        batch = fake_batch([2.5], [1.0], [True])
+        batch = fake_batch([2.5], [1.0])
         adv, ret = compute_advantages(batch, 0.99, 0.95)
         # normalized advantage is 0 for a single sample; return target = adv_raw + v
         assert ret[0] == pytest.approx(2.5)
 
     def test_all_zero_rewards_and_values(self):
-        batch = fake_batch([0, 0, 0], [0, 0, 0], [False, False, True])
+        batch = fake_batch([0, 0, 0], [0, 0, 0])
         adv, ret = compute_advantages(batch, 0.99, 0.95)
         assert np.allclose(ret, 0.0)
 
@@ -213,7 +222,7 @@ class TestComputeAdvantages:
         # gamma = lambda = 1: advantage_t = sum of rewards from t - value_t
         rewards = [1.0, 2.0, 3.0]
         values = [0.5, -0.25, 0.125]
-        batch = fake_batch(rewards, values, [False, False, True])
+        batch = fake_batch(rewards, values)
         adv, ret = compute_advantages(batch, 1.0, 1.0)
         raw = ret - np.array(values)
         expected = [sum(rewards[t:]) - values[t] for t in range(3)]
@@ -222,11 +231,45 @@ class TestComputeAdvantages:
     def test_normalization(self):
         rng = np.random.default_rng(0)
         n = 50
-        batch = fake_batch(rng.normal(size=n), rng.normal(size=n),
-                           [False] * (n - 1) + [True])
+        batch = fake_batch(rng.normal(size=n), rng.normal(size=n))
         adv, _ = compute_advantages(batch, 0.99, 0.95)
         assert adv.mean() == pytest.approx(0.0, abs=1e-9)
         assert adv.std() == pytest.approx(1.0, abs=1e-6)
+
+
+def reference_advantages(rewards, values, dones, gamma, gae_lambda):
+    """GAE over one flat buffer with an explicit done flag per row: no
+    bootstrap from, and no accumulation across, a done row."""
+    adv = np.zeros_like(rewards)
+    acc = 0.0
+    for i in range(len(rewards) - 1, -1, -1):
+        nxt = 0.0 if dones[i] else values[i + 1]
+        delta = rewards[i] + gamma * nxt - values[i]
+        acc = delta + gamma * gae_lambda * (0.0 if dones[i] else acc)
+        adv[i] = acc
+    return (adv - adv.mean()) / (adv.std() + 1e-8), adv + values
+
+
+@st.composite
+def advantage_cases(draw):
+    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    n = sum(lengths)
+    finite = st.floats(-10.0, 10.0)
+    rewards = np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+    values = np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+    return lengths, rewards, values, draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+
+
+class TestAdvantagesProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(advantage_cases())
+    def test_equals_done_flag_reference(self, case):
+        lengths, rewards, values, gamma, gae_lambda = case
+        dones = np.zeros(len(rewards), dtype=bool)
+        dones[np.cumsum(lengths) - 1] = True  # each agent's last row
+        adv, ret = compute_advantages(fake_batch(rewards, values, lengths), gamma, gae_lambda)
+        ref_adv, ref_ret = reference_advantages(rewards, values, dones, gamma, gae_lambda)
+        assert np.array_equal(adv, ref_adv) and np.array_equal(ret, ref_ret)
 
 
 class TestTrain:
@@ -302,7 +345,9 @@ def checkpoint_cases(draw):
                      value_coef=draw(st.floats(-1.0, 1.0)), hidden=hidden,
                      seed=draw(st.integers(0, 2**31)),
                      checkpoint_interval=draw(st.integers(0, 100)))
-    levels = draw(st.lists(st.floats(100.0, 10000.0), min_size=2, max_size=7, unique=True))
+    # Within the NPD domain (from 200 ft), and apart, so that noise falls
+    # from the lowest layer to the highest, as RewardConfig requires.
+    levels = draw(st.lists(st.floats(200.0, 10000.0), min_size=2, max_size=7, unique_by=round))
     layers = AltitudeLayerSet(tuple(sorted(levels)))
     rc = RewardConfig.for_layers(layers, draw(unit), lam=draw(st.floats(0.0, 10.0)),
                                  d_los_m=draw(positive), d_comm_m=draw(positive),
