@@ -25,6 +25,7 @@ from .rl import TraceRow, TrainConfig, attribute_layers, collect_rollout
 from .sim import Action, SimConfig
 
 TRACE_COLUMNS = ("t", "id", "x", "y", "z_ft", "action", "b_changing")
+COORD_COLUMNS = ("t", "x", "y", "z_ft")  # read_trace rejects non-finite values here
 
 
 @dataclass
@@ -56,9 +57,12 @@ def read_trace(path) -> list[TraceRow]:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             for rec in reader:
-                rows.append(TraceRow(float(rec["t"]), rec["id"], float(rec["x"]),
-                                     float(rec["y"]), float(rec["z_ft"]),
-                                     Action(int(rec["action"])),
+                t, x, y, z_ft = coords = [float(rec[col]) for col in COORD_COLUMNS]
+                for col, value in zip(COORD_COLUMNS, coords):
+                    if not math.isfinite(value):
+                        raise ValidationError(f"trace {path} line {reader.line_num}: "
+                                              f"{col} must be finite, got {value}")
+                rows.append(TraceRow(t, rec["id"], x, y, z_ft, Action(int(rec["action"])),
                                      bool(int(rec["b_changing"]))))
     except (OSError, KeyError, ValueError) as exc:
         raise ValidationError(f"cannot read trace {path}: {exc}") from exc

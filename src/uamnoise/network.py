@@ -75,10 +75,6 @@ class Route:
     origin: str
     destination: str
 
-    @property
-    def key(self) -> tuple[str, ...]:
-        return self.link_ids
-
 
 @dataclass(frozen=True)
 class Flight:
@@ -336,12 +332,12 @@ def routes_related(network: Network, r1: Route, r2: Route) -> bool:
 
 def route_intersections(network: Network, routes: list[Route]) -> set[
         tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Symmetric relation over route keys, as the set of related key pairs."""
+    """Symmetric relation over routes' link chains, as the set of related pairs."""
     relation = set()
     for i, r1 in enumerate(routes):
         for r2 in routes[i:]:
             if routes_related(network, r1, r2):
-                relation |= {(r1.key, r2.key), (r2.key, r1.key)}
+                relation |= {(r1.link_ids, r2.link_ids), (r2.link_ids, r1.link_ids)}
     return relation
 
 

@@ -40,14 +40,13 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0 or not 0.0 <= self.gae_lambda <= 1.0:
             raise ValidationError("gamma and gae_lambda must lie in [0, 1]")
-        if not (math.isfinite(self.clip_eps) and self.clip_eps > 0):
-            raise ValidationError(f"TrainConfig.clip_eps must be finite and positive, "
-                                  f"got {self.clip_eps}")
         for name in ("entropy_coef", "value_coef"):
             if not math.isfinite(value := getattr(self, name)):
                 raise ValidationError(f"TrainConfig.{name} must be finite, got {value}")
-        if not self.learning_rate > 0:
-            raise ValidationError("TrainConfig.learning_rate must be positive")
+        for name in ("clip_eps", "learning_rate"):
+            if not (math.isfinite(value := getattr(self, name)) and value > 0):
+                raise ValidationError(f"TrainConfig.{name} must be finite and positive, "
+                                      f"got {value}")
         for name in ("hidden", "epochs", "minibatch_size"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"TrainConfig.{name} must be at least 1")

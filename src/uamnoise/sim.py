@@ -10,7 +10,7 @@ Altitudes live in feet; positions in meters. Altitude is converted to meters
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from operator import attrgetter
@@ -100,9 +100,11 @@ class World:
     the queries read the index instead of scanning every aircraft.
 
     x-order invariant: ``_by_x``, when set, holds the enroute aircraft sorted
-    by x (stably, so equal x keep enroute order). Positions and membership
-    change only in those same two methods, and each clears it, so
-    ``detect_los`` and ``neighbors`` share one sort per world state.
+    by x (stably, so equal x keep enroute order), and ``_near``, when set, maps
+    each enroute id to its ``neighbors`` list. Positions and membership change
+    only in those same two methods, and each clears both, so ``detect_los``
+    and ``neighbors`` share one sort, and every neighbour list is built in
+    one pass, per world state.
     """
 
     def __init__(self, scenario: Scenario, config: SimConfig):
@@ -124,11 +126,12 @@ class World:
         self._next = 0
         self._enroute: list[AircraftState] = []
         self._by_x: list[AircraftState] | None = None
+        self._near: dict[str, list[tuple[float, AircraftState]]] | None = None
 
         # Frozen route geometry: polyline points and cumulative lengths.
         self._polylines: dict[tuple[str, ...], tuple[list[tuple[float, float]], list[float]]] = {}
         for route in scenario.routes.values():
-            if route.key in self._polylines:
+            if route.link_ids in self._polylines:
                 continue
             pts = []
             for vid in route_nodes(self.net, route):
@@ -137,9 +140,9 @@ class World:
             cum = [0.0]
             for a, b in zip(pts, pts[1:]):
                 cum.append(cum[-1] + math.hypot(b[0] - a[0], b[1] - a[1]))
-            self._polylines[route.key] = (pts, cum)
+            self._polylines[route.link_ids] = (pts, cum)
 
-        unique_routes = list({r.key: r for r in scenario.routes.values()}.values())
+        unique_routes = list({r.link_ids: r for r in scenario.routes.values()}.values())
         self._relation = route_intersections(self.net, unique_routes)
 
         self.los_events: list[LosEvent] = []
@@ -164,10 +167,6 @@ class World:
             return True
         return self._next == len(self._queue) and not self._enroute
 
-    def routes_related(self, id_a: str, id_b: str) -> bool:
-        key = (self.aircraft[id_a].route.key, self.aircraft[id_b].route.key)
-        return key in self._relation
-
     def distance_3d_m(self, a: AircraftState, b: AircraftState) -> float:
         dz_m = (a.z_ft - b.z_ft) * FT_TO_M
         return math.hypot(math.hypot(a.x_m - b.x_m, a.y_m - b.y_m), dz_m)
@@ -182,9 +181,9 @@ class World:
         while self._next < len(self._queue) and self._queue[self._next][0] <= t:
             ac = self._queue[self._next][1]
             self._next += 1
-            self._by_x = None
+            self._by_x = self._near = None
             insort(self._enroute, ac, key=lambda a: self._flight_index[a.id])
-            pts, _ = self._polylines[ac.route.key]
+            pts, _ = self._polylines[ac.route.link_ids]
             ac.phase = Phase.ENROUTE
             ac.dist_along_m = 0.0
             ac.x_m, ac.y_m = pts[0]
@@ -210,10 +209,10 @@ class World:
         """Moves each enroute aircraft along its polyline and toward its target
         layer, snapping without overshoot. Arrivals leave the enroute index."""
         rate_fps = self.config.climb_rate_fpm / 60.0
-        self._by_x = None
+        self._by_x = self._near = None
         still_enroute = []
         for ac in self._enroute:
-            pts, cum = self._polylines[ac.route.key]
+            pts, cum = self._polylines[ac.route.link_ids]
             ac.dist_along_m += self.config.cruise_speed_mps * dt
             if ac.dist_along_m >= cum[-1]:
                 ac.phase = Phase.ARRIVED
@@ -239,60 +238,56 @@ class World:
                     ac.z_ft += math.copysign(step_ft, delta)
         self._enroute = still_enroute
 
-    def _x_order(self) -> list[AircraftState]:
-        """The enroute aircraft sorted by x (see the class docstring)."""
+    def _x_pairs(self, reach: float):
+        """Each enroute pair (a, b) once, a before b in the x-order (see the
+        class docstring), with b.x_m - a.x_m <= reach: one sweep whose window
+        start only moves forward, since x rises along the order."""
         if self._by_x is None:
             self._by_x = sorted(self._enroute, key=attrgetter("x_m"))
-        return self._by_x
+        by_x = self._by_x
+        start = 0
+        for j, b in enumerate(by_x):
+            while b.x_m - by_x[start].x_m > reach:
+                start += 1
+            for a in by_x[start:j]:
+                yield a, b
 
     def neighbors(self, ac_id: str) -> list[tuple[float, AircraftState]]:
         """(3-D distance in m, aircraft) for each enroute aircraft within d_comm
         planar range on a related route, ascending by distance (id tie-break).
 
-        Only the x-order window with |dx| <= d_comm is examined; planar range
-        implies it, since hypot is never below either leg."""
-        own = self.aircraft[ac_id]
-        if own.phase is not Phase.ENROUTE:
+        The first call in a world state builds every enroute aircraft's list
+        from one sweep of pairs with |dx| <= d_comm (planar range implies it,
+        since hypot is never below either leg), measuring each pair once: the
+        distance is bitwise symmetric, as negation is exact and hypot takes
+        magnitudes. Later calls in that state are lookups."""
+        if self.aircraft[ac_id].phase is not Phase.ENROUTE:
             raise SimulationError(f"aircraft '{ac_id}' is not enroute")
-        by_x = self._x_order()
-        d_comm = self.config.d_comm_m
-
-        def dx(other: AircraftState) -> float:
-            return other.x_m - own.x_m
-
-        # dx rises along by_x, so the window's ends bisect exactly.
-        lo = bisect_left(by_x, -d_comm, key=dx)
-        hi = bisect_right(by_x, d_comm, lo=lo, key=dx)
-        found = []
-        for other in by_x[lo:hi]:
-            if other is own:
-                continue
-            planar = math.hypot(own.x_m - other.x_m, own.y_m - other.y_m)
-            if planar <= d_comm and self.routes_related(ac_id, other.id):
-                found.append((self.distance_3d_m(own, other), other))
-        found.sort(key=lambda rec: (rec[0], rec[1].id))
-        return found
+        if self._near is None:
+            d_comm, relation = self.config.d_comm_m, self._relation
+            near = {ac.id: [] for ac in self._enroute}
+            for a, b in self._x_pairs(d_comm):
+                if (math.hypot(a.x_m - b.x_m, a.y_m - b.y_m) <= d_comm
+                        and (a.route.link_ids, b.route.link_ids) in relation):
+                    d = self.distance_3d_m(a, b)
+                    near[a.id].append((d, b))
+                    near[b.id].append((d, a))
+            for found in near.values():
+                found.sort(key=lambda rec: (rec[0], rec[1].id))
+            self._near = near
+        return list(self._near[ac_id])
 
     def detect_los(self) -> list[tuple[str, str, float]]:
         """All enroute pairs closer than d_los in 3-D, as (id_a, id_b, dist),
         ordered by the pair's enroute positions. Not route-filtered:
         separation is violated by geometry alone.
 
-        A sweep over the x-order tests only pairs with dx < d_los; the cut-off
-        is exact, since the 3-D distance is never below |dx|."""
-        by_x = self._x_order()
+        Only pairs with |dx| <= d_los are measured; the cut-off is exact, since
+        the 3-D distance is never below |dx|."""
         d_los, index = self.config.d_los_m, self._flight_index
-        hits = []  # (first, second, d), the pair in enroute order
-        start = 0
-        for j, b in enumerate(by_x):
-            while b.x_m - by_x[start].x_m >= d_los:
-                start += 1
-            for a in by_x[start:j]:
-                pair = (a, b) if index[a.id] < index[b.id] else (b, a)
-                d = self.distance_3d_m(*pair)
-                if d < d_los:
-                    hits.append((*pair, d))
-        hits.sort(key=lambda hit: (index[hit[0].id], index[hit[1].id]))
+        hits = [(a, b, d) for a, b in self._x_pairs(d_los)
+                if (d := self.distance_3d_m(a, b)) < d_los]
+        hits.sort(key=lambda hit: sorted((index[hit[0].id], index[hit[1].id])))
         return [(*sorted((a.id, b.id)), d) for a, b, d in hits]
 
     def _update_los_bookkeeping(self, violations) -> None:

@@ -233,6 +233,29 @@ class TestNoiseCommands:
         assert len(rows) > 1
 
 
+@pytest.mark.parametrize("column, value", [
+    ("z_ft", "nan"), ("z_ft", "inf"), ("t", "nan"), ("x", "nan"),
+])
+def test_noise_report_rejects_non_finite_trace_value(runner, scenario_file, tmp_path,
+                                                     column, value):
+    trace = tmp_path / "trace.csv"
+    runner.invoke(main, ["simulate", "--scenario", scenario_file, "--policy",
+                         "baseline:hold", "--seed", "0", "--trace", str(trace)])
+    with open(trace, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[2][column] = value  # the fourth line of the file
+    with open(trace, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    out = tmp_path / "zones.csv"
+    result = runner.invoke(main, ["noise-report", "--trace", str(trace),
+                                  "--scenario", scenario_file, "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert f"trace {trace} line 4: {column} must be finite, got {value}" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     "simulate --out", "simulate --trace", "train --out", "train --metrics-log",
     "eval --out", "noise-report --out", "fit-npd --out", "sweep --out-dir",
@@ -272,7 +295,7 @@ def test_unwritable_output_path_exits_1(runner, scenario_file, tmp_path, command
 
 
 @pytest.mark.parametrize("field, value", [
-    ("hidden", "0"), ("learning_rate", "-1"), ("iterations", "-3"),
+    ("hidden", "0"), ("learning_rate", "-1"), ("learning_rate", "inf"), ("iterations", "-3"),
     ("minibatch_size", "0"), ("epochs", "0"), ("checkpoint_interval", "-1"),
     ("clip_eps", "nan"), ("clip_eps", "inf"), ("entropy_coef", "nan"), ("value_coef", "inf"),
 ])

@@ -1,14 +1,15 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from uamnoise.errors import SimulationError, ValidationError
 from uamnoise.mdp import N_MAX_INTRUDERS, RewardConfig, observe
 from uamnoise.network import (AltitudeLayerSet, Flight, Network, Scenario, build_route,
-                              generate_scenario)
+                              generate_scenario, routes_related)
 from uamnoise.sim import (FT_TO_M, Action, AircraftState, LosEvent, Phase, SimConfig, World,
                           action_mask)
 
@@ -222,8 +223,9 @@ class TestDetectLos:
 
 
 class TestSweepCutoffs:
-    """The x-order sweep stops at |dx| == d_los (LOS needs d < d_los) and keeps
-    |dx| == d_comm (range is d <= d_comm); equal x exercise the sort's ties."""
+    """The x-order sweep keeps every pair with |dx| <= its reach: a pair at
+    |dx| == d_los is measured and rejected (LOS needs d < d_los), one at
+    |dx| == d_comm is in range (d <= d_comm); equal x exercise the sort's ties."""
 
     def place(self, xs, **cfg):
         world = make_world(n=len(xs), od=[("A", "C"), ("C", "A")], spacing=0.0, **cfg)
@@ -256,6 +258,35 @@ class TestSweepCutoffs:
         world = self.place([5000.0, x, x], d_comm_m=d_comm)
         ids = [[other.id for _, other in world.neighbors(aid)] for aid in world.enroute_ids()]
         assert ids == [[], ["AC003"], ["AC002"]]
+
+
+class TestOnePairPass:
+    def test_each_pair_measured_once_per_world_state(self, monkeypatch):
+        world = make_world(n=14, spacing=0.0)
+        world.spawn_due_aircraft()
+        for k, aid in enumerate(world.enroute_ids()):
+            world.aircraft[aid].x_m = 150.0 * k
+        calls = []
+        measure = World.distance_3d_m
+        monkeypatch.setattr(World, "distance_3d_m",
+                            lambda self, a, b: calls.append((a, b)) or measure(self, a, b))
+        found = sum(len(world.neighbors(aid)) for aid in world.enroute_ids())
+        assert found == 14 * 13  # all related (A-C and C-A share vertiports), all in range
+        assert len(calls) == found // 2
+        assert len({frozenset((a.id, b.id)) for a, b in calls}) == found // 2
+        calls.clear()
+        assert sum(len(world.neighbors(aid)) for aid in world.enroute_ids()) == found
+        assert calls == []
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6))
+    @example([1e308, -1e308, 5e-324, -1e308, 1e308, -5e-324])
+    def test_distance_is_bitwise_symmetric(self, coords):
+        world = make_world()
+        world.spawn_due_aircraft()
+        a, b = (world.aircraft[aid] for aid in world.enroute_ids())
+        (a.x_m, a.y_m, a.z_ft), (b.x_m, b.y_m, b.z_ft) = coords[:3], coords[3:]
+        d_ab, d_ba = world.distance_3d_m(a, b), world.distance_3d_m(b, a)
+        assert struct.pack("<d", d_ab) == struct.pack("<d", d_ba)
 
 
 class TestStep:
@@ -332,7 +363,7 @@ def scan_neighbors(world, ac_id):
     for other in scan_enroute(world):
         planar = math.hypot(own.x_m - other.x_m, own.y_m - other.y_m)
         if (other is not own and planar <= world.config.d_comm_m
-                and world.routes_related(ac_id, other.id)):
+                and routes_related(world.net, own.route, other.route)):
             found.append((world.distance_3d_m(own, other), other.id))
     return sorted(found)
 
@@ -464,7 +495,7 @@ def scan_observe(world, ac_id, config):
     for other in scan_enroute(world):
         planar = math.hypot(ac.x_m - other.x_m, ac.y_m - other.y_m)
         if (other is ac or planar > world.config.d_comm_m
-                or not world.routes_related(ac_id, other.id)):
+                or not routes_related(world.net, ac.route, other.route)):
             continue
         d = math.hypot(planar, (ac.z_ft - other.z_ft) * FT_TO_M)
         rows.append((d, other.id, [(other.z_ft - ac.z_ft) / span, d / config.d_comm_m,
