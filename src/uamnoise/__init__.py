@@ -17,6 +17,6 @@ from importlib.resources import files as _files
 __version__ = "0.1.0"
 
 
-def bundled_scenario_path(name: str = "south_austin") -> str:
-    """Filesystem path of a bundled scenario file."""
-    return str(_files("uamnoise").joinpath("data", f"{name}.json"))
+def bundled_scenario_path() -> str:
+    """Filesystem path of the bundled scenario file."""
+    return str(_files("uamnoise").joinpath("data", "south_austin.json"))

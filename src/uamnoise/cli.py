@@ -211,8 +211,14 @@ def fit_npd_cmd(samples_path, out_path):
     samples = []
     try:
         with open(samples_path, newline="") as fh:
-            for rec in csv.DictReader(fh):
-                samples.append(NoiseSample(float(rec["distance_ft"]), float(rec["level_db"])))
+            reader = csv.DictReader(fh)
+            for rec in reader:
+                try:
+                    samples.append(NoiseSample(float(rec["distance_ft"]),
+                                               float(rec["level_db"])))
+                except ValidationError as exc:
+                    raise ValidationError(f"samples {samples_path} line {reader.line_num}: "
+                                          f"{exc}") from exc
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"cannot read samples {samples_path}: {exc}") from exc
     c0, c1, c2, rms = fit_npd(samples)

@@ -7,13 +7,13 @@ neighbors. A single tradeoff weight rho blends the two.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .network import AltitudeLayerSet
-from .noise import Condition, NpdModel, single_event_level
+from .noise import Condition, single_event_level
 from .sim import FT_TO_M, AircraftState, Phase, World
 
 #: Nearest intruders kept in an observation; bounds compute and input size.
@@ -36,7 +36,6 @@ class RewardConfig:
     d_los_m: float = 150.0
     d_comm_m: float = 2500.0
     condition: Condition = Condition.L_CENTERLINE
-    npd: NpdModel = field(default_factory=NpdModel)
     layers: InitVar[AltitudeLayerSet] = AltitudeLayerSet()
 
     def __post_init__(self, layers):
@@ -51,8 +50,8 @@ class RewardConfig:
                                       f"got {value}")
         self.layers = layers
         # Loudest/quietest single-event levels over the layer range, cached.
-        self.n_max_noise = single_event_level(self.npd, self.condition, layers.z_min)
-        self.n_min_noise = single_event_level(self.npd, self.condition, layers.z_max)
+        self.n_max_noise = single_event_level(self.condition, layers.z_min)
+        self.n_min_noise = single_event_level(self.condition, layers.z_max)
         if not self.n_max_noise > self.n_min_noise:
             raise ValidationError("noise level must decrease from z_min to z_max")
 
@@ -94,7 +93,7 @@ def reward_noise(z_ft: float, config: RewardConfig) -> float:
     """
     if not config.layers.z_min <= z_ft <= config.layers.z_max:
         raise ValidationError(f"altitude {z_ft} ft outside layer bounds")
-    n = single_event_level(config.npd, config.condition, z_ft)
+    n = single_event_level(config.condition, z_ft)
     return -(n - config.n_min_noise) / (config.n_max_noise - config.n_min_noise)
 
 
@@ -105,9 +104,10 @@ def reward_separation(intr: np.ndarray, config: RewardConfig) -> float:
     Vertical proximity is judged in meters: with 500 ft (152.4 m) layer gaps
     and d_los = 150 m, only same-layer intruders can trigger the penalty.
     """
+    span, d_los = config.span_ft, config.d_los_m
     count = 0
     for z_rel in intr[:, 0].tolist():
-        if abs(z_rel) * config.span_ft * FT_TO_M < config.d_los_m:
+        if abs(z_rel) * span * FT_TO_M < d_los:
             count += 1
     return -min(config.lam * count, 1.0)
 

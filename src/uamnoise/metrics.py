@@ -20,7 +20,7 @@ from . import rl
 from .errors import ValidationError
 from .mdp import RewardConfig
 from .network import AltitudeLayerSet, Network, Scenario
-from .noise import NO_CONTRIBUTION, Condition, NpdModel, zone_noise_report
+from .noise import NO_CONTRIBUTION, zone_noise_report
 from .rl import TraceRow, TrainConfig, attribute_layers, collect_rollout
 from .sim import Action, SimConfig
 
@@ -124,15 +124,11 @@ def nearest_link(segments: tuple, xs: list[float], ys: list[float]) -> list[str]
     return [ids[k] for k in d.argmin(axis=1)]
 
 
-def zone_noise_series(
-    trace: list[TraceRow], network: Network,
-    model: NpdModel | None = None,
-    condition: Condition = Condition.L_CENTERLINE,
-) -> dict[str, list[tuple[float, float]]]:
+def zone_noise_series(trace: list[TraceRow],
+                      network: Network) -> dict[str, list[tuple[float, float]]]:
     """Per-zone cumulative increase at each decision tick. Slant distance is
     the aircraft's altitude (receiver directly beneath); each aircraft is
     attributed to the zone of its current (nearest) link."""
-    model = model or NpdModel()
     if not network.zones:
         return {}
     ticks: dict[float, list[TraceRow]] = {}
@@ -145,8 +141,7 @@ def zone_noise_series(
         rows = ticks[t]
         links = nearest_link(segments, [r.x_m for r in rows], [r.y_m for r in rows])
         report = zone_noise_report(
-            ambients, [(network.zone_of(lid), r.z_ft) for lid, r in zip(links, rows)],
-            model, condition)
+            ambients, [(network.zone_of(lid), r.z_ft) for lid, r in zip(links, rows)])
         for zid in series:
             series[zid].append((t, report[zid]))
     return series

@@ -288,7 +288,7 @@ class Adam:
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: Params, lr=3e-4):
+    def __init__(self, params: Params, lr: float):
         self.lr, self.t = lr, 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)

@@ -1,12 +1,15 @@
 """Single-event noise regression (quadratic in log-distance), refitting from
 sample points, and cumulative noise increase over zone ambient levels.
 
-Levels are A-weighted SEL in dB; distances are slant distances in feet.
+Levels are A-weighted SEL in dB; distances are slant distances in feet. The
+regression coefficients, their distance domain and the cumulative offset are
+fixed data of the reference vehicle, not configuration: fit_npd refits a curve
+from samples for inspection, and nothing reads its result back.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -14,8 +17,7 @@ import numpy as np
 from .errors import FitError, ValidationError
 
 # Offset subtracted when converting an energy sum of single events into the
-# cumulative level. Treated as an opaque calibration constant; override only
-# via the explicit argument.
+# cumulative level. Treated as an opaque calibration constant.
 CUMULATIVE_OFFSET_DB = 35.56
 
 #: Sentinel for "no aircraft contributed to this zone".
@@ -33,9 +35,9 @@ class Condition(Enum):
     A_SIDE = "Mode A - Side"
 
 
-# Built-in regression coefficients (c0, c1, c2) per condition for the NASA
-# RVLT quadrotor reference vehicle.
-DEFAULT_COEFFICIENTS: dict[Condition, tuple[float, float, float]] = {
+# Regression coefficients (c0, c1, c2) per condition for the NASA RVLT
+# quadrotor reference vehicle.
+COEFFICIENTS: dict[Condition, tuple[float, float, float]] = {
     Condition.L_CENTERLINE: (88.09, 3.21, -2.62),
     Condition.L_SIDE: (78.01, 7.26, -3.39),
     Condition.D_CENTERLINE: (84.05, 8.76, -4.18),
@@ -43,6 +45,9 @@ DEFAULT_COEFFICIENTS: dict[Condition, tuple[float, float, float]] = {
     Condition.A_CENTERLINE: (93.35, 5.17, -2.86),
     Condition.A_SIDE: (85.55, 6.83, -3.14),
 }
+
+#: Slant-distance domain (ft) of the regression; distances are clamped to it.
+Z_LO_FT, Z_HI_FT = 200.0, 20000.0
 
 
 @dataclass(frozen=True)
@@ -53,37 +58,23 @@ class NoiseSample:
     level_db: float
 
     def __post_init__(self):
-        if self.distance_ft <= 0:
-            raise ValidationError(f"sample distance must be positive, got {self.distance_ft}")
+        if not (math.isfinite(self.distance_ft) and self.distance_ft > 0):
+            raise ValidationError(f"distance_ft must be finite and positive, "
+                                  f"got {self.distance_ft}")
+        if not math.isfinite(self.level_db):
+            raise ValidationError(f"level_db must be finite, got {self.level_db}")
 
 
-@dataclass(frozen=True)
-class NpdModel:
-    """Per-condition (c0, c1, c2) coefficients with a valid distance domain."""
-
-    coefficients: dict[Condition, tuple[float, float, float]] = field(
-        default_factory=lambda: dict(DEFAULT_COEFFICIENTS)
-    )
-    z_lo_ft: float = 200.0
-    z_hi_ft: float = 20000.0
-
-    def __post_init__(self):
-        if not self.z_lo_ft < self.z_hi_ft:
-            raise ValidationError(
-                f"distance domain invalid: [{self.z_lo_ft}, {self.z_hi_ft}]"
-            )
-
-
-def single_event_level(model: NpdModel, condition: Condition, slant_distance_ft: float) -> float:
-    """A-weighted SEL at a slant distance; distance clamped to the model domain.
+def single_event_level(condition: Condition, slant_distance_ft: float) -> float:
+    """A-weighted SEL at a slant distance; distance clamped to [Z_LO_FT, Z_HI_FT].
 
     Clamping (rather than extrapolating) prevents the quadratic's unphysical
     rise below the fitted range.
     """
     if slant_distance_ft <= 0:
         raise ValidationError(f"slant distance must be positive, got {slant_distance_ft}")
-    z = min(max(slant_distance_ft, model.z_lo_ft), model.z_hi_ft)
-    c0, c1, c2 = model.coefficients[condition]
+    z = min(max(slant_distance_ft, Z_LO_FT), Z_HI_FT)
+    c0, c1, c2 = COEFFICIENTS[condition]
     lz = math.log10(z)
     return c0 + c1 * lz + c2 * lz * lz
 
@@ -104,9 +95,7 @@ def fit_npd(samples: list[NoiseSample]) -> tuple[float, float, float, float]:
     return float(coef[0]), float(coef[1]), float(coef[2]), rms
 
 
-def cumulative_increase(
-    levels_db: list[float], ambient_db: float, offset_db: float = CUMULATIVE_OFFSET_DB
-) -> float:
+def cumulative_increase(levels_db: list[float], ambient_db: float) -> float:
     """Cumulative noise increase over ambient from a set of single-event levels.
 
     Empty input returns NO_CONTRIBUTION (-inf). Inputs are summed in
@@ -117,24 +106,24 @@ def cumulative_increase(
     energy = 0.0
     for level in sorted(levels_db, reverse=True):
         energy += 10.0 ** (level / 10.0)
-    return 10.0 * math.log10(energy) - offset_db - ambient_db
+    return 10.0 * math.log10(energy) - CUMULATIVE_OFFSET_DB - ambient_db
 
 
-def zone_noise_report(
-    zone_ambients: dict[str, float],
-    aircraft: list[tuple[str, float]],
-    model: NpdModel,
-    condition: Condition = Condition.L_CENTERLINE,
-) -> dict[str, float]:
-    """Per-zone cumulative increase for (zone id, slant distance ft) entries.
+def zone_noise_report(zone_ambients: dict[str, float],
+                      aircraft: list[tuple[str, float]]) -> dict[str, float]:
+    """Per-zone cumulative increase for (zone id, slant distance ft) entries,
+    on the Mode L centerline curve.
 
-    Zones with no aircraft map to NO_CONTRIBUTION.
+    The curve is fixed because a trace does not record the condition of the
+    reward that produced it, so a report recomputed from the trace must read
+    every run off the same curve. Zones with no aircraft map to
+    NO_CONTRIBUTION.
     """
     per_zone: dict[str, list[float]] = {zid: [] for zid in zone_ambients}
     for zid, dist in aircraft:
         if zid not in per_zone:
             raise ValidationError(f"unknown noise zone '{zid}'")
-        per_zone[zid].append(single_event_level(model, condition, dist))
+        per_zone[zid].append(single_event_level(Condition.L_CENTERLINE, dist))
     return {
         zid: cumulative_increase(levels, zone_ambients[zid])
         for zid, levels in per_zone.items()

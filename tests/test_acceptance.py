@@ -17,9 +17,8 @@ from uamnoise.cli import main as cli_main
 from uamnoise.mdp import (INTRUDER_DIM, RewardConfig, reward_noise, reward_separation,
                           reward_total)
 from uamnoise.network import generate_scenario, save_scenario
-from uamnoise.noise import (DEFAULT_COEFFICIENTS, Condition, NoiseSample,
-                            NpdModel, cumulative_increase, fit_npd,
-                            single_event_level)
+from uamnoise.noise import (COEFFICIENTS, Condition, NoiseSample, cumulative_increase,
+                            fit_npd, single_event_level)
 from uamnoise.rl import TrainConfig
 from uamnoise.sim import Action, Phase, SimConfig, World
 
@@ -36,21 +35,18 @@ def criterion(num, desc):
     print(f"[PASS] criterion {num}: {desc}")
 
 
-MODEL = NpdModel()
-
-
 def test_criterion_01_noise_golden_values():
     with criterion(1, "noise golden values at 200/1000/3000/20000 ft"):
         for z_ft, expected in ((1000.0, 74.14), (3000.0, 67.57),
                                (200.0, 81.60), (20000.0, 53.43)):
-            level = single_event_level(MODEL, Condition.L_CENTERLINE, z_ft)
+            level = single_event_level(Condition.L_CENTERLINE, z_ft)
             assert level == pytest.approx(expected, abs=0.01), (z_ft, level)
 
 
 def test_criterion_02_npd_fit_recovery():
     with criterion(2, "fit recovers all six coefficient rows within 1e-6"):
         distances = np.geomspace(200.0, 20000.0, 12)
-        for cond, (c0, c1, c2) in DEFAULT_COEFFICIENTS.items():
+        for cond, (c0, c1, c2) in COEFFICIENTS.items():
             samples = []
             for z in distances:
                 lz = math.log10(z)

@@ -218,6 +218,27 @@ class TestNoiseCommands:
                                       "--out", str(tmp_path / "m.json")])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("column, value, message", [
+        ("distance_ft", "nan", "distance_ft must be finite and positive, got nan"),
+        ("distance_ft", "inf", "distance_ft must be finite and positive, got inf"),
+        ("level_db", "inf", "level_db must be finite, got inf"),
+    ], ids=["distance-nan", "distance-inf", "level-inf"])
+    def test_fit_npd_rejects_non_finite_sample(self, runner, tmp_path, column, value,
+                                               message):
+        rows = [{"distance_ft": z, "level_db": lv}
+                for z, lv in (("200", "80"), ("1000", "70"), ("5000", "60"), ("9000", "55"))]
+        rows[1][column] = value  # the third line of the file
+        samples = tmp_path / "samples.csv"
+        with open(samples, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=["distance_ft", "level_db"])
+            writer.writeheader()
+            writer.writerows(rows)
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, ["fit-npd", "--samples", str(samples), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert f"samples {samples} line 3: {message}" in result.output
+        assert not out.exists()
+
     def test_noise_report(self, runner, scenario_file, tmp_path):
         trace = tmp_path / "trace.csv"
         runner.invoke(main, [
@@ -392,6 +413,14 @@ def _negative_d_los(doc):
     doc["reward_config"]["d_los_m"] = -5
 
 
+def _null_npd(doc):
+    doc["reward_config"]["npd"] = None
+
+
+def _object_npd(doc):
+    doc["reward_config"]["npd"] = {}
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_break_b1, "weight tensor 'b1' has shape (1,), expected (4,)"),
     (_transpose_w1, "weight tensor 'w1' has shape (4, 6), expected (6, 4)"),
@@ -408,9 +437,12 @@ def _negative_d_los(doc):
     (_string_lam, "reward_config.lam must be a number, got '0.1'"),
     (_negative_lam, "RewardConfig.lam must be finite and non-negative, got -0.5"),
     (_negative_d_los, "RewardConfig.d_los_m must be finite and positive, got -5"),
+    (_null_npd, "unknown reward_config field(s) npd"),
+    (_object_npd, "unknown reward_config field(s) npd"),
 ], ids=["tensor-shape", "tensor-transposed", "hidden", "no-params", "unknown-field",
         "unknown-tensor", "ragged-tensor", "null-weight", "bad-condition", "list-document",
-        "string-hidden", "null-gamma", "string-lam", "negative-lam", "negative-d-los"])
+        "string-hidden", "null-gamma", "string-lam", "negative-lam", "negative-d-los",
+        "npd-null", "npd-object"])
 def test_malformed_checkpoint_exits_1(runner, scenario_file, tmp_path, corrupt, message):
     ck = tmp_path / "policy.json"
     result = runner.invoke(main, ["train", "--scenario", scenario_file, "--rho", "0.5",

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from uamnoise.errors import FitError, ValidationError
-from uamnoise.noise import (DEFAULT_COEFFICIENTS, NO_CONTRIBUTION, Condition,
-                            NoiseSample, NpdModel, cumulative_increase, fit_npd,
-                            single_event_level, zone_noise_report)
-
-MODEL = NpdModel()
+from uamnoise.noise import (COEFFICIENTS, CUMULATIVE_OFFSET_DB, NO_CONTRIBUTION, Condition,
+                            NoiseSample, cumulative_increase, fit_npd, single_event_level,
+                            zone_noise_report)
 
 
 def level(c0, c1, c2, z):
@@ -18,30 +16,30 @@ def level(c0, c1, c2, z):
 
 class TestSingleEventLevel:
     def test_centerline_1000ft(self):
-        assert single_event_level(MODEL, Condition.L_CENTERLINE, 1000.0) == pytest.approx(
+        assert single_event_level(Condition.L_CENTERLINE, 1000.0) == pytest.approx(
             88.09 + 3.21 * 3 - 2.62 * 9, abs=1e-9)
 
     def test_centerline_3000ft(self):
-        assert single_event_level(MODEL, Condition.L_CENTERLINE, 3000.0) == pytest.approx(
+        assert single_event_level(Condition.L_CENTERLINE, 3000.0) == pytest.approx(
             67.57, abs=0.01)
 
     def test_clamped_below_floor(self):
-        assert single_event_level(MODEL, Condition.L_CENTERLINE, 100.0) == \
-            single_event_level(MODEL, Condition.L_CENTERLINE, 200.0)
+        assert single_event_level(Condition.L_CENTERLINE, 100.0) == \
+            single_event_level(Condition.L_CENTERLINE, 200.0)
 
     def test_clamped_above_ceiling(self):
-        assert single_event_level(MODEL, Condition.A_SIDE, 50000.0) == \
-            single_event_level(MODEL, Condition.A_SIDE, 20000.0)
+        assert single_event_level(Condition.A_SIDE, 50000.0) == \
+            single_event_level(Condition.A_SIDE, 20000.0)
 
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ValidationError):
-            single_event_level(MODEL, Condition.L_CENTERLINE, 0.0)
+            single_event_level(Condition.L_CENTERLINE, 0.0)
 
     def test_monotone_decreasing_all_conditions(self):
         # 1-ft grid over the fitted domain
         zs = np.arange(200.0, 20001.0)
         for cond in Condition:
-            vals = [single_event_level(MODEL, cond, z) for z in zs]
+            vals = [single_event_level(cond, z) for z in zs]
             diffs = np.diff(vals)
             assert np.all(diffs < 0.0), cond
 
@@ -49,7 +47,7 @@ class TestSingleEventLevel:
 class TestFitNpd:
     def test_exact_recovery_all_conditions(self):
         dists = [200, 500, 1000, 2000, 5000, 10000, 20000]
-        for cond, (c0, c1, c2) in DEFAULT_COEFFICIENTS.items():
+        for cond, (c0, c1, c2) in COEFFICIENTS.items():
             samples = [NoiseSample(z, level(c0, c1, c2, z)) for z in dists]
             r0, r1, r2, rms = fit_npd(samples)
             assert abs(r0 - c0) < 1e-6 and abs(r1 - c1) < 1e-6 and abs(r2 - c2) < 1e-6
@@ -62,7 +60,7 @@ class TestFitNpd:
 
     def test_noisy_fit_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(11)
-        c0, c1, c2 = DEFAULT_COEFFICIENTS[Condition.D_SIDE]
+        c0, c1, c2 = COEFFICIENTS[Condition.D_SIDE]
         dists = np.array([200, 350, 700, 1500, 3000, 6000, 12000, 20000], dtype=float)
         noise = rng.uniform(-0.5, 0.5, len(dists))
         samples = [NoiseSample(z, level(c0, c1, c2, z) + e) for z, e in zip(dists, noise)]
@@ -105,37 +103,37 @@ class TestCumulativeIncrease:
             rng.shuffle(levels)
             assert cumulative_increase(levels, 42.0) == base
 
-    def test_offset_override(self):
-        assert cumulative_increase([74.14], 40.0, offset_db=0.0) == pytest.approx(
-            34.14, abs=1e-9)
+    def test_offset_subtracted(self):
+        assert cumulative_increase([74.14], 40.0) == pytest.approx(
+            34.14 - CUMULATIVE_OFFSET_DB, abs=1e-9)
 
 
 class TestZoneNoiseReport:
     AMBIENTS = {"Z1": 40.0, "Z2": 40.0, "Z3": 55.0}
 
     def test_single_aircraft(self):
-        rep = zone_noise_report(self.AMBIENTS, [("Z1", 1000.0)], MODEL)
+        rep = zone_noise_report(self.AMBIENTS, [("Z1", 1000.0)])
         assert rep["Z1"] == pytest.approx(-1.42, abs=0.01)
         assert rep["Z2"] == NO_CONTRIBUTION
         assert rep["Z3"] == NO_CONTRIBUTION
 
     def test_no_aircraft_all_sentinel(self):
-        rep = zone_noise_report(self.AMBIENTS, [], MODEL)
+        rep = zone_noise_report(self.AMBIENTS, [])
         assert all(v == NO_CONTRIBUTION for v in rep.values())
 
     def test_symmetric_zones(self):
-        rep = zone_noise_report(self.AMBIENTS, [("Z1", 1800.0), ("Z2", 1800.0)], MODEL)
+        rep = zone_noise_report(self.AMBIENTS, [("Z1", 1800.0), ("Z2", 1800.0)])
         assert rep["Z1"] == rep["Z2"]
 
     def test_unknown_zone_rejected(self):
         with pytest.raises(ValidationError):
-            zone_noise_report(self.AMBIENTS, [("Z9", 1000.0)], MODEL)
+            zone_noise_report(self.AMBIENTS, [("Z9", 1000.0)])
 
 
 class TestModelFile:
     def test_fit_round_trip_all_conditions(self):
         # synthesizing samples from stored coefficients reproduces them
-        for cond, (c0, c1, c2) in DEFAULT_COEFFICIENTS.items():
+        for cond, (c0, c1, c2) in COEFFICIENTS.items():
             samples = [NoiseSample(z, level(c0, c1, c2, z))
                        for z in (250, 600, 1200, 2500, 8000, 16000)]
             got = fit_npd(samples)[:3]

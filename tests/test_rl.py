@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -324,6 +327,16 @@ class TestCheckpointFile:
         p1, v1 = nnet.policy_forward(params, own, intr, (True, True, True))
         p2, v2 = nnet.policy_forward(restored, own, intr, (True, True, True))
         assert np.array_equal(p1, p2) and v1 == v2
+
+    def test_every_reward_field_saved(self, tmp_path, line_network):
+        # a RewardConfig field that save_checkpoint does not write would load
+        # back as its default, or be accepted from a file without being saved
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, nnet.init_params(4, 0), small_train_config(1, hidden=4),
+                        RewardConfig.for_layers(line_network.layers, 0.5),
+                        line_network.layers)
+        saved = set(json.loads(path.read_text())["reward_config"]) - {"z_min_ft", "z_max_ft"}
+        assert saved == {f.name for f in fields(RewardConfig)}
 
 
 @st.composite
