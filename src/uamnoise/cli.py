@@ -6,7 +6,6 @@ metrics' writers, checkpoints by rl.save_checkpoint.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import json
@@ -17,7 +16,7 @@ import click
 
 from . import metrics as metrics_mod
 from . import rl
-from .errors import ValidationError
+from .errors import ValidationError, check_number, to_number
 from .mdp import RewardConfig
 from .network import load_scenario
 from .noise import NoiseSample, fit_npd
@@ -165,7 +164,7 @@ def eval_cmd(scenario_path, checkpoint, seeds, out_path, **kw):
     params, reward = _load_policy(checkpoint, scenario)
     sim_cfg, reward_cfg, _ = _build_configs(scenario, kw, 0, **reward)
     episodes = []
-    for seed in _parse_int_list(seeds):
+    for seed in _parse_list("--seeds", seeds, int, low=0):
         episode, _ = metrics_mod.run_episode(
             params, scenario, sim_cfg, reward_cfg, seed=seed, greedy=True)
         episodes.append(episode)
@@ -187,10 +186,10 @@ def eval_cmd(scenario_path, checkpoint, seeds, out_path, **kw):
 @_handle_errors
 def sweep(scenario_path, rhos, iterations, seeds, out_dir, seed, **kw):
     """Train one policy per rho, evaluate over the seeds, emit tradeoff tables."""
+    rho_values = _parse_list("--rhos", rhos, float)
+    seed_values = _parse_list("--seeds", seeds, int, low=0)
     os.makedirs(out_dir, exist_ok=True)
     scenario = load_scenario(scenario_path)
-    rho_values = [float(tok) for tok in rhos.split(",") if tok != ""]
-    seed_values = _parse_int_list(seeds)
     sim_cfg, reward_cfg, train_cfg = _build_configs(scenario, kw, seed, iterations, rho=0.0)
     result = metrics_mod.sweep_rho(rho_values, scenario, train_cfg, sim_cfg, seed_values,
                                    lam=reward_cfg.lam)
@@ -208,19 +207,8 @@ def sweep(scenario_path, rhos, iterations, seeds, out_dir, seed, **kw):
 def fit_npd_cmd(samples_path, out_path):
     """Fit quadratic-in-log regression coefficients to noise samples."""
     _check_output_dirs(out_path)
-    samples = []
-    try:
-        with open(samples_path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for rec in reader:
-                try:
-                    samples.append(NoiseSample(float(rec["distance_ft"]),
-                                               float(rec["level_db"])))
-                except ValidationError as exc:
-                    raise ValidationError(f"samples {samples_path} line {reader.line_num}: "
-                                          f"{exc}") from exc
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"cannot read samples {samples_path}: {exc}") from exc
+    samples = metrics_mod.read_csv(samples_path, "samples", lambda rec: NoiseSample(
+        to_number(rec["distance_ft"]), to_number(rec["level_db"])))
     c0, c1, c2, rms = fit_npd(samples)
     metrics_mod.write_json(out_path, {"c0": c0, "c1": c1, "c2": c2, "rms_residual": rms})
     click.echo(f"c0={c0:.6g} c1={c1:.6g} c2={c2:.6g} rms={rms:.3g}")
@@ -242,11 +230,11 @@ def noise_report(trace_path, scenario_path, out_path):
     click.echo(f"wrote zone report to {out_path}")
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError as exc:
-        raise ValidationError(f"bad integer list '{text}'") from exc
+def _parse_list(option: str, text: str, kind, **rule) -> list:
+    """The comma-separated numbers of an option, each read as kind (int or
+    float) and passed by check_number with rule; empty items are skipped."""
+    return [check_number(f"{option} item", to_number(tok, kind), **rule,
+                         integer=kind is int) for tok in text.split(",") if tok != ""]
 
 
 if __name__ == "__main__":

@@ -6,12 +6,11 @@ neighbors. A single tradeoff weight rho blends the two.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 from .network import AltitudeLayerSet
 from .noise import Condition, single_event_level
 from .sim import FT_TO_M, AircraftState, Phase, World
@@ -39,15 +38,10 @@ class RewardConfig:
     layers: InitVar[AltitudeLayerSet] = AltitudeLayerSet()
 
     def __post_init__(self, layers):
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValidationError(f"rho must be in [0, 1], got {self.rho}")
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValidationError(f"RewardConfig.lam must be finite and non-negative, "
-                                  f"got {self.lam}")
+        check_number("RewardConfig.rho", self.rho, 0, 1)
+        check_number("RewardConfig.lam", self.lam, 0)
         for name in ("d_los_m", "d_comm_m"):
-            if not (math.isfinite(value := getattr(self, name)) and value > 0):
-                raise ValidationError(f"RewardConfig.{name} must be finite and positive, "
-                                      f"got {value}")
+            check_number(f"RewardConfig.{name}", getattr(self, name), 0, above=True)
         self.layers = layers
         # Loudest/quietest single-event levels over the layer range, cached.
         self.n_max_noise = single_event_level(self.condition, layers.z_min)
@@ -114,8 +108,6 @@ def reward_separation(intr: np.ndarray, config: RewardConfig) -> float:
 
 def reward_total(r_noise: float, r_sep: float, rho: float) -> float:
     """Affine blend of the two objectives."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValidationError(f"rho must be in [0, 1], got {rho}")
     return rho * r_noise + (1.0 - rho) * r_sep
 
 

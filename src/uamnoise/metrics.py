@@ -17,15 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rl
-from .errors import ValidationError
+from .errors import ValidationError, check_number, to_number
 from .mdp import RewardConfig
-from .network import AltitudeLayerSet, Network, Scenario
+from .network import COORD_LIMIT_M, AltitudeLayerSet, Network, Scenario
 from .noise import NO_CONTRIBUTION, zone_noise_report
 from .rl import TraceRow, TrainConfig, attribute_layers, collect_rollout
 from .sim import Action, SimConfig
 
 TRACE_COLUMNS = ("t", "id", "x", "y", "z_ft", "action", "b_changing")
-COORD_COLUMNS = ("t", "x", "y", "z_ft")  # read_trace rejects non-finite values here
+# check_number's (low, high, above) per number column of a trace, in file order.
+COORD_RULES = {"t": (), "x": (-COORD_LIMIT_M, COORD_LIMIT_M),
+               "y": (-COORD_LIMIT_M, COORD_LIMIT_M), "z_ft": (0, None, True)}
 
 
 @dataclass
@@ -51,22 +53,30 @@ def write_trace(trace: list[TraceRow], path) -> None:
                for r in trace), cell=str)
 
 
-def read_trace(path) -> list[TraceRow]:
+def read_csv(path, what: str, parse) -> list:
+    """parse(record) for each record of the CSV file at path. A ValidationError
+    names the file and line; an unreadable file or column names the file."""
     rows = []
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             for rec in reader:
-                t, x, y, z_ft = coords = [float(rec[col]) for col in COORD_COLUMNS]
-                for col, value in zip(COORD_COLUMNS, coords):
-                    if not math.isfinite(value):
-                        raise ValidationError(f"trace {path} line {reader.line_num}: "
-                                              f"{col} must be finite, got {value}")
-                rows.append(TraceRow(t, rec["id"], x, y, z_ft, Action(int(rec["action"])),
-                                     bool(int(rec["b_changing"]))))
+                try:
+                    rows.append(parse(rec))
+                except ValidationError as exc:
+                    raise ValidationError(f"{what} {path} line {reader.line_num}: {exc}") from exc
     except (OSError, KeyError, ValueError) as exc:
-        raise ValidationError(f"cannot read trace {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
     return rows
+
+
+def read_trace(path) -> list[TraceRow]:
+    def parse(rec):
+        t, x, y, z_ft = (check_number(col, to_number(rec[col]), *rule)
+                         for col, rule in COORD_RULES.items())
+        return TraceRow(t, rec["id"], x, y, z_ft, Action(int(rec["action"])),
+                        bool(int(rec["b_changing"])))
+    return read_csv(path, "trace", parse)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoPathError, ValidationError
+from .errors import NoPathError, ValidationError, check_number, to_number
 
 SCHEMA_VERSION = 1
+
+#: Bound on |x| and |y| of a position (m), so squared distances stay finite.
+COORD_LIMIT_M = 1e7
 
 
 @dataclass(frozen=True)
@@ -23,6 +26,10 @@ class Vertiport:
     id: str
     x_m: float
     y_m: float
+
+    def __post_init__(self):
+        check_number(f"vertiport '{self.id}' x_m", self.x_m, -COORD_LIMIT_M, COORD_LIMIT_M)
+        check_number(f"vertiport '{self.id}' y_m", self.y_m, -COORD_LIMIT_M, COORD_LIMIT_M)
 
 
 @dataclass(frozen=True)
@@ -39,10 +46,11 @@ class AltitudeLayerSet:
     levels_ft: tuple[float, ...] = (1000.0, 1500.0, 2000.0, 2500.0, 3000.0)
 
     def __post_init__(self):
-        if len(self.levels_ft) < 2 or any(
-            b <= a for a, b in zip(self.levels_ft, self.levels_ft[1:])
-        ):
-            raise ValidationError(f"altitude layers must be strictly increasing: {self.levels_ft}")
+        for i, z in enumerate(levels := self.levels_ft):
+            check_number(f"layers_ft[{i}]", z, 0, above=True)
+        if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
+            raise ValidationError(f"layers_ft must be two or more strictly increasing "
+                                  f"levels, got {list(levels)}")
 
     @property
     def z_min(self) -> float:
@@ -66,6 +74,9 @@ class NoiseZone:
     members: tuple[str, ...]  # link and vertiport ids
     ambient_db: float
 
+    def __post_init__(self):
+        check_number(f"zone '{self.id}' ambient_db", self.ambient_db)
+
 
 @dataclass(frozen=True)
 class Route:
@@ -82,6 +93,9 @@ class Flight:
     origin: str
     destination: str
     departure_s: float
+
+    def __post_init__(self):
+        check_number(f"flight '{self.id}' departure_s", self.departure_s, 0)
 
 
 @dataclass(frozen=True)
@@ -133,11 +147,6 @@ class Scenario:
     flights: tuple[Flight, ...]
     routes: dict[str, Route]  # flight id -> precomputed, frozen route
 
-    def __post_init__(self):
-        for fl in self.flights:
-            if fl.departure_s < 0:
-                raise ValidationError(f"flight '{fl.id}' has negative departure {fl.departure_s}")
-
 
 # ---------------------------------------------------------------------------
 # File I/O
@@ -160,11 +169,9 @@ def _network_from_doc(doc: dict, path) -> Network:
     try:
         vertiports: dict[str, Vertiport] = {}
         for row in doc["vertiports"]:
-            vp = Vertiport(str(row["id"]), float(row["x_m"]), float(row["y_m"]))
+            vp = Vertiport(str(row["id"]), to_number(row["x_m"]), to_number(row["y_m"]))
             if vp.id in vertiports:
                 raise ValidationError(f"duplicate vertiport id '{vp.id}'")
-            if not (math.isfinite(vp.x_m) and math.isfinite(vp.y_m)):
-                raise ValidationError(f"vertiport '{vp.id}' has non-finite position")
             vertiports[vp.id] = vp
 
         links: dict[str, Link] = {}
@@ -184,16 +191,14 @@ def _network_from_doc(doc: dict, path) -> Network:
                 raise ValidationError(f"vertiport pair {pair} has more than two links")
             links[link.id] = link
 
-        layers = AltitudeLayerSet(tuple(float(z) for z in doc["layers_ft"]))
+        layers = AltitudeLayerSet(tuple(map(to_number, doc["layers_ft"])))
 
         zones: dict[str, NoiseZone] = {}
         for row in doc.get("zones", []):
             zone = NoiseZone(str(row["id"]), tuple(str(m) for m in row["members"]),
-                             float(row["ambient_db"]))
+                             to_number(row["ambient_db"]))
             if zone.id in zones:
                 raise ValidationError(f"duplicate zone id '{zone.id}'")
-            if not math.isfinite(zone.ambient_db):
-                raise ValidationError(f"zone '{zone.id}' has non-finite ambient level")
             zones[zone.id] = zone
     except KeyError as exc:
         raise ValidationError(f"{path}: missing required field {exc}") from exc
@@ -217,7 +222,7 @@ def load_scenario(path) -> Scenario:
     for row in doc.get("flights", []):
         try:
             fl = Flight(str(row["id"]), str(row["origin"]), str(row["destination"]),
-                        float(row["departure_s"]))
+                        to_number(row["departure_s"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: bad flight record {row}: {exc}") from exc
         if fl.id in seen:
@@ -354,8 +359,7 @@ def generate_scenario(
 ) -> Scenario:
     """Assign flights to O-D pairs round-robin over a seeded shuffle, staggering
     departures per shared origin. Pure function of its arguments."""
-    if n_aircraft < 1:
-        raise ValidationError("n_aircraft must be >= 1")
+    check_number("n_aircraft", n_aircraft, 1, integer=True)
     if not od_pairs:
         raise ValidationError("od_pairs must be nonempty")
     rng = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FitError, ValidationError
+from .errors import FitError, ValidationError, check_number
 
 # Offset subtracted when converting an energy sum of single events into the
 # cumulative level. Treated as an opaque calibration constant.
@@ -58,11 +58,8 @@ class NoiseSample:
     level_db: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.distance_ft) and self.distance_ft > 0):
-            raise ValidationError(f"distance_ft must be finite and positive, "
-                                  f"got {self.distance_ft}")
-        if not math.isfinite(self.level_db):
-            raise ValidationError(f"level_db must be finite, got {self.level_db}")
+        check_number("distance_ft", self.distance_ft, 0, above=True)
+        check_number("level_db", self.level_db)
 
 
 def single_event_level(condition: Condition, slant_distance_ft: float) -> float:
@@ -85,14 +82,17 @@ def fit_npd(samples: list[NoiseSample]) -> tuple[float, float, float, float]:
     Returns (c0, c1, c2, rms_residual).
     """
     if len({s.distance_ft for s in samples}) < 3:
-        raise FitError("fit requires at least 3 samples at distinct distances")
+        raise FitError("fit requires samples at 3 or more distinct distance_ft values")
     lz = np.log10([s.distance_ft for s in samples])
     design = np.column_stack([np.ones_like(lz), lz, lz * lz])
     levels = np.array([s.level_db for s in samples])
-    coef, *_ = np.linalg.lstsq(design, levels, rcond=None)
-    resid = design @ coef - levels
-    rms = float(np.sqrt(np.mean(resid * resid)))
-    return float(coef[0]), float(coef[1]), float(coef[2]), rms
+    with np.errstate(over="ignore", invalid="ignore"):  # huge levels overflow: see below
+        coef, *_ = np.linalg.lstsq(design, levels, rcond=None)
+        resid = design @ coef - levels
+        fit = np.append(coef, np.sqrt(np.mean(resid * resid)))
+    if not np.isfinite(fit).all():
+        raise FitError(f"fit of these level_db values overflows: {tuple(fit.tolist())}")
+    return tuple(fit.tolist())
 
 
 def cumulative_increase(levels_db: list[float], ambient_db: float) -> float:

@@ -8,14 +8,13 @@ PPO update over the collected batch.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 from itertools import accumulate
 
 import numpy as np
 
 from . import nnet
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 from .mdp import OWN_DIM, RewardConfig, agent_reward, observe
 from .network import AltitudeLayerSet, Scenario
 from .noise import Condition
@@ -38,21 +37,13 @@ class TrainConfig:
     checkpoint_interval: int = 0  # 0 disables periodic checkpoints
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0 or not 0.0 <= self.gae_lambda <= 1.0:
-            raise ValidationError("gamma and gae_lambda must lie in [0, 1]")
-        for name in ("entropy_coef", "value_coef"):
-            if not math.isfinite(value := getattr(self, name)):
-                raise ValidationError(f"TrainConfig.{name} must be finite, got {value}")
-        for name in ("clip_eps", "learning_rate"):
-            if not (math.isfinite(value := getattr(self, name)) and value > 0):
-                raise ValidationError(f"TrainConfig.{name} must be finite and positive, "
-                                      f"got {value}")
-        for name in ("hidden", "epochs", "minibatch_size"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"TrainConfig.{name} must be at least 1")
-        for name in ("iterations", "checkpoint_interval"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"TrainConfig.{name} must not be negative")
+        # check_number's (low, high, above) per field; the others need only be finite.
+        rules = {"gamma": (0, 1), "gae_lambda": (0, 1), "clip_eps": (0, None, True),
+                 "learning_rate": (0, None, True), "epochs": (1,), "minibatch_size": (1,),
+                 "iterations": (0,), "hidden": (1,), "seed": (0,), "checkpoint_interval": (0,)}
+        for f in fields(self):
+            check_number(f"TrainConfig.{f.name}", getattr(self, f.name), *rules.get(f.name, ()),
+                         integer=type(f.default) is int)
 
 
 @dataclass
@@ -311,18 +302,17 @@ def _checkpoint_from_doc(doc):
                if k not in doc]
     if missing:
         raise ValidationError(f"missing section(s) {', '.join(missing)}")
-    tc = TrainConfig(**_known_fields(TrainConfig, _section(doc, "train_config"), "train_config"))
+    tc = TrainConfig(**_section(doc, "train_config", TrainConfig))
     if doc["hidden"] != tc.hidden:
         raise ValidationError(f"hidden {doc['hidden']!r} differs from "
                               f"train_config.hidden {tc.hidden}")
     params = nnet.params_from_doc(_section(doc, "params"), tc.hidden)
     levels = doc["layers_ft"]
-    if not isinstance(levels, list) or not all(map(_is_number, levels)):
-        raise ValidationError(f"layers_ft must be a list of numbers, got {levels!r}")
+    if not isinstance(levels, list):
+        raise ValidationError(f"layers_ft must be a list, got {levels!r}")
     layers = AltitudeLayerSet(tuple(levels))
-    rc_doc = {k: v for k, v in _section(doc, "reward_config").items()
-              if k not in ("z_min_ft", "z_max_ft")}  # bounds of layers_ft
-    rc_doc = _known_fields(RewardConfig, rc_doc, "reward_config")
+    rc_doc = _section(doc, "reward_config", RewardConfig,
+                      derived=("z_min_ft", "z_max_ft"))  # bounds of layers_ft
     try:
         rc_doc["condition"] = Condition(rc_doc.get("condition"))
     except ValueError as exc:
@@ -331,27 +321,13 @@ def _checkpoint_from_doc(doc):
     return params, tc, rc, layers.levels_ft
 
 
-def _section(doc: dict, name: str) -> dict:
+def _section(doc: dict, name: str, cls=None, derived=()) -> dict:
+    """doc[name], a JSON object, less its derived keys; with cls, every other
+    key must be a field of cls, which checks the values."""
     if not isinstance(doc[name], dict):
         raise ValidationError(f"{name} must be a JSON object, got {doc[name]!r}")
-    return doc[name]
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _known_fields(cls, section: dict, name: str) -> dict:
-    """The section, once every key is a field of cls and every value of a
-    numeric field has the field's type (an int is also a float)."""
-    unknown = sorted(set(section) - {f.name for f in fields(cls)})
+    section = {k: v for k, v in doc[name].items() if k not in derived}
+    unknown = sorted(set(section) - {f.name for f in fields(cls)}) if cls else []
     if unknown:
         raise ValidationError(f"unknown {name} field(s) {', '.join(unknown)}")
-    for f in fields(cls):
-        kind = type(f.default)
-        if f.name in section and kind in (int, float):
-            value = section[f.name]
-            if not _is_number(value) or (kind is int and not isinstance(value, int)):
-                noun = "an integer" if kind is int else "a number"
-                raise ValidationError(f"{name}.{f.name} must be {noun}, got {value!r}")
     return section

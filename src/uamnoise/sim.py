@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from operator import attrgetter
 
-from .errors import SimulationError, ValidationError
+from .errors import SimulationError, ValidationError, check_number
 from .network import (AltitudeLayerSet, Network, Route, Scenario, route_intersections,
                       route_nodes)
 
@@ -48,9 +48,7 @@ class SimConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if not (math.isfinite(value := getattr(self, f.name)) and value > 0):
-                raise ValidationError(f"SimConfig.{f.name} must be finite and positive, "
-                                      f"got {value}")
+            check_number(f"SimConfig.{f.name}", getattr(self, f.name), 0, above=True)
         ratio = self.decision_interval_s / self.dt_s
         if round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
             raise ValidationError("decision_interval_s must be an integer multiple of dt_s")
@@ -167,9 +165,11 @@ class World:
             return True
         return self._next == len(self._queue) and not self._enroute
 
-    def distance_3d_m(self, a: AircraftState, b: AircraftState) -> float:
-        dz_m = (a.z_ft - b.z_ft) * FT_TO_M
-        return math.hypot(math.hypot(a.x_m - b.x_m, a.y_m - b.y_m), dz_m)
+    def distance_3d_m(self, a: AircraftState, b: AircraftState, planar_m=None) -> float:
+        """3-D distance in m; planar_m, if known, is the pair's math.hypot(dx, dy)."""
+        if planar_m is None:
+            planar_m = math.hypot(a.x_m - b.x_m, a.y_m - b.y_m)
+        return math.hypot(planar_m, (a.z_ft - b.z_ft) * FT_TO_M)
 
     # -- dynamics ---------------------------------------------------------
 
@@ -267,9 +267,9 @@ class World:
             d_comm, relation = self.config.d_comm_m, self._relation
             near = {ac.id: [] for ac in self._enroute}
             for a, b in self._x_pairs(d_comm):
-                if (math.hypot(a.x_m - b.x_m, a.y_m - b.y_m) <= d_comm
+                if ((planar := math.hypot(a.x_m - b.x_m, a.y_m - b.y_m)) <= d_comm
                         and (a.route.link_ids, b.route.link_ids) in relation):
-                    d = self.distance_3d_m(a, b)
+                    d = self.distance_3d_m(a, b, planar)
                     near[a.id].append((d, b))
                     near[b.id].append((d, a))
             for found in near.values():

@@ -1,9 +1,17 @@
 import csv
+import functools
 import json
+import math
+import os
+import re
+import tempfile
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import uamnoise
 from uamnoise.cli import main
 from uamnoise.network import generate_scenario, save_scenario
 
@@ -195,7 +203,6 @@ class TestTrainEvalSweep:
 
 class TestNoiseCommands:
     def test_fit_npd(self, runner, tmp_path):
-        import math
         samples = tmp_path / "samples.csv"
         with open(samples, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -254,11 +261,12 @@ class TestNoiseCommands:
         assert len(rows) > 1
 
 
-@pytest.mark.parametrize("column, value", [
-    ("z_ft", "nan"), ("z_ft", "inf"), ("t", "nan"), ("x", "nan"),
-])
+@pytest.mark.parametrize("column, value, rule", [
+    ("z_ft", "nan", " and positive"), ("z_ft", "inf", " and positive"), ("t", "nan", ""),
+    ("x", "nan", " and in [-10000000.0, 10000000.0]"),
+], ids=["z_ft-nan", "z_ft-inf", "t-nan", "x-nan"])
 def test_noise_report_rejects_non_finite_trace_value(runner, scenario_file, tmp_path,
-                                                     column, value):
+                                                     column, value, rule):
     trace = tmp_path / "trace.csv"
     runner.invoke(main, ["simulate", "--scenario", scenario_file, "--policy",
                          "baseline:hold", "--seed", "0", "--trace", str(trace)])
@@ -273,7 +281,7 @@ def test_noise_report_rejects_non_finite_trace_value(runner, scenario_file, tmp_
     result = runner.invoke(main, ["noise-report", "--trace", str(trace),
                                   "--scenario", scenario_file, "--out", str(out)])
     assert result.exit_code == 1, result.output
-    assert f"trace {trace} line 4: {column} must be finite, got {value}" in result.output
+    assert f"trace {trace} line 4: {column} must be finite{rule}, got {value}" in result.output
     assert not out.exists()
 
 
@@ -357,6 +365,28 @@ def test_train_rejects_out_of_range_lam(runner, scenario_file, tmp_path, lam):
     assert not ck.exists()
 
 
+@pytest.mark.parametrize("command, message", [
+    ("sweep --rhos 0.5,abc", "--rhos item must be a number, got 'abc'"),
+    ("sweep --rhos 0.5,nan", "--rhos item must be finite, got nan"),
+    ("sweep --seeds 0,1.5", "--seeds item must be an integer, got '1.5'"),
+    ("eval --seeds 0,-1", "--seeds item must be finite and non-negative, got -1"),
+], ids=["rhos-string", "rhos-nan", "seeds-float", "seeds-negative"])
+def test_bad_list_item_exits_1(runner, scenario_file, tmp_path, command, message):
+    name, option, value = command.split()
+    args = {
+        "sweep": ["--scenario", scenario_file, "--rhos", "0.0", "--iterations", "0",
+                  "--seeds", "0", "--hidden", "4", "--out-dir", str(tmp_path / "sweep")],
+        "eval": ["--scenario", scenario_file, "--checkpoint", "baseline:hold", "--seeds", "0",
+                 "--out", str(tmp_path / "eval.csv")],
+    }[name]
+    args[args.index(option) + 1] = value
+    inputs = set(tmp_path.iterdir())
+    result = runner.invoke(main, [name, *args])
+    assert result.exit_code == 1, result.output
+    assert message in result.output
+    assert set(tmp_path.iterdir()) == inputs  # found before any output was written
+
+
 def _transpose_w1(doc):
     doc["params"]["w1"] = [list(col) for col in zip(*doc["params"]["w1"])]
 
@@ -432,9 +462,9 @@ def _object_npd(doc):
     (_null_weight, "weight tensor 'wq' has non-finite entries"),
     (_break_condition, "reward_config: 'Mode X' is not a valid Condition"),
     (lambda doc: [doc], "expected a JSON object, got list"),
-    (_string_hidden, "train_config.hidden must be an integer, got '4'"),
-    (_null_gamma, "train_config.gamma must be a number, got None"),
-    (_string_lam, "reward_config.lam must be a number, got '0.1'"),
+    (_string_hidden, "TrainConfig.hidden must be an integer, got '4'"),
+    (_null_gamma, "TrainConfig.gamma must be a number, got None"),
+    (_string_lam, "RewardConfig.lam must be a number, got '0.1'"),
     (_negative_lam, "RewardConfig.lam must be finite and non-negative, got -0.5"),
     (_negative_d_los, "RewardConfig.d_los_m must be finite and positive, got -5"),
     (_null_npd, "unknown reward_config field(s) npd"),
@@ -458,3 +488,172 @@ def test_malformed_checkpoint_exits_1(runner, scenario_file, tmp_path, corrupt, 
     assert result.exit_code == 1, result.output
     assert f"bad checkpoint {ck}: {message}" in result.output
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# The input contract: a number read from a scenario, trace or sample file
+# either passes check_number or fails with exit 1 and a message that names its
+# field, and every number reported after exit 0 is finite. Nothing exits 2.
+
+DELETE = "<delete>"  # fault: remove the field (a JSON key, or a CSV cell's text)
+JSON_FAULTS = [math.nan, math.inf, -math.inf, -1, 0, 1e300, "abc", None, DELETE]
+CSV_FAULTS = ["nan", "inf", "-inf", "-1", "0", "1e300", "abc", "null", DELETE]
+SCENARIO_FIELDS = ["x_m", "y_m", "layers_ft", "ambient_db", "departure_s"]
+RECORDS = {"x_m": "vertiports", "y_m": "vertiports", "ambient_db": "zones",
+           "departure_s": "flights"}
+SAMPLES = [("200", "80"), ("1000", "70"), ("5000", "60"), ("9000", "55")]
+contract_settings = settings(max_examples=100, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+@functools.cache
+def _scenario_text(name):
+    """The bundled scenario file's text, or a small line scenario's."""
+    if name == "bundled":
+        with open(uamnoise.bundled_scenario_path()) as fh:
+            return fh.read()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "line.json")
+        save_scenario(generate_scenario(make_line_network(link_len_m=3000.0), 3,
+                                        [("A", "C"), ("C", "A")], departure_spacing_s=30.0,
+                                        seed=3), path)
+        with open(path) as fh:
+            return fh.read()
+
+
+@functools.cache
+def _line_trace_rows():
+    """The decision-tick trace of a hold episode on the line scenario."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, trace = os.path.join(tmp, "line.json"), os.path.join(tmp, "trace.csv")
+        with open(scenario, "w") as fh:
+            fh.write(_scenario_text("line"))
+        result = CliRunner().invoke(main, ["simulate", "--scenario", scenario, "--policy",
+                                           "baseline:hold", "--seed", "0", "--trace", trace])
+        assert result.exit_code == 0, result.output
+        with open(trace, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+
+def _finite_json(text):
+    def reject(constant):
+        raise AssertionError(f"non-finite number {constant} reported")
+    return json.loads(text, parse_constant=reject)
+
+
+def _write_csv_with_fault(path, rows, column, index, fault):
+    rows = [dict(row) for row in rows]
+    rows[index % len(rows)][column] = "" if fault == DELETE else fault
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def _check_contract(result, field):
+    """Exit 0, or exit 1 naming field; the reported numbers are the caller's
+    to check after exit 0."""
+    assert result.exit_code in (0, 1), result.output
+    if result.exit_code == 1:
+        assert re.search(rf"(?<!\w){re.escape(field)}(?!\w)", result.output), result.output
+    return result.exit_code == 0
+
+
+def check_scenario_fault(name, field, index, fault):
+    doc = json.loads(_scenario_text(name))
+    if field == "layers_ft":
+        container, key = doc["layers_ft"], index % len(doc["layers_ft"])
+    else:
+        records = doc[RECORDS[field]]
+        container, key = records[index % len(records)], field
+    if fault == DELETE:
+        del container[key]
+    else:
+        container[key] = fault
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        result = CliRunner().invoke(main, ["simulate", "--scenario", path, "--policy",
+                                           "baseline:hold", "--seed", "0"])
+    if _check_contract(result, field):
+        for key, value in _finite_json(result.stdout).items():
+            assert value is None or isinstance(value, str) or math.isfinite(value), key
+            if key.startswith("hist_"):
+                assert math.isfinite(float(key[len("hist_"):])), key
+
+
+def check_trace_fault(column, index, fault):
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, trace = os.path.join(tmp, "line.json"), os.path.join(tmp, "trace.csv")
+        out = os.path.join(tmp, "zones.csv")
+        with open(scenario, "w") as fh:
+            fh.write(_scenario_text("line"))
+        _write_csv_with_fault(trace, _line_trace_rows(), column, index, fault)
+        result = CliRunner().invoke(main, ["noise-report", "--trace", trace,
+                                           "--scenario", scenario, "--out", out])
+        if _check_contract(result, column):
+            with open(out, newline="") as fh:
+                for row in csv.DictReader(fh):
+                    assert all(math.isfinite(float(row[c])) for c in ("t", "increase_db")
+                               if row[c] != ""), row
+
+
+def check_samples_fault(column, index, fault):
+    with tempfile.TemporaryDirectory() as tmp:
+        samples, out = os.path.join(tmp, "samples.csv"), os.path.join(tmp, "model.json")
+        rows = [{"distance_ft": z, "level_db": level} for z, level in SAMPLES]
+        _write_csv_with_fault(samples, rows, column, index, fault)
+        result = CliRunner().invoke(main, ["fit-npd", "--samples", samples, "--out", out])
+        if _check_contract(result, column):
+            with open(out) as fh:
+                assert all(math.isfinite(v) for v in _finite_json(fh.read()).values())
+
+
+# Cases that broke the contract before check_number: exit 2, a message that
+# does not name the field, or a non-finite number reported.
+SCENARIO_PINS = (
+    [("line", field, 0, fault) for field in ("x_m", "y_m")
+     for fault in (math.nan, math.inf, -math.inf, 1e300, "abc", None)]
+    + [("line", "layers_ft", index, fault) for index, fault in (
+        (0, math.nan), (2, math.nan), (1, math.inf), (4, math.inf), (0, -math.inf),
+        (0, -1), (2, 0), (1, 1e300), (0, "abc"), (3, None))]
+    + [("line", "ambient_db", 0, fault) for fault in (math.nan, math.inf, -math.inf, "abc", None)]
+    + [("line", "departure_s", 0, fault) for fault in (math.nan, -math.inf, -1)]
+    + [("bundled", "departure_s", 0, math.nan), ("bundled", "x_m", 3, 1e300)])
+TRACE_PINS = ([(column, 3, fault) for column in ("t", "x", "y", "z_ft")
+               for fault in ("abc", "null", DELETE)] + [("z_ft", 3, "-1"), ("z_ft", 3, "0")])
+SAMPLES_PINS = ([(column, 2, fault) for column in ("distance_ft", "level_db")
+                 for fault in ("abc", "null", DELETE)] + [("level_db", 2, "1e300")])
+
+
+def pinned(cases):
+    """Hypothesis @example for each case, as positional arguments."""
+    def decorate(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return decorate
+
+
+class TestInputContractProperty:
+    @contract_settings
+    @pinned(SCENARIO_PINS)
+    @given(st.sampled_from(["line", "bundled"]), st.sampled_from(SCENARIO_FIELDS),
+           st.integers(0, 1000), st.sampled_from(JSON_FAULTS))
+    def test_simulate_scenario_field(self, name, field, index, fault):
+        check_scenario_fault(name, field, index, fault)
+
+    @contract_settings
+    @pinned(TRACE_PINS)
+    @given(st.sampled_from(["t", "x", "y", "z_ft"]), st.integers(0, 1000),
+           st.sampled_from(CSV_FAULTS))
+    def test_noise_report_trace_column(self, column, index, fault):
+        check_trace_fault(column, index, fault)
+
+    @contract_settings
+    @pinned(SAMPLES_PINS)
+    @given(st.sampled_from(["distance_ft", "level_db"]), st.integers(0, 1000),
+           st.sampled_from(CSV_FAULTS))
+    def test_fit_npd_samples_column(self, column, index, fault):
+        check_samples_fault(column, index, fault)

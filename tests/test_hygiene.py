@@ -1,6 +1,7 @@
 """Static checks over the package source, by AST and without a linter: every
 imported name is used, the intra-package import graph has no cycle
-(function-level imports included), and cli opens no file for writing."""
+(function-level imports included), cli opens no file for writing, and only
+errors.py calls math.isfinite."""
 import ast
 from pathlib import Path
 
@@ -88,3 +89,28 @@ def test_cli_opens_no_file_for_writing():
     assert list(_write_opens(ast.parse("open(p, 'w')\nopen(p, mode=m)"))) == [1, 2]
     lines = list(_write_opens(MODULES["cli"]))
     assert not lines, f"cli opens files for writing at lines {lines}"
+
+
+def _isfinite_calls(tree):
+    """Lines that call math.isfinite, as an attribute of math or by a name
+    imported from it."""
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "math"
+               for alias in node.names if alias.name == "isfinite"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr == "isfinite"
+                    and isinstance(func.value, ast.Name) and func.value.id == "math") \
+                    or (isinstance(func, ast.Name) and func.id in aliases):
+                yield node.lineno
+
+
+def test_only_errors_calls_math_isfinite():
+    # check_number states the finite rule for every number from outside;
+    # np.isfinite over arrays is another matter and is not counted.
+    sample = "math.isfinite(x)\nnp.isfinite(a)\nfrom math import isfinite as f\nf(y)"
+    assert list(_isfinite_calls(ast.parse(sample))) == [1, 4]
+    found = {mod: lines for mod, tree in MODULES.items()
+             if mod != "errors" and (lines := list(_isfinite_calls(tree)))}
+    assert not found, f"math.isfinite is called outside errors.py: {found}"

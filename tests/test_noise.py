@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,14 @@ class TestFitNpd:
         samples = [NoiseSample(1000, 70.0), NoiseSample(1000, 71.0), NoiseSample(2000, 69.0)]
         with pytest.raises(FitError):
             fit_npd(samples)
+
+    @pytest.mark.parametrize("big", [1e308, 1e200])
+    def test_overflowing_fit_rejected_without_warning(self, big):
+        samples = [NoiseSample(z, lv) for z, lv in ((200, 80.0), (1000, 70.0), (5000, big))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="level_db"):
+                fit_npd(samples)
 
 
 class TestCumulativeIncrease:

@@ -269,11 +269,15 @@ class TestOnePairPass:
         calls = []
         measure = World.distance_3d_m
         monkeypatch.setattr(World, "distance_3d_m",
-                            lambda self, a, b: calls.append((a, b)) or measure(self, a, b))
+                            lambda self, a, b, *planar: calls.append((a, b, *planar))
+                            or measure(self, a, b, *planar))
         found = sum(len(world.neighbors(aid)) for aid in world.enroute_ids())
         assert found == 14 * 13  # all related (A-C and C-A share vertiports), all in range
         assert len(calls) == found // 2
-        assert len({frozenset((a.id, b.id)) for a, b in calls}) == found // 2
+        assert len({frozenset((a.id, b.id)) for a, b, _ in calls}) == found // 2
+        # each measurement reuses the planar distance of the d_comm gate
+        assert all(planar == math.hypot(a.x_m - b.x_m, a.y_m - b.y_m)
+                   for a, b, planar in calls)
         calls.clear()
         assert sum(len(world.neighbors(aid)) for aid in world.enroute_ids()) == found
         assert calls == []
