@@ -1,11 +1,13 @@
 """Command-line surface: simulate, train, eval, sweep, fit-npd, noise-report.
 
 All randomness flows from --seed flags. Exit codes: 0 success, 1 validation
-error or unreadable/unwritable file, 2 runtime error. Reports are written by
+or usage error (an option click cannot parse included) or unreadable/unwritable
+file, 2 runtime error. Reports are written by
 metrics' writers, checkpoints by rl.save_checkpoint.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -40,7 +42,31 @@ def _handle_errors(fn):
     return wrapper
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group. Click's usage and parameter errors (an unknown
+    option, a value of the wrong type) exit 1, as input errors do, with
+    click's message; they arise in the group's own parsing or in a
+    command's, which the group's invoke runs."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_error_exits_1():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_error_exits_1():
+            return super().invoke(ctx)
+
+
+@contextlib.contextmanager
+def _usage_error_exits_1():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = 1
+        raise
+
+
+@click.group(cls=_Group)
 def main():
     """Noise-aware UAM airspace simulator and trainer."""
 

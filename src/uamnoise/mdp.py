@@ -1,4 +1,4 @@
-"""Per-agent observations and the blended reward.
+"""Observations of a decision tick's agents, and the blended reward.
 
 The noise term pays for flying high (0 at the top layer, -1 at the bottom);
 the separation term penalizes same-altitude traffic among route-related
@@ -10,7 +10,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_number
+from .errors import SimulationError, ValidationError, check_number
 from .network import AltitudeLayerSet
 from .noise import Condition, single_event_level
 from .sim import FT_TO_M, AircraftState, Phase, World
@@ -58,24 +58,44 @@ class RewardConfig:
         return cls(rho=rho, layers=layers, **kw)
 
 
-def observe(world: World, ac_id: str, config: RewardConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(own, intr): the aircraft's own vector, shape (OWN_DIM,), and one row
-    per nearest route-related in-range intruder, shape (n <= N_MAX_INTRUDERS,
-    INTRUDER_DIM), in the layout above."""
-    ac = world.aircraft[ac_id]
+def observe_tick(world: World, ids: list[str],
+                 config: RewardConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(own, intr, intr_mask) of the enroute aircraft ids at one world state:
+    own (B, OWN_DIM); intr (B, K, INTRUDER_DIM), row b holding aircraft b's
+    nearest route-related in-range intruders (at most N_MAX_INTRUDERS) in
+    the layout above, zero-padded to K = max(1, largest count); intr_mask
+    (B, K) marks the filled rows. The neighbour table is read once."""
+    table = world.neighbor_table()
+    try:
+        nearest = [table[i][:N_MAX_INTRUDERS] for i in ids]
+    except KeyError as exc:
+        raise SimulationError(f"aircraft {exc} is not enroute") from None
+    acs = [world.aircraft[i] for i in ids]
     z_min, span = config.layers.z_min, config.span_ft
-    own = np.zeros(OWN_DIM)
-    own[0] = (ac.z_ft - z_min) / span
-    own[1] = 1.0 if ac.b_changing else 0.0
-    own[2] = (ac.z_target_ft - z_min) / span
-    own[3 + int(ac.last_action)] = 1.0
-    nearest = world.neighbors(ac_id)[:N_MAX_INTRUDERS]
-    intr = np.zeros((len(nearest), INTRUDER_DIM))
-    for row, (distance_m, other) in zip(intr, nearest):
-        row[0] = (other.z_ft - ac.z_ft) / span
-        row[1] = distance_m / config.d_comm_m
-        row[2 + int(other.last_action)] = 1.0
-    return own, intr
+    b = len(acs)
+    z = np.array([ac.z_ft for ac in acs], dtype=float)
+    own = np.zeros((b, OWN_DIM))
+    own[:, 0] = (z - z_min) / span
+    own[:, 1] = [ac.b_changing for ac in acs]
+    own[:, 2] = (np.array([ac.z_target_ft for ac in acs], dtype=float) - z_min) / span
+    own[np.arange(b), 3 + np.array([int(ac.last_action) for ac in acs], dtype=int)] = 1.0
+    counts = np.array([len(found) for found in nearest], dtype=int)
+    k = max(1, counts.max(initial=0))
+    intr_mask = np.arange(k) < counts[:, None]
+    intr = np.zeros((b, k, INTRUDER_DIM))
+    rows, cols = np.nonzero(intr_mask)  # row-major, as nearest is flattened below
+    flat = [rec for found in nearest for rec in found]
+    intr[rows, cols, 0] = (np.array([o.z_ft for _, o in flat], dtype=float) - z[rows]) / span
+    intr[rows, cols, 1] = np.array([d for d, _ in flat], dtype=float) / config.d_comm_m
+    intr[rows, cols, 2 + np.array([int(o.last_action) for _, o in flat], dtype=int)] = 1.0
+    return own, intr, intr_mask
+
+
+def observe(world: World, ac_id: str, config: RewardConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(own, intr) of one enroute aircraft: its observe_tick row, with intr cut
+    to its n <= N_MAX_INTRUDERS intruders, shape (n, INTRUDER_DIM)."""
+    own, intr, intr_mask = observe_tick(world, [ac_id], config)
+    return own[0], intr[0, :intr_mask[0].sum()]
 
 
 def reward_noise(z_ft: float, config: RewardConfig) -> float:
@@ -91,36 +111,50 @@ def reward_noise(z_ft: float, config: RewardConfig) -> float:
     return -(n - config.n_min_noise) / (config.n_max_noise - config.n_min_noise)
 
 
-def reward_separation(intr: np.ndarray, config: RewardConfig) -> float:
-    """-min(lam * count of vertically-close intruders, 1), over the rows of
-    an intruder matrix as observe returns it.
+def separation_rewards(intr: np.ndarray, intr_mask: np.ndarray,
+                       config: RewardConfig) -> np.ndarray:
+    """-min(lam * count of vertically-close intruders, 1) per row of a padded
+    intruder batch, as observe_tick returns it.
 
     Vertical proximity is judged in meters: with 500 ft (152.4 m) layer gaps
     and d_los = 150 m, only same-layer intruders can trigger the penalty.
     """
-    span, d_los = config.span_ft, config.d_los_m
-    count = 0
-    for z_rel in intr[:, 0].tolist():
-        if abs(z_rel) * span * FT_TO_M < d_los:
-            count += 1
-    return -min(config.lam * count, 1.0)
+    close = (np.abs(intr[..., 0]) * config.span_ft * FT_TO_M < config.d_los_m) & intr_mask
+    return -np.minimum(config.lam * close.sum(axis=1), 1.0)
 
 
-def reward_total(r_noise: float, r_sep: float, rho: float) -> float:
-    """Affine blend of the two objectives."""
+def reward_separation(intr: np.ndarray, config: RewardConfig) -> float:
+    """separation_rewards of one intruder matrix, as observe returns it."""
+    return float(separation_rewards(intr[None], np.ones((1, len(intr)), dtype=bool), config)[0])
+
+
+def reward_total(r_noise, r_sep, rho: float):
+    """Affine blend of the two objectives, of numbers or elementwise."""
     return rho * r_noise + (1.0 - rho) * r_sep
 
 
-def agent_reward(world: World, ac: AircraftState, config: RewardConfig,
-                 intr: np.ndarray | None = None) -> float:
-    """Blended reward at the aircraft's current state. Arrived aircraft see an
-    empty intruder set. intr, if given, is the intruder matrix of the
-    aircraft's observation at this state, reused instead of observing again."""
-    rn = reward_noise(ac.z_ft, config)
-    if ac.phase is Phase.ENROUTE:
-        if intr is None:
-            intr = observe(world, ac.id, config)[1]
-        rs = reward_separation(intr, config)
-    else:
-        rs = 0.0
-    return reward_total(rn, rs, config.rho)
+def tick_rewards(world: World, ids: list[str], config: RewardConfig,
+                 observed=None) -> np.ndarray:
+    """Blended reward of each aircraft of ids at the world's current state,
+    aligned with ids; arrived aircraft see an empty intruder set. observed,
+    (enroute ids, intr, intr_mask) from this state's observe_tick, must
+    cover every enroute aircraft of ids; without it they are observed here.
+    The noise term is evaluated once per distinct altitude."""
+    if observed is None:
+        enroute = [i for i in ids if world.aircraft[i].phase is Phase.ENROUTE]
+        observed = (enroute, *observe_tick(world, enroute, config)[1:])
+    enroute, intr, intr_mask = observed
+    r_sep = dict(zip(enroute, separation_rewards(intr, intr_mask, config).tolist()))
+    z_ft = [world.aircraft[i].z_ft for i in ids]
+    r_noise = {z: reward_noise(z, config) for z in set(z_ft)}
+    return reward_total(np.array([r_noise[z] for z in z_ft]),
+                        np.array([r_sep.get(i, 0.0) for i in ids]), config.rho)
+
+
+def agent_reward(world: World, ac: AircraftState, config: RewardConfig) -> float:
+    """Blended reward at one aircraft's current state, scored on its own
+    (tick_rewards scores a tick's aircraft together). Arrived aircraft see
+    an empty intruder set."""
+    r_sep = (reward_separation(observe(world, ac.id, config)[1], config)
+             if ac.phase is Phase.ENROUTE else 0.0)
+    return reward_total(reward_noise(ac.z_ft, config), r_sep, config.rho)

@@ -75,7 +75,9 @@ class NoiseZone:
     ambient_db: float
 
     def __post_init__(self):
-        check_number(f"zone '{self.id}' ambient_db", self.ambient_db)
+        # From the threshold of hearing to beyond any sound in air; an extreme
+        # level would overflow the zone sums of the noise report.
+        check_number(f"zone '{self.id}' ambient_db", self.ambient_db, 0, 200)
 
 
 @dataclass(frozen=True)

@@ -177,20 +177,6 @@ def masked_log_softmax(masked_logits):
     return masked_logits - shift - np.log(expd.sum(axis=1, keepdims=True))
 
 
-def pad_intruders(mats):
-    """Stack per-row intruder matrices (n_i, 5) into the padded batch layout:
-    (B, K, 5) and a validity mask (B, K), with K = max(1, max n_i)."""
-    kk = max([1] + [m.shape[0] for m in mats])
-    intr = np.zeros((len(mats), kk, INTRUDER_DIM))
-    valid = np.zeros((len(mats), kk), dtype=bool)
-    for i, m in enumerate(mats):
-        n = m.shape[0]
-        if n:
-            intr[i, :n] = m
-            valid[i, :n] = True
-    return intr, valid
-
-
 def policy_batch(params, own, intr, intr_mask, act_mask):
     """Action probabilities (B, 3) and values (B,) for a batch of observations."""
     if not act_mask.any(axis=1).all():
@@ -200,24 +186,37 @@ def policy_batch(params, own, intr, intr_mask, act_mask):
 
 
 def policy_forward(params, own_vec, intr_mat, mask3):
-    """Single-observation case of policy_batch: (probability triple, value)."""
-    intr, valid = pad_intruders([intr_mat])
+    """Single-observation case of policy_batch: (probability triple, value).
+    intr_mat (n, INTRUDER_DIM) is padded to the batch layout's K = max(1, n)."""
+    n = intr_mat.shape[0]
+    intr = np.zeros((1, max(1, n), INTRUDER_DIM))
+    intr[0, :n] = intr_mat
+    valid = np.arange(intr.shape[1])[None, :] < n
     probs, value = policy_batch(params, own_vec[None, :], intr, valid,
                                 np.asarray(mask3, dtype=bool)[None, :])
     return probs[0], float(value[0])
 
 
-def sample_action(probs, rng=None):
-    """Categorical sample (training) or argmax with lowest-index tie-break
-    (evaluation, rng=None). Returns (action index, log-probability)."""
+def sample_actions(probs, rng=None):
+    """One action per row of probs (B, n): a categorical sample
+    (training), drawing rng.random(B) once, or the argmax with lowest-index
+    tie-break (evaluation, rng=None). Returns (actions (B,), log-probs (B,)).
+
+    Row b's action is the first index whose cumulative probability exceeds
+    u_b times the row total, clamped to the last action."""
     if rng is None:
-        idx = int(np.argmax(probs))
+        idx = probs.argmax(axis=1)
     else:
-        u = rng.random()
-        cum = np.cumsum(probs)
-        idx = int(np.searchsorted(cum, u * cum[-1], side="right"))
-        idx = min(idx, len(probs) - 1)
-    return idx, float(np.log(probs[idx]))
+        cum = np.cumsum(probs, axis=1)
+        u = rng.random(len(probs))
+        idx = np.minimum((cum <= (u * cum[:, -1])[:, None]).sum(axis=1), probs.shape[1] - 1)
+    return idx, np.log(probs[np.arange(len(probs)), idx])
+
+
+def sample_action(probs, rng=None):
+    """sample_actions of one probability triple: (action index, log-probability)."""
+    idx, logp = sample_actions(np.asarray(probs)[None, :], rng)
+    return int(idx[0]), float(logp[0])
 
 
 # ---------------------------------------------------------------------------

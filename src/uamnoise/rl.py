@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from . import nnet
 from .errors import ValidationError, check_number
-from .mdp import OWN_DIM, RewardConfig, agent_reward, observe
+from .mdp import INTRUDER_DIM, OWN_DIM, RewardConfig, observe_tick, tick_rewards
 from .network import AltitudeLayerSet, Scenario
 from .noise import Condition
 from .sim import Action, SimConfig, World, action_mask
@@ -92,6 +92,19 @@ def attribute_layers(trace: list[TraceRow], layers: AltitudeLayerSet) -> list[fl
     return out
 
 
+class _Block(NamedTuple):
+    """One decision tick's transitions, one row per enroute agent."""
+
+    flight: np.ndarray     # (b,) the agents' scenario flight indices, ascending
+    own: np.ndarray
+    intr: np.ndarray       # (b, k, INTRUDER_DIM), k of this tick
+    intr_mask: np.ndarray
+    act_mask: np.ndarray
+    actions: np.ndarray
+    old_logp: np.ndarray
+    values: np.ndarray
+
+
 def collect_rollout(
     scenario: Scenario,
     params: dict | None,
@@ -104,73 +117,89 @@ def collect_rollout(
     params. params=None means the hold-only baseline. greedy (or baseline)
     episodes take argmax actions; otherwise actions are sampled from rng.
 
-    Each decision appends (own, intr, act_mask, action, logp, value) to its
-    agent's steps. The reward closing it comes at the agent's next tick, from
-    the observation the policy reads there, or afresh once the agent arrived
-    or the episode ended. The policy runs as one batched nnet.forward over the
-    tick's agents, and actions are then sampled per agent in enroute order.
+    Each decision tick is one set of array operations over its enroute
+    agents: one observe_tick, one batched policy pass, one sample_actions
+    and one stored block. The rewards that close a block come at the next
+    tick, as an array aligned with the block's rows, from the observation
+    that tick makes; at episode end, from one last observation.
     """
     world = World(scenario, sim_config)
     layers = scenario.network.layers
-    steps: dict[str, list[tuple]] = {fl.id: [] for fl in scenario.flights}
-    rewards: dict[str, list[float]] = {fl.id: [] for fl in scenario.flights}
-    acted: list[str] = []  # the agents of the last decision tick
+    flight_index = {fl.id: k for k, fl in enumerate(scenario.flights)}
+    sample_rng = None if (greedy or params is None) else rng
+    blocks: list[_Block] = []
+    rewards: list[np.ndarray] = []  # rewards[i] closes blocks[i]
+    acted: list[str] = []  # the agents of the last block
     trace: list[TraceRow] = []
-
-    def close(ac_id: str, intr=None) -> None:
-        rewards[ac_id].append(agent_reward(world, world.aircraft[ac_id], reward_config, intr))
 
     while not world.terminal:
         joint: dict[str, Action] = {}
         if world.is_decision_tick():
             world.spawn_due_aircraft()
             enroute = world.enroute_ids()
-            obs = {i: observe(world, i, reward_config) for i in enroute}
-            for ac_id in acted:
-                close(ac_id, obs[ac_id][1] if ac_id in obs else None)
+            own, intr, intr_mask = observe_tick(world, enroute, reward_config)
+            if acted:
+                rewards.append(tick_rewards(world, acted, reward_config,
+                                            (enroute, intr, intr_mask)))
             acted = enroute
             if enroute:
-                owns, intrs = zip(*obs.values())
-                masks = np.array([action_mask(world.aircraft[i], layers) for i in enroute])
+                acs = [world.aircraft[i] for i in enroute]
+                masks = np.array([action_mask(ac, layers) for ac in acs])
                 if params is not None:
-                    intr, intr_mask = nnet.pad_intruders(intrs)
-                    probs, values = nnet.policy_batch(
-                        params, np.stack(owns), intr, intr_mask, masks)
+                    probs, values = nnet.policy_batch(params, own, intr, intr_mask, masks)
                 else:
                     probs = np.tile([1.0, 0.0, 0.0], (len(enroute), 1))
                     values = np.zeros(len(enroute))
-                sample_rng = None if (greedy or params is None) else rng
-                for j, (ac_id, own_vec, intr_mat) in enumerate(zip(enroute, owns, intrs)):
-                    action, logp = nnet.sample_action(probs[j], sample_rng)
-                    joint[ac_id] = Action(action)
-                    steps[ac_id].append((own_vec, intr_mat, masks[j], action, logp,
-                                         float(values[j])))
-                    ac = world.aircraft[ac_id]
-                    trace.append(TraceRow(world.t, ac_id, ac.x_m, ac.y_m, ac.z_ft,
-                                          Action(action), ac.b_changing))
+                actions, logp = nnet.sample_actions(probs, sample_rng)
+                blocks.append(_Block(np.array([flight_index[i] for i in enroute]), own,
+                                     intr, intr_mask, masks, actions, logp, values))
+                for ac, action in zip(acs, map(Action, actions.tolist())):
+                    joint[ac.id] = action
+                    trace.append(TraceRow(world.t, ac.id, ac.x_m, ac.y_m, ac.z_ft,
+                                          action, ac.b_changing))
         world.step(joint)
-    for ac_id in acted:
-        close(ac_id)
-    return _pack(steps, rewards, trace, world)
+    if acted:
+        rewards.append(tick_rewards(world, acted, reward_config))
+    return _pack(blocks, rewards, trace, world)
 
 
-def _pack(steps, rewards, trace, world) -> RolloutResult:
-    """Stack the agents' records, in flight order, into the batch columns."""
-    ids = [i for i, recs in steps.items() if recs]
-    ends = list(accumulate(len(steps[i]) for i in ids))
-    agent_slices = {i: slice(end - len(steps[i]), end) for i, end in zip(ids, ends)}
-    rows = [rec for i in ids for rec in steps[i]]
-    b = len(rows)
-    own, intrs, act_mask, actions, logp, values = zip(*rows) if rows else [()] * 6
-    intr, intr_mask = nnet.pad_intruders(intrs)
-    r = np.array([x for i in ids for x in rewards[i]], dtype=float)
-    mean_return = (sum(float(r[sl].sum()) for sl in agent_slices.values()) / len(ids)
-                   if ids else 0.0)
-    return RolloutResult(np.array(own, dtype=float).reshape(b, OWN_DIM), intr, intr_mask,
-                         np.array(act_mask, dtype=bool).reshape(b, 3),
-                         np.array(actions, dtype=int), np.array(logp, dtype=float), r,
-                         np.array(values, dtype=float), agent_slices, trace,
-                         len(world.los_events), mean_return)
+def _pack(blocks: list[_Block], rewards: list[np.ndarray], trace, world) -> RolloutResult:
+    """Concatenate the tick blocks, intruders zero-padded to the batch's K,
+    and reorder the rows agent-major (agents in flight order, each agent's
+    rows in time order) with one stable sort on flight index. Each block's
+    intruders are written straight to their batch rows."""
+    empty = _Block(np.zeros(0, dtype=int), np.zeros((0, OWN_DIM)), np.zeros((0, 1, INTRUDER_DIM)),
+                   np.zeros((0, 1), dtype=bool), np.zeros((0, 3), dtype=bool),
+                   np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))
+    blocks = [empty, *blocks]
+
+    def column(name):
+        return np.concatenate([getattr(blk, name) for blk in blocks])
+
+    flight = column("flight")
+    order = np.argsort(flight, kind="stable")
+    batch_row = np.empty_like(order)
+    batch_row[order] = np.arange(len(order))
+    k = max(blk.intr.shape[1] for blk in blocks)
+    intr = np.zeros((len(order), k, INTRUDER_DIM))
+    intr_mask = np.zeros((len(order), k), dtype=bool)
+    start = 0
+    for blk in blocks:
+        rows = batch_row[start:start + len(blk.flight)]
+        start += len(rows)
+        intr[rows, :blk.intr.shape[1]] = blk.intr
+        intr_mask[rows, :blk.intr.shape[1]] = blk.intr_mask
+    r = np.concatenate([np.zeros(0), *rewards])[order]
+    counts = np.bincount(flight, minlength=len(world.scenario.flights)).tolist()
+    ends = np.cumsum(counts).tolist()
+    agent_slices = {fl.id: slice(end - n, end)
+                    for fl, n, end in zip(world.scenario.flights, counts, ends) if n}
+    mean_return = (sum(float(r[sl].sum()) for sl in agent_slices.values()) / len(agent_slices)
+                   if agent_slices else 0.0)
+    return RolloutResult(column("own")[order], intr, intr_mask, column("act_mask")[order],
+                         column("actions")[order], column("old_logp")[order], r,
+                         column("values")[order], agent_slices, trace, len(world.los_events),
+                         mean_return)
 
 
 def compute_advantages(batch: RolloutResult, gamma: float, gae_lambda: float):

@@ -99,10 +99,10 @@ class World:
 
     x-order invariant: ``_by_x``, when set, holds the enroute aircraft sorted
     by x (stably, so equal x keep enroute order), and ``_near``, when set, maps
-    each enroute id to its ``neighbors`` list. Positions and membership change
-    only in those same two methods, and each clears both, so ``detect_los``
-    and ``neighbors`` share one sort, and every neighbour list is built in
-    one pass, per world state.
+    each enroute id to its neighbour list (``neighbor_table``). Positions and
+    membership change only in those same two methods, and each clears both,
+    so ``detect_los`` and ``neighbor_table`` share one sort, and every
+    neighbour list is built in one pass, per world state.
     """
 
     def __init__(self, scenario: Scenario, config: SimConfig):
@@ -252,17 +252,17 @@ class World:
             for a in by_x[start:j]:
                 yield a, b
 
-    def neighbors(self, ac_id: str) -> list[tuple[float, AircraftState]]:
-        """(3-D distance in m, aircraft) for each enroute aircraft within d_comm
-        planar range on a related route, ascending by distance (id tie-break).
+    def neighbor_table(self) -> dict[str, list[tuple[float, AircraftState]]]:
+        """Every enroute aircraft's id mapped to its neighbour list: (3-D
+        distance in m, aircraft) for each enroute aircraft within d_comm planar
+        range on a related route, ascending by distance (id tie-break). The
+        caller must not modify the lists.
 
-        The first call in a world state builds every enroute aircraft's list
-        from one sweep of pairs with |dx| <= d_comm (planar range implies it,
-        since hypot is never below either leg), measuring each pair once: the
-        distance is bitwise symmetric, as negation is exact and hypot takes
-        magnitudes. Later calls in that state are lookups."""
-        if self.aircraft[ac_id].phase is not Phase.ENROUTE:
-            raise SimulationError(f"aircraft '{ac_id}' is not enroute")
+        The first call in a world state builds the table from one sweep of
+        pairs with |dx| <= d_comm (planar range implies it, since hypot is
+        never below either leg), measuring each pair once: the distance is
+        bitwise symmetric, as negation is exact and hypot takes magnitudes.
+        Later calls in that state return the same table."""
         if self._near is None:
             d_comm, relation = self.config.d_comm_m, self._relation
             near = {ac.id: [] for ac in self._enroute}
@@ -275,7 +275,13 @@ class World:
             for found in near.values():
                 found.sort(key=lambda rec: (rec[0], rec[1].id))
             self._near = near
-        return list(self._near[ac_id])
+        return self._near
+
+    def neighbors(self, ac_id: str) -> list[tuple[float, AircraftState]]:
+        """The enroute aircraft's neighbour list from neighbor_table, as a copy."""
+        if self.aircraft[ac_id].phase is not Phase.ENROUTE:
+            raise SimulationError(f"aircraft '{ac_id}' is not enroute")
+        return list(self.neighbor_table()[ac_id])
 
     def detect_los(self) -> list[tuple[str, str, float]]:
         """All enroute pairs closer than d_los in 3-D, as (id_a, id_b, dist),

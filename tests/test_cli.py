@@ -387,6 +387,36 @@ def test_bad_list_item_exits_1(runner, scenario_file, tmp_path, command, message
     assert set(tmp_path.iterdir()) == inputs  # found before any output was written
 
 
+@pytest.mark.parametrize("command, message", [
+    ("train --hidden abc", "Invalid value for '--hidden': 'abc' is not a valid integer"),
+    ("simulate --seed x", "Invalid value for '--seed': 'x' is not a valid integer"),
+    ("train --no-such-option", "No such option '--no-such-option'"),
+    ("--bogus", "No such option '--bogus'"),
+    ("no-such-command", "No such command 'no-such-command'"),
+], ids=["train-hidden", "simulate-seed", "command-option", "group-option", "command"])
+def test_unparsable_command_line_exits_1(runner, scenario_file, tmp_path, command, message):
+    # click's own exit code for these is 2, which the CLI keeps for runtime errors
+    name, *rest = command.split()
+    out = str(tmp_path / "out.json")
+    args = {
+        "train": ["--scenario", scenario_file, "--rho", "0.5", "--iterations", "1",
+                  "--seed", "0", "--out", out],
+        "simulate": ["--scenario", scenario_file, "--policy", "baseline:hold", "--seed", "0",
+                     "--out", out],
+    }.get(name, [])
+    result = runner.invoke(main, [name, *args, *rest])
+    assert result.exit_code == 1, result.output
+    assert message in result.output
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("args", [["--help"], ["train", "--help"]])
+def test_help_exits_0(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert "Usage:" in result.output
+
+
 def _transpose_w1(doc):
     doc["params"]["w1"] = [list(col) for col in zip(*doc["params"]["w1"])]
 
@@ -608,6 +638,22 @@ def check_samples_fault(column, index, fault):
         if _check_contract(result, column):
             with open(out) as fh:
                 assert all(math.isfinite(v) for v in _finite_json(fh.read()).values())
+
+
+@pytest.mark.parametrize("name", ["line", "bundled"])
+@pytest.mark.parametrize("ambient_db", [-1.7e308, -0.5, 200.5, 1e300])
+def test_out_of_range_ambient_db_exits_1(name, ambient_db, tmp_path):
+    # -1.7e308 used to exit 0, reporting 1.7e308 dB (bundled) or Infinity (line)
+    doc = json.loads(_scenario_text(name))
+    doc["zones"][0]["ambient_db"] = ambient_db
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["simulate", "--scenario", str(path), "--policy",
+                                       "baseline:hold", "--seed", "0"])
+    assert result.exit_code == 1, result.output
+    zone = doc["zones"][0]["id"]
+    assert f"zone '{zone}' ambient_db must be finite and in [0, 200], got {ambient_db}" \
+        in result.output
 
 
 # Cases that broke the contract before check_number: exit 2, a message that

@@ -92,6 +92,78 @@ class TestSampleAction:
         assert abs(counts[0] / 2000 - 0.7) < 0.05
 
 
+def scalar_sample_action(probs, rng=None):
+    """The per-row sampler sample_actions replaced, verbatim: the oracle."""
+    if rng is None:
+        idx = int(np.argmax(probs))
+    else:
+        u = rng.random()
+        cum = np.cumsum(probs)
+        idx = int(np.searchsorted(cum, u * cum[-1], side="right"))
+        idx = min(idx, len(probs) - 1)
+    return idx, float(np.log(probs[idx]))
+
+
+class FixedDraws:
+    """A stand-in generator whose random() returns the given values in turn,
+    to put u exactly on a cumulative-probability boundary."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
+
+
+def sampling_rows():
+    """Probability rows: softmax rows with masked (zero) columns, exact ties,
+    and rows whose cumulative sum ends a few ulps off 1."""
+    rng = np.random.default_rng(31)
+    logits = rng.normal(scale=3.0, size=(400, 3))
+    logits[rng.random((400, 3)) < 0.25] = -np.inf
+    logits[np.isinf(logits).all(axis=1), 0] = 0.0
+    soft = np.exp(logits - logits.max(axis=1, keepdims=True))
+    soft /= soft.sum(axis=1, keepdims=True)
+    ties = np.array([[0.4, 0.4, 0.2], [0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3], [0.0, 0.5, 0.5],
+                     [0.2, 0.4, 0.4], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    off = soft[:50] * (1.0 + rng.integers(-4, 5, size=(50, 1)) * np.finfo(float).eps)
+    rows = np.concatenate([soft, ties, off, [[0.1, 0.2, 0.7], [0.7, 0.2, 0.1]]])
+    assert (rows.sum(axis=1) != 1.0).any() and (rows == 0.0).any()
+    return rows
+
+
+class TestSampleActionsMatchesScalarSampler:
+    def check(self, probs, make_rng):
+        rng_batch, rng_rows = make_rng(), make_rng()
+        actions, logp = nnet.sample_actions(probs, rng_batch)
+        expected = [scalar_sample_action(row, rng_rows) for row in probs]
+        assert actions.tolist() == [a for a, _ in expected]
+        assert logp.tobytes() == np.array([lp for _, lp in expected]).tobytes()
+        return rng_batch, rng_rows
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampled_rows_and_generator_state(self, seed):
+        rng_batch, rng_rows = self.check(sampling_rows(),
+                                         lambda: np.random.default_rng(seed))
+        assert rng_batch.bit_generator.state == rng_rows.bit_generator.state
+
+    def test_greedy_rows_take_lowest_index_on_a_tie(self):
+        probs = sampling_rows()
+        self.check(probs, lambda: None)
+        assert nnet.sample_actions(probs[400:407])[0].tolist() == [0, 0, 0, 1, 1, 2, 0]
+
+    def test_draws_on_cumulative_boundaries(self):
+        probs = np.array([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.5, 0.5, 0.0],
+                          [0.1, 0.2, 0.7], [0.4, 0.4, 0.2], [0.0, 1.0, 0.0]])
+        # 1.0, which a real generator never returns, reaches the clamp to the last action
+        draws = [0.5, 1.0, 1.0 - 2.0 ** -53, 0.0, 0.4, 0.0]
+        rng_batch, rng_rows = self.check(probs, lambda: FixedDraws(draws))
+        assert rng_batch.values == rng_rows.values == []
+
+
 class TestGradients:
     def make_loss_inputs(self, rng, params):
         own, intr, intr_mask, act_mask = random_batch(rng)

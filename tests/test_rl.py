@@ -16,7 +16,7 @@ from uamnoise.rl import (RolloutResult, TraceRow, TrainConfig, collect_rollout,
                          save_checkpoint, train)
 from uamnoise.sim import Action, SimConfig, World, action_mask
 
-from conftest import make_corridor_network
+from conftest import make_corridor_network, make_line_network
 
 
 def small_train_config(iters, hidden=8, seed=0):
@@ -163,50 +163,117 @@ class TestBatchedTickMatchesReference:
                       greedy=mode == "greedy")
 
         batch = run(collect_rollout)
-        records, trace, los_count = run(reference_rollout)
-        assert batch.trace == trace and batch.los_count == los_count
-        assert list(batch.agent_slices) == list(records)
-        for ac_id, recs in records.items():
-            rows = range(len(batch.actions))[batch.agent_slices[ac_id]]
-            assert len(rows) == len(recs)
-            # done exactly at an agent's last transition, where GAE bootstraps 0
-            assert [rec["done"] for rec in recs] == [False] * (len(recs) - 1) + [True]
-            for i, rec in zip(rows, recs):
-                n = rec["intr"].shape[0]
-                assert np.array_equal(batch.own[i], rec["own"])
-                assert np.array_equal(batch.intr[i, :n], rec["intr"])
-                assert batch.intr_mask[i].sum() == n and batch.intr_mask[i, :n].all()
-                assert not batch.intr[i, n:].any()
-                assert tuple(batch.act_mask[i]) == rec["act_mask"]
-                assert batch.actions[i] == rec["action"]
-                assert batch.rewards[i] == rec["reward"]
-                # float64 GEMM may sum a batch in another order than one row
-                assert batch.old_logp[i] == pytest.approx(rec["logp"], rel=0, abs=1e-12)
-                assert batch.values[i] == pytest.approx(rec["value"], rel=0, abs=1e-12)
+        assert_equals_reference(batch, *run(reference_rollout))
         if mode == "sampled":
             assert len(set(batch.actions.tolist())) > 1  # sampling must not be vacuous
 
     def test_one_observe_and_one_forward_per_tick(self, line_scenario, monkeypatch):
-        calls = {"observe": 0, "forward": 0}
+        observed, forwards = [], []
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def recording(fn):
+            def wrapper(world, ids, config):
+                observed.append((world.t, list(ids)))
+                return fn(world, ids, config)
             return wrapper
 
-        monkeypatch.setattr(rl, "observe", counting("observe", mdp.observe))
-        monkeypatch.setattr(mdp, "observe", counting("observe", mdp.observe))
-        monkeypatch.setattr(nnet, "forward", counting("forward", nnet.forward))
+        def counting(*args):
+            forwards.append(args[1].shape[0])
+            return forward(*args)
+
+        forward = nnet.forward
+        monkeypatch.setattr(rl, "observe_tick", recording(mdp.observe_tick))
+        monkeypatch.setattr(mdp, "observe_tick", recording(mdp.observe_tick))
+        monkeypatch.setattr(nnet, "forward", counting)
         rc = RewardConfig.for_layers(line_scenario.network.layers, 0.5)
-        batch = collect_rollout(line_scenario, nnet.init_params(8, 3), SimConfig(), rc,
-                                rng=np.random.default_rng(7))
-        ticks = sorted({row.t for row in batch.trace})
-        # an agent with a row at the last tick has its transition closed at episode end
-        closed_at_end = sum(row.t == ticks[-1] for row in batch.trace)
-        assert len(ticks) < len(batch.trace)  # several agents share a tick
-        assert calls["observe"] <= len(batch.trace) + closed_at_end
-        assert calls["forward"] == len(ticks)
+        # at 400 s the horizon ends the episode with aircraft still enroute
+        for sim in (SimConfig(), SimConfig(max_episode_time_s=400.0)):
+            observed.clear()
+            forwards.clear()
+            batch = collect_rollout(line_scenario, nnet.init_params(8, 3), sim, rc,
+                                    rng=np.random.default_rng(7))
+            ticks = sorted({row.t for row in batch.trace})
+            assert len(ticks) < len(batch.trace)  # several agents share a tick
+            # one observe_tick per decision tick, over its enroute agents ...
+            *per_tick, (end_t, at_end) = observed
+            assert len(per_tick) == count_decision_ticks(line_scenario, sim)
+            assert [(t, ids) for t, ids in per_tick if ids] == \
+                [(t, [row.id for row in batch.trace if row.t == t]) for t in ticks]
+            # ... and one at episode end, over the last tick's agents still enroute
+            assert end_t > ticks[-1]
+            last = [row.id for row in batch.trace if row.t == ticks[-1]]
+            assert at_end == [i for i in last if i in at_end]
+            assert bool(at_end) == (sim.max_episode_time_s == 400.0)
+            # one forward per tick with enroute agents, over all of them
+            assert forwards == [len(ids) for _, ids in per_tick if ids]
+
+
+def count_decision_ticks(scenario, sim_config):
+    """Decision ticks of an episode; arrivals, and so the episode's end, do
+    not depend on the altitude actions."""
+    world, ticks = World(scenario, sim_config), 0
+    while not world.terminal:
+        ticks += world.is_decision_tick()
+        world.spawn_due_aircraft()
+        world.step({i: Action.HOLD for i in world.enroute_ids()})
+    return ticks
+
+
+def assert_equals_reference(batch, records, trace, los_count):
+    """A collect_rollout batch holds exactly reference_rollout's transitions."""
+    assert batch.trace == trace and batch.los_count == los_count
+    assert list(batch.agent_slices) == list(records)
+    assert sum(len(recs) for recs in records.values()) == len(batch.actions)
+    for ac_id, recs in records.items():
+        rows = range(len(batch.actions))[batch.agent_slices[ac_id]]
+        assert len(rows) == len(recs)
+        # done exactly at an agent's last transition, where GAE bootstraps 0
+        assert [rec["done"] for rec in recs] == [False] * (len(recs) - 1) + [True]
+        for i, rec in zip(rows, recs):
+            n = rec["intr"].shape[0]
+            assert np.array_equal(batch.own[i], rec["own"])
+            assert np.array_equal(batch.intr[i, :n], rec["intr"])
+            assert batch.intr_mask[i].sum() == n and batch.intr_mask[i, :n].all()
+            assert not batch.intr[i, n:].any()
+            assert tuple(batch.act_mask[i]) == rec["act_mask"]
+            assert batch.actions[i] == rec["action"]
+            assert batch.rewards[i] == rec["reward"]
+            # float64 GEMM may sum a batch in another order than one row
+            assert batch.old_logp[i] == pytest.approx(rec["logp"], rel=0, abs=1e-12)
+            assert batch.values[i] == pytest.approx(rec["value"], rel=0, abs=1e-12)
+
+
+@st.composite
+def rollout_cases(draw):
+    """Valid simulator configs, and line scenarios of a drawn size and
+    departure spacing, under each policy mode."""
+    dt_s = draw(st.floats(0.5, 4.0))
+    d_los_m = draw(st.floats(10.0, 400.0))
+    sim = SimConfig(dt_s=dt_s, decision_interval_s=dt_s * draw(st.integers(1, 15)),
+                    climb_rate_fpm=draw(st.floats(100.0, 3000.0)),
+                    d_comm_m=draw(st.floats(d_los_m, 5000.0)), d_los_m=d_los_m,
+                    max_episode_time_s=draw(st.floats(20.0, 900.0)))
+    scenario = generate_scenario(make_line_network(), draw(st.integers(2, 12)),
+                                 [("A", "C"), ("C", "A")],
+                                 departure_spacing_s=draw(st.floats(0.0, 120.0)),
+                                 seed=draw(st.integers(0, 99)))
+    return sim, scenario, draw(st.sampled_from(["hold", "greedy", "sampled"])), \
+        draw(st.integers(0, 2**16))
+
+
+class TestRolloutProperty:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(rollout_cases())
+    def test_collect_rollout_equals_per_agent_loop(self, case):
+        sim, scenario, mode, seed = case
+        params = None if mode == "hold" else nnet.init_params(8, seed)
+        rc = RewardConfig.for_layers(scenario.network.layers, 0.5, d_los_m=sim.d_los_m,
+                                     d_comm_m=sim.d_comm_m)
+
+        def run(fn):
+            return fn(scenario, params, sim, rc, rng=np.random.default_rng(seed),
+                      greedy=mode == "greedy")
+
+        assert_equals_reference(run(collect_rollout), *run(reference_rollout))
 
 
 class TestComputeAdvantages:
