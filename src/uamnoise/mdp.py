@@ -13,12 +13,12 @@ import numpy as np
 from .errors import SimulationError, ValidationError, check_number
 from .network import AltitudeLayerSet
 from .noise import Condition, single_event_level
-from .sim import FT_TO_M, AircraftState, Phase, World
+from .sim import FT_TO_M, World
 
 #: Nearest intruders kept in an observation; bounds compute and input size.
 N_MAX_INTRUDERS = 10
 
-# Layout of the arrays observe returns and the network reads. Altitudes are
+# Layout of the arrays observe_tick returns and the network reads. Altitudes are
 # normalized over the layer span: z_min maps to 0, z_max to 1.
 OWN_DIM = 6  # z, b_changing (0 or 1), z_target, one-hot last action
 # One row per intruder, ascending by d_o: z_rel (signed altitude difference
@@ -91,13 +91,6 @@ def observe_tick(world: World, ids: list[str],
     return own, intr, intr_mask
 
 
-def observe(world: World, ac_id: str, config: RewardConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(own, intr) of one enroute aircraft: its observe_tick row, with intr cut
-    to its n <= N_MAX_INTRUDERS intruders, shape (n, INTRUDER_DIM)."""
-    own, intr, intr_mask = observe_tick(world, [ac_id], config)
-    return own[0], intr[0, :intr_mask[0].sum()]
-
-
 def reward_noise(z_ft: float, config: RewardConfig) -> float:
     """Normalized single-event noise penalty in [-1, 0]; 0 at the top layer.
 
@@ -123,38 +116,21 @@ def separation_rewards(intr: np.ndarray, intr_mask: np.ndarray,
     return -np.minimum(config.lam * close.sum(axis=1), 1.0)
 
 
-def reward_separation(intr: np.ndarray, config: RewardConfig) -> float:
-    """separation_rewards of one intruder matrix, as observe returns it."""
-    return float(separation_rewards(intr[None], np.ones((1, len(intr)), dtype=bool), config)[0])
-
-
 def reward_total(r_noise, r_sep, rho: float):
     """Affine blend of the two objectives, of numbers or elementwise."""
     return rho * r_noise + (1.0 - rho) * r_sep
 
 
 def tick_rewards(world: World, ids: list[str], config: RewardConfig,
-                 observed=None) -> np.ndarray:
+                 observed) -> np.ndarray:
     """Blended reward of each aircraft of ids at the world's current state,
-    aligned with ids; arrived aircraft see an empty intruder set. observed,
-    (enroute ids, intr, intr_mask) from this state's observe_tick, must
-    cover every enroute aircraft of ids; without it they are observed here.
-    The noise term is evaluated once per distinct altitude."""
-    if observed is None:
-        enroute = [i for i in ids if world.aircraft[i].phase is Phase.ENROUTE]
-        observed = (enroute, *observe_tick(world, enroute, config)[1:])
+    aligned with ids; arrived aircraft see an empty intruder set. observed is
+    (enroute ids, intr, intr_mask) from this state's observe_tick, and must
+    cover every enroute aircraft of ids. The noise term is evaluated once per
+    distinct altitude."""
     enroute, intr, intr_mask = observed
     r_sep = dict(zip(enroute, separation_rewards(intr, intr_mask, config).tolist()))
     z_ft = [world.aircraft[i].z_ft for i in ids]
     r_noise = {z: reward_noise(z, config) for z in set(z_ft)}
     return reward_total(np.array([r_noise[z] for z in z_ft]),
                         np.array([r_sep.get(i, 0.0) for i in ids]), config.rho)
-
-
-def agent_reward(world: World, ac: AircraftState, config: RewardConfig) -> float:
-    """Blended reward at one aircraft's current state, scored on its own
-    (tick_rewards scores a tick's aircraft together). Arrived aircraft see
-    an empty intruder set."""
-    r_sep = (reward_separation(observe(world, ac.id, config)[1], config)
-             if ac.phase is Phase.ENROUTE else 0.0)
-    return reward_total(reward_noise(ac.z_ft, config), r_sep, config.rho)

@@ -185,18 +185,6 @@ def policy_batch(params, own, intr, intr_mask, act_mask):
     return np.exp(masked_log_softmax(logits)), value
 
 
-def policy_forward(params, own_vec, intr_mat, mask3):
-    """Single-observation case of policy_batch: (probability triple, value).
-    intr_mat (n, INTRUDER_DIM) is padded to the batch layout's K = max(1, n)."""
-    n = intr_mat.shape[0]
-    intr = np.zeros((1, max(1, n), INTRUDER_DIM))
-    intr[0, :n] = intr_mat
-    valid = np.arange(intr.shape[1])[None, :] < n
-    probs, value = policy_batch(params, own_vec[None, :], intr, valid,
-                                np.asarray(mask3, dtype=bool)[None, :])
-    return probs[0], float(value[0])
-
-
 def sample_actions(probs, rng=None):
     """One action per row of probs (B, n): a categorical sample
     (training), drawing rng.random(B) once, or the argmax with lowest-index
@@ -211,12 +199,6 @@ def sample_actions(probs, rng=None):
         u = rng.random(len(probs))
         idx = np.minimum((cum <= (u * cum[:, -1])[:, None]).sum(axis=1), probs.shape[1] - 1)
     return idx, np.log(probs[np.arange(len(probs)), idx])
-
-
-def sample_action(probs, rng=None):
-    """sample_actions of one probability triple: (action index, log-probability)."""
-    idx, logp = sample_actions(np.asarray(probs)[None, :], rng)
-    return int(idx[0]), float(logp[0])
 
 
 # ---------------------------------------------------------------------------

@@ -120,10 +120,13 @@ def zone_noise_report(zone_ambients: dict[str, float],
     NO_CONTRIBUTION.
     """
     per_zone: dict[str, list[float]] = {zid: [] for zid in zone_ambients}
+    level: dict[float, float] = {}  # per distinct distance, as rows repeat altitudes
     for zid, dist in aircraft:
         if zid not in per_zone:
             raise ValidationError(f"unknown noise zone '{zid}'")
-        per_zone[zid].append(single_event_level(Condition.L_CENTERLINE, dist))
+        if dist not in level:
+            level[dist] = single_event_level(Condition.L_CENTERLINE, dist)
+        per_zone[zid].append(level[dist])
     return {
         zid: cumulative_increase(levels, zone_ambients[zid])
         for zid, levels in per_zone.items()

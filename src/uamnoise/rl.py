@@ -120,8 +120,9 @@ def collect_rollout(
     Each decision tick is one set of array operations over its enroute
     agents: one observe_tick, one batched policy pass, one sample_actions
     and one stored block. The rewards that close a block come at the next
-    tick, as an array aligned with the block's rows, from the observation
-    that tick makes; at episode end, from one last observation.
+    tick, as an array aligned with the block's rows, from the observe_tick
+    that tick makes; at episode end, from one last observe_tick of the
+    enroute aircraft, which closes the last block the same way.
     """
     world = World(scenario, sim_config)
     layers = scenario.network.layers
@@ -159,7 +160,9 @@ def collect_rollout(
                                           action, ac.b_changing))
         world.step(joint)
     if acted:
-        rewards.append(tick_rewards(world, acted, reward_config))
+        enroute = world.enroute_ids()
+        _, intr, intr_mask = observe_tick(world, enroute, reward_config)
+        rewards.append(tick_rewards(world, acted, reward_config, (enroute, intr, intr_mask)))
     return _pack(blocks, rewards, trace, world)
 
 

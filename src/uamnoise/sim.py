@@ -195,7 +195,12 @@ class World:
     def apply_altitude_command(self, ac: AircraftState, action: Action) -> None:
         """Moves the target one layer in the commanded direction when
         action_mask allows it, and holds otherwise; the action actually
-        executed goes to last_action."""
+        executed goes to last_action. action is an Action or a value equal
+        to one, such as its wire integer."""
+        try:
+            action = Action(action)
+        except ValueError:
+            raise SimulationError(f"aircraft '{ac.id}': unknown action {action!r}") from None
         layers = self.net.layers
         if action is not Action.HOLD and action_mask(ac, layers)[action]:
             step = 1 if action is Action.CLIMB else -1
@@ -276,12 +281,6 @@ class World:
                 found.sort(key=lambda rec: (rec[0], rec[1].id))
             self._near = near
         return self._near
-
-    def neighbors(self, ac_id: str) -> list[tuple[float, AircraftState]]:
-        """The enroute aircraft's neighbour list from neighbor_table, as a copy."""
-        if self.aircraft[ac_id].phase is not Phase.ENROUTE:
-            raise SimulationError(f"aircraft '{ac_id}' is not enroute")
-        return list(self.neighbor_table()[ac_id])
 
     def detect_los(self) -> list[tuple[str, str, float]]:
         """All enroute pairs closer than d_los in 3-D, as (id_a, id_b, dist),

@@ -14,8 +14,8 @@ from click.testing import CliRunner
 from uamnoise import metrics as M
 from uamnoise import nnet, rl
 from uamnoise.cli import main as cli_main
-from uamnoise.mdp import (INTRUDER_DIM, RewardConfig, reward_noise, reward_separation,
-                          reward_total)
+from uamnoise.mdp import (INTRUDER_DIM, RewardConfig, reward_noise, reward_total,
+                          separation_rewards)
 from uamnoise.network import generate_scenario, save_scenario
 from uamnoise.noise import (COEFFICIENTS, Condition, NoiseSample, cumulative_increase,
                             fit_npd, single_event_level)
@@ -108,18 +108,19 @@ def test_criterion_05_reward_contract():
         assert reward_noise(1000.0, cfg) == -1.0
 
         def obs_with(z_rels):
-            """Intruder matrix: z_rel, d_o = 0.1, last action HOLD per row."""
-            intr = np.zeros((len(z_rels), INTRUDER_DIM))
-            intr[:, 0], intr[:, 1], intr[:, 2 + int(Action.HOLD)] = z_rels, 0.1, 1.0
-            return intr
+            """One-row intruder batch and mask: z_rel, d_o = 0.1, last action
+            HOLD per intruder."""
+            intr = np.zeros((1, len(z_rels), INTRUDER_DIM))
+            intr[0, :, 0], intr[0, :, 1], intr[0, :, 2 + int(Action.HOLD)] = z_rels, 0.1, 1.0
+            return intr, np.ones((1, len(z_rels)), dtype=bool)
 
         for count, expected in ((0, 0.0), (4, -0.4), (12, -1.0)):
-            assert reward_separation(obs_with([0.0] * count), cfg) == expected
+            assert separation_rewards(*obs_with([0.0] * count), cfg)[0] == expected
 
         # adjacent layer: |dz| = 0.25 * 2000 ft * 0.3048 = 152.4 m >= 150 m
-        assert reward_separation(obs_with([0.25]), cfg) == 0.0
-        assert reward_separation(obs_with([-0.25]), cfg) == 0.0
-        assert reward_separation(obs_with([0.07]), cfg) == -0.1
+        assert separation_rewards(*obs_with([0.25]), cfg)[0] == 0.0
+        assert separation_rewards(*obs_with([-0.25]), cfg)[0] == 0.0
+        assert separation_rewards(*obs_with([0.07]), cfg)[0] == -0.1
 
         for rho in (0.0, 0.3, 1.0):
             assert reward_total(-0.6, -0.2, rho) == rho * -0.6 + (1 - rho) * -0.2
@@ -174,13 +175,14 @@ def test_criterion_07_permutation_invariance():
         params = nnet.init_params(16, 2)
         for _ in range(100):
             n = int(rng.integers(1, 11))
-            own = rng.normal(size=6)
-            intr = rng.normal(size=(n, 5))
-            p1, v1 = nnet.policy_forward(params, own, intr, (True, True, True))
-            p2, v2 = nnet.policy_forward(params, own, intr[rng.permutation(n)],
-                                         (True, True, True))
+            # one observation as a one-row batch: own (1, 6), intr (1, n, 5)
+            own = rng.normal(size=(1, 6))
+            intr = rng.normal(size=(1, n, 5))
+            masks = np.ones((1, n), dtype=bool), np.ones((1, 3), dtype=bool)
+            p1, v1 = nnet.policy_batch(params, own, intr, *masks)
+            p2, v2 = nnet.policy_batch(params, own, intr[:, rng.permutation(n)], *masks)
             assert np.max(np.abs(p1 - p2)) <= 1e-6
-            assert abs(v1 - v2) <= 1e-6
+            assert abs(v1[0] - v2[0]) <= 1e-6
 
 
 def test_criterion_08_forced_optimum_convergence():

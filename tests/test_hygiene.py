@@ -1,8 +1,10 @@
 """Static checks over the package source, by AST and without a linter: every
 imported name is used, the intra-package import graph has no cycle
-(function-level imports included), cli opens no file for writing, and only
-errors.py calls math.isfinite."""
+(function-level imports included), cli opens no file for writing, only
+errors.py calls math.isfinite, and every public function is called from the
+package or the benchmark."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,9 @@ import uamnoise
 PACKAGE = "uamnoise"
 MODULES = {p.stem: ast.parse(p.read_text(), filename=str(p))
            for p in sorted(Path(uamnoise.__file__).parent.glob("*.py"))}
+# The benchmark's scripts, read only: a name they use is in use.
+BENCH = [ast.parse(p.read_text(), filename=str(p))
+         for p in sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))]
 
 
 def _imported_names(tree):
@@ -114,3 +119,44 @@ def test_only_errors_calls_math_isfinite():
     found = {mod: lines for mod, tree in MODULES.items()
              if mod != "errors" and (lines := list(_isfinite_calls(tree)))}
     assert not found, f"math.isfinite is called outside errors.py: {found}"
+
+
+# Library entry points that nothing in the package or the benchmark calls.
+UNCALLED_ENTRY_POINTS = {
+    "load_network": "reads a network file without flights, for scripts that generate traffic",
+    "save_scenario": "writes a scenario file that load_scenario reads back",
+    "histogram_entropy": "the altitude-spread measure of criterion 9; no report prints it",
+}
+
+
+def _public_functions():
+    """(qualified name, def node) of each public, undecorated module-level
+    function and World method."""
+    for mod, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == "World":
+                yield from ((f"World.{fn.name}", fn) for fn in node.body
+                            if isinstance(fn, ast.FunctionDef))
+            elif isinstance(node, ast.FunctionDef):
+                yield f"{mod}.{node.name}", node
+
+
+def _used_names(tree):
+    """Count of each name used as a variable or an attribute; names in
+    strings do not count."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_function_is_called():
+    # a function only the tests call is a second way into a calculation
+    used = sum((_used_names(tree) for tree in [*MODULES.values(), *BENCH]), Counter())
+    assert BENCH and used["run_episode"]  # the benchmark's scripts were read
+    uncalled = {name: fn.name for name, fn in _public_functions()
+                if not fn.name.startswith("_") and not fn.decorator_list
+                and used[fn.name] - _used_names(fn)[fn.name] <= 0}
+    # the allowlist names only functions that exist and are still uncalled
+    assert sorted(UNCALLED_ENTRY_POINTS) == sorted(
+        n for n in uncalled.values() if n in UNCALLED_ENTRY_POINTS)
+    extra = [name for name, n in uncalled.items() if n not in UNCALLED_ENTRY_POINTS]
+    assert not extra, f"public functions called from neither src/ nor bench/: {extra}"

@@ -2,29 +2,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from uamnoise.errors import ValidationError
-from uamnoise.mdp import (INTRUDER_DIM, N_MAX_INTRUDERS, OWN_DIM, RewardConfig,
-                          observe, reward_noise, reward_separation, reward_total)
+from uamnoise.errors import SimulationError, ValidationError
+from uamnoise.mdp import (INTRUDER_DIM, N_MAX_INTRUDERS, OWN_DIM, RewardConfig, observe_tick,
+                          reward_noise, reward_total, separation_rewards)
 from uamnoise.network import generate_scenario
-from uamnoise.sim import FT_TO_M, Action, SimConfig, World, action_mask
+from uamnoise.sim import FT_TO_M, Action, Phase, SimConfig, World, action_mask
+
+from conftest import make_line_network
 
 CFG = RewardConfig(rho=0.5)
 
 
 def intruders(*dz_ft, d_o=0.1):
-    """Intruder matrix, one holding intruder per altitude difference in ft."""
-    intr = np.zeros((len(dz_ft), INTRUDER_DIM))
-    for row, dz in zip(intr, dz_ft):
+    """One-row intruder batch and its mask, one holding intruder per
+    altitude difference in ft."""
+    intr = np.zeros((1, len(dz_ft), INTRUDER_DIM))
+    for row, dz in zip(intr[0], dz_ft):
         row[0] = dz / 2000.0
         row[1] = d_o
         row[2 + int(Action.HOLD)] = 1.0
-    return intr
+    return intr, np.ones((1, len(dz_ft)), dtype=bool)
 
 
 class TestObserve:
     def make_world(self):
-        from conftest import make_line_network
         net = make_line_network()
         sc = generate_scenario(net, 2, [("A", "C"), ("C", "A")],
                                departure_spacing_s=0.0, seed=3)
@@ -35,17 +39,19 @@ class TestObserve:
     def test_lone_aircraft_no_intruders(self, solo_scenario):
         world = World(solo_scenario, SimConfig())
         world.spawn_due_aircraft()
-        own, intr = observe(world, "AC001", CFG)
-        assert own.shape == (OWN_DIM,) and intr.shape == (0, INTRUDER_DIM)
+        own, intr, intr_mask = observe_tick(world, ["AC001"], CFG)
+        # the empty intruder set is padded to one masked row
+        assert own.shape == (1, OWN_DIM) and intr.shape == (1, 1, INTRUDER_DIM)
+        assert intr_mask.tolist() == [[False]] and not intr.any()
 
     def test_normalization_endpoints(self, solo_scenario):
         world = World(solo_scenario, SimConfig())
         world.spawn_due_aircraft()
-        own, _ = observe(world, "AC001", CFG)
-        assert own[0] == 0.0  # spawned at z_min
+        own, _, _ = observe_tick(world, ["AC001"], CFG)
+        assert own[0, 0] == 0.0  # spawned at z_min
         world.aircraft["AC001"].z_ft = 3000.0
         world.aircraft["AC001"].z_target_ft = 3000.0
-        assert observe(world, "AC001", CFG)[0][0] == 1.0
+        assert observe_tick(world, ["AC001"], CFG)[0][0, 0] == 1.0
 
     def test_intruder_fields(self):
         world = self.make_world()
@@ -54,10 +60,10 @@ class TestObserve:
         b.z_ft = a.z_ft + 500.0
         planar = 0.0
         d3 = math.hypot(planar, 500.0 * FT_TO_M)
-        _, intr = observe(world, "AC001", CFG)
-        assert intr.shape == (1, INTRUDER_DIM)
-        assert intr[0, 0] == pytest.approx(0.25)
-        assert intr[0, 1] == pytest.approx(d3 / 2500.0)
+        _, intr, intr_mask = observe_tick(world, ["AC001"], CFG)
+        assert intr.shape == (1, 1, INTRUDER_DIM) and intr_mask.tolist() == [[True]]
+        assert intr[0, 0, 0] == pytest.approx(0.25)
+        assert intr[0, 0, 1] == pytest.approx(d3 / 2500.0)
 
     def test_intruder_at_1km_normalized(self):
         world = self.make_world()
@@ -67,12 +73,11 @@ class TestObserve:
         b.z_ft = a.z_ft + 500.0
         b.x_m = a.x_m + math.sqrt(1000.0 ** 2 - dz_m ** 2)
         b.y_m = a.y_m
-        _, intr = observe(world, "AC001", CFG)
-        assert intr[0, 0] == pytest.approx(0.25)
-        assert intr[0, 1] == pytest.approx(0.4)
+        _, intr, _ = observe_tick(world, ["AC001"], CFG)
+        assert intr[0, 0, 0] == pytest.approx(0.25)
+        assert intr[0, 0, 1] == pytest.approx(0.4)
 
     def test_intruders_sorted_and_capped(self):
-        from conftest import make_line_network
         sc = generate_scenario(make_line_network(), 14, [("A", "C"), ("C", "A")],
                                departure_spacing_s=0.0, seed=3)
         world = World(sc, SimConfig())
@@ -80,9 +85,65 @@ class TestObserve:
         # 13 intruders on a line, 150 m apart in reverse flight order
         for k, ac_id in enumerate(world.enroute_ids()):
             world.aircraft[ac_id].x_m = 150.0 * (14 - k)
-        _, intr = observe(world, "AC014", CFG)
-        assert intr.shape == (N_MAX_INTRUDERS, INTRUDER_DIM)
-        assert intr[:, 1].tolist() == [150.0 * k / 2500.0 for k in range(1, 11)]
+        _, intr, intr_mask = observe_tick(world, ["AC014"], CFG)
+        assert intr.shape == (1, N_MAX_INTRUDERS, INTRUDER_DIM) and intr_mask.all()
+        assert intr[0, :, 1].tolist() == [150.0 * k / 2500.0 for k in range(1, 11)]
+
+    def test_pending_or_arrived_id_rejected(self, solo_scenario):
+        world = World(solo_scenario, SimConfig())
+        with pytest.raises(SimulationError, match="'AC001' is not enroute"):
+            observe_tick(world, ["AC001"], CFG)  # pending
+        while not world.terminal:
+            world.spawn_due_aircraft()
+            world.step({aid: Action.HOLD for aid in world.enroute_ids()})
+        assert world.aircraft["AC001"].phase is Phase.ARRIVED
+        with pytest.raises(SimulationError, match="'AC001' is not enroute"):
+            observe_tick(world, ["AC001"], CFG)
+
+
+@st.composite
+def tick_cases(draw):
+    """A world state reached by a hold or a randomly sampled rollout of a
+    line scenario, and a drawn subset, in a drawn order, of its enroute ids."""
+    scenario = generate_scenario(make_line_network(), draw(st.integers(3, 12)),
+                                 [("A", "C"), ("C", "A")],
+                                 departure_spacing_s=draw(st.floats(0.0, 40.0)),
+                                 seed=draw(st.integers(0, 99)))
+    world = World(scenario, SimConfig())
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    sampled = draw(st.booleans())
+    for _ in range(draw(st.integers(0, 340))):  # before the first arrival, at 358 s
+        world.spawn_due_aircraft()
+        actions = {}
+        if world.is_decision_tick():
+            actions = {aid: Action(int(rng.integers(0, 3))) if sampled else Action.HOLD
+                       for aid in world.enroute_ids()}
+        world.step(actions)
+    world.spawn_due_aircraft()
+    ids = draw(st.permutations(world.enroute_ids()))
+    return world, ids[:draw(st.integers(min(1, len(ids)), len(ids)))], draw(st.integers(1, 4))
+
+
+class TestTickObservationProperty:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(tick_cases())
+    def test_rows_are_independent_of_the_batch(self, case):
+        world, ids, extra_k = case
+        own, intr, intr_mask = observe_tick(world, ids, CFG)
+        assert own.shape[0] == intr.shape[0] == intr_mask.shape[0] == len(ids)
+        for b, ac_id in enumerate(ids):
+            own1, intr1, mask1 = observe_tick(world, [ac_id], CFG)
+            assert own[b].tobytes() == own1[0].tobytes()
+            assert intr_mask[b].sum() == mask1[0].sum()
+            assert intr[b, intr_mask[b]].tobytes() == intr1[0, mask1[0]].tobytes()
+        # padding to a larger K with masked rows leaves the separation term as it is
+        k = intr.shape[1]
+        padded = np.zeros((len(ids), k + extra_k, INTRUDER_DIM))
+        padded[:, :k] = intr
+        padded_mask = np.zeros((len(ids), k + extra_k), dtype=bool)
+        padded_mask[:, :k] = intr_mask
+        assert separation_rewards(padded, padded_mask, CFG).tobytes() == \
+            separation_rewards(intr, intr_mask, CFG).tobytes()
 
 
 class TestRewardNoise:
@@ -106,28 +167,28 @@ class TestRewardNoise:
 
 class TestRewardSeparation:
     def test_no_intruders(self):
-        assert reward_separation(intruders(), CFG) == 0.0
+        assert separation_rewards(*intruders(), CFG)[0] == 0.0
 
     def test_four_violating_intruders(self):
-        assert reward_separation(intruders(*[0.0] * 4), CFG) == pytest.approx(-0.4)
+        assert separation_rewards(*intruders(*[0.0] * 4), CFG)[0] == pytest.approx(-0.4)
 
     def test_twelve_intruders_clamped(self):
-        assert reward_separation(intruders(*[0.0] * 12), CFG) == -1.0
+        assert separation_rewards(*intruders(*[0.0] * 12), CFG)[0] == -1.0
 
     def test_adjacent_layer_knife_edge(self):
         # 500 ft = 152.4 m > 150 m: adjacent layers never trigger the penalty
-        assert reward_separation(intruders(500.0, -500.0), CFG) == 0.0
+        assert separation_rewards(*intruders(500.0, -500.0), CFG)[0] == 0.0
         # just inside 150 m vertically does trigger
         dz_ft = 149.9 / FT_TO_M
-        assert reward_separation(intruders(dz_ft), CFG) == pytest.approx(-0.1)
+        assert separation_rewards(*intruders(dz_ft), CFG)[0] == pytest.approx(-0.1)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(2)
-        intr = intruders(*rng.uniform(-2000, 2000, size=8))
-        base = reward_separation(intr, CFG)
+        intr, intr_mask = intruders(*rng.uniform(-2000, 2000, size=8))
+        base = separation_rewards(intr, intr_mask, CFG)[0]
         for _ in range(10):
-            rng.shuffle(intr)
-            assert reward_separation(intr, CFG) == base
+            rng.shuffle(intr[0])
+            assert separation_rewards(intr, intr_mask, CFG)[0] == base
 
 
 @pytest.mark.parametrize("field, value", [
@@ -189,7 +250,7 @@ class TestEncode:
         a, b = world.aircraft["AC001"], world.aircraft["AC002"]
         a.z_ft, a.z_target_ft, a.b_changing, a.last_action = 2000.0, 2500.0, True, Action.CLIMB
         b.x_m, b.y_m, b.z_ft, b.last_action = a.x_m, a.y_m, 2500.0, Action.DESCEND
-        own_vec, intr_mat = observe(world, "AC001", CFG)
-        assert own_vec.shape == (6,) and intr_mat.shape == (1, 5)
-        assert own_vec.tolist() == [0.5, 1.0, 0.75, 0.0, 0.0, 1.0]
-        assert intr_mat[0].tolist() == [0.25, 500.0 * FT_TO_M / 2500.0, 0.0, 1.0, 0.0]
+        own, intr, intr_mask = observe_tick(world, ["AC001"], CFG)
+        assert own.shape == (1, 6) and intr.shape == (1, 1, 5) and intr_mask.all()
+        assert own[0].tolist() == [0.5, 1.0, 0.75, 0.0, 0.0, 1.0]
+        assert intr[0, 0].tolist() == [0.25, 500.0 * FT_TO_M / 2500.0, 0.0, 1.0, 0.0]

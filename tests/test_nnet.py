@@ -16,17 +16,28 @@ def random_batch(rng, b=8, k=4, hidden=4, empty_rows=True):
     return own, intr, intr_mask, act_mask
 
 
+def one_row(own, intr, act_mask, k=None):
+    """policy_batch's inputs for one observation: own (6,) and its n
+    intruders (n, 5) zero-padded to k rows (default max(1, n), as
+    observe_tick pads), with the intruder and action masks."""
+    n = len(intr)
+    k = max(1, n) if k is None else k
+    padded = np.zeros((1, k, 5))
+    padded[0, :n] = intr
+    return own[None], padded, np.arange(k)[None] < n, np.array([act_mask])
+
+
 class TestForward:
     def test_empty_intruder_set_well_defined(self):
         params = nnet.init_params(8, 0)
-        probs, value = nnet.policy_forward(params, np.zeros(6), np.zeros((0, 5)),
-                                           (True, True, True))
-        assert np.isfinite(probs).all() and np.isfinite(value)
+        probs, value = nnet.policy_batch(params, *one_row(np.zeros(6), np.zeros((0, 5)),
+                                                          (True, True, True)))
+        assert np.isfinite(probs).all() and np.isfinite(value).all()
         assert probs.sum() == pytest.approx(1.0)
         # identical output regardless of how the empty set is padded
-        p2, v2 = nnet.policy_forward(params, np.zeros(6), np.zeros((0, 5)),
-                                     (True, True, True))
-        assert np.array_equal(probs, p2) and value == v2
+        p2, v2 = nnet.policy_batch(params, *one_row(np.zeros(6), np.zeros((0, 5)),
+                                                    (True, True, True), k=4))
+        assert np.array_equal(probs, p2) and np.array_equal(value, v2)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
@@ -36,58 +47,63 @@ class TestForward:
             own = rng.normal(size=6)
             intr = rng.normal(size=(n, 5))
             mask = (True, True, True)
-            p1, v1 = nnet.policy_forward(params, own, intr, mask)
+            p1, v1 = nnet.policy_batch(params, *one_row(own, intr, mask))
             perm = rng.permutation(n)
-            p2, v2 = nnet.policy_forward(params, own, intr[perm], mask)
+            p2, v2 = nnet.policy_batch(params, *one_row(own, intr[perm], mask))
             assert np.max(np.abs(p1 - p2)) <= 1e-6
-            assert abs(v1 - v2) <= 1e-6
+            assert abs(v1[0] - v2[0]) <= 1e-6
 
     def test_masked_action_probability_exactly_zero(self):
         rng = np.random.default_rng(3)
         params = nnet.init_params(8, 2)
-        probs, _ = nnet.policy_forward(params, rng.normal(size=6),
-                                       rng.normal(size=(2, 5)), (True, False, True))
-        assert probs[1] == 0.0
+        probs, _ = nnet.policy_batch(params, *one_row(rng.normal(size=6),
+                                                      rng.normal(size=(2, 5)),
+                                                      (True, False, True)))
+        assert probs[0, 1] == 0.0
         assert probs.sum() == pytest.approx(1.0)
 
     def test_single_allowed_action(self):
         params = nnet.init_params(8, 2)
-        probs, _ = nnet.policy_forward(params, np.zeros(6), np.zeros((0, 5)),
-                                       (True, False, False))
-        assert probs[0] == 1.0
+        probs, _ = nnet.policy_batch(params, *one_row(np.zeros(6), np.zeros((0, 5)),
+                                                      (True, False, False)))
+        assert probs[0, 0] == 1.0
 
     def test_all_masked_rejected(self):
         params = nnet.init_params(8, 2)
         with pytest.raises(SimulationError):
-            nnet.policy_forward(params, np.zeros(6), np.zeros((0, 5)),
-                                (False, False, False))
+            nnet.policy_batch(params, *one_row(np.zeros(6), np.zeros((0, 5)),
+                                               (False, False, False)))
+
+
+def sample_one(probs, rng=None):
+    """sample_actions of the one-row batch probs[None]: (action, log-probability)."""
+    actions, logp = nnet.sample_actions(np.asarray(probs)[None], rng)
+    return int(actions[0]), float(logp[0])
 
 
 class TestSampleAction:
     def test_degenerate_distribution(self):
-        action, logp = nnet.sample_action(np.array([1.0, 0.0, 0.0]),
-                                          np.random.default_rng(0))
+        action, logp = sample_one(np.array([1.0, 0.0, 0.0]), np.random.default_rng(0))
         assert action == 0 and logp == 0.0
 
     def test_seeded_reproducibility(self):
         probs = np.array([0.2, 0.5, 0.3])
-        seq1 = [nnet.sample_action(probs, np.random.default_rng(42))[0] for _ in range(5)]
+        seq1 = [sample_one(probs, np.random.default_rng(42))[0] for _ in range(5)]
         rng = np.random.default_rng(42)
-        seq2 = [nnet.sample_action(probs, rng)[0] for _ in range(5)]
+        seq2 = [sample_one(probs, rng)[0] for _ in range(5)]
         assert seq1 == [seq1[0]] * 5  # fresh rng each call
         rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
-        assert [nnet.sample_action(probs, rng_a)[0] for _ in range(20)] == \
-            [nnet.sample_action(probs, rng_b)[0] for _ in range(20)]
+        assert [sample_one(probs, rng_a)[0] for _ in range(20)] == \
+            [sample_one(probs, rng_b)[0] for _ in range(20)]
 
     def test_eval_mode_argmax_tie_break(self):
-        action, _ = nnet.sample_action(np.array([0.4, 0.4, 0.2]), rng=None)
+        action, _ = sample_one(np.array([0.4, 0.4, 0.2]), rng=None)
         assert action == 0
 
     def test_samples_follow_distribution(self):
         rng = np.random.default_rng(1)
         probs = np.array([0.7, 0.0, 0.3])
-        counts = np.bincount(
-            [nnet.sample_action(probs, rng)[0] for _ in range(2000)], minlength=3)
+        counts = np.bincount([sample_one(probs, rng)[0] for _ in range(2000)], minlength=3)
         assert counts[1] == 0
         assert abs(counts[0] / 2000 - 0.7) < 0.05
 
@@ -244,9 +260,9 @@ class TestSerialization:
             assert np.array_equal(params[key], restored[key])
         own = rng.normal(size=6)
         intr = rng.normal(size=(3, 5))
-        p1, v1 = nnet.policy_forward(params, own, intr, (True, True, True))
-        p2, v2 = nnet.policy_forward(restored, own, intr, (True, True, True))
-        assert np.array_equal(p1, p2) and v1 == v2
+        p1, v1 = nnet.policy_batch(params, *one_row(own, intr, (True, True, True)))
+        p2, v2 = nnet.policy_batch(restored, *one_row(own, intr, (True, True, True)))
+        assert np.array_equal(p1, p2) and np.array_equal(v1, v2)
 
     def test_json_round_trip_bit_exact(self):
         import json

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from uamnoise import noise
 from uamnoise.errors import FitError, ValidationError
 from uamnoise.noise import (COEFFICIENTS, CUMULATIVE_OFFSET_DB, NO_CONTRIBUTION, Condition,
                             NoiseSample, cumulative_increase, fit_npd, single_event_level,
@@ -137,6 +138,19 @@ class TestZoneNoiseReport:
     def test_unknown_zone_rejected(self):
         with pytest.raises(ValidationError):
             zone_noise_report(self.AMBIENTS, [("Z9", 1000.0)])
+
+    def test_level_read_once_per_distinct_distance(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(noise, "single_event_level",
+                            lambda cond, z: calls.append(z) or single_event_level(cond, z))
+        rows = [("Z1", 1000.0), ("Z2", 1500.0), ("Z1", 1000.0), ("Z3", 1000.0),
+                ("Z1", 1500.0), ("Z1", 2000.0), ("Z2", 1500.0)]
+        rep = zone_noise_report(self.AMBIENTS, rows)
+        assert sorted(calls) == [1000.0, 1500.0, 2000.0]
+        # the same levels, summed as one call per row would sum them
+        for zid, ambient in self.AMBIENTS.items():
+            levels = [single_event_level(Condition.L_CENTERLINE, z) for k, z in rows if k == zid]
+            assert rep[zid] == cumulative_increase(levels, ambient)
 
 
 class TestModelFile:

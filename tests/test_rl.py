@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 import uamnoise
 from uamnoise import mdp, nnet, rl
-from uamnoise.mdp import RewardConfig, agent_reward, observe
+from uamnoise.mdp import (RewardConfig, observe_tick, reward_noise, reward_total,
+                          separation_rewards)
 from uamnoise.network import AltitudeLayerSet, generate_scenario, load_scenario
 from uamnoise.noise import Condition
 from uamnoise.rl import (RolloutResult, TraceRow, TrainConfig, collect_rollout,
                          compute_advantages, load_checkpoint, ppo_update,
                          save_checkpoint, train)
-from uamnoise.sim import Action, SimConfig, World, action_mask
+from uamnoise.sim import Action, Phase, SimConfig, World, action_mask
 
 from conftest import make_corridor_network, make_line_network
 
@@ -94,19 +95,28 @@ class TestCollectRollout:
 
 
 def reference_rollout(scenario, params, sim_config, reward_config, rng=None, greedy=False):
-    """collect_rollout one agent at a time: a policy_forward call per agent,
-    and a fresh observe inside every agent_reward. Returns (per-agent
-    transition lists, trace, LOS event count)."""
+    """collect_rollout one agent at a time: an observe_tick of [id], a
+    policy_batch of that one row and a sample_actions of its probabilities
+    per agent, and a fresh one-agent observe_tick inside every reward.
+    Returns (per-agent transition lists, trace, LOS event count)."""
     world = World(scenario, sim_config)
     layers = scenario.network.layers
     records = {fl.id: [] for fl in scenario.flights}
     pending = {}
     trace = []
 
+    def agent_reward(ac):
+        """Blended reward of one aircraft, scored on its own; arrived
+        aircraft see an empty intruder set."""
+        r_sep = (float(separation_rewards(*observe_tick(world, [ac.id], reward_config)[1:],
+                                          reward_config)[0])
+                 if ac.phase is Phase.ENROUTE else 0.0)
+        return reward_total(reward_noise(ac.z_ft, reward_config), r_sep, reward_config.rho)
+
     def finalize(ac_id, done):
         if ac_id in pending:
             rec = records[ac_id][pending.pop(ac_id)]
-            rec["reward"] = agent_reward(world, world.aircraft[ac_id], reward_config)
+            rec["reward"] = agent_reward(world.aircraft[ac_id])
             rec["done"] = done
 
     while not world.terminal:
@@ -117,21 +127,24 @@ def reference_rollout(scenario, params, sim_config, reward_config, rng=None, gre
             for ac_id in records:
                 if ac_id not in enroute:
                     finalize(ac_id, done=True)
-            obs_list = [observe(world, i, reward_config) for i in enroute]
+            obs_list = [observe_tick(world, [i], reward_config) for i in enroute]
             for ac_id in enroute:
                 finalize(ac_id, done=False)
-            for ac_id, (own_vec, intr_mat) in zip(enroute, obs_list):
+            for ac_id, (own, intr, intr_mask) in zip(enroute, obs_list):
                 ac = world.aircraft[ac_id]
                 mask = action_mask(ac, layers)
                 if params is None:
-                    probs, value = np.array([1.0, 0.0, 0.0]), 0.0
+                    probs, value = np.array([[1.0, 0.0, 0.0]]), np.zeros(1)
                 else:
-                    probs, value = nnet.policy_forward(params, own_vec, intr_mat, mask)
-                action, logp = nnet.sample_action(
+                    probs, value = nnet.policy_batch(params, own, intr, intr_mask,
+                                                     np.array([mask]))
+                action, logp = nnet.sample_actions(
                     probs, None if (greedy or params is None) else rng)
+                action = int(action[0])
                 joint[ac_id] = Action(action)
-                records[ac_id].append({"own": own_vec, "intr": intr_mat, "act_mask": mask,
-                                       "action": action, "logp": logp, "value": value})
+                records[ac_id].append({"own": own[0], "intr": intr[0, intr_mask[0]],
+                                       "act_mask": mask, "action": action,
+                                       "logp": float(logp[0]), "value": float(value[0])})
                 pending[ac_id] = len(records[ac_id]) - 1
                 trace.append(TraceRow(world.t, ac_id, ac.x_m, ac.y_m, ac.z_ft,
                                       Action(action), ac.b_changing))
@@ -390,10 +403,12 @@ class TestCheckpointFile:
                         RewardConfig.for_layers(line_network.layers, 0.5),
                         line_network.layers)
         restored, *_ = load_checkpoint(path)
-        own, intr = rng.normal(size=6), rng.normal(size=(4, 5))
-        p1, v1 = nnet.policy_forward(params, own, intr, (True, True, True))
-        p2, v2 = nnet.policy_forward(restored, own, intr, (True, True, True))
-        assert np.array_equal(p1, p2) and v1 == v2
+        # one observation as a one-row batch: own (1, 6), intr (1, 4, 5)
+        own, intr = rng.normal(size=(1, 6)), rng.normal(size=(1, 4, 5))
+        masks = np.ones((1, 4), dtype=bool), np.ones((1, 3), dtype=bool)
+        p1, v1 = nnet.policy_batch(params, own, intr, *masks)
+        p2, v2 = nnet.policy_batch(restored, own, intr, *masks)
+        assert np.array_equal(p1, p2) and np.array_equal(v1, v2)
 
     def test_every_reward_field_saved(self, tmp_path, line_network):
         # a RewardConfig field that save_checkpoint does not write would load

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from uamnoise.errors import SimulationError, ValidationError
-from uamnoise.mdp import N_MAX_INTRUDERS, RewardConfig, observe
+from uamnoise.mdp import N_MAX_INTRUDERS, RewardConfig, observe_tick
 from uamnoise.network import (AltitudeLayerSet, Flight, Network, Scenario, build_route,
                               generate_scenario, routes_related)
 from uamnoise.sim import (FT_TO_M, Action, AircraftState, LosEvent, Phase, SimConfig, World,
@@ -160,13 +161,13 @@ class TestNeighbors:
 
     def test_in_range_sees_each_other(self):
         world, a, b = self.make_pair(2400.0)
-        assert world.neighbors(a.id) == [(2400.0, b)]
-        assert world.neighbors(b.id) == [(2400.0, a)]
+        assert world.neighbor_table()[a.id] == [(2400.0, b)]
+        assert world.neighbor_table()[b.id] == [(2400.0, a)]
 
     def test_out_of_range_empty(self):
         world, a, b = self.make_pair(2600.0)
-        assert world.neighbors(a.id) == []
-        assert world.neighbors(b.id) == []
+        assert world.neighbor_table()[a.id] == []
+        assert world.neighbor_table()[b.id] == []
 
     def test_unrelated_routes_filtered(self):
         # two parallel corridors 1 km apart; aircraft within comm range
@@ -180,15 +181,15 @@ class TestNeighbors:
         world = World(sc, SimConfig())
         world.spawn_due_aircraft()
         for aid in world.enroute_ids():
-            assert world.neighbors(aid) == []
+            assert world.neighbor_table()[aid] == []
 
     def test_symmetry_over_episode(self, line_scenario):
         world = World(line_scenario, SimConfig())
         while not world.terminal and world.t < 400:
             world.spawn_due_aircraft()
             for aid in world.enroute_ids():
-                for d, other in world.neighbors(aid):
-                    assert (d, world.aircraft[aid]) in world.neighbors(other.id)
+                for d, other in world.neighbor_table()[aid]:
+                    assert (d, world.aircraft[aid]) in world.neighbor_table()[other.id]
             world.step(hold_all(world))
 
 
@@ -249,14 +250,16 @@ class TestSweepCutoffs:
     @pytest.mark.parametrize("d_comm", [2500.0, 900.0])
     def test_neighbor_at_exactly_d_comm_is_returned(self, d_comm):
         world = self.place([5000.0, 5000.0 + d_comm, 5000.0 + d_comm], d_comm_m=d_comm)
-        ids = [[other.id for _, other in world.neighbors(aid)] for aid in world.enroute_ids()]
+        table = world.neighbor_table()
+        ids = [[other.id for _, other in table[aid]] for aid in world.enroute_ids()]
         assert ids == [["AC002", "AC003"], ["AC003", "AC001"], ["AC002", "AC001"]]
 
     @pytest.mark.parametrize("d_comm", [2500.0, 900.0])
     def test_neighbor_just_beyond_d_comm_is_not(self, d_comm):
         x = math.nextafter(5000.0 + d_comm, math.inf)
         world = self.place([5000.0, x, x], d_comm_m=d_comm)
-        ids = [[other.id for _, other in world.neighbors(aid)] for aid in world.enroute_ids()]
+        table = world.neighbor_table()
+        ids = [[other.id for _, other in table[aid]] for aid in world.enroute_ids()]
         assert ids == [[], ["AC003"], ["AC002"]]
 
 
@@ -271,7 +274,7 @@ class TestOnePairPass:
         monkeypatch.setattr(World, "distance_3d_m",
                             lambda self, a, b, *planar: calls.append((a, b, *planar))
                             or measure(self, a, b, *planar))
-        found = sum(len(world.neighbors(aid)) for aid in world.enroute_ids())
+        found = sum(len(world.neighbor_table()[aid]) for aid in world.enroute_ids())
         assert found == 14 * 13  # all related (A-C and C-A share vertiports), all in range
         assert len(calls) == found // 2
         assert len({frozenset((a.id, b.id)) for a, b, _ in calls}) == found // 2
@@ -279,7 +282,7 @@ class TestOnePairPass:
         assert all(planar == math.hypot(a.x_m - b.x_m, a.y_m - b.y_m)
                    for a, b, planar in calls)
         calls.clear()
-        assert sum(len(world.neighbors(aid)) for aid in world.enroute_ids()) == found
+        assert sum(len(world.neighbor_table()[aid]) for aid in world.enroute_ids()) == found
         assert calls == []
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6))
@@ -357,6 +360,36 @@ class TestStep:
                     locked_target.pop(ac.id, None)
 
 
+class TestCommandValues:
+    """World.step takes an Action or a value equal to one, such as its wire
+    integer, and rejects any other value."""
+
+    def command(self, solo_scenario, z_ft, action):
+        world = World(solo_scenario, SimConfig())
+        world.spawn_due_aircraft()
+        ac = world.aircraft["AC001"]
+        ac.z_ft = ac.z_target_ft = z_ft
+        world.step({"AC001": action})
+        return ac.z_target_ft, ac.last_action
+
+    # targets after hold, descend and climb at the bottom, middle and top layers
+    @pytest.mark.parametrize("z_ft, targets", [(1000.0, (1000.0, 1000.0, 1500.0)),
+                                               (2000.0, (2000.0, 1500.0, 2500.0)),
+                                               (3000.0, (3000.0, 2500.0, 3000.0))])
+    @pytest.mark.parametrize("value", [0, 1, 2, *Action])
+    def test_int_and_member_command_alike(self, solo_scenario, z_ft, targets, value):
+        target, last = self.command(solo_scenario, z_ft, value)
+        assert target == targets[value]
+        # a masked command is executed, and stored, as hold
+        assert last is (Action(value) if target != z_ft else Action.HOLD)
+        assert (target, last) == self.command(solo_scenario, z_ft, Action(value))
+
+    @pytest.mark.parametrize("value", [3, -1, "climb", 1.5, None])
+    def test_other_values_rejected(self, solo_scenario, value):
+        with pytest.raises(SimulationError, match=f"'AC001'.*{re.escape(repr(value))}"):
+            self.command(solo_scenario, 2000.0, value)
+
+
 def scan_enroute(world):
     return [a for a in world.aircraft.values() if a.phase is Phase.ENROUTE]
 
@@ -416,7 +449,7 @@ class TestEnrouteIndexProperty:
             all_arrived = all(a.phase is Phase.ARRIVED for a in world.aircraft.values())
             assert world.terminal == (world.n_steps >= horizon_steps or all_arrived)
             for aid in enroute:
-                assert [(d, n.id) for d, n in world.neighbors(aid)] == \
+                assert [(d, n.id) for d, n in world.neighbor_table()[aid]] == \
                     scan_neighbors(world, aid)
             assert world.detect_los() == scan_los(world)
 
@@ -490,7 +523,8 @@ def one_hot(action):
 
 
 def scan_observe(world, ac_id, config):
-    """observe recomputed from the aircraft states, as nested lists."""
+    """observe_tick's row of ac_id, unmasked intruders only, recomputed
+    from the aircraft states, as nested lists."""
     ac = world.aircraft[ac_id]
     z_min, span = world.net.layers.z_min, world.net.layers.z_max - world.net.layers.z_min
     own = [(ac.z_ft - z_min) / span, float(ac.b_changing),
@@ -542,7 +576,8 @@ class TestCommandAndObservationProperty:
             actions = {}
             if world.is_decision_tick():
                 for aid in world.enroute_ids():
-                    own, intr = observe(world, aid, reward_config)
+                    own, intr, intr_mask = observe_tick(world, [aid], reward_config)
+                    own, intr = own[0], intr[0, intr_mask[0]]
                     assert intr.shape[0] <= N_MAX_INTRUDERS
                     d_o = intr[:, 1]
                     assert (np.diff(d_o) >= 0).all() and (d_o >= 0).all()
@@ -567,5 +602,5 @@ class TestCommandAndObservationProperty:
     def test_intruder_distance_within_comm_range(self):
         world, a, b = TestNeighbors().make_pair(2490.0)
         b.z_ft = a.z_ft + 2000.0  # 3-D distance 2563 m
-        _, intr = observe(world, a.id, RewardConfig())
-        assert intr[0, 1] <= 1.0
+        _, intr, _ = observe_tick(world, [a.id], RewardConfig())
+        assert intr[0, 0, 1] <= 1.0
