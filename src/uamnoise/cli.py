@@ -123,8 +123,8 @@ def _load_policy(spec_str, scenario):
     checkpoint)."""
     if spec_str == "baseline:hold":
         return None, {"rho": 0.0}
-    params, _tc, rc, layers_ft = load_checkpoint(spec_str)
-    metrics_mod.check_compatible(layers_ft, scenario)
+    params, _tc, rc = load_checkpoint(spec_str)
+    metrics_mod.check_compatible(rc.layers.levels_ft, scenario)
     return params, {"rho": rc.rho, "lam": rc.lam, "condition": rc.condition}
 
 
@@ -142,9 +142,10 @@ def simulate(scenario_path, policy, seed, trace_path, out_path, **kw):
     scenario = load_scenario(scenario_path)
     params, reward = _load_policy(policy, scenario)
     sim_cfg, reward_cfg, _ = _build_configs(scenario, kw, seed, **reward)
-    episode, _trace = metrics_mod.run_episode(
-        params, scenario, sim_cfg, reward_cfg, seed=seed, greedy=True,
-        trace_path=trace_path)
+    episode, trace = metrics_mod.run_episode(
+        params, scenario, sim_cfg, reward_cfg, seed=seed, greedy=True)
+    if trace_path is not None:
+        metrics_mod.write_trace(trace, trace_path)
     if out_path:
         metrics_mod.export_metrics([episode], out_path, "json")
     click.echo(json.dumps(metrics_mod.metrics_record(episode), default=str))
@@ -169,7 +170,7 @@ def train(scenario_path, rho, iterations, seed, out_path, metrics_log, **kw):
     sim_cfg, reward_cfg, train_cfg = _build_configs(scenario, kw, seed, iterations, rho=rho)
     params, rows = rl.train(scenario, train_cfg, sim_cfg, reward_cfg,
                             checkpoint_dir=os.path.dirname(os.path.abspath(out_path)))
-    save_checkpoint(out_path, params, train_cfg, reward_cfg, scenario.network.layers)
+    save_checkpoint(out_path, params, train_cfg, reward_cfg)
     if metrics_log:
         metrics_mod.write_csv(metrics_log, ("iteration", "mean_return", "los_count",
                                             "top_layer_occupancy"), rows, cell=str)
@@ -212,16 +213,15 @@ def eval_cmd(scenario_path, checkpoint, seeds, out_path, **kw):
 @_handle_errors
 def sweep(scenario_path, rhos, iterations, seeds, out_dir, seed, **kw):
     """Train one policy per rho, evaluate over the seeds, emit tradeoff tables."""
-    rho_values = _parse_list("--rhos", rhos, float)
+    rho_values = _parse_list("--rhos", rhos, float, low=0, high=1)
     seed_values = _parse_list("--seeds", seeds, int, low=0)
     os.makedirs(out_dir, exist_ok=True)
     scenario = load_scenario(scenario_path)
     sim_cfg, reward_cfg, train_cfg = _build_configs(scenario, kw, seed, iterations, rho=0.0)
-    result = metrics_mod.sweep_rho(rho_values, scenario, train_cfg, sim_cfg, seed_values,
-                                   lam=reward_cfg.lam)
-    metrics_mod.export_metrics(result.rows, os.path.join(out_dir, "sweep_episodes.csv"),
-                               "csv")
-    metrics_mod.export_tradeoff(result, os.path.join(out_dir, "sweep_tradeoff.csv"))
+    rows = metrics_mod.sweep_rho(rho_values, scenario, train_cfg, sim_cfg, reward_cfg,
+                                 seed_values)
+    metrics_mod.export_metrics(rows, os.path.join(out_dir, "sweep_episodes.csv"), "csv")
+    metrics_mod.export_tradeoff(rows, os.path.join(out_dir, "sweep_tradeoff.csv"))
     click.echo(f"sweep results in {out_dir}")
 
 
@@ -258,9 +258,13 @@ def noise_report(trace_path, scenario_path, out_path):
 
 def _parse_list(option: str, text: str, kind, **rule) -> list:
     """The comma-separated numbers of an option, each read as kind (int or
-    float) and passed by check_number with rule; empty items are skipped."""
-    return [check_number(f"{option} item", to_number(tok, kind), **rule,
-                         integer=kind is int) for tok in text.split(",") if tok != ""]
+    float) and passed by check_number with rule; empty items are skipped, and
+    a list with no items is rejected."""
+    items = [check_number(f"{option} item", to_number(tok, kind), **rule,
+                          integer=kind is int) for tok in text.split(",") if tok != ""]
+    if not items:
+        raise ValidationError(f"{option} has no items, got {text!r}")
+    return items
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import SimulationError, ValidationError, check_number
 from .network import AltitudeLayerSet
 from .noise import Condition, single_event_level
-from .sim import FT_TO_M, World
+from .sim import FT_TO_M, Phase, World
 
 #: Nearest intruders kept in an observation; bounds compute and input size.
 N_MAX_INTRUDERS = 10
@@ -126,10 +126,14 @@ def tick_rewards(world: World, ids: list[str], config: RewardConfig,
     """Blended reward of each aircraft of ids at the world's current state,
     aligned with ids; arrived aircraft see an empty intruder set. observed is
     (enroute ids, intr, intr_mask) from this state's observe_tick, and must
-    cover every enroute aircraft of ids. The noise term is evaluated once per
-    distinct altitude."""
+    cover every aircraft of ids that has not arrived, or SimulationError names
+    the first that it misses. The noise term is evaluated once per distinct
+    altitude."""
     enroute, intr, intr_mask = observed
     r_sep = dict(zip(enroute, separation_rewards(intr, intr_mask, config).tolist()))
+    for i in ids:
+        if i not in r_sep and world.aircraft[i].phase is not Phase.ARRIVED:
+            raise SimulationError(f"aircraft '{i}' has not arrived and is not observed")
     z_ft = [world.aircraft[i].z_ft for i in ids]
     r_noise = {z: reward_noise(z, config) for z in set(z_ft)}
     return reward_total(np.array([r_noise[z] for z in z_ft]),

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,8 +33,6 @@ COORD_RULES = {"t": (), "x": (-COORD_LIMIT_M, COORD_LIMIT_M),
 @dataclass
 class EpisodeMetrics:
     los_count: int
-    zone_series: dict[str, list[tuple[float, float]]]  # zone -> [(t, increase)]
-    zone_summary: dict[str, tuple[float | None, float | None]]  # zone -> (max, mean)
     noise_increase_median_db: float | None  # median over zones of time-mean increase
     noise_increase_max_db: float | None
     histogram: dict[float, float]  # layer -> fraction of aircraft-ticks
@@ -169,14 +167,11 @@ def summarize_zones(series) -> dict[str, tuple[float | None, float | None]]:
 
 def metrics_from_trace(trace, network, los_count, mean_return, seed=0,
                        rho=None) -> EpisodeMetrics:
-    series = zone_noise_series(trace, network)
-    summary = summarize_zones(series)
+    summary = summarize_zones(zone_noise_series(trace, network))
     means = [m for _, m in summary.values() if m is not None]
     maxes = [mx for mx, _ in summary.values() if mx is not None]
     return EpisodeMetrics(
         los_count=los_count,
-        zone_series=series,
-        zone_summary=summary,
         noise_increase_median_db=statistics.median(means) if means else None,
         noise_increase_max_db=max(maxes) if maxes else None,
         histogram=altitude_histogram(trace, network.layers),
@@ -197,16 +192,14 @@ def run_episode(
     reward_config: RewardConfig,
     seed: int = 0,
     greedy: bool = True,
-    trace_path=None,
 ) -> tuple[EpisodeMetrics, list[TraceRow]]:
-    """Full episode under the policy (params=None is the hold-only baseline)."""
-    rng = np.random.default_rng(seed)
+    """Full episode under the policy (params=None is the hold-only baseline):
+    argmax actions when greedy, otherwise sampled from a generator of seed.
+    Returns the episode's metrics and its trace."""
     batch = collect_rollout(scenario, params, sim_config, reward_config,
-                            rng=rng, greedy=greedy)
+                            None if greedy else np.random.default_rng(seed))
     metrics = metrics_from_trace(batch.trace, scenario.network, batch.los_count,
                                  batch.mean_return, seed, reward_config.rho)
-    if trace_path is not None:
-        write_trace(batch.trace, trace_path)
     return metrics, batch.trace
 
 
@@ -221,34 +214,30 @@ def check_compatible(layers_ft, scenario: Scenario) -> None:
 # rho sweep
 
 
-@dataclass
-class SweepResult:
-    rows: list[EpisodeMetrics]  # rho-major, then seed
-
-    def aggregates(self) -> list[dict]:
-        """One dict per rho: median noise increase, mean LOS, mean top-layer
-        fraction, mean histogram."""
-        by_rho: dict[float, list[EpisodeMetrics]] = {}
-        for m in self.rows:
-            by_rho.setdefault(m.rho, []).append(m)
-        out = []
-        for rho in sorted(by_rho):
-            group = by_rho[rho]
-            layer_keys = list(group[0].histogram)
-            medians = [m.noise_increase_median_db for m in group
-                       if m.noise_increase_median_db is not None]
-            out.append({
-                "rho": rho,
-                "median_noise_increase_db": statistics.median(medians) if medians else None,
-                "mean_los": sum(m.los_count for m in group) / len(group),
-                "top_layer_fraction": sum(
-                    m.histogram[layer_keys[-1]] for m in group) / len(group),
-                "histogram": {
-                    z: sum(m.histogram[z] for m in group) / len(group)
-                    for z in layer_keys
-                },
-            })
-        return out
+def tradeoff(rows: list[EpisodeMetrics]) -> list[dict]:
+    """One dict per rho of the rows, ascending: median noise increase, mean
+    LOS, mean top-layer fraction, mean histogram."""
+    by_rho: dict[float, list[EpisodeMetrics]] = {}
+    for m in rows:
+        by_rho.setdefault(m.rho, []).append(m)
+    out = []
+    for rho in sorted(by_rho):
+        group = by_rho[rho]
+        layer_keys = list(group[0].histogram)
+        medians = [m.noise_increase_median_db for m in group
+                   if m.noise_increase_median_db is not None]
+        out.append({
+            "rho": rho,
+            "median_noise_increase_db": statistics.median(medians) if medians else None,
+            "mean_los": sum(m.los_count for m in group) / len(group),
+            "top_layer_fraction": sum(
+                m.histogram[layer_keys[-1]] for m in group) / len(group),
+            "histogram": {
+                z: sum(m.histogram[z] for m in group) / len(group)
+                for z in layer_keys
+            },
+        })
+    return out
 
 
 def sweep_rho(
@@ -256,19 +245,19 @@ def sweep_rho(
     scenario: Scenario,
     train_config: TrainConfig,
     sim_config: SimConfig,
+    reward_config: RewardConfig,
     seeds: list[int],
-    lam: float = RewardConfig.lam,
-) -> SweepResult:
-    """Train one policy per rho and evaluate it over the seeds."""
+) -> list[EpisodeMetrics]:
+    """Train one policy per rho, under reward_config with that rho, and
+    evaluate it over the seeds. Returns the episode rows, rho-major, then
+    seed."""
     rows: list[EpisodeMetrics] = []
     for rho in rho_values:
-        reward_config = RewardConfig.for_layers(
-            scenario.network.layers, rho, lam=lam,
-            d_los_m=sim_config.d_los_m, d_comm_m=sim_config.d_comm_m)
-        params, _ = rl.train(scenario, train_config, sim_config, reward_config)
-        rows += [run_episode(params, scenario, sim_config, reward_config, seed=seed)[0]
+        config = replace(reward_config, rho=rho)
+        params, _ = rl.train(scenario, train_config, sim_config, config)
+        rows += [run_episode(params, scenario, sim_config, config, seed=seed)[0]
                  for seed in seeds]
-    return SweepResult(rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +332,8 @@ def export_metrics(metrics_list: list[EpisodeMetrics], path, fmt: str) -> None:
     _export([metrics_record(m) for m in metrics_list], EPISODE_COLUMNS, path, fmt)
 
 
-def export_tradeoff(result: SweepResult, path) -> None:
-    """The per-rho aggregates as a CSV table."""
+def export_tradeoff(rows: list[EpisodeMetrics], path) -> None:
+    """The per-rho aggregates of sweep rows (tradeoff) as a CSV table."""
     records = [{**{c: agg[c] for c in TRADEOFF_COLUMNS},
-                **_layer_fractions(agg["histogram"])} for agg in result.aggregates()]
+                **_layer_fractions(agg["histogram"])} for agg in tradeoff(rows)]
     _export(records, TRADEOFF_COLUMNS, path, "csv")

@@ -44,16 +44,13 @@ PARAM_KEYS = tuple(key for key, _ in param_layout(1))
 
 class Params(dict):
     """Weight tensors (or their gradients) as named views into one contiguous
-    float64 vector, `flat`, laid out by param_layout(hidden); a given flat is
-    shared, not copied, and None starts from zeros."""
+    float64 vector, `flat`, laid out by param_layout(hidden); all zeros to
+    start with."""
 
-    def __init__(self, hidden: int, flat: np.ndarray | None = None):
+    def __init__(self, hidden: int):
         layout = param_layout(hidden)
-        size = sum(math.prod(shape) for _, shape in layout)
         self.hidden = hidden
-        self.flat = np.zeros(size) if flat is None else flat
-        if self.flat.shape != (size,) or self.flat.dtype != np.float64:
-            raise ValueError(f"hidden {hidden} needs a float64 vector of {size}")
+        self.flat = np.zeros(sum(math.prod(shape) for _, shape in layout))
         start = 0
         for key, shape in layout:
             self[key] = self.flat[start:start + math.prod(shape)].reshape(shape)

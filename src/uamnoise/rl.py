@@ -111,11 +111,10 @@ def collect_rollout(
     sim_config: SimConfig,
     reward_config: RewardConfig,
     rng: np.random.Generator | None = None,
-    greedy: bool = False,
 ) -> RolloutResult:
     """Run one full episode with every enroute aircraft acting from the shared
-    params. params=None means the hold-only baseline. greedy (or baseline)
-    episodes take argmax actions; otherwise actions are sampled from rng.
+    params. params=None means the hold-only baseline. Actions are sampled
+    from rng, or are the argmax without one (nnet.sample_actions).
 
     Each decision tick is one set of array operations over its enroute
     agents: one observe_tick, one batched policy pass, one sample_actions
@@ -126,8 +125,6 @@ def collect_rollout(
     """
     world = World(scenario, sim_config)
     layers = scenario.network.layers
-    flight_index = {fl.id: k for k, fl in enumerate(scenario.flights)}
-    sample_rng = None if (greedy or params is None) else rng
     blocks: list[_Block] = []
     rewards: list[np.ndarray] = []  # rewards[i] closes blocks[i]
     acted: list[str] = []  # the agents of the last block
@@ -151,8 +148,8 @@ def collect_rollout(
                 else:
                     probs = np.tile([1.0, 0.0, 0.0], (len(enroute), 1))
                     values = np.zeros(len(enroute))
-                actions, logp = nnet.sample_actions(probs, sample_rng)
-                blocks.append(_Block(np.array([flight_index[i] for i in enroute]), own,
+                actions, logp = nnet.sample_actions(probs, rng)
+                blocks.append(_Block(np.array([world.flight_index[i] for i in enroute]), own,
                                      intr, intr_mask, masks, actions, logp, values))
                 for ac, action in zip(acs, map(Action, actions.tolist())):
                     joint[ac.id] = action
@@ -284,7 +281,7 @@ def train(
         if (checkpoint_dir is not None and train_config.checkpoint_interval
                 and (it + 1) % train_config.checkpoint_interval == 0):
             save_checkpoint(f"{checkpoint_dir}/checkpoint_{it + 1:06d}.json",
-                            params, train_config, reward_config, layers)
+                            params, train_config, reward_config)
     return params, metrics
 
 
@@ -293,11 +290,12 @@ def train(
 
 
 def save_checkpoint(path, params, train_config: TrainConfig,
-                    reward_config: RewardConfig, layers) -> None:
+                    reward_config: RewardConfig) -> None:
+    """Writes params and both configs; the layers are reward_config's."""
     doc = {
         "version": 1,
         "hidden": params.hidden,
-        "layers_ft": list(layers.levels_ft),
+        "layers_ft": list(reward_config.layers.levels_ft),
         "train_config": asdict(train_config),
         "reward_config": {
             "rho": reward_config.rho, "lam": reward_config.lam,
@@ -313,7 +311,7 @@ def save_checkpoint(path, params, train_config: TrainConfig,
 
 
 def load_checkpoint(path):
-    """Returns (params, train_config, reward_config, layers_ft)."""
+    """Returns (params, train_config, reward_config)."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -349,8 +347,7 @@ def _checkpoint_from_doc(doc):
         rc_doc["condition"] = Condition(rc_doc.get("condition"))
     except ValueError as exc:
         raise ValidationError(f"reward_config: {exc}") from exc
-    rc = RewardConfig(**rc_doc, layers=layers)
-    return params, tc, rc, layers.levels_ft
+    return params, tc, RewardConfig(**rc_doc, layers=layers)
 
 
 def _section(doc: dict, name: str, cls=None, derived=()) -> dict:

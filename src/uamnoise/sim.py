@@ -13,6 +13,7 @@ import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
+from itertools import accumulate
 from operator import attrgetter
 
 from .errors import SimulationError, ValidationError, check_number
@@ -90,6 +91,9 @@ class LosEvent:
 class World:
     """Single-writer episode state; one world per rollout worker.
 
+    ``flight_index`` maps each flight id to its index in ``scenario.flights``,
+    the scenario-flight order of the enroute index and of LOS events.
+
     Enroute index invariant: ``_enroute`` holds exactly the aircraft whose
     phase is ENROUTE, in scenario-flight order, and ``_queue[_next:]`` exactly
     the PENDING ones, sorted by (departure time, flight index). Only
@@ -116,9 +120,9 @@ class World:
         self.aircraft: dict[str, AircraftState] = {}
         for fl in scenario.flights:
             self.aircraft[fl.id] = AircraftState(id=fl.id, route=scenario.routes[fl.id])
+        self.flight_index = {fl.id: i for i, fl in enumerate(scenario.flights)}
         # Enroute index (see the class docstring): a spawn queue of
         # (departure, aircraft) with a cursor, and the enroute list.
-        self._flight_index = {fl.id: i for i, fl in enumerate(scenario.flights)}
         by_departure = sorted(enumerate(scenario.flights), key=lambda p: (p[1].departure_s, p[0]))
         self._queue = [(fl.departure_s, self.aircraft[fl.id]) for _, fl in by_departure]
         self._next = 0
@@ -135,9 +139,7 @@ class World:
             for vid in route_nodes(self.net, route):
                 vp = self.net.vertiports[vid]
                 pts.append((vp.x_m, vp.y_m))
-            cum = [0.0]
-            for a, b in zip(pts, pts[1:]):
-                cum.append(cum[-1] + math.hypot(b[0] - a[0], b[1] - a[1]))
+            cum = list(accumulate(map(self.net.link_length_m, route.link_ids), initial=0.0))
             self._polylines[route.link_ids] = (pts, cum)
 
         unique_routes = list({r.link_ids: r for r in scenario.routes.values()}.values())
@@ -182,7 +184,7 @@ class World:
             ac = self._queue[self._next][1]
             self._next += 1
             self._by_x = self._near = None
-            insort(self._enroute, ac, key=lambda a: self._flight_index[a.id])
+            insort(self._enroute, ac, key=lambda a: self.flight_index[a.id])
             pts, _ = self._polylines[ac.route.link_ids]
             ac.phase = Phase.ENROUTE
             ac.dist_along_m = 0.0
@@ -289,7 +291,7 @@ class World:
 
         Only pairs with |dx| <= d_los are measured; the cut-off is exact, since
         the 3-D distance is never below |dx|."""
-        d_los, index = self.config.d_los_m, self._flight_index
+        d_los, index = self.config.d_los_m, self.flight_index
         hits = [(a, b, d) for a, b in self._x_pairs(d_los)
                 if (d := self.distance_3d_m(a, b)) < d_los]
         hits.sort(key=lambda hit: sorted((index[hit[0].id], index[hit[1].id])))

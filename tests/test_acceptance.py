@@ -155,7 +155,8 @@ def test_criterion_06_gradient_check():
         gflat = grads.flat
 
         def loss_at(x):
-            p = nnet.Params(params.hidden, x)
+            p = nnet.Params(params.hidden)
+            p.flat[:] = x
             return nnet.ppo_loss_and_grads(p, batch, 0.2, 0.5, 0.01)[0]
 
         eps = 1e-5
@@ -216,9 +217,9 @@ def test_criterion_09_noise_separation_tradeoff_trend():
         sim_cfg = SimConfig(climb_rate_fpm=1000.0)
         train_cfg = TrainConfig(iterations=2000, seed=0, hidden=16,
                                 learning_rate=1e-3, minibatch_size=128)
-        result = M.sweep_rho([0.0, 0.9], sc, train_cfg, sim_cfg,
-                             seeds=[0, 1, 2, 3, 4])
-        low, high = result.aggregates()  # sorted by rho
+        rows = M.sweep_rho([0.0, 0.9], sc, train_cfg, sim_cfg,
+                           RewardConfig.for_layers(net.layers, 0.0), seeds=[0, 1, 2, 3, 4])
+        low, high = M.tradeoff(rows)  # sorted by rho
         assert low["rho"] == 0.0 and high["rho"] == 0.9
 
         assert high["top_layer_fraction"] - low["top_layer_fraction"] >= 0.2

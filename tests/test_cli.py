@@ -186,21 +186,6 @@ class TestTrainEvalSweep:
                 == (run_dir / "policy.json").read_bytes())
 
 
-    def test_empty_sweep_writes_header_only_tables(self, runner, tmp_path):
-        net = make_corridor_network(length_m=2000.0)
-        path = tmp_path / "tiny.json"
-        save_scenario(generate_scenario(net, 1, [("A", "B")], seed=0), path)
-        out_dir = tmp_path / "sweep"
-        result = runner.invoke(main, [
-            "sweep", "--scenario", str(path), "--rhos", "", "--iterations", "0",
-            "--seeds", "0", "--out-dir", str(out_dir)])
-        assert result.exit_code == 0, result.output
-        assert (out_dir / "sweep_episodes.csv").read_text().splitlines() == [
-            "rho,seed,los_count,median_noise_increase_db,max_noise_increase_db,mean_return"]
-        assert (out_dir / "sweep_tradeoff.csv").read_text().splitlines() == [
-            "rho,median_noise_increase_db,mean_los,top_layer_fraction"]
-
-
 class TestNoiseCommands:
     def test_fit_npd(self, runner, tmp_path):
         samples = tmp_path / "samples.csv"
@@ -367,10 +352,16 @@ def test_train_rejects_out_of_range_lam(runner, scenario_file, tmp_path, lam):
 
 @pytest.mark.parametrize("command, message", [
     ("sweep --rhos 0.5,abc", "--rhos item must be a number, got 'abc'"),
-    ("sweep --rhos 0.5,nan", "--rhos item must be finite, got nan"),
+    ("sweep --rhos 0.5,nan", "--rhos item must be finite and in [0, 1], got nan"),
+    # checked before the first rho trains
+    ("sweep --rhos 0.5,1.5", "--rhos item must be finite and in [0, 1], got 1.5"),
+    ("sweep --rhos ,", "--rhos has no items, got ','"),
     ("sweep --seeds 0,1.5", "--seeds item must be an integer, got '1.5'"),
+    ("sweep --seeds ,", "--seeds has no items, got ','"),
     ("eval --seeds 0,-1", "--seeds item must be finite and non-negative, got -1"),
-], ids=["rhos-string", "rhos-nan", "seeds-float", "seeds-negative"])
+    ("eval --seeds ,", "--seeds has no items, got ','"),
+], ids=["rhos-string", "rhos-nan", "rhos-above-one", "rhos-empty", "seeds-float",
+        "seeds-empty", "seeds-negative", "eval-seeds-empty"])
 def test_bad_list_item_exits_1(runner, scenario_file, tmp_path, command, message):
     name, option, value = command.split()
     args = {

@@ -1,7 +1,8 @@
 """Static checks over the package source, by AST and without a linter: every
 imported name is used, the intra-package import graph has no cycle
 (function-level imports included), cli opens no file for writing, only
-errors.py calls math.isfinite, and every public function is called from the
+errors.py calls math.isfinite, every public function is called, every
+dataclass field is read and every optional parameter is passed from the
 package or the benchmark."""
 import ast
 from collections import Counter
@@ -160,3 +161,87 @@ def test_every_public_function_is_called():
         n for n in uncalled.values() if n in UNCALLED_ENTRY_POINTS)
     extra = [name for name, n in uncalled.items() if n not in UNCALLED_ENTRY_POINTS]
     assert not extra, f"public functions called from neither src/ nor bench/: {extra}"
+
+
+# Dataclasses whose fields the package need not read, and why.
+UNREAD_FIELDS_OK = {
+    "LosEvent": "src reads only the event count; tests compare whole events",
+}
+
+
+def _dataclass_fields(tree):
+    """(class, field) for each annotated field of each @dataclass class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "dataclass" for d in node.decorator_list):
+            yield from ((node.name, st.target.id) for st in node.body
+                        if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name))
+
+
+def _attribute_reads(tree):
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read():
+    # a field nothing reads restates a value the caller already holds
+    sample = ast.parse("@dataclass\nclass A:\n    x: int\n    y: int = 0\nprint(a.x)\na.y = 1")
+    assert [f for f in _dataclass_fields(sample) if f[1] not in _attribute_reads(sample)] \
+        == [("A", "y")]
+    reads = set().union(*map(_attribute_reads, [*MODULES.values(), *BENCH]))
+    unread = [f"{cls}.{name}" for tree in MODULES.values()
+              for cls, name in _dataclass_fields(tree)
+              if name not in reads and cls not in UNREAD_FIELDS_OK]
+    assert not unread, f"dataclass fields read in neither src/ nor bench/: {unread}"
+
+
+def _optional_parameters():
+    """(qualified name, called name, parameter, its position in a call or
+    None if keyword-only) for each defaulted parameter of each public
+    function, public method and class __init__; a class is called by its
+    name, and a method's first parameter (self or cls) is not in the call."""
+    def defaulted(fn, skip):
+        pos = fn.args.posonlyargs + fn.args.args
+        first = len(pos) - len(fn.args.defaults)
+        yield from ((arg.arg, i - skip) for i, arg in enumerate(pos) if i >= first)
+        yield from ((arg.arg, None) for arg, default in
+                    zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None)
+
+    for mod, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                for param, pos in defaulted(node, 0):
+                    yield f"{mod}.{node.name}", node.name, param, pos
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and (
+                            fn.name == "__init__" or not fn.name.startswith("_")):
+                        called = node.name if fn.name == "__init__" else fn.name
+                        for param, pos in defaulted(fn, 1):
+                            yield f"{node.name}.{fn.name}", called, param, pos
+
+
+def _passes(call, param, pos):
+    """Whether call may pass param: by keyword, at position pos, or through a
+    * or ** splat."""
+    return (any(k.arg in (param, None) for k in call.keywords)
+            or (pos is not None and len(call.args) > pos)
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_optional_parameter_is_passed():
+    # a default no caller overrides is a knob only tests set
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in [*MODULES.values(), *BENCH]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    sample = ast.parse("f(1, b=2)")
+    call = sample.body[0].value
+    assert [_passes(call, p, i) for p, i in (("a", 0), ("b", 1), ("c", 2), ("d", None))] \
+        == [True, True, False, False]
+    unpassed = [f"{qual}({param})" for qual, called, param, pos in _optional_parameters()
+                if not any(_passes(c, param, pos) for c in calls.get(called, []))]
+    assert not unpassed, f"optional parameters passed from neither src/ nor bench/: {unpassed}"

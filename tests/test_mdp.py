@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from uamnoise.errors import SimulationError, ValidationError
 from uamnoise.mdp import (INTRUDER_DIM, N_MAX_INTRUDERS, OWN_DIM, RewardConfig, observe_tick,
-                          reward_noise, reward_total, separation_rewards)
+                          reward_noise, reward_total, separation_rewards, tick_rewards)
 from uamnoise.network import generate_scenario
 from uamnoise.sim import FT_TO_M, Action, Phase, SimConfig, World, action_mask
 
@@ -217,6 +217,23 @@ class TestRewardTotal:
         for _ in range(100):
             rn, rs, rho = -rng.random(), -rng.random(), rng.random()
             assert -1.0 <= reward_total(rn, rs, rho) <= 0.0
+
+
+class TestTickRewards:
+    def test_every_aircraft_not_arrived_must_be_observed(self):
+        # six aircraft at one point of one layer: each has five close intruders
+        scenario = generate_scenario(make_line_network(), 6, [("A", "C")],
+                                     departure_spacing_s=0.0, seed=0)
+        world = World(scenario, SimConfig())
+        world.spawn_due_aircraft()
+        ids = world.enroute_ids()
+        r_noise = reward_noise(world.aircraft[ids[0]].z_ft, CFG)
+        expected = reward_total(r_noise, -5 * CFG.lam, CFG.rho)
+        rewards = tick_rewards(world, ids, CFG, (ids, *observe_tick(world, ids, CFG)[1:]))
+        assert rewards.tolist() == [expected] * 6
+        # an observation of one aircraft does not score the other five
+        with pytest.raises(SimulationError, match=f"'{ids[1]}' has not arrived"):
+            tick_rewards(world, ids, CFG, (ids[:1], *observe_tick(world, ids[:1], CFG)[1:]))
 
 
 class TestActionMask:

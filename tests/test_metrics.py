@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from uamnoise import metrics as M
 from uamnoise import nnet
 from uamnoise.errors import ValidationError
 from uamnoise.mdp import RewardConfig
-from uamnoise.network import generate_scenario, load_scenario
+from uamnoise.network import AltitudeLayerSet, generate_scenario, load_scenario
 from uamnoise.rl import TraceRow, TrainConfig
 from uamnoise.sim import Action, SimConfig
 
@@ -160,16 +161,14 @@ class TestRunEpisode:
     def test_metrics_pure_function_of_trace(self, line_scenario, tmp_path):
         rc = RewardConfig.for_layers(line_scenario.network.layers, 0.5)
         path = tmp_path / "trace.csv"
-        metrics, trace = M.run_episode(None, line_scenario, SimConfig(), rc,
-                                       seed=0, trace_path=path)
+        metrics, trace = M.run_episode(None, line_scenario, SimConfig(), rc, seed=0)
+        M.write_trace(trace, path)
         reloaded = M.read_trace(path)
         assert reloaded == trace
         recomputed = M.metrics_from_trace(reloaded, line_scenario.network,
                                           metrics.los_count, metrics.mean_return,
                                           rho=rc.rho)
-        assert recomputed.histogram == metrics.histogram
-        assert recomputed.zone_series == metrics.zone_series
-        assert recomputed.noise_increase_median_db == metrics.noise_increase_median_db
+        assert recomputed == metrics
 
     def test_incompatible_layers_rejected(self, line_scenario):
         with pytest.raises(ValidationError, match="layers"):
@@ -179,7 +178,7 @@ class TestRunEpisode:
 class TestExport:
     def make_metrics(self, n):
         from uamnoise.metrics import EpisodeMetrics
-        return [EpisodeMetrics(i, {}, {}, -1.5 + i, -1.0, {1000.0: 1.0}, -0.5,
+        return [EpisodeMetrics(i, -1.5 + i, -1.0, {1000.0: 1.0}, -0.5,
                                seed=i, rho=0.5) for i in range(n)]
 
     def test_empty_csv_header_only(self, tmp_path):
@@ -205,7 +204,7 @@ class TestExport:
 
     def test_sentinel_serialized_as_empty(self, tmp_path):
         from uamnoise.metrics import EpisodeMetrics
-        m = EpisodeMetrics(0, {}, {}, None, None, {1000.0: 1.0}, 0.0)
+        m = EpisodeMetrics(0, None, None, {1000.0: 1.0}, 0.0)
         path = tmp_path / "m.csv"
         M.export_metrics([m], path, "csv")
         with open(path) as fh:
@@ -223,23 +222,46 @@ class TestSweep:
         net = make_corridor_network(length_m=3000.0)
         sc = generate_scenario(net, 1, [("A", "B")], seed=0)
         tc = TrainConfig(iterations=2, hidden=4, seed=0, minibatch_size=32)
-        result = M.sweep_rho([0.0], sc, tc, SimConfig(), seeds=[0, 1])
-        assert len(result.rows) == 2
+        rc = RewardConfig.for_layers(net.layers, 0.5)
+        rows = M.sweep_rho([0.0], sc, tc, SimConfig(), rc, seeds=[0, 1])
+        assert len(rows) == 2
         path = tmp_path / "sweep.csv"
-        M.export_metrics(result.rows, path, "csv")
+        M.export_metrics(rows, path, "csv")
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 3  # header + |rhos| x |seeds|
 
     def test_checkpoint_reuse_identical_table(self):
-        # sweep_rho trains and scores under for_layers with the simulator's
-        # d_los_m/d_comm_m, so its row equals a train + run_episode by hand
+        # sweep_rho trains and scores under the caller's reward config with
+        # each rho, so its row equals a train + run_episode by hand
         net = make_corridor_network(length_m=3000.0)
         sc = generate_scenario(net, 1, [("A", "B")], seed=0)
         tc = TrainConfig(iterations=2, hidden=4, seed=0, minibatch_size=32)
-        result = M.sweep_rho([0.3], sc, tc, SimConfig(), seeds=[0])
+        rows = M.sweep_rho([0.3], sc, tc, SimConfig(), RewardConfig.for_layers(net.layers, 0.0),
+                           seeds=[0])
         from uamnoise.rl import train
         rc = RewardConfig.for_layers(net.layers, 0.3,
                                      d_los_m=150.0, d_comm_m=2500.0)
         params, _ = train(sc, tc, SimConfig(), rc)
-        assert result.rows == [M.run_episode(params, sc, SimConfig(), rc, seed=0)[0]]
+        assert rows == [M.run_episode(params, sc, SimConfig(), rc, seed=0)[0]]
+
+    def test_rows_keep_the_callers_layers_and_lam(self):
+        # a head-on pair under layers and lam that are not the defaults: a
+        # sweep that dropped the layers would score altitudes outside its
+        # bounds, and one that dropped lam would score separation otherwise
+        layers = AltitudeLayerSet((500.0, 900.0, 1400.0))
+        net = replace(make_corridor_network(length_m=3000.0), layers=layers)
+        sc = generate_scenario(net, 2, [("A", "B"), ("B", "A")],
+                               departure_spacing_s=0.0, seed=0)
+        tc = TrainConfig(iterations=2, hidden=4, seed=0, minibatch_size=32)
+        rows = M.sweep_rho([0.4], sc, tc, SimConfig(),
+                           RewardConfig.for_layers(layers, 0.0, lam=0.3), seeds=[0])
+        from uamnoise.rl import train
+
+        def by_hand(lam):
+            rc = RewardConfig.for_layers(layers, 0.4, lam=lam)
+            params, _ = train(sc, tc, SimConfig(), rc)
+            return [M.run_episode(params, sc, SimConfig(), rc, seed=0)[0]]
+
+        assert rows == by_hand(0.3)
+        assert rows != by_hand(RewardConfig.lam)  # lam reaches the rows

@@ -94,7 +94,7 @@ class TestCollectRollout:
                 assert batch.actions[i] != 1
 
 
-def reference_rollout(scenario, params, sim_config, reward_config, rng=None, greedy=False):
+def reference_rollout(scenario, params, sim_config, reward_config, rng=None):
     """collect_rollout one agent at a time: an observe_tick of [id], a
     policy_batch of that one row and a sample_actions of its probabilities
     per agent, and a fresh one-agent observe_tick inside every reward.
@@ -138,8 +138,7 @@ def reference_rollout(scenario, params, sim_config, reward_config, rng=None, gre
                 else:
                     probs, value = nnet.policy_batch(params, own, intr, intr_mask,
                                                      np.array([mask]))
-                action, logp = nnet.sample_actions(
-                    probs, None if (greedy or params is None) else rng)
+                action, logp = nnet.sample_actions(probs, rng)
                 action = int(action[0])
                 joint[ac_id] = Action(action)
                 records[ac_id].append({"own": own[0], "intr": intr[0, intr_mask[0]],
@@ -172,8 +171,8 @@ class TestBatchedTickMatchesReference:
         rc = RewardConfig.for_layers(scenario.network.layers, 0.5)
 
         def run(fn):
-            return fn(scenario, params, sim, rc, rng=np.random.default_rng(4),
-                      greedy=mode == "greedy")
+            return fn(scenario, params, sim, rc,
+                      rng=None if mode == "greedy" else np.random.default_rng(4))
 
         batch = run(collect_rollout)
         assert_equals_reference(batch, *run(reference_rollout))
@@ -283,8 +282,8 @@ class TestRolloutProperty:
                                      d_comm_m=sim.d_comm_m)
 
         def run(fn):
-            return fn(scenario, params, sim, rc, rng=np.random.default_rng(seed),
-                      greedy=mode == "greedy")
+            return fn(scenario, params, sim, rc,
+                      rng=None if mode == "greedy" else np.random.default_rng(seed))
 
         assert_equals_reference(run(collect_rollout), *run(reference_rollout))
 
@@ -387,21 +386,20 @@ class TestCheckpointFile:
         tc = small_train_config(5)
         rc = RewardConfig.for_layers(line_network.layers, 0.25)
         path = tmp_path / "ck.json"
-        save_checkpoint(path, params, tc, rc, line_network.layers)
-        p2, tc2, rc2, layers_ft = load_checkpoint(path)
+        save_checkpoint(path, params, tc, rc)
+        p2, tc2, rc2 = load_checkpoint(path)
         for key in nnet.PARAM_KEYS:
             assert np.array_equal(params[key], p2[key])
         assert tc2 == tc
         assert rc2.rho == 0.25
-        assert layers_ft == line_network.layers.levels_ft
+        assert rc2.layers == line_network.layers
 
     def test_forward_preserved_bit_exact(self, tmp_path, line_network):
         rng = np.random.default_rng(14)
         params = nnet.init_params(8, 12)
         path = tmp_path / "ck.json"
         save_checkpoint(path, params, small_train_config(1),
-                        RewardConfig.for_layers(line_network.layers, 0.5),
-                        line_network.layers)
+                        RewardConfig.for_layers(line_network.layers, 0.5))
         restored, *_ = load_checkpoint(path)
         # one observation as a one-row batch: own (1, 6), intr (1, 4, 5)
         own, intr = rng.normal(size=(1, 6)), rng.normal(size=(1, 4, 5))
@@ -415,8 +413,7 @@ class TestCheckpointFile:
         # back as its default, or be accepted from a file without being saved
         path = tmp_path / "ck.json"
         save_checkpoint(path, nnet.init_params(4, 0), small_train_config(1, hidden=4),
-                        RewardConfig.for_layers(line_network.layers, 0.5),
-                        line_network.layers)
+                        RewardConfig.for_layers(line_network.layers, 0.5))
         saved = set(json.loads(path.read_text())["reward_config"]) - {"z_min_ft", "z_max_ft"}
         assert saved == {f.name for f in fields(RewardConfig)}
 
@@ -456,14 +453,14 @@ class TestCheckpointRoundTripProperty:
     def test_load_of_save_is_exact_and_resaves_byte_identical(self, tmp_path_factory, case):
         params, tc, rc, layers = case
         path = tmp_path_factory.mktemp("ck") / "ck.json"
-        save_checkpoint(path, params, tc, rc, layers)
-        loaded, tc2, rc2, layers_ft = load_checkpoint(path)
+        save_checkpoint(path, params, tc, rc)
+        loaded, tc2, rc2 = load_checkpoint(path)
         assert loaded.hidden == params.hidden
         assert loaded.flat.tobytes() == params.flat.tobytes()
         assert tc2 == tc and rc2 == rc
-        assert rc2.layers == layers and layers_ft == layers.levels_ft
+        assert rc2.layers == layers
         again = path.with_name("again.json")
-        save_checkpoint(again, loaded, tc2, rc2, AltitudeLayerSet(layers_ft))
+        save_checkpoint(again, loaded, tc2, rc2)
         assert again.read_bytes() == path.read_bytes()
 
 
