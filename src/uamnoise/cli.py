@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -26,44 +25,36 @@ from .rl import TrainConfig, load_checkpoint, save_checkpoint
 from .sim import SimConfig
 
 
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ValidationError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-        except click.ClickException:
-            raise
-        except Exception as exc:  # noqa: BLE001 - CLI boundary
-            click.echo(f"runtime error: {exc}", err=True)
-            sys.exit(2)
-    return wrapper
-
-
 class _Group(click.Group):
-    """The command group. Click's usage and parameter errors (an unknown
-    option, a value of the wrong type) exit 1, as input errors do, with
-    click's message; they arise in the group's own parsing or in a
-    command's, which the group's invoke runs."""
+    """The command group. Its own parsing, and its invoke, which runs each
+    command's parsing and callback, map every error to an exit code."""
 
     def make_context(self, *args, **kwargs):
-        with _usage_error_exits_1():
+        with _exit_codes():
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        with _usage_error_exits_1():
+        with _exit_codes():
             return super().invoke(ctx)
 
 
 @contextlib.contextmanager
-def _usage_error_exits_1():
+def _exit_codes():
+    """Exit 1 for an input or usage error (an option click cannot parse
+    included), with click's message for its own; exit 2 for any other
+    exception. Click's Exit (as after --help) and Abort pass through."""
     try:
         yield
-    except click.UsageError as exc:
-        exc.exit_code = 1
+    except (click.ClickException, click.exceptions.Exit, click.Abort) as exc:
+        if isinstance(exc, click.UsageError):
+            exc.exit_code = 1
         raise
+    except (ValidationError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
+    except Exception as exc:  # noqa: BLE001 - CLI boundary
+        click.echo(f"runtime error: {exc}", err=True)
+        sys.exit(2)
 
 
 @click.group(cls=_Group)
@@ -135,7 +126,6 @@ def _load_policy(spec_str, scenario):
 @click.option("--trace", "trace_path", type=click.Path(), default=None)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @_sim_options
-@_handle_errors
 def simulate(scenario_path, policy, seed, trace_path, out_path, **kw):
     """Run one evaluation episode and report its metrics."""
     _check_output_dirs(trace_path, out_path)
@@ -162,7 +152,6 @@ def simulate(scenario_path, policy, seed, trace_path, out_path, **kw):
 @_sim_options
 @_train_options
 @_reward_options
-@_handle_errors
 def train(scenario_path, rho, iterations, seed, out_path, metrics_log, **kw):
     """Train a policy for one rho value and write a checkpoint."""
     _check_output_dirs(out_path, metrics_log)
@@ -183,15 +172,15 @@ def train(scenario_path, rho, iterations, seed, out_path, metrics_log, **kw):
 @click.option("--seeds", required=True, help="comma-separated seed list")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_sim_options
-@_handle_errors
 def eval_cmd(scenario_path, checkpoint, seeds, out_path, **kw):
     """Evaluate a checkpoint over several seeds; write a metrics CSV."""
+    seed_values = _parse_list("--seeds", seeds, int, low=0)
     _check_output_dirs(out_path)
     scenario = load_scenario(scenario_path)
     params, reward = _load_policy(checkpoint, scenario)
     sim_cfg, reward_cfg, _ = _build_configs(scenario, kw, 0, **reward)
     episodes = []
-    for seed in _parse_list("--seeds", seeds, int, low=0):
+    for seed in seed_values:
         episode, _ = metrics_mod.run_episode(
             params, scenario, sim_cfg, reward_cfg, seed=seed, greedy=True)
         episodes.append(episode)
@@ -210,7 +199,6 @@ def eval_cmd(scenario_path, checkpoint, seeds, out_path, **kw):
 @_sim_options
 @_sweep_train_options
 @_reward_options
-@_handle_errors
 def sweep(scenario_path, rhos, iterations, seeds, out_dir, seed, **kw):
     """Train one policy per rho, evaluate over the seeds, emit tradeoff tables."""
     rho_values = _parse_list("--rhos", rhos, float, low=0, high=1)
@@ -229,7 +217,6 @@ def sweep(scenario_path, rhos, iterations, seeds, out_dir, seed, **kw):
 @click.option("--samples", "samples_path", required=True, type=click.Path(),
               help="CSV with columns distance_ft,level_db")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_handle_errors
 def fit_npd_cmd(samples_path, out_path):
     """Fit quadratic-in-log regression coefficients to noise samples."""
     _check_output_dirs(out_path)
@@ -244,7 +231,6 @@ def fit_npd_cmd(samples_path, out_path):
 @click.option("--trace", "trace_path", required=True, type=click.Path())
 @click.option("--scenario", "scenario_path", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_handle_errors
 def noise_report(trace_path, scenario_path, out_path):
     """Per-zone noise-increase time series recomputed from a saved trace."""
     _check_output_dirs(out_path)
@@ -259,11 +245,14 @@ def noise_report(trace_path, scenario_path, out_path):
 def _parse_list(option: str, text: str, kind, **rule) -> list:
     """The comma-separated numbers of an option, each read as kind (int or
     float) and passed by check_number with rule; empty items are skipped, and
-    a list with no items is rejected."""
+    a list with no items or with a repeated item is rejected."""
     items = [check_number(f"{option} item", to_number(tok, kind), **rule,
                           integer=kind is int) for tok in text.split(",") if tok != ""]
     if not items:
         raise ValidationError(f"{option} has no items, got {text!r}")
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ValidationError(f"{option} item {item} is repeated in {text!r}")
     return items
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import SimulationError, ValidationError, check_number
 from .network import AltitudeLayerSet
-from .noise import Condition, single_event_level
+from .noise import Z_HI_FT, Z_LO_FT, Condition, single_event_level
 from .sim import FT_TO_M, Phase, World
 
 #: Nearest intruders kept in an observation; bounds compute and input size.
@@ -47,7 +47,9 @@ class RewardConfig:
         self.n_max_noise = single_event_level(self.condition, layers.z_min)
         self.n_min_noise = single_event_level(self.condition, layers.z_max)
         if not self.n_max_noise > self.n_min_noise:
-            raise ValidationError("noise level must decrease from z_min to z_max")
+            raise ValidationError(f"noise level must decrease from z_min to z_max, but the noise "
+                                  f"curve clamps slant distance to [{Z_LO_FT:g}, {Z_HI_FT:g}] ft, "
+                                  f"so layers_ft {list(layers.levels_ft)} give one level")
 
     @property
     def span_ft(self) -> float:

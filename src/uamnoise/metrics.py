@@ -19,9 +19,9 @@ import numpy as np
 from . import rl
 from .errors import ValidationError, check_number, to_number
 from .mdp import RewardConfig
-from .network import COORD_LIMIT_M, AltitudeLayerSet, Network, Scenario
-from .noise import NO_CONTRIBUTION, zone_noise_report
-from .rl import TraceRow, TrainConfig, attribute_layers, collect_rollout
+from .network import COORD_LIMIT_M, Network, Scenario
+from .noise import zone_noise_report
+from .rl import TraceRow, TrainConfig, altitude_histogram, collect_rollout
 from .sim import Action, SimConfig
 
 TRACE_COLUMNS = ("t", "id", "x", "y", "z_ft", "action", "b_changing")
@@ -81,17 +81,6 @@ def read_trace(path) -> list[TraceRow]:
 # Altitude occupancy
 
 
-def altitude_histogram(trace: list[TraceRow], layers: AltitudeLayerSet) -> dict[float, float]:
-    """Fraction of enroute aircraft-ticks per layer; fractions sum to 1."""
-    if not trace:
-        raise ValidationError("cannot build a histogram from an empty trace")
-    attributed = attribute_layers(trace, layers)
-    hist = {z: 0.0 for z in layers.levels_ft}
-    for z in attributed:
-        hist[z] += 1.0
-    return {z: c / len(attributed) for z, c in hist.items()}
-
-
 def histogram_entropy(hist: dict[float, float]) -> float:
     return -sum(p * math.log(p) for p in hist.values() if p > 0.0)
 
@@ -133,10 +122,11 @@ def nearest_link(segments: tuple, xs: list[float], ys: list[float]) -> list[str]
 
 
 def zone_noise_series(trace: list[TraceRow],
-                      network: Network) -> dict[str, list[tuple[float, float]]]:
-    """Per-zone cumulative increase at each decision tick. Slant distance is
-    the aircraft's altitude (receiver directly beneath); each aircraft is
-    attributed to the zone of its current (nearest) link."""
+                      network: Network) -> dict[str, list[tuple[float, float | None]]]:
+    """Per-zone cumulative increase at each decision tick, None at a tick
+    with no aircraft in the zone. Slant distance is the aircraft's altitude
+    (receiver directly beneath); each aircraft is attributed to the zone of
+    its current (nearest) link."""
     if not network.zones:
         return {}
     ticks: dict[float, list[TraceRow]] = {}
@@ -160,7 +150,7 @@ def summarize_zones(series) -> dict[str, tuple[float | None, float | None]]:
     (None, None) for zones never overflown."""
     out = {}
     for zid, points in series.items():
-        vals = [v for _, v in points if v != NO_CONTRIBUTION]
+        vals = [v for _, v in points if v is not None]
         out[zid] = (max(vals), sum(vals) / len(vals)) if vals else (None, None)
     return out
 
@@ -269,13 +259,10 @@ TRADEOFF_COLUMNS = ("rho", "median_noise_increase_db", "mean_los", "top_layer_fr
 
 
 def _fmt(value) -> str:
-    """Report cell: floats at 6 significant digits; None and the
-    no-contribution sentinel as an empty cell."""
+    """Report cell: floats at 6 significant digits; None as an empty cell."""
     if value is None:
         return ""
     if isinstance(value, float):
-        if value == NO_CONTRIBUTION:
-            return ""
         return f"{value:.6g}"
     return str(value)
 

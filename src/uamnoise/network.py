@@ -303,15 +303,9 @@ def build_route(network: Network, origin: str, destination: str) -> Route:
 
 
 def route_nodes(network: Network, route: Route) -> list[str]:
-    nodes = [route.origin]
-    for lid in route.link_ids:
-        link = network.links[lid]
-        if link.from_id != nodes[-1]:
-            raise ValidationError(f"route link '{lid}' does not continue from '{nodes[-1]}'")
-        nodes.append(link.to_id)
-    if nodes[-1] != route.destination:
-        raise ValidationError("route does not end at its destination")
-    return nodes
+    """The vertiports a route visits, origin first; a route from build_route
+    is a connected chain from its origin to its destination."""
+    return [route.origin, *(network.links[lid].to_id for lid in route.link_ids)]
 
 
 def _segment_crossing(p1, p2, p3, p4) -> bool:

@@ -20,9 +20,6 @@ from .errors import FitError, ValidationError, check_number
 # cumulative level. Treated as an opaque calibration constant.
 CUMULATIVE_OFFSET_DB = 35.56
 
-#: Sentinel for "no aircraft contributed to this zone".
-NO_CONTRIBUTION = float("-inf")
-
 
 class Condition(Enum):
     """Operational mode x measurement position; six valid combinations."""
@@ -95,14 +92,14 @@ def fit_npd(samples: list[NoiseSample]) -> tuple[float, float, float, float]:
     return tuple(fit.tolist())
 
 
-def cumulative_increase(levels_db: list[float], ambient_db: float) -> float:
+def cumulative_increase(levels_db: list[float], ambient_db: float) -> float | None:
     """Cumulative noise increase over ambient from a set of single-event levels.
 
-    Empty input returns NO_CONTRIBUTION (-inf). Inputs are summed in
+    Empty input returns None: no aircraft contributed. Inputs are summed in
     descending order so the result is bit-exact under permutation.
     """
     if not levels_db:
-        return NO_CONTRIBUTION
+        return None
     energy = 0.0
     for level in sorted(levels_db, reverse=True):
         energy += 10.0 ** (level / 10.0)
@@ -110,14 +107,13 @@ def cumulative_increase(levels_db: list[float], ambient_db: float) -> float:
 
 
 def zone_noise_report(zone_ambients: dict[str, float],
-                      aircraft: list[tuple[str, float]]) -> dict[str, float]:
+                      aircraft: list[tuple[str, float]]) -> dict[str, float | None]:
     """Per-zone cumulative increase for (zone id, slant distance ft) entries,
     on the Mode L centerline curve.
 
     The curve is fixed because a trace does not record the condition of the
     reward that produced it, so a report recomputed from the trace must read
-    every run off the same curve. Zones with no aircraft map to
-    NO_CONTRIBUTION.
+    every run off the same curve. Zones with no aircraft map to None.
     """
     per_zone: dict[str, list[float]] = {zid: [] for zid in zone_ambients}
     level: dict[float, float] = {}  # per distinct distance, as rows repeat altitudes

@@ -77,19 +77,19 @@ class RolloutResult:
     mean_return: float       # mean over the agents that acted; 0 with none
 
 
-def attribute_layers(trace: list[TraceRow], layers: AltitudeLayerSet) -> list[float]:
-    """Layer attributed to each trace row; mid-transition rows go to the layer
-    the aircraft departed (its last level layer)."""
-    levels = set(layers.levels_ft)
+def altitude_histogram(trace: list[TraceRow], layers: AltitudeLayerSet) -> dict[float, float]:
+    """Fraction of enroute aircraft-ticks per layer; fractions sum to 1. A
+    mid-transition row counts for the layer the aircraft departed (its last
+    level layer)."""
+    if not trace:
+        raise ValidationError("cannot build a histogram from an empty trace")
+    hist = {z: 0.0 for z in layers.levels_ft}
     last_level: dict[str, float] = {}
-    out = []
     for row in sorted(trace, key=lambda r: (r.t, r.id)):
-        if row.z_ft in levels:
+        if row.z_ft in hist:
             last_level[row.id] = row.z_ft
-            out.append(row.z_ft)
-        else:
-            out.append(last_level.get(row.id, layers.z_min))
-    return out
+        hist[last_level.get(row.id, layers.z_min)] += 1.0
+    return {z: c / len(trace) for z, c in hist.items()}
 
 
 class _Block(NamedTuple):
@@ -118,10 +118,11 @@ def collect_rollout(
 
     Each decision tick is one set of array operations over its enroute
     agents: one observe_tick, one batched policy pass, one sample_actions
-    and one stored block. The rewards that close a block come at the next
-    tick, as an array aligned with the block's rows, from the observe_tick
-    that tick makes; at episode end, from one last observe_tick of the
-    enroute aircraft, which closes the last block the same way.
+    and one stored block; then each agent's trace row and its command. The
+    rewards that close a block come at the next tick, as an array aligned
+    with the block's rows, from the observe_tick that tick makes; at episode
+    end, from one last observe_tick of the enroute aircraft, which closes the
+    last block the same way.
     """
     world = World(scenario, sim_config)
     layers = scenario.network.layers
@@ -131,7 +132,6 @@ def collect_rollout(
     trace: list[TraceRow] = []
 
     while not world.terminal:
-        joint: dict[str, Action] = {}
         if world.is_decision_tick():
             world.spawn_due_aircraft()
             enroute = world.enroute_ids()
@@ -152,10 +152,10 @@ def collect_rollout(
                 blocks.append(_Block(np.array([world.flight_index[i] for i in enroute]), own,
                                      intr, intr_mask, masks, actions, logp, values))
                 for ac, action in zip(acs, map(Action, actions.tolist())):
-                    joint[ac.id] = action
                     trace.append(TraceRow(world.t, ac.id, ac.x_m, ac.y_m, ac.z_ft,
                                           action, ac.b_changing))
-        world.step(joint)
+                    world.apply_altitude_command(ac, action)
+        world.step()
     if acted:
         enroute = world.enroute_ids()
         _, intr, intr_mask = observe_tick(world, enroute, reward_config)
@@ -272,8 +272,7 @@ def train(
         batch = collect_rollout(scenario, params, sim_config, reward_config, rng=rng)
         if len(batch.actions):
             ppo_update(params, batch, train_config, adam, rng)
-        attributed = attribute_layers(batch.trace, layers)
-        top = attributed.count(layers.z_max) / len(attributed) if attributed else 0.0
+        top = altitude_histogram(batch.trace, layers)[layers.z_max] if batch.trace else 0.0
         row = (it, batch.mean_return, batch.los_count, top)
         metrics.append(row)
         if progress is not None:

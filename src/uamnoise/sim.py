@@ -316,18 +316,10 @@ class World:
             self.los_events.append(LosEvent(pair, onset, self.t - onset, dmin))
         self._active_los.clear()
 
-    def step(self, joint_actions: dict[str, Action] | None = None) -> list[tuple[str, str, float]]:
-        """One physics step: spawn, apply commands on decision ticks, advance,
-        detect LOS. Returns this step's violations."""
+    def step(self) -> list[tuple[str, str, float]]:
+        """One physics step: spawn, advance, detect LOS; returns its violations.
+        A decision tick's commands come first, from apply_altitude_command."""
         self.spawn_due_aircraft()
-        if self.is_decision_tick():
-            actions = joint_actions or {}
-            for ac_id in self.enroute_ids():
-                if ac_id not in actions:
-                    raise SimulationError(
-                        f"decision tick t={self.t}: no action for enroute aircraft '{ac_id}'"
-                    )
-                self.apply_altitude_command(self.aircraft[ac_id], actions[ac_id])
         self.advance_kinematics(self.config.dt_s)
         self.n_steps += 1
         violations = self.detect_los()

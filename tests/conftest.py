@@ -16,6 +16,16 @@ os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
                       os.path.join(tempfile.gettempdir(), "uamnoise-hypothesis"))
 
 
+def step_with(world, actions):
+    """World.step after, on a decision tick, each enroute aircraft's command
+    from actions, a mapping of aircraft id to action."""
+    world.spawn_due_aircraft()
+    if world.is_decision_tick():
+        for ac_id in world.enroute_ids():
+            world.apply_altitude_command(world.aircraft[ac_id], actions[ac_id])
+    return world.step()
+
+
 def make_line_network(link_len_m=12000.0, with_zone=True):
     """A -- B -- C line with both link directions."""
     vp = {

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import uamnoise
 from uamnoise.cli import main
-from uamnoise.network import generate_scenario, save_scenario
+from uamnoise.errors import SimulationError
+from uamnoise.network import Network, NoiseZone, generate_scenario, save_scenario
 
 from conftest import make_corridor_network, make_line_network
 
@@ -245,6 +246,24 @@ class TestNoiseCommands:
         assert rows[0] == ["t", "zone", "increase_db"]
         assert len(rows) > 1
 
+    def test_noise_report_blank_for_zone_without_aircraft(self, runner, tmp_path):
+        line = make_line_network(link_len_m=3000.0)
+        zones = {"Z1": NoiseZone("Z1", ("A-B", "B-A", "A", "B"), 50.0),
+                 "Z2": NoiseZone("Z2", ("B-C", "C-B", "C"), 50.0)}
+        scenario = tmp_path / "scenario.json"
+        save_scenario(generate_scenario(Network(line.vertiports, line.links, line.layers, zones),
+                                        1, [("A", "C")], seed=0), scenario)
+        trace = tmp_path / "trace.csv"  # one aircraft, at A in zone Z1
+        trace.write_text("t,id,x,y,z_ft,action,b_changing\n0.0,AC001,0.0,0.0,1000.0,0,0\n")
+        out = tmp_path / "zones.csv"
+        result = runner.invoke(main, ["noise-report", "--trace", str(trace),
+                                      "--scenario", str(scenario), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][:2] == ["0", "Z1"] and rows[1][2] != ""
+        assert rows[2] == ["0", "Z2", ""]
+
 
 @pytest.mark.parametrize("column, value, rule", [
     ("z_ft", "nan", " and positive"), ("z_ft", "inf", " and positive"), ("t", "nan", ""),
@@ -360,8 +379,13 @@ def test_train_rejects_out_of_range_lam(runner, scenario_file, tmp_path, lam):
     ("sweep --seeds ,", "--seeds has no items, got ','"),
     ("eval --seeds 0,-1", "--seeds item must be finite and non-negative, got -1"),
     ("eval --seeds ,", "--seeds has no items, got ','"),
+    # checked before the out-dir is made or the first rho trains
+    ("sweep --rhos 0.5,0.50", "--rhos item 0.5 is repeated in '0.5,0.50'"),
+    ("sweep --seeds 1,2,1", "--seeds item 1 is repeated in '1,2,1'"),
+    ("eval --seeds 0,0", "--seeds item 0 is repeated in '0,0'"),
 ], ids=["rhos-string", "rhos-nan", "rhos-above-one", "rhos-empty", "seeds-float",
-        "seeds-empty", "seeds-negative", "eval-seeds-empty"])
+        "seeds-empty", "seeds-negative", "eval-seeds-empty", "rhos-repeated",
+        "seeds-repeated", "eval-seeds-repeated"])
 def test_bad_list_item_exits_1(runner, scenario_file, tmp_path, command, message):
     name, option, value = command.split()
     args = {
@@ -401,11 +425,21 @@ def test_unparsable_command_line_exits_1(runner, scenario_file, tmp_path, comman
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("args", [["--help"], ["train", "--help"]])
+@pytest.mark.parametrize("args", [["--help"], ["train", "--help"], ["simulate", "--help"]])
 def test_help_exits_0(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     assert "Usage:" in result.output
+
+
+def test_runtime_error_exits_2(runner, scenario_file, monkeypatch):
+    def fail(*args, **kwargs):
+        raise SimulationError("episode failed")
+    monkeypatch.setattr("uamnoise.metrics.run_episode", fail)
+    result = runner.invoke(main, ["simulate", "--scenario", scenario_file, "--policy",
+                                  "baseline:hold", "--seed", "0"])
+    assert result.exit_code == 2, result.output
+    assert "runtime error: episode failed" in result.output
 
 
 def _transpose_w1(doc):
@@ -472,6 +506,22 @@ def _object_npd(doc):
     doc["reward_config"]["npd"] = {}
 
 
+def _version_2(doc):
+    doc["version"] = 2
+
+
+def _scalar_layers(doc):
+    doc["layers_ft"] = 1000
+
+
+def _list_train_config(doc):
+    doc["train_config"] = []
+
+
+def _drop_w1(doc):
+    del doc["params"]["w1"]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_break_b1, "weight tensor 'b1' has shape (1,), expected (4,)"),
     (_transpose_w1, "weight tensor 'w1' has shape (4, 6), expected (6, 4)"),
@@ -490,10 +540,15 @@ def _object_npd(doc):
     (_negative_d_los, "RewardConfig.d_los_m must be finite and positive, got -5"),
     (_null_npd, "unknown reward_config field(s) npd"),
     (_object_npd, "unknown reward_config field(s) npd"),
+    (_version_2, "unsupported version 2"),
+    (_scalar_layers, "layers_ft must be a list, got 1000"),
+    (_list_train_config, "train_config must be a JSON object, got []"),
+    (_drop_w1, "missing weight tensor 'w1'"),
 ], ids=["tensor-shape", "tensor-transposed", "hidden", "no-params", "unknown-field",
         "unknown-tensor", "ragged-tensor", "null-weight", "bad-condition", "list-document",
         "string-hidden", "null-gamma", "string-lam", "negative-lam", "negative-d-los",
-        "npd-null", "npd-object"])
+        "npd-null", "npd-object", "version-2", "scalar-layers", "list-section",
+        "missing-tensor"])
 def test_malformed_checkpoint_exits_1(runner, scenario_file, tmp_path, corrupt, message):
     ck = tmp_path / "policy.json"
     result = runner.invoke(main, ["train", "--scenario", scenario_file, "--rho", "0.5",
@@ -509,6 +564,17 @@ def test_malformed_checkpoint_exits_1(runner, scenario_file, tmp_path, corrupt, 
     assert result.exit_code == 1, result.output
     assert f"bad checkpoint {ck}: {message}" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [None, "{"], ids=["missing-file", "not-json"])
+def test_unreadable_checkpoint_exits_1(runner, scenario_file, tmp_path, text):
+    ck = tmp_path / "policy.json"
+    if text is not None:
+        ck.write_text(text)
+    result = runner.invoke(main, ["eval", "--scenario", scenario_file, "--checkpoint",
+                                  str(ck), "--seeds", "0", "--out", str(tmp_path / "eval.csv")])
+    assert result.exit_code == 1, result.output
+    assert f"cannot read checkpoint {ck}: " in result.output
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +711,39 @@ def test_out_of_range_ambient_db_exits_1(name, ambient_db, tmp_path):
     zone = doc["zones"][0]["id"]
     assert f"zone '{zone}' ambient_db must be finite and in [0, 200], got {ambient_db}" \
         in result.output
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda doc: doc["links"].append(dict(doc["links"][0])), "duplicate link id 'A-B'"),
+    (lambda doc: doc["links"].append({"id": "A-A", "from": "A", "to": "A"}),
+     "link 'A-A' is a self-loop"),
+    (lambda doc: doc["links"].append({"id": "A-B2", "from": "A", "to": "B"}),
+     "vertiport pair ('A', 'B') has more than two links"),
+    (lambda doc: doc["zones"].append(dict(doc["zones"][0])), "duplicate zone id 'Z1'"),
+    (lambda doc: doc["zones"][0]["members"].append("Q"),
+     "zone 'Z1' references unknown member 'Q'"),
+    (lambda doc: doc["zones"].append({"id": "Z2", "members": ["A"], "ambient_db": 50.0}),
+     "member 'A' appears in zones 'Z1' and 'Z2'"),
+    (lambda doc: doc["flights"].append(dict(doc["flights"][0])), "duplicate flight id 'AC001'"),
+    (lambda doc: doc["flights"][0].update(origin="Q"),
+     "flight 'AC001' references missing vertiport 'Q'"),
+    # both layers beyond one end of the noise curve's distance clamp
+    (lambda doc: doc.update(layers_ft=[50.0, 100.0]),
+     "clamps slant distance to [200, 20000] ft, so layers_ft [50.0, 100.0] give one level"),
+    (lambda doc: doc.update(layers_ft=[20000.0, 25000.0]),
+     "clamps slant distance to [200, 20000] ft, so layers_ft [20000.0, 25000.0] give one level"),
+], ids=["duplicate-link", "self-loop", "third-link", "duplicate-zone", "unknown-member",
+        "member-in-two-zones", "duplicate-flight", "unknown-vertiport", "layers-below-clamp",
+        "layers-above-clamp"])
+def test_malformed_scenario_exits_1(corrupt, message, tmp_path):
+    doc = json.loads(_scenario_text("line"))
+    corrupt(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["simulate", "--scenario", str(path), "--policy",
+                                       "baseline:hold", "--seed", "0"])
+    assert result.exit_code == 1, result.output
+    assert message in result.output
 
 
 # Cases that broke the contract before check_number: exit 2, a message that

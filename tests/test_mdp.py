@@ -11,7 +11,7 @@ from uamnoise.mdp import (INTRUDER_DIM, N_MAX_INTRUDERS, OWN_DIM, RewardConfig, 
 from uamnoise.network import generate_scenario
 from uamnoise.sim import FT_TO_M, Action, Phase, SimConfig, World, action_mask
 
-from conftest import make_line_network
+from conftest import make_line_network, step_with
 
 CFG = RewardConfig(rho=0.5)
 
@@ -95,7 +95,7 @@ class TestObserve:
             observe_tick(world, ["AC001"], CFG)  # pending
         while not world.terminal:
             world.spawn_due_aircraft()
-            world.step({aid: Action.HOLD for aid in world.enroute_ids()})
+            world.step()
         assert world.aircraft["AC001"].phase is Phase.ARRIVED
         with pytest.raises(SimulationError, match="'AC001' is not enroute"):
             observe_tick(world, ["AC001"], CFG)
@@ -118,7 +118,7 @@ def tick_cases(draw):
         if world.is_decision_tick():
             actions = {aid: Action(int(rng.integers(0, 3))) if sampled else Action.HOLD
                        for aid in world.enroute_ids()}
-        world.step(actions)
+        step_with(world, actions)
     world.spawn_due_aircraft()
     ids = draw(st.permutations(world.enroute_ids()))
     return world, ids[:draw(st.integers(min(1, len(ids)), len(ids)))], draw(st.integers(1, 4))

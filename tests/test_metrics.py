@@ -139,7 +139,7 @@ class TestRunEpisode:
         saw_violation = False
         while not world.terminal:
             world.spawn_due_aircraft()
-            world.step({aid: Action.HOLD for aid in world.enroute_ids()})
+            world.step()
             enroute = [a for a in world.aircraft.values() if a.phase is Phase.ENROUTE]
             for i, a in enumerate(enroute):
                 for b in enroute[i + 1:]:

@@ -115,8 +115,9 @@ class TestBuildRoute:
     def test_chain_property_all_bundled_routes(self):
         sc = load_scenario(uamnoise.bundled_scenario_path())
         for fid, route in sc.routes.items():
-            nodes = route_nodes(sc.network, route)  # raises if chain broken
+            nodes = route_nodes(sc.network, route)
             assert nodes[0] == route.origin and nodes[-1] == route.destination
+            assert [sc.network.links[lid].from_id for lid in route.link_ids] == nodes[:-1]
 
 
 class TestRouteIntersections:

@@ -6,7 +6,7 @@ import pytest
 
 from uamnoise import noise
 from uamnoise.errors import FitError, ValidationError
-from uamnoise.noise import (COEFFICIENTS, CUMULATIVE_OFFSET_DB, NO_CONTRIBUTION, Condition,
+from uamnoise.noise import (COEFFICIENTS, CUMULATIVE_OFFSET_DB, Condition,
                             NoiseSample, cumulative_increase, fit_npd, single_event_level,
                             zone_noise_report)
 
@@ -97,7 +97,7 @@ class TestCumulativeIncrease:
             -1.42 + 10 * math.log10(2), abs=0.01)
 
     def test_empty_is_sentinel(self):
-        assert cumulative_increase([], 37.0) == NO_CONTRIBUTION
+        assert cumulative_increase([], 37.0) is None
 
     def test_duplication_law(self):
         for k in (2, 4, 10):
@@ -124,12 +124,12 @@ class TestZoneNoiseReport:
     def test_single_aircraft(self):
         rep = zone_noise_report(self.AMBIENTS, [("Z1", 1000.0)])
         assert rep["Z1"] == pytest.approx(-1.42, abs=0.01)
-        assert rep["Z2"] == NO_CONTRIBUTION
-        assert rep["Z3"] == NO_CONTRIBUTION
+        assert rep["Z2"] is None
+        assert rep["Z3"] is None
 
     def test_no_aircraft_all_sentinel(self):
         rep = zone_noise_report(self.AMBIENTS, [])
-        assert all(v == NO_CONTRIBUTION for v in rep.values())
+        assert all(v is None for v in rep.values())
 
     def test_symmetric_zones(self):
         rep = zone_noise_report(self.AMBIENTS, [("Z1", 1800.0), ("Z2", 1800.0)])

@@ -17,7 +17,7 @@ from uamnoise.rl import (RolloutResult, TraceRow, TrainConfig, collect_rollout,
                          save_checkpoint, train)
 from uamnoise.sim import Action, Phase, SimConfig, World, action_mask
 
-from conftest import make_corridor_network, make_line_network
+from conftest import make_corridor_network, make_line_network, step_with
 
 
 def small_train_config(iters, hidden=8, seed=0):
@@ -147,7 +147,7 @@ def reference_rollout(scenario, params, sim_config, reward_config, rng=None):
                 pending[ac_id] = len(records[ac_id]) - 1
                 trace.append(TraceRow(world.t, ac_id, ac.x_m, ac.y_m, ac.z_ft,
                                       Action(action), ac.b_changing))
-        world.step(joint)
+        step_with(world, joint)
     for ac_id in list(pending):
         finalize(ac_id, done=True)
     return {k: v for k, v in records.items() if v}, trace, len(world.los_events)
@@ -226,7 +226,7 @@ def count_decision_ticks(scenario, sim_config):
     while not world.terminal:
         ticks += world.is_decision_tick()
         world.spawn_due_aircraft()
-        world.step({i: Action.HOLD for i in world.enroute_ids()})
+        world.step()
     return ticks
 
 

@@ -14,12 +14,7 @@ from uamnoise.network import (AltitudeLayerSet, Flight, Network, Scenario, build
 from uamnoise.sim import (FT_TO_M, Action, AircraftState, LosEvent, Phase, SimConfig, World,
                           action_mask)
 
-from conftest import make_corridor_network, make_line_network
-
-
-def hold_all(world):
-    world.spawn_due_aircraft()
-    return {aid: Action.HOLD for aid in world.enroute_ids()}
+from conftest import make_corridor_network, make_line_network, step_with
 
 
 def make_world(n=2, od=None, spacing=60.0, net=None, **cfg):
@@ -42,7 +37,7 @@ class TestSpawn:
         sc = generate_scenario(line_network, 2, [("A", "C")], departure_spacing_s=100.0, seed=0)
         world = World(sc, SimConfig())
         for _ in range(50):
-            world.step(hold_all(world))
+            world.step()
         pending = [a for a in world.aircraft.values() if a.phase is Phase.PENDING]
         assert len(pending) == 1
 
@@ -50,7 +45,7 @@ class TestSpawn:
         sc = generate_scenario(line_network, 2, [("A", "C")], departure_spacing_s=60.0, seed=0)
         world = World(sc, SimConfig())
         while world.t < 60.0:
-            world.step(hold_all(world))
+            world.step()
         world.spawn_due_aircraft()
         assert len(world.enroute_ids()) == 2
 
@@ -68,7 +63,7 @@ class TestClock:
         n_steps = n_ticks = 0
         while not world.terminal:
             n_ticks += world.is_decision_tick()
-            world.step({})
+            world.step()
             n_steps += 1
         assert (n_steps, n_ticks) == (steps, ticks)
         assert world.t == config.max_episode_time_s
@@ -190,7 +185,7 @@ class TestNeighbors:
             for aid in world.enroute_ids():
                 for d, other in world.neighbor_table()[aid]:
                     assert (d, world.aircraft[aid]) in world.neighbor_table()[other.id]
-            world.step(hold_all(world))
+            world.step()
 
 
 class TestDetectLos:
@@ -218,7 +213,7 @@ class TestDetectLos:
         world = make_world(n=2, od=[("A", "C"), ("A", "C")], spacing=0.0)
         # co-located same-route aircraft remain in violation the whole flight
         while not world.terminal:
-            world.step(hold_all(world))
+            world.step()
         assert len(world.los_events) == 1
         assert world.los_events[0].duration_s > 100.0
 
@@ -306,15 +301,9 @@ class TestStep:
     def test_single_aircraft_hold_arrives_without_los(self, solo_scenario):
         world = World(solo_scenario, SimConfig())
         while not world.terminal:
-            world.step(hold_all(world))
+            world.step()
         assert world.aircraft["AC001"].phase is Phase.ARRIVED
         assert world.los_events == []
-
-    def test_missing_action_is_contract_error(self, solo_scenario):
-        world = World(solo_scenario, SimConfig())
-        world.spawn_due_aircraft()
-        with pytest.raises(SimulationError, match="AC001"):
-            world.step({})
 
     def test_deterministic_replay(self, line_scenario):
         def run():
@@ -326,7 +315,7 @@ class TestStep:
                 for i, aid in enumerate(world.enroute_ids()):
                     actions[aid] = Action.CLIMB if (int(world.t) // 10 + i) % 3 == 0 \
                         else Action.HOLD
-                world.step(actions)
+                step_with(world, actions)
                 for ac in world.aircraft.values():
                     log.append((world.t, ac.id, ac.x_m, ac.y_m, ac.z_ft, ac.b_changing))
             return log, world.los_events
@@ -345,7 +334,7 @@ class TestStep:
         while not world.terminal:
             world.spawn_due_aircraft()
             actions = {aid: Action(int(rng.integers(0, 3))) for aid in world.enroute_ids()}
-            world.step(actions)
+            step_with(world, actions)
             for ac in world.aircraft.values():
                 if ac.phase is not Phase.ENROUTE:
                     continue
@@ -361,15 +350,15 @@ class TestStep:
 
 
 class TestCommandValues:
-    """World.step takes an Action or a value equal to one, such as its wire
-    integer, and rejects any other value."""
+    """World.apply_altitude_command takes an Action or a value equal to one,
+    such as its wire integer, and rejects any other value."""
 
     def command(self, solo_scenario, z_ft, action):
         world = World(solo_scenario, SimConfig())
         world.spawn_due_aircraft()
         ac = world.aircraft["AC001"]
         ac.z_ft = ac.z_target_ft = z_ft
-        world.step({"AC001": action})
+        step_with(world, {"AC001": action})
         return ac.z_target_ft, ac.last_action
 
     # targets after hold, descend and climb at the bottom, middle and top layers
@@ -461,7 +450,7 @@ class TestEnrouteIndexProperty:
                        for a in world.aircraft.values())
             check()
             actions = {aid: Action(int(rng.integers(0, 3))) for aid in world.enroute_ids()}
-            world.step(actions if world.is_decision_tick() else {})
+            step_with(world, actions)
             check()
 
 
@@ -499,7 +488,7 @@ class TestLosEventsProperty:
         while not world.terminal:
             world.spawn_due_aircraft()
             actions = {aid: Action(int(rng.integers(0, 3))) for aid in world.enroute_ids()}
-            world.step(actions if world.is_decision_tick() else {})
+            step_with(world, actions)
             now = {}
             enroute = scan_enroute(world)
             for i, a in enumerate(enroute):
@@ -586,7 +575,7 @@ class TestCommandAndObservationProperty:
                                                                          reward_config)
                 actions = {aid: Action(int(rng.integers(0, 3))) for aid in world.enroute_ids()}
             masks = {aid: action_mask(world.aircraft[aid], layers) for aid in actions}
-            world.step(actions)
+            step_with(world, actions)
             for aid, requested in actions.items():
                 executed = world.aircraft[aid].last_action
                 assert masks[aid][executed]
