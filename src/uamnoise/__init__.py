@@ -4,8 +4,9 @@ reinforcement-learning trainer.
 Subpackages:
   network  - vertiport/corridor topology, routes, zones, scenario files
   noise    - single-event noise regression and cumulative-increase math
-  sim      - discrete-time kinematics, altitude lock, LOS detection
-  mdp      - observations, action masking, blended reward
+  sim      - discrete-time kinematics, action mask and altitude lock, LOS
+             detection, each aircraft's network member
+  mdp      - observations, blended reward
   nnet     - attention policy/value network with exact hand-written gradients
   rl       - rollouts, GAE, PPO, training loop, checkpoints
   metrics  - episode metrics, trace I/O, rho-sweep harness

@@ -235,7 +235,7 @@ def noise_report(trace_path, scenario_path, out_path):
     """Per-zone noise-increase time series recomputed from a saved trace."""
     _check_output_dirs(out_path)
     scenario = load_scenario(scenario_path)
-    trace = metrics_mod.read_trace(trace_path)
+    trace = metrics_mod.read_trace(trace_path, scenario.network)
     series = metrics_mod.zone_noise_series(trace, scenario.network)
     metrics_mod.write_csv(out_path, ("t", "zone", "increase_db"),
                           ((t, zid, inc) for zid in sorted(series) for t, inc in series[zid]))

@@ -3,8 +3,9 @@ writers behind every report the CLI emits.
 
 All trace-derivable metrics (altitude histogram, per-zone noise series) are
 pure functions of the decision-tick trace, so recomputing them from a saved
-trace file reproduces the live values exactly. LOS counts come from the
-simulator's event log.
+trace file reproduces the live values exactly. Each trace row carries the
+network member the simulator placed the aircraft on (World.member_of), which
+is the one source of its zone. LOS counts come from the simulator's event log.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .noise import zone_noise_report
 from .rl import TraceRow, TrainConfig, altitude_histogram, collect_rollout
 from .sim import Action, SimConfig
 
-TRACE_COLUMNS = ("t", "id", "x", "y", "z_ft", "action", "b_changing")
+TRACE_COLUMNS = ("t", "id", "x", "y", "z_ft", "action", "b_changing", "member")
 # check_number's (low, high, above) per number column of a trace, in file order.
 COORD_RULES = {"t": (), "x": (-COORD_LIMIT_M, COORD_LIMIT_M),
                "y": (-COORD_LIMIT_M, COORD_LIMIT_M), "z_ft": (0, None, True)}
@@ -47,7 +48,7 @@ class EpisodeMetrics:
 
 def write_trace(trace: list[TraceRow], path) -> None:
     write_csv(path, TRACE_COLUMNS,
-              ((r.t, r.id, r.x_m, r.y_m, r.z_ft, int(r.action), int(r.b_changing))
+              ((r.t, r.id, r.x_m, r.y_m, r.z_ft, int(r.action), int(r.b_changing), r.member)
                for r in trace), cell=str)
 
 
@@ -63,17 +64,26 @@ def read_csv(path, what: str, parse) -> list:
                     rows.append(parse(rec))
                 except ValidationError as exc:
                     raise ValidationError(f"{what} {path} line {reader.line_num}: {exc}") from exc
-    except (OSError, KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise ValidationError(f"{what} {path} has no column {exc}") from exc
+    except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
     return rows
 
 
-def read_trace(path) -> list[TraceRow]:
+def read_trace(path, network: Network) -> list[TraceRow]:
+    """The trace file's rows; each member must be a link or vertiport of
+    network."""
     def parse(rec):
         t, x, y, z_ft = (check_number(col, to_number(rec[col]), *rule)
                          for col, rule in COORD_RULES.items())
-        return TraceRow(t, rec["id"], x, y, z_ft, Action(int(rec["action"])),
-                        bool(int(rec["b_changing"])))
+        action, b_changing = (check_number(col, to_number(rec[col], int), 0, high, integer=True)
+                              for col, high in (("action", len(Action) - 1), ("b_changing", 1)))
+        member = rec["member"]
+        if member not in network.links and member not in network.vertiports:
+            raise ValidationError(
+                f"member must be a link or vertiport of the scenario, got {member!r}")
+        return TraceRow(t, rec["id"], x, y, z_ft, Action(action), bool(b_changing), member)
     return read_csv(path, "trace", parse)
 
 
@@ -89,44 +99,12 @@ def histogram_entropy(hist: dict[float, float]) -> float:
 # Zone noise from a trace
 
 
-def link_segments(network: Network) -> tuple:
-    """The network's links as nearest_link reads them: ids in id order, and
-    per link its start (ax, ay), direction (dx, dy) and squared length L2."""
-    ids = sorted(network.links)
-    (ax, ay), (bx, by) = np.array([network.link_segment(lid) for lid in ids]).transpose(1, 2, 0)
-    dx, dy = bx - ax, by - ay
-    L2 = dx * dx + dy * dy
-    # A zero-length link has a zero numerator, so dividing by 1 gives s = 0.
-    L2[L2 == 0.0] = 1.0
-    return ids, ax, ay, dx, dy, L2
-
-
-def nearest_link(segments: tuple, xs: list[float], ys: list[float]) -> list[str]:
-    """For each point (xs[i], ys[i]), the link of segments (link_segments of a
-    network) that is closest; on a tie the lowest id, as at a vertiport, where
-    several links are at 0.
-
-    One row per point, one column per link in id order; each entry takes the
-    operations, in the order, of a scalar point-to-segment distance."""
-    ids, ax, ay, dx, dy, L2 = segments
-    x, y = np.asarray(xs, dtype=float)[:, None], np.asarray(ys, dtype=float)[:, None]
-    s = np.maximum(0.0, np.minimum(1.0, ((x - ax) * dx + (y - ay) * dy) / L2))
-    px, py = x - (ax + s * dx), y - (ay + s * dy)
-    d = np.hypot(px, py)
-    # np.hypot and math.hypot can differ in the last bit, so the links within a
-    # hair of each row's minimum get math.hypot's value before argmin takes
-    # the first (lowest id) minimum.
-    rows, cols = np.nonzero(d <= d.min(axis=1, keepdims=True) * (1.0 + 1e-9) + 1e-300)
-    d[rows, cols] = list(map(math.hypot, px[rows, cols].tolist(), py[rows, cols].tolist()))
-    return [ids[k] for k in d.argmin(axis=1)]
-
-
 def zone_noise_series(trace: list[TraceRow],
                       network: Network) -> dict[str, list[tuple[float, float | None]]]:
     """Per-zone cumulative increase at each decision tick, None at a tick
     with no aircraft in the zone. Slant distance is the aircraft's altitude
-    (receiver directly beneath); each aircraft is attributed to the zone of
-    its current (nearest) link."""
+    (receiver directly beneath); each row counts for the zone of its member,
+    the vertiport or route link the simulator placed it on."""
     if not network.zones:
         return {}
     ticks: dict[float, list[TraceRow]] = {}
@@ -134,12 +112,9 @@ def zone_noise_series(trace: list[TraceRow],
         ticks.setdefault(row.t, []).append(row)
     ambients = {zid: zone.ambient_db for zid, zone in network.zones.items()}
     series: dict[str, list[tuple[float, float]]] = {z: [] for z in network.zones}
-    segments = link_segments(network)
     for t in sorted(ticks):
-        rows = ticks[t]
-        links = nearest_link(segments, [r.x_m for r in rows], [r.y_m for r in rows])
         report = zone_noise_report(
-            ambients, [(network.zone_of(lid), r.z_ft) for lid, r in zip(links, rows)])
+            ambients, [(network.zone_of(r.member), r.z_ft) for r in ticks[t]])
         for zid in series:
             series[zid].append((t, report[zid]))
     return series

@@ -55,6 +55,7 @@ class TraceRow:
     z_ft: float
     action: Action
     b_changing: bool
+    member: str  # World.member_of: the link or vertiport the row counts for
 
 
 @dataclass
@@ -153,7 +154,7 @@ def collect_rollout(
                                      intr, intr_mask, masks, actions, logp, values))
                 for ac, action in zip(acs, map(Action, actions.tolist())):
                     trace.append(TraceRow(world.t, ac.id, ac.x_m, ac.y_m, ac.z_ft,
-                                          action, ac.b_changing))
+                                          action, ac.b_changing, world.member_of(ac)))
                     world.apply_altitude_command(ac, action)
         world.step()
     if acted:

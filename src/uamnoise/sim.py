@@ -154,6 +154,15 @@ class World:
         """Enroute aircraft ids in scenario-flight order."""
         return [a.id for a in self._enroute]
 
+    def member_of(self, ac: AircraftState) -> str:
+        """The network member whose zone an enroute aircraft counts for: the
+        vertiport when it sits exactly on a route node, as at spawn, and
+        otherwise the route link it is on, by advance_kinematics's index."""
+        _, cum = self._polylines[ac.route.link_ids]
+        i = bisect_right(cum, ac.dist_along_m) - 1
+        link_id = ac.route.link_ids[i]
+        return self.net.links[link_id].from_id if ac.dist_along_m == cum[i] else link_id
+
     @property
     def t(self) -> float:
         return self.n_steps * self.config.dt_s

@@ -4,8 +4,9 @@ import tempfile
 import pytest
 from hypothesis import settings
 
+import uamnoise
 from uamnoise.network import (AltitudeLayerSet, Link, Network, NoiseZone,
-                              Vertiport, generate_scenario)
+                              Vertiport, generate_scenario, load_scenario)
 
 # The same examples on every run, and no example database in the checkout.
 settings.register_profile("repo", derandomize=True, database=None)
@@ -72,3 +73,8 @@ def corridor_network():
 @pytest.fixture
 def solo_scenario(corridor_network):
     return generate_scenario(corridor_network, 1, [("A", "B")], seed=0)
+
+
+@pytest.fixture(scope="session")
+def bundled_scenario():
+    return load_scenario(uamnoise.bundled_scenario_path())

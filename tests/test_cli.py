@@ -254,7 +254,8 @@ class TestNoiseCommands:
         save_scenario(generate_scenario(Network(line.vertiports, line.links, line.layers, zones),
                                         1, [("A", "C")], seed=0), scenario)
         trace = tmp_path / "trace.csv"  # one aircraft, at A in zone Z1
-        trace.write_text("t,id,x,y,z_ft,action,b_changing\n0.0,AC001,0.0,0.0,1000.0,0,0\n")
+        trace.write_text("t,id,x,y,z_ft,action,b_changing,member\n"
+                         "0.0,AC001,0.0,0.0,1000.0,0,0,A\n")
         out = tmp_path / "zones.csv"
         result = runner.invoke(main, ["noise-report", "--trace", str(trace),
                                       "--scenario", str(scenario), "--out", str(out)])
@@ -265,27 +266,68 @@ class TestNoiseCommands:
         assert rows[2] == ["0", "Z2", ""]
 
 
+def _noise_report_on_edited_trace(runner, scenario_file, tmp_path, column, value):
+    """noise-report on a hold episode's trace whose fourth line has value in
+    column, or, with value None, on that trace without the column; returns
+    (trace path, output path, result)."""
+    trace = tmp_path / "trace.csv"
+    runner.invoke(main, ["simulate", "--scenario", scenario_file, "--policy",
+                         "baseline:hold", "--seed", "0", "--trace", str(trace)])
+    with open(trace, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for i, row in enumerate(rows):
+        if value is None:
+            del row[column]
+        elif i == 2:  # the fourth line of the file
+            row[column] = value
+    with open(trace, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    out = tmp_path / "zones.csv"
+    return trace, out, runner.invoke(main, ["noise-report", "--trace", str(trace),
+                                            "--scenario", scenario_file, "--out", str(out)])
+
+
 @pytest.mark.parametrize("column, value, rule", [
     ("z_ft", "nan", " and positive"), ("z_ft", "inf", " and positive"), ("t", "nan", ""),
     ("x", "nan", " and in [-10000000.0, 10000000.0]"),
 ], ids=["z_ft-nan", "z_ft-inf", "t-nan", "x-nan"])
 def test_noise_report_rejects_non_finite_trace_value(runner, scenario_file, tmp_path,
                                                      column, value, rule):
-    trace = tmp_path / "trace.csv"
-    runner.invoke(main, ["simulate", "--scenario", scenario_file, "--policy",
-                         "baseline:hold", "--seed", "0", "--trace", str(trace)])
-    with open(trace, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    rows[2][column] = value  # the fourth line of the file
-    with open(trace, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-    out = tmp_path / "zones.csv"
-    result = runner.invoke(main, ["noise-report", "--trace", str(trace),
-                                  "--scenario", scenario_file, "--out", str(out)])
+    trace, out, result = _noise_report_on_edited_trace(runner, scenario_file, tmp_path,
+                                                       column, value)
     assert result.exit_code == 1, result.output
     assert f"trace {trace} line 4: {column} must be finite{rule}, got {value}" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("action", "7", "action must be finite and in [0, 2], got 7"),
+    ("action", "1.0", "action must be an integer, got '1.0'"),
+    ("b_changing", "5", "b_changing must be finite and in [0, 1], got 5"),
+    ("b_changing", "x", "b_changing must be an integer, got 'x'"),
+    ("member", "Q", "member must be a link or vertiport of the scenario, got 'Q'"),
+    ("member", "", "member must be a link or vertiport of the scenario, got ''"),
+], ids=["action-7", "action-float", "b_changing-5", "b_changing-x", "member-unknown",
+        "member-blank"])
+def test_noise_report_rejects_bad_trace_cell(runner, scenario_file, tmp_path,
+                                             column, value, message):
+    # action 7 and b_changing x used to exit 1 naming neither line nor
+    # column, and b_changing 5 to exit 0, read as true
+    trace, out, result = _noise_report_on_edited_trace(runner, scenario_file, tmp_path,
+                                                       column, value)
+    assert result.exit_code == 1, result.output
+    assert f"trace {trace} line 4: {message}" in result.output
+    assert not out.exists()
+
+
+def test_noise_report_rejects_trace_without_member(runner, scenario_file, tmp_path):
+    # as a trace written before rows carried their member
+    trace, out, result = _noise_report_on_edited_trace(runner, scenario_file, tmp_path,
+                                                       "member", None)
+    assert result.exit_code == 1, result.output
+    assert f"trace {trace} has no column 'member'" in result.output
     assert not out.exists()
 
 
@@ -758,7 +800,9 @@ SCENARIO_PINS = (
     + [("line", "departure_s", 0, fault) for fault in (math.nan, -math.inf, -1)]
     + [("bundled", "departure_s", 0, math.nan), ("bundled", "x_m", 3, 1e300)])
 TRACE_PINS = ([(column, 3, fault) for column in ("t", "x", "y", "z_ft")
-               for fault in ("abc", "null", DELETE)] + [("z_ft", 3, "-1"), ("z_ft", 3, "0")])
+               for fault in ("abc", "null", DELETE)] + [("z_ft", 3, "-1"), ("z_ft", 3, "0")]
+              + [("action", 3, "7"), ("b_changing", 3, "5"), ("b_changing", 3, "x"),
+                 ("member", 3, "Q"), ("member", 3, DELETE)])
 SAMPLES_PINS = ([(column, 2, fault) for column in ("distance_ft", "level_db")
                  for fault in ("abc", "null", DELETE)] + [("level_db", 2, "1e300")])
 
@@ -782,8 +826,8 @@ class TestInputContractProperty:
 
     @contract_settings
     @pinned(TRACE_PINS)
-    @given(st.sampled_from(["t", "x", "y", "z_ft"]), st.integers(0, 1000),
-           st.sampled_from(CSV_FAULTS))
+    @given(st.sampled_from(["t", "x", "y", "z_ft", "action", "b_changing", "member"]),
+           st.integers(0, 1000), st.sampled_from(CSV_FAULTS))
     def test_noise_report_trace_column(self, column, index, fault):
         check_trace_fault(column, index, fault)
 

@@ -5,13 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uamnoise
 from uamnoise import metrics as M
 from uamnoise import nnet
 from uamnoise.errors import ValidationError
 from uamnoise.mdp import RewardConfig
-from uamnoise.network import AltitudeLayerSet, generate_scenario, load_scenario
+from uamnoise.network import (AltitudeLayerSet, Network, NoiseZone, generate_scenario,
+                              load_network, route_nodes)
 from uamnoise.rl import TraceRow, TrainConfig
 from uamnoise.sim import Action, SimConfig
 
@@ -19,22 +22,56 @@ from conftest import make_corridor_network, make_line_network
 
 
 def row(t, aid, z, x=0.0, changing=False):
-    return TraceRow(t, aid, x, 0.0, z, Action.HOLD, changing)
+    return TraceRow(t, aid, x, 0.0, z, Action.HOLD, changing, "A-B")
 
 
-def scalar_nearest_link(network, x, y):
-    """The link closest to (x, y) by a loop over the links in id order,
-    keeping the first minimum."""
-    best = (math.inf, "")
-    for lid in sorted(network.links):
+def oracle_zone(network, route, x, y):
+    """The zone of the route node at exactly (x, y), or else of the one route
+    link whose segment holds (x, y), by a scan of the route."""
+    for vid in route_nodes(network, route):
+        if (network.vertiports[vid].x_m, network.vertiports[vid].y_m) == (x, y):
+            return network.zone_of(vid)
+    holders = []
+    for lid in route.link_ids:
         (ax, ay), (bx, by) = network.link_segment(lid)
         dx, dy = bx - ax, by - ay
-        L2 = dx * dx + dy * dy
-        s = 0.0 if L2 == 0.0 else max(0.0, min(1.0, ((x - ax) * dx + (y - ay) * dy) / L2))
-        d = math.hypot(x - (ax + s * dx), y - (ay + s * dy))
-        if d < best[0]:
-            best = (d, lid)
-    return best[1]
+        s = max(0.0, min(1.0, ((x - ax) * dx + (y - ay) * dy) / (dx * dx + dy * dy)))
+        if math.hypot(x - (ax + s * dx), y - (ay + s * dy)) < 1e-6:
+            holders.append(lid)
+    assert len(holders) == 1, (route, x, y, holders)
+    return network.zone_of(holders[0])
+
+
+def three_zone_line():
+    """make_line_network's A -- B -- C with a zone per vertiport: Z-A holds A
+    and both A-B links, Z-B only B, Z-C the rest."""
+    line = make_line_network(link_len_m=3000.0)
+    zones = {"Z-A": NoiseZone("Z-A", ("A", "A-B", "B-A"), 50.0),
+             "Z-B": NoiseZone("Z-B", ("B",), 45.0),
+             "Z-C": NoiseZone("Z-C", ("C", "B-C", "C-B"), 55.0)}
+    return Network(line.vertiports, line.links, line.layers, zones)
+
+
+@st.composite
+def attribution_cases(draw):
+    """Traffic on the bundled network, or on three_zone_line, where at 60 m/s
+    an aircraft bound through B sits exactly on B at a decision tick, under
+    the hold baseline or a sampled policy."""
+    if draw(st.booleans()):
+        net = load_network(uamnoise.bundled_scenario_path())
+        pairs = draw(st.lists(st.sampled_from(
+            [(a, b) for a in sorted(net.vertiports) for b in sorted(net.vertiports) if a != b]),
+            min_size=1, max_size=8))
+    else:
+        net = three_zone_line()
+        pairs = draw(st.lists(st.sampled_from([("A", "C"), ("C", "A"), ("A", "B"), ("B", "C")]),
+                              min_size=1, max_size=4))
+    scenario = generate_scenario(net, draw(st.integers(1, 30)), pairs,
+                                 departure_spacing_s=draw(st.sampled_from([0.0, 15.0, 60.0])),
+                                 seed=draw(st.integers(0, 99)))
+    config = SimConfig(cruise_speed_mps=draw(st.sampled_from([60.0, 67.0, 83.5])))
+    seed = draw(st.integers(0, 99))
+    return scenario, config, draw(st.sampled_from([None, nnet.init_params(4, seed)])), seed
 
 
 class TestAltitudeHistogram:
@@ -88,32 +125,24 @@ class TestZoneNoise:
         assert summary["Z1"][0] == pytest.approx(max(vals))
         assert summary["Z1"][1] == pytest.approx(sum(vals) / 2)
 
-    def test_nearest_link_attribution(self, line_network):
-        # each point is 10 m from a link and its reverse; the lower id wins
-        segments = M.link_segments(line_network)
-        assert M.nearest_link(segments, [100.0, 23000.0], [10.0, -10.0]) == ["A-B", "B-C"]
+    def test_spawn_row_counts_for_its_vertiports_zone(self, bundled_scenario):
+        # AC004 departs V04, in Z-C; the lowest-id link through V04, V01-V04,
+        # is in Z-NW
+        rc = RewardConfig.for_layers(bundled_scenario.network.layers, 0.5)
+        _, trace = M.run_episode(None, bundled_scenario, SimConfig(), rc)
+        spawn = next(r for r in trace if r.id == "AC004")
+        assert spawn.member == "V04"
+        assert bundled_scenario.network.zone_of(spawn.member) == "Z-C"
 
-    def test_nearest_link_at_vertiport_lowest_id_wins(self, line_network):
-        # A-B, B-A, B-C and C-B all pass through B at distance 0
-        segments = M.link_segments(line_network)
-        assert M.nearest_link(segments, [12000.0, 0.0, 24000.0], [0.0, 0.0, 0.0]) == \
-            ["A-B", "A-B", "B-C"]
-
-    def test_nearest_link_matches_scalar_loop(self):
-        # diagonal links, so np.hypot and math.hypot disagree in the last bit
-        # on some rows; the ranking must still be the scalar loop's
-        net = load_scenario(uamnoise.bundled_scenario_path()).network
-        rng = np.random.default_rng(0)
-        vx = [v.x_m for v in net.vertiports.values()]
-        vy = [v.y_m for v in net.vertiports.values()]
-        f = rng.uniform(0.0, 1.0, 2000)
-        segments = [net.link_segment(lid) for lid in rng.choice(sorted(net.links), 2000)]
-        xs = vx + [a[0] + t * (b[0] - a[0]) for t, (a, b) in zip(f, segments)] + \
-            list(rng.uniform(min(vx) - 2000.0, max(vx) + 2000.0, 2000))
-        ys = vy + [a[1] + t * (b[1] - a[1]) for t, (a, b) in zip(f, segments)] + \
-            list(rng.uniform(min(vy) - 2000.0, max(vy) + 2000.0, 2000))
-        assert M.nearest_link(M.link_segments(net), xs, ys) == \
-            [scalar_nearest_link(net, x, y) for x, y in zip(xs, ys)]
+    @settings(max_examples=25, deadline=None)
+    @given(attribution_cases())
+    def test_zone_matches_route_geometry_oracle(self, case):
+        scenario, config, params, seed = case
+        net = scenario.network
+        rc = RewardConfig.for_layers(net.layers, 0.5)
+        _, trace = M.run_episode(params, scenario, config, rc, seed=seed, greedy=False)
+        assert [net.zone_of(r.member) for r in trace] == \
+            [oracle_zone(net, scenario.routes[r.id], r.x_m, r.y_m) for r in trace]
 
 
 class TestRunEpisode:
@@ -158,14 +187,17 @@ class TestRunEpisode:
         assert m1.histogram == m2.histogram
         assert t1 == t2
 
-    def test_metrics_pure_function_of_trace(self, line_scenario, tmp_path):
-        rc = RewardConfig.for_layers(line_scenario.network.layers, 0.5)
+    @pytest.mark.parametrize("name", ["line", "bundled"])
+    def test_metrics_pure_function_of_trace(self, name, request, tmp_path):
+        # on the bundled scenario every first row sits on a vertiport
+        scenario = request.getfixturevalue(f"{name}_scenario")
+        rc = RewardConfig.for_layers(scenario.network.layers, 0.5)
         path = tmp_path / "trace.csv"
-        metrics, trace = M.run_episode(None, line_scenario, SimConfig(), rc, seed=0)
+        metrics, trace = M.run_episode(None, scenario, SimConfig(), rc, seed=0)
         M.write_trace(trace, path)
-        reloaded = M.read_trace(path)
+        reloaded = M.read_trace(path, scenario.network)
         assert reloaded == trace
-        recomputed = M.metrics_from_trace(reloaded, line_scenario.network,
+        recomputed = M.metrics_from_trace(reloaded, scenario.network,
                                           metrics.los_count, metrics.mean_return,
                                           rho=rc.rho)
         assert recomputed == metrics

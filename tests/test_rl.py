@@ -6,11 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import uamnoise
 from uamnoise import mdp, nnet, rl
 from uamnoise.mdp import (RewardConfig, observe_tick, reward_noise, reward_total,
                           separation_rewards)
-from uamnoise.network import AltitudeLayerSet, generate_scenario, load_scenario
+from uamnoise.network import AltitudeLayerSet, generate_scenario
 from uamnoise.noise import Condition
 from uamnoise.rl import (RolloutResult, TraceRow, TrainConfig, collect_rollout,
                          compute_advantages, load_checkpoint, ppo_update,
@@ -146,16 +145,11 @@ def reference_rollout(scenario, params, sim_config, reward_config, rng=None):
                                        "logp": float(logp[0]), "value": float(value[0])})
                 pending[ac_id] = len(records[ac_id]) - 1
                 trace.append(TraceRow(world.t, ac_id, ac.x_m, ac.y_m, ac.z_ft,
-                                      Action(action), ac.b_changing))
+                                      Action(action), ac.b_changing, world.member_of(ac)))
         step_with(world, joint)
     for ac_id in list(pending):
         finalize(ac_id, done=True)
     return {k: v for k, v in records.items() if v}, trace, len(world.los_events)
-
-
-@pytest.fixture(scope="module")
-def bundled_scenario():
-    return load_scenario(uamnoise.bundled_scenario_path())
 
 
 class TestBatchedTickMatchesReference:
