@@ -13,7 +13,7 @@ import numpy as np
 from .errors import SimulationError, ValidationError, check_number
 from .network import AltitudeLayerSet
 from .noise import Z_HI_FT, Z_LO_FT, Condition, single_event_level
-from .sim import FT_TO_M, Phase, World
+from .sim import FT_TO_M, Action, Phase, World
 
 #: Nearest intruders kept in an observation; bounds compute and input size.
 N_MAX_INTRUDERS = 10
@@ -24,6 +24,10 @@ OWN_DIM = 6  # z, b_changing (0 or 1), z_target, one-hot last action
 # One row per intruder, ascending by d_o: z_rel (signed altitude difference
 # over the span), d_o (3-D distance over d_comm), one-hot last action.
 INTRUDER_DIM = 5
+# The columns of World.neighbors's state that own's entries are read from, the
+# last action once per one-hot column, and the wire values of those columns.
+_OWN_COLUMNS = np.array([2, 4, 3, 5, 5, 5])
+_ACTIONS = np.array([float(a) for a in Action])
 
 
 @dataclass
@@ -64,32 +68,36 @@ def observe_tick(world: World, ids: list[str],
                  config: RewardConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(own, intr, intr_mask) of the enroute aircraft ids at one world state:
     own (B, OWN_DIM); intr (B, K, INTRUDER_DIM), row b holding aircraft b's
-    nearest route-related in-range intruders (at most N_MAX_INTRUDERS) in
-    the layout above, zero-padded to K = max(1, largest count); intr_mask
-    (B, K) marks the filled rows. The neighbour table is read once."""
-    table = world.neighbor_table()
+    nearest route-related intruders within planar d_comm (at most
+    N_MAX_INTRUDERS) in the layout above, ascending by 3-D distance
+    (World.distance_3d_m's rule), equal distances in scenario-flight order,
+    zero-padded to K = max(1, largest count); intr_mask (B, K) marks the
+    filled rows. One World.neighbors query serves every row."""
+    enroute = world.enroute_ids()
+    row_of = dict(zip(enroute, range(len(enroute))))
     try:
-        nearest = [table[i][:N_MAX_INTRUDERS] for i in ids]
+        rows = np.array([row_of[i] for i in ids], dtype=np.intp)
     except KeyError as exc:
         raise SimulationError(f"aircraft {exc} is not enroute") from None
-    acs = [world.aircraft[i] for i in ids]
-    z_min, span = config.layers.z_min, config.span_ft
-    b = len(acs)
-    z = np.array([ac.z_ft for ac in acs], dtype=float)
-    own = np.zeros((b, OWN_DIM))
-    own[:, 0] = (z - z_min) / span
-    own[:, 1] = [ac.b_changing for ac in acs]
-    own[:, 2] = (np.array([ac.z_target_ft for ac in acs], dtype=float) - z_min) / span
-    own[np.arange(b), 3 + np.array([int(ac.last_action) for ac in acs], dtype=int)] = 1.0
-    counts = np.array([len(found) for found in nearest], dtype=int)
+    state, index, dist = world.neighbors(N_MAX_INTRUDERS)
+    z, last = state[:, 2], state[:, 5]
+    z_own = z[rows]
+    own = state.take(rows, axis=0).take(_OWN_COLUMNS, axis=1)  # then normalized in place
+    own[:, 0:3:2] -= config.layers.z_min
+    own[:, 0:3:2] /= config.span_ft
+    own[:, 3:] = own[:, 3:] == _ACTIONS
+    index, dist = index.take(rows, axis=0), dist.take(rows, axis=0)
+    counts = np.minimum((dist < np.inf).sum(axis=1), N_MAX_INTRUDERS)
     k = max(1, counts.max(initial=0))
     intr_mask = np.arange(k) < counts[:, None]
-    intr = np.zeros((b, k, INTRUDER_DIM))
-    rows, cols = np.nonzero(intr_mask)  # row-major, as nearest is flattened below
-    flat = [rec for found in nearest for rec in found]
-    intr[rows, cols, 0] = (np.array([o.z_ft for _, o in flat], dtype=float) - z[rows]) / span
-    intr[rows, cols, 1] = np.array([d for d, _ in flat], dtype=float) / config.d_comm_m
-    intr[rows, cols, 2 + np.array([int(o.last_action) for _, o in flat], dtype=int)] = 1.0
+    r, c = np.nonzero(intr_mask)  # row-major, each row's intruders nearest first
+    other = index[r, c]
+    found = np.empty((len(r), INTRUDER_DIM))
+    found[:, 0] = (z[other] - z_own[r]) / config.span_ft
+    found[:, 1] = dist[r, other] / config.d_comm_m
+    found[:, 2:] = last[other, None] == _ACTIONS
+    intr = np.zeros((len(rows), k, INTRUDER_DIM))
+    intr[r, c] = found
     return own, intr, intr_mask
 
 

@@ -331,15 +331,13 @@ def routes_related(network: Network, r1: Route, r2: Route) -> bool:
                for l1 in r1.link_ids for l2 in r2.link_ids)
 
 
-def route_intersections(network: Network, routes: list[Route]) -> set[
-        tuple[tuple[str, ...], tuple[str, ...]]]:
-    """Symmetric relation over routes' link chains, as the set of related pairs."""
-    relation = set()
-    for i, r1 in enumerate(routes):
-        for r2 in routes[i:]:
-            if routes_related(network, r1, r2):
-                relation |= {(r1.link_ids, r2.link_ids), (r2.link_ids, r1.link_ids)}
-    return relation
+def route_intersections(network: Network, routes: list[Route]) -> np.ndarray:
+    """The symmetric relation routes_related over routes, as a boolean
+    matrix indexed by their positions in routes."""
+    related = np.zeros((len(routes), len(routes)), dtype=bool)
+    for i, j in zip(*np.triu_indices(len(routes))):
+        related[i, j] = related[j, i] = routes_related(network, routes[i], routes[j])
+    return related
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ under the completion lock, finds in-range neighbors on related routes, and
 records loss-of-separation events.
 
 Altitudes live in feet; positions in meters. Altitude is converted to meters
-(factor 0.3048 exact) only inside Euclidean-distance computations.
+(factor 0.3048 exact) only inside Euclidean-distance computations, which all
+follow one rule, ``World.distance_3d_m``.
 """
 from __future__ import annotations
 
@@ -16,9 +17,10 @@ from enum import Enum, IntEnum
 from itertools import accumulate
 from operator import attrgetter
 
+import numpy as np
+
 from .errors import SimulationError, ValidationError, check_number
-from .network import (AltitudeLayerSet, Network, Route, Scenario, route_intersections,
-                      route_nodes)
+from .network import AltitudeLayerSet, Network, Route, Scenario, route_intersections, route_nodes
 
 FT_TO_M = 0.3048
 
@@ -101,12 +103,9 @@ class World:
     (ENROUTE -> ARRIVED) change ``phase``, and each keeps the index in step, so
     the queries read the index instead of scanning every aircraft.
 
-    x-order invariant: ``_by_x``, when set, holds the enroute aircraft sorted
-    by x (stably, so equal x keep enroute order), and ``_near``, when set, maps
-    each enroute id to its neighbour list (``neighbor_table``). Positions and
-    membership change only in those same two methods, and each clears both,
-    so ``detect_los`` and ``neighbor_table`` share one sort, and every
-    neighbour list is built in one pass, per world state.
+    Nothing derived from positions is cached: ``detect_los`` sorts the enroute
+    aircraft by x once per call, and ``neighbors`` measures every enroute pair
+    in one NumPy pass per call, so neither can see a stale world state.
     """
 
     def __init__(self, scenario: Scenario, config: SimConfig):
@@ -127,23 +126,22 @@ class World:
         self._queue = [(fl.departure_s, self.aircraft[fl.id]) for _, fl in by_departure]
         self._next = 0
         self._enroute: list[AircraftState] = []
-        self._by_x: list[AircraftState] | None = None
-        self._near: dict[str, list[tuple[float, AircraftState]]] | None = None
 
-        # Frozen route geometry: polyline points and cumulative lengths.
-        self._polylines: dict[tuple[str, ...], tuple[list[tuple[float, float]], list[float]]] = {}
-        for route in scenario.routes.values():
-            if route.link_ids in self._polylines:
-                continue
-            pts = []
-            for vid in route_nodes(self.net, route):
-                vp = self.net.vertiports[vid]
-                pts.append((vp.x_m, vp.y_m))
-            cum = list(accumulate(map(self.net.link_length_m, route.link_ids), initial=0.0))
-            self._polylines[route.link_ids] = (pts, cum)
-
-        unique_routes = list({r.link_ids: r for r in scenario.routes.values()}.values())
-        self._relation = route_intersections(self.net, unique_routes)
+        # Frozen route geometry per flight id, shared by flights on equal
+        # routes: polyline points, cumulative lengths, the route number that
+        # indexes the route relation (a boolean matrix), and each segment's
+        # (start, length, origin x, origin y, extent x, extent y).
+        unique = {r.link_ids: r for r in scenario.routes.values()}
+        geometry = {}
+        for no, (link_ids, route) in enumerate(unique.items()):
+            pts = [(vp.x_m, vp.y_m)
+                   for vp in map(self.net.vertiports.__getitem__, route_nodes(self.net, route))]
+            cum = list(accumulate(map(self.net.link_length_m, link_ids), initial=0.0))
+            segments = [(cum[i], cum[i + 1] - cum[i], ax, ay, bx - ax, by - ay)
+                        for i, ((ax, ay), (bx, by)) in enumerate(zip(pts, pts[1:]))]
+            geometry[link_ids] = (pts, cum, no, segments)
+        self._geometry = {i: geometry[r.link_ids] for i, r in scenario.routes.items()}
+        self._related = route_intersections(self.net, list(unique.values()))
 
         self.los_events: list[LosEvent] = []
         self._active_los: dict[tuple[str, str], tuple[float, float]] = {}  # pair -> (onset, min d)
@@ -158,7 +156,7 @@ class World:
         """The network member whose zone an enroute aircraft counts for: the
         vertiport when it sits exactly on a route node, as at spawn, and
         otherwise the route link it is on, by advance_kinematics's index."""
-        _, cum = self._polylines[ac.route.link_ids]
+        _, cum, _, _ = self._geometry[ac.id]
         i = bisect_right(cum, ac.dist_along_m) - 1
         link_id = ac.route.link_ids[i]
         return self.net.links[link_id].from_id if ac.dist_along_m == cum[i] else link_id
@@ -176,30 +174,29 @@ class World:
             return True
         return self._next == len(self._queue) and not self._enroute
 
-    def distance_3d_m(self, a: AircraftState, b: AircraftState, planar_m=None) -> float:
-        """3-D distance in m; planar_m, if known, is the pair's math.hypot(dx, dy)."""
-        if planar_m is None:
-            planar_m = math.hypot(a.x_m - b.x_m, a.y_m - b.y_m)
-        return math.hypot(planar_m, (a.z_ft - b.z_ft) * FT_TO_M)
+    def distance_3d_m(self, a: AircraftState, b: AircraftState) -> float:
+        """3-D distance in m, sqrt((dx*dx + dy*dy) + dz*dz) with dz = (z_a -
+        z_b) * FT_TO_M: the one distance rule. Python and NumPy round each of
+        its operations alike, so ``neighbors`` computes it bitwise equal, and
+        it is bitwise symmetric, as negation is exact."""
+        dx, dy, dz = a.x_m - b.x_m, a.y_m - b.y_m, (a.z_ft - b.z_ft) * FT_TO_M
+        return math.sqrt((dx * dx + dy * dy) + dz * dz)
 
     # -- dynamics ---------------------------------------------------------
 
     def spawn_due_aircraft(self) -> None:
         """Pending flights at or past their departure time leave the spawn
         queue and enter the network at their origin on the lowest layer, level."""
-        z0 = self.net.layers.z_min
         t = self.t
         while self._next < len(self._queue) and self._queue[self._next][0] <= t:
             ac = self._queue[self._next][1]
             self._next += 1
-            self._by_x = self._near = None
             insort(self._enroute, ac, key=lambda a: self.flight_index[a.id])
-            pts, _ = self._polylines[ac.route.link_ids]
+            pts, _, _, _ = self._geometry[ac.id]
             ac.phase = Phase.ENROUTE
             ac.dist_along_m = 0.0
             ac.x_m, ac.y_m = pts[0]
-            ac.z_ft = z0
-            ac.z_target_ft = z0
+            ac.z_ft = ac.z_target_ft = self.net.layers.z_min
             ac.b_changing = False
             ac.last_action = Action.HOLD
 
@@ -224,28 +221,26 @@ class World:
     def advance_kinematics(self, dt: float) -> None:
         """Moves each enroute aircraft along its polyline and toward its target
         layer, snapping without overshoot. Arrivals leave the enroute index."""
-        rate_fps = self.config.climb_rate_fpm / 60.0
-        self._by_x = self._near = None
+        step_ft = self.config.climb_rate_fpm / 60.0 * dt
+        step_m = self.config.cruise_speed_mps * dt
+        geometry = self._geometry
         still_enroute = []
         for ac in self._enroute:
-            pts, cum = self._polylines[ac.route.link_ids]
-            ac.dist_along_m += self.config.cruise_speed_mps * dt
-            if ac.dist_along_m >= cum[-1]:
+            pts, cum, _, segments = geometry[ac.id]
+            d = ac.dist_along_m + step_m
+            if d >= cum[-1]:
                 ac.phase = Phase.ARRIVED
                 ac.dist_along_m = cum[-1]
                 ac.x_m, ac.y_m = pts[-1]
             else:
+                ac.dist_along_m = d
                 still_enroute.append(ac)
-                i = bisect_right(cum, ac.dist_along_m) - 1
-                seg_len = cum[i + 1] - cum[i]
-                f = (ac.dist_along_m - cum[i]) / seg_len
-                ax, ay = pts[i]
-                bx, by = pts[i + 1]
-                ac.x_m = ax + f * (bx - ax)
-                ac.y_m = ay + f * (by - ay)
+                start, length, ax, ay, ex, ey = segments[bisect_right(cum, d) - 1]
+                f = (d - start) / length
+                ac.x_m = ax + f * ex
+                ac.y_m = ay + f * ey
 
             if ac.b_changing:
-                step_ft = rate_fps * dt
                 delta = ac.z_target_ft - ac.z_ft
                 if abs(delta) <= step_ft:
                     ac.z_ft = ac.z_target_ft
@@ -254,59 +249,57 @@ class World:
                     ac.z_ft += math.copysign(step_ft, delta)
         self._enroute = still_enroute
 
-    def _x_pairs(self, reach: float):
-        """Each enroute pair (a, b) once, a before b in the x-order (see the
-        class docstring), with b.x_m - a.x_m <= reach: one sweep whose window
-        start only moves forward, since x rises along the order."""
-        if self._by_x is None:
-            self._by_x = sorted(self._enroute, key=attrgetter("x_m"))
-        by_x = self._by_x
-        start = 0
-        for j, b in enumerate(by_x):
-            while b.x_m - by_x[start].x_m > reach:
-                start += 1
-            for a in by_x[start:j]:
-                yield a, b
-
-    def neighbor_table(self) -> dict[str, list[tuple[float, AircraftState]]]:
-        """Every enroute aircraft's id mapped to its neighbour list: (3-D
-        distance in m, aircraft) for each enroute aircraft within d_comm planar
-        range on a related route, ascending by distance (id tie-break). The
-        caller must not modify the lists.
-
-        The first call in a world state builds the table from one sweep of
-        pairs with |dx| <= d_comm (planar range implies it, since hypot is
-        never below either leg), measuring each pair once: the distance is
-        bitwise symmetric, as negation is exact and hypot takes magnitudes.
-        Later calls in that state return the same table."""
-        if self._near is None:
-            d_comm, relation = self.config.d_comm_m, self._relation
-            near = {ac.id: [] for ac in self._enroute}
-            for a, b in self._x_pairs(d_comm):
-                if ((planar := math.hypot(a.x_m - b.x_m, a.y_m - b.y_m)) <= d_comm
-                        and (a.route.link_ids, b.route.link_ids) in relation):
-                    d = self.distance_3d_m(a, b, planar)
-                    near[a.id].append((d, b))
-                    near[b.id].append((d, a))
-            for found in near.values():
-                found.sort(key=lambda rec: (rec[0], rec[1].id))
-            self._near = near
-        return self._near
+    def neighbors(self, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One NumPy pass over the enroute aircraft, in enroute order: (state,
+        index, distance). Row i of state (n, 6) holds aircraft i's x_m, y_m,
+        z_ft, z_target_ft, b_changing and last_action. distance (n, n), bitwise
+        symmetric, holds the distance_3d_m of each pair on related routes within
+        planar range, dx*dx + dy*dy <= d_comm*d_comm, and inf elsewhere. Row i
+        of index holds the enroute indices of aircraft i's nearest such
+        aircraft, at most limit of them, ascending by (distance, enroute
+        index), then ones at distance inf where it has fewer."""
+        acs, geometry = self._enroute, self._geometry
+        n = len(acs)
+        state = np.array([(a.x_m, a.y_m, a.z_ft, a.z_target_ft, a.b_changing, a.last_action,
+                           geometry[a.id][2]) for a in acs], dtype=float).reshape(n, 7)
+        p = state[:, :3].T.copy()
+        d = p[:, :, None] - p[:, None, :]  # d[:, i, j] = (dx, dy, dz in ft) of pair (i, j)
+        d[2] *= FT_TO_M
+        d *= d
+        planar2 = d[0] + d[1]
+        r = state[:, 6].astype(np.intp)
+        keep = self._related.take(r, axis=0).take(r, axis=1)
+        keep &= planar2 <= self.config.d_comm_m * self.config.d_comm_m
+        keep.flat[::n + 1] = False
+        dist = np.sqrt(planar2 + d[2])
+        dist[~keep] = np.inf
+        return state[:, :6], np.argsort(dist, axis=1, kind="stable")[:, :limit], dist
 
     def detect_los(self) -> list[tuple[str, str, float]]:
         """All enroute pairs closer than d_los in 3-D, as (id_a, id_b, dist),
         ordered by the pair's enroute positions. Not route-filtered:
         separation is violated by geometry alone.
 
-        Only pairs with |dx| <= d_los are measured; the cut-off is exact, since
-        the 3-D distance is never below |dx|."""
+        One sweep over the enroute aircraft sorted by x (stably, so equal x
+        keep enroute order) measures only the pairs with |dx| <= d_los; the
+        cut-off is exact, since the 3-D distance is never below |dx|. The
+        window start only moves forward, since x rises along the order."""
         d_los, index = self.config.d_los_m, self.flight_index
-        hits = [(a, b, d) for a, b in self._x_pairs(d_los)
-                if (d := self.distance_3d_m(a, b)) < d_los]
+        by_x = sorted(self._enroute, key=attrgetter("x_m"))
+        hits = []
+        start = 0
+        for j, b in enumerate(by_x):
+            while b.x_m - by_x[start].x_m > d_los:
+                start += 1
+            for a in by_x[start:j]:
+                if (d := self.distance_3d_m(a, b)) < d_los:
+                    hits.append((a, b, d))
         hits.sort(key=lambda hit: sorted((index[hit[0].id], index[hit[1].id])))
         return [(*sorted((a.id, b.id)), d) for a, b, d in hits]
 
     def _update_los_bookkeeping(self, violations) -> None:
+        if not violations and not self._active_los:
+            return
         now = {(a, b): d for a, b, d in violations}
         for pair, d in now.items():
             if pair in self._active_los:

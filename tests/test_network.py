@@ -161,9 +161,9 @@ class TestRouteIntersections:
         routes = [build_route(line_network, a, b)
                   for a, b in (("A", "C"), ("C", "A"), ("A", "B"), ("B", "C"))]
         rel = route_intersections(line_network, routes)
-        assert rel
-        for (k1, k2) in rel:
-            assert (k2, k1) in rel
+        assert rel.any() and (rel == rel.T).all()
+        assert rel.tolist() == [[routes_related(line_network, r1, r2) for r2 in routes]
+                                for r1 in routes]
 
 
 class TestGenerateScenario:

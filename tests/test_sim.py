@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from uamnoise.errors import SimulationError, ValidationError
 from uamnoise.mdp import N_MAX_INTRUDERS, RewardConfig, observe_tick
-from uamnoise.network import (AltitudeLayerSet, Flight, Network, Scenario, build_route,
-                              generate_scenario, routes_related)
+from uamnoise.network import (COORD_LIMIT_M, AltitudeLayerSet, Flight, Network, Scenario,
+                              build_route, generate_scenario, routes_related)
 from uamnoise.sim import (FT_TO_M, Action, AircraftState, LosEvent, Phase, SimConfig, World,
                           action_mask)
 
@@ -145,6 +145,14 @@ class TestKinematics:
         assert ac.y_m == 0.0
 
 
+def neighbor_lists(world, limit=N_MAX_INTRUDERS):
+    """World.neighbors as each enroute id's list of (distance, id), nearest first."""
+    _, index, dist = world.neighbors(limit)
+    ids = world.enroute_ids()
+    return {ids[i]: [(float(dist[i, j]), ids[j]) for j in row if dist[i, j] < math.inf]
+            for i, row in enumerate(index)}
+
+
 class TestNeighbors:
     def make_pair(self, planar_sep):
         world = make_world(n=2, od=[("A", "C"), ("C", "A")], spacing=0.0)
@@ -156,13 +164,11 @@ class TestNeighbors:
 
     def test_in_range_sees_each_other(self):
         world, a, b = self.make_pair(2400.0)
-        assert world.neighbor_table()[a.id] == [(2400.0, b)]
-        assert world.neighbor_table()[b.id] == [(2400.0, a)]
+        assert neighbor_lists(world) == {a.id: [(2400.0, b.id)], b.id: [(2400.0, a.id)]}
 
     def test_out_of_range_empty(self):
         world, a, b = self.make_pair(2600.0)
-        assert world.neighbor_table()[a.id] == []
-        assert world.neighbor_table()[b.id] == []
+        assert neighbor_lists(world) == {a.id: [], b.id: []}
 
     def test_unrelated_routes_filtered(self):
         # two parallel corridors 1 km apart; aircraft within comm range
@@ -175,17 +181,51 @@ class TestNeighbors:
                                departure_spacing_s=0.0, seed=0)
         world = World(sc, SimConfig())
         world.spawn_due_aircraft()
-        for aid in world.enroute_ids():
-            assert world.neighbor_table()[aid] == []
+        assert neighbor_lists(world) == {aid: [] for aid in world.enroute_ids()}
 
     def test_symmetry_over_episode(self, line_scenario):
         world = World(line_scenario, SimConfig())
         while not world.terminal and world.t < 400:
             world.spawn_due_aircraft()
-            for aid in world.enroute_ids():
-                for d, other in world.neighbor_table()[aid]:
-                    assert (d, world.aircraft[aid]) in world.neighbor_table()[other.id]
+            table = neighbor_lists(world)
+            for aid, found in table.items():
+                for d, other in found:
+                    assert (d, aid) in table[other]
             world.step()
+
+    def test_equal_distances_in_flight_order_not_id_order(self, line_network):
+        # scenario-flight order AC003, AC001, AC002: two intruders 1 km either
+        # side of AC002 come in flight order, against the order of their ids
+        sc = generate_scenario(line_network, 3, [("A", "C")], departure_spacing_s=0.0, seed=0)
+        world = World(Scenario(line_network, tuple(sc.flights[i] for i in (2, 0, 1)), sc.routes),
+                      SimConfig())
+        world.spawn_due_aircraft()
+        assert world.enroute_ids() == ["AC003", "AC001", "AC002"]
+        for aid, x, action in (("AC003", 4000.0, Action.CLIMB), ("AC001", 6000.0, Action.DESCEND),
+                               ("AC002", 5000.0, Action.HOLD)):
+            world.aircraft[aid].x_m = x
+            world.aircraft[aid].last_action = action
+        assert neighbor_lists(world)["AC002"] == [(1000.0, "AC003"), (1000.0, "AC001")]
+        _, intr, intr_mask = observe_tick(world, ["AC002"], RewardConfig())
+        assert intr_mask.tolist() == [[True, True]]
+        assert intr[0, :, 2:].tolist() == [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]  # climb, descend
+
+    def test_tie_at_the_cap_keeps_the_earlier_flight(self):
+        # 9 intruders at 100..900 m and two at 1000 m, one each side: only
+        # N_MAX_INTRUDERS are kept, so of the tied 10th and 11th the earlier
+        # flight (ids[1], at +1000 m) stays and the later one (ids[11], at
+        # -1000 m, first in x order) goes
+        world = make_world(n=12, spacing=0.0)
+        world.spawn_due_aircraft()
+        ids = world.enroute_ids()
+        xs = [5000.0, 6000.0, *(5000.0 + 100.0 * k for k in range(1, 10)), 4000.0]
+        for aid, x in zip(ids, xs):
+            world.aircraft[aid].x_m = x
+        assert N_MAX_INTRUDERS == 10
+        found = neighbor_lists(world)[ids[0]]
+        assert found == [(100.0 * k, ids[k + 1]) for k in range(1, 10)] + [(1000.0, ids[1])]
+        assert neighbor_lists(world, limit=11)[ids[0]][-2:] == [(1000.0, ids[1]),
+                                                                 (1000.0, ids[11])]
 
 
 class TestDetectLos:
@@ -219,9 +259,10 @@ class TestDetectLos:
 
 
 class TestSweepCutoffs:
-    """The x-order sweep keeps every pair with |dx| <= its reach: a pair at
-    |dx| == d_los is measured and rejected (LOS needs d < d_los), one at
-    |dx| == d_comm is in range (d <= d_comm); equal x exercise the sort's ties."""
+    """detect_los's x-order sweep keeps every pair with |dx| <= d_los: a pair at
+    |dx| == d_los is measured and rejected (LOS needs d < d_los). The
+    neighbours' range gate dx*dx + dy*dy <= d_comm*d_comm admits a pair at
+    |dx| == d_comm. Equal x exercise the ties of the sort and of the gate."""
 
     def place(self, xs, **cfg):
         world = make_world(n=len(xs), od=[("A", "C"), ("C", "A")], spacing=0.0, **cfg)
@@ -245,41 +286,18 @@ class TestSweepCutoffs:
     @pytest.mark.parametrize("d_comm", [2500.0, 900.0])
     def test_neighbor_at_exactly_d_comm_is_returned(self, d_comm):
         world = self.place([5000.0, 5000.0 + d_comm, 5000.0 + d_comm], d_comm_m=d_comm)
-        table = world.neighbor_table()
-        ids = [[other.id for _, other in table[aid]] for aid in world.enroute_ids()]
+        ids = [[other for _, other in found] for found in neighbor_lists(world).values()]
         assert ids == [["AC002", "AC003"], ["AC003", "AC001"], ["AC002", "AC001"]]
 
     @pytest.mark.parametrize("d_comm", [2500.0, 900.0])
     def test_neighbor_just_beyond_d_comm_is_not(self, d_comm):
         x = math.nextafter(5000.0 + d_comm, math.inf)
         world = self.place([5000.0, x, x], d_comm_m=d_comm)
-        table = world.neighbor_table()
-        ids = [[other.id for _, other in table[aid]] for aid in world.enroute_ids()]
+        ids = [[other for _, other in found] for found in neighbor_lists(world).values()]
         assert ids == [[], ["AC003"], ["AC002"]]
 
 
 class TestOnePairPass:
-    def test_each_pair_measured_once_per_world_state(self, monkeypatch):
-        world = make_world(n=14, spacing=0.0)
-        world.spawn_due_aircraft()
-        for k, aid in enumerate(world.enroute_ids()):
-            world.aircraft[aid].x_m = 150.0 * k
-        calls = []
-        measure = World.distance_3d_m
-        monkeypatch.setattr(World, "distance_3d_m",
-                            lambda self, a, b, *planar: calls.append((a, b, *planar))
-                            or measure(self, a, b, *planar))
-        found = sum(len(world.neighbor_table()[aid]) for aid in world.enroute_ids())
-        assert found == 14 * 13  # all related (A-C and C-A share vertiports), all in range
-        assert len(calls) == found // 2
-        assert len({frozenset((a.id, b.id)) for a, b, _ in calls}) == found // 2
-        # each measurement reuses the planar distance of the d_comm gate
-        assert all(planar == math.hypot(a.x_m - b.x_m, a.y_m - b.y_m)
-                   for a, b, planar in calls)
-        calls.clear()
-        assert sum(len(world.neighbor_table()[aid]) for aid in world.enroute_ids()) == found
-        assert calls == []
-
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6))
     @example([1e308, -1e308, 5e-324, -1e308, 1e308, -5e-324])
     def test_distance_is_bitwise_symmetric(self, coords):
@@ -289,6 +307,33 @@ class TestOnePairPass:
         (a.x_m, a.y_m, a.z_ft), (b.x_m, b.y_m, b.z_ft) = coords[:3], coords[3:]
         d_ab, d_ba = world.distance_3d_m(a, b), world.distance_3d_m(b, a)
         assert struct.pack("<d", d_ab) == struct.pack("<d", d_ba)
+
+
+COORD = st.floats(-COORD_LIMIT_M, COORD_LIMIT_M)
+
+
+class TestDistanceRuleProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(COORD, COORD, COORD), min_size=2, max_size=8))
+    def test_python_and_numpy_distances_bitwise_equal(self, points):
+        """distance_3d_m, the NumPy expression of its rule, and World.neighbors's
+        distance matrix agree bit for bit, and the matrix is symmetric."""
+        # every route related and every pair in range, so every pair is measured
+        world = make_world(n=len(points), spacing=0.0, d_comm_m=1e9)
+        world.spawn_due_aircraft()
+        acs = [world.aircraft[aid] for aid in world.enroute_ids()]
+        for ac, (x, y, z) in zip(acs, points):
+            ac.x_m, ac.y_m, ac.z_ft = x, y, z
+        _, _, dist = world.neighbors(N_MAX_INTRUDERS)
+        p = np.array(points)
+        dx, dy = p[:, None, 0] - p[:, 0], p[:, None, 1] - p[:, 1]
+        dz = (p[:, None, 2] - p[:, 2]) * FT_TO_M
+        expr = np.sqrt((dx * dx + dy * dy) + dz * dz)
+        python = np.array([[world.distance_3d_m(a, b) for b in acs] for a in acs])
+        off = ~np.eye(len(acs), dtype=bool)
+        assert python.tobytes() == expr.tobytes()
+        assert dist[off].tobytes() == python[off].tobytes()
+        assert dist.tobytes() == dist.T.tobytes()
 
 
 class TestStep:
@@ -383,15 +428,27 @@ def scan_enroute(world):
     return [a for a in world.aircraft.values() if a.phase is Phase.ENROUTE]
 
 
-def scan_neighbors(world, ac_id):
-    own = world.aircraft[ac_id]
+def distance(a, b):
+    """The one distance rule, restated: sqrt((dx*dx + dy*dy) + dz*dz)."""
+    dx, dy, dz = a.x_m - b.x_m, a.y_m - b.y_m, (a.z_ft - b.z_ft) * FT_TO_M
+    return math.sqrt((dx * dx + dy * dy) + dz * dz)
+
+
+def scan_related(world, ac):
+    """(distance, flight index, aircraft) of every enroute aircraft on a route
+    related to ac's within planar d_comm, ascending."""
+    d_comm = world.config.d_comm_m
     found = []
     for other in scan_enroute(world):
-        planar = math.hypot(own.x_m - other.x_m, own.y_m - other.y_m)
-        if (other is not own and planar <= world.config.d_comm_m
-                and routes_related(world.net, own.route, other.route)):
-            found.append((world.distance_3d_m(own, other), other.id))
-    return sorted(found)
+        dx, dy = ac.x_m - other.x_m, ac.y_m - other.y_m
+        if (other is not ac and dx * dx + dy * dy <= d_comm * d_comm
+                and routes_related(world.net, ac.route, other.route)):
+            found.append((distance(ac, other), world.flight_index[other.id], other))
+    return sorted(found, key=lambda rec: rec[:2])
+
+
+def scan_neighbors(world, ac_id):
+    return [(d, other.id) for d, _, other in scan_related(world, world.aircraft[ac_id])]
 
 
 def scan_los(world):
@@ -437,9 +494,9 @@ class TestEnrouteIndexProperty:
             assert world.enroute_ids() == enroute
             all_arrived = all(a.phase is Phase.ARRIVED for a in world.aircraft.values())
             assert world.terminal == (world.n_steps >= horizon_steps or all_arrived)
+            table = neighbor_lists(world, limit=len(world.aircraft))
             for aid in enroute:
-                assert [(d, n.id) for d, n in world.neighbor_table()[aid]] == \
-                    scan_neighbors(world, aid)
+                assert table[aid] == scan_neighbors(world, aid)
             assert world.detect_los() == scan_los(world)
 
         departures = {fl.id: fl.departure_s for fl in scenario.flights}
@@ -518,17 +575,9 @@ def scan_observe(world, ac_id, config):
     z_min, span = world.net.layers.z_min, world.net.layers.z_max - world.net.layers.z_min
     own = [(ac.z_ft - z_min) / span, float(ac.b_changing),
            (ac.z_target_ft - z_min) / span, *one_hot(ac.last_action)]
-    rows = []
-    for other in scan_enroute(world):
-        planar = math.hypot(ac.x_m - other.x_m, ac.y_m - other.y_m)
-        if (other is ac or planar > world.config.d_comm_m
-                or not routes_related(world.net, ac.route, other.route)):
-            continue
-        d = math.hypot(planar, (ac.z_ft - other.z_ft) * FT_TO_M)
-        rows.append((d, other.id, [(other.z_ft - ac.z_ft) / span, d / config.d_comm_m,
-                                   *one_hot(other.last_action)]))
-    rows.sort(key=lambda rec: rec[:2])
-    return own, [rec[2] for rec in rows[:N_MAX_INTRUDERS]]
+    rows = [[(other.z_ft - ac.z_ft) / span, d / config.d_comm_m, *one_hot(other.last_action)]
+            for d, _, other in scan_related(world, ac)]
+    return own, rows[:N_MAX_INTRUDERS]
 
 
 @st.composite
