@@ -308,36 +308,37 @@ def route_nodes(network: Network, route: Route) -> list[str]:
     return [route.origin, *(network.links[lid].to_id for lid in route.link_ids)]
 
 
-def _segment_crossing(p1, p2, p3, p4) -> bool:
-    """True if the two segments cross at an interior point of both."""
-    d1 = (p2[0] - p1[0], p2[1] - p1[1])
-    d2 = (p4[0] - p3[0], p4[1] - p3[1])
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    if denom == 0.0:
-        return False
-    dx, dy = p3[0] - p1[0], p3[1] - p1[1]
-    t = (dx * d2[1] - dy * d2[0]) / denom
-    u = (dx * d1[1] - dy * d1[0]) / denom
-    return 0.0 < t < 1.0 and 0.0 < u < 1.0
-
-
-def routes_related(network: Network, r1: Route, r2: Route) -> bool:
-    """Routes interact when they share a vertiport (as they do when they share
-    a corridor in either direction) or their link segments cross at an
-    interior point."""
-    if set(route_nodes(network, r1)) & set(route_nodes(network, r2)):
-        return True
-    return any(_segment_crossing(*network.link_segment(l1), *network.link_segment(l2))
-               for l1 in r1.link_ids for l2 in r2.link_ids)
-
-
 def route_intersections(network: Network, routes: list[Route]) -> np.ndarray:
-    """The symmetric relation routes_related over routes, as a boolean
-    matrix indexed by their positions in routes."""
-    related = np.zeros((len(routes), len(routes)), dtype=bool)
-    for i, j in zip(*np.triu_indices(len(routes))):
-        related[i, j] = related[j, i] = routes_related(network, routes[i], routes[j])
-    return related
+    """Which routes interact, as a symmetric boolean matrix indexed by their
+    positions in routes. Two routes interact when they share a vertiport (as
+    they do when they share a corridor in either direction) or when link
+    segments of theirs cross at an interior point of both.
+
+    One NumPy pass: shared vertiports from a route x vertiport incidence
+    product, and crossings from a link x link matrix through a route x link
+    incidence product. Segments p1-p2 and p3-p4, with d1 = p2 - p1 and
+    d2 = p4 - p3, cross when denom = d1 x d2 is nonzero and t = ((p3 - p1) x
+    d2) / denom and u = ((p3 - p1) x d1) / denom both lie strictly between 0
+    and 1; parallel and collinear segments (denom 0) never cross, and a zero
+    denominator is never divided by."""
+    vertiport_no = {vid: i for i, vid in enumerate(network.vertiports)}
+    link_no = {lid: i for i, lid in enumerate(network.links)}
+    visits = np.zeros((len(routes), len(vertiport_no)), dtype=bool)
+    uses = np.zeros((len(routes), len(link_no)), dtype=bool)
+    for i, route in enumerate(routes):
+        visits[i, [vertiport_no[vid] for vid in route_nodes(network, route)]] = True
+        uses[i, [link_no[lid] for lid in route.link_ids]] = True
+    segments = np.array([network.link_segment(lid) for lid in link_no], dtype=float)
+    p1, p2 = segments.reshape(len(link_no), 2, 2).transpose(1, 2, 0)  # (x or y, link)
+    d = p2 - p1
+    # [:, i, j] takes link i as segment p1-p2 and link j as segment p3-p4
+    d1, d2, p31 = d[:, :, None], d[:, None, :], p1[:, None, :] - p1[:, :, None]
+    denom = d1[0] * d2[1] - d1[1] * d2[0]
+    safe = np.where(denom == 0.0, 1.0, denom)
+    t = (p31[0] * d2[1] - p31[1] * d2[0]) / safe
+    u = (p31[0] * d1[1] - p31[1] * d1[0]) / safe
+    cross = (denom != 0.0) & (0.0 < t) & (t < 1.0) & (0.0 < u) & (u < 1.0)
+    return (visits @ visits.T) | (uses @ cross @ uses.T)
 
 
 # ---------------------------------------------------------------------------

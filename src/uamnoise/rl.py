@@ -127,6 +127,7 @@ def collect_rollout(
     """
     world = World(scenario, sim_config)
     layers = scenario.network.layers
+    members = tuple(Action)  # indexed by a sampled action's wire integer
     blocks: list[_Block] = []
     rewards: list[np.ndarray] = []  # rewards[i] closes blocks[i]
     acted: list[str] = []  # the agents of the last block
@@ -152,7 +153,7 @@ def collect_rollout(
                 actions, logp = nnet.sample_actions(probs, rng)
                 blocks.append(_Block(np.array([world.flight_index[i] for i in enroute]), own,
                                      intr, intr_mask, masks, actions, logp, values))
-                for ac, action in zip(acs, map(Action, actions.tolist())):
+                for ac, action in zip(acs, map(members.__getitem__, actions.tolist())):
                     trace.append(TraceRow(world.t, ac.id, ac.x_m, ac.y_m, ac.z_ft,
                                           action, ac.b_changing, world.member_of(ac)))
                     world.apply_altitude_command(ac, action)

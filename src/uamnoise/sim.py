@@ -15,7 +15,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from itertools import accumulate
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -31,6 +31,10 @@ class Action(IntEnum):
     HOLD = 0
     DESCEND = 1
     CLIMB = 2
+
+
+#: Each command value's Action and the layer step it asks for.
+_COMMANDS = {a.value: (a, step) for a, step in zip(Action, (0, -1, 1))}
 
 
 class Phase(Enum):
@@ -206,15 +210,14 @@ class World:
         executed goes to last_action. action is an Action or a value equal
         to one, such as its wire integer."""
         try:
-            action = Action(action)
-        except ValueError:
+            action, step = _COMMANDS[action]
+        except (KeyError, TypeError):
             raise SimulationError(f"aircraft '{ac.id}': unknown action {action!r}") from None
         layers = self.net.layers
-        if action is not Action.HOLD and action_mask(ac, layers)[action]:
-            step = 1 if action is Action.CLIMB else -1
+        if step and action_mask(ac, layers)[action]:
             ac.z_target_ft = layers.levels_ft[layers.index_of(ac.z_target_ft) + step]
             ac.b_changing = True
-        else:
+        elif step:  # a masked climb or descent executes as hold
             action = Action.HOLD
         ac.last_action = action
 
@@ -276,40 +279,45 @@ class World:
         return state[:, :6], np.argsort(dist, axis=1, kind="stable")[:, :limit], dist
 
     def detect_los(self) -> list[tuple[str, str, float]]:
-        """All enroute pairs closer than d_los in 3-D, as (id_a, id_b, dist),
-        ordered by the pair's enroute positions. Not route-filtered:
-        separation is violated by geometry alone.
+        """All enroute pairs closer than d_los in 3-D, as (id_a, id_b, dist)
+        with id_a < id_b, ordered by the pair's enroute positions. Not
+        route-filtered: separation is violated by geometry alone.
 
         One sweep over the enroute aircraft sorted by x (stably, so equal x
-        keep enroute order) measures only the pairs with |dx| <= d_los; the
-        cut-off is exact, since the 3-D distance is never below |dx|. The
-        window start only moves forward, since x rises along the order."""
-        d_los, index = self.config.d_los_m, self.flight_index
+        keep enroute order) visits only the pairs with |dx| <= d_los, and
+        measures only those of them with |dy| < d_los. Both cut-offs are
+        exact, since the 3-D distance is never below |dx| or |dy|: in binary
+        floating point sqrt(y*y) rounds back to |y|, and rounding is monotone.
+        The window start only moves forward, since x rises along the order."""
+        d_los, index, distance = self.config.d_los_m, self.flight_index, self.distance_3d_m
         by_x = sorted(self._enroute, key=attrgetter("x_m"))
         hits = []
         start = 0
         for j, b in enumerate(by_x):
-            while b.x_m - by_x[start].x_m > d_los:
+            bx, by, b_id = b.x_m, b.y_m, b.id
+            while bx - by_x[start].x_m > d_los:
                 start += 1
             for a in by_x[start:j]:
-                if (d := self.distance_3d_m(a, b)) < d_los:
-                    hits.append((a, b, d))
-        hits.sort(key=lambda hit: sorted((index[hit[0].id], index[hit[1].id])))
-        return [(*sorted((a.id, b.id)), d) for a, b, d in hits]
+                if abs(a.y_m - by) < d_los and (d := distance(a, b)) < d_los:
+                    ia, ib = index[a.id], index[b_id]
+                    hits.append(((ia, ib) if ia < ib else (ib, ia),
+                                 (a.id, b_id, d) if a.id < b_id else (b_id, a.id, d)))
+        hits.sort(key=itemgetter(0))
+        return list(map(itemgetter(1), hits))
 
     def _update_los_bookkeeping(self, violations) -> None:
-        if not violations and not self._active_los:
+        active = self._active_los
+        if not violations and not active:
             return
         now = {(a, b): d for a, b, d in violations}
         for pair, d in now.items():
-            if pair in self._active_los:
-                onset, dmin = self._active_los[pair]
-                self._active_los[pair] = (onset, min(dmin, d))
-            else:
-                self._active_los[pair] = (self.t, d)
-        for pair in list(self._active_los):
-            if pair not in now:
-                onset, dmin = self._active_los.pop(pair)
+            if (kept := active.get(pair)) is None:
+                active[pair] = (self.t, d)
+            elif d < kept[1]:
+                active[pair] = (kept[0], d)
+        if len(active) > len(now):  # some active pair has ended
+            for pair in [pair for pair in active if pair not in now]:
+                onset, dmin = active.pop(pair)
                 self.los_events.append(LosEvent(pair, onset, self.t - onset, dmin))
 
     def finalize_los(self) -> None:

@@ -6,7 +6,7 @@ from hypothesis import settings
 
 import uamnoise
 from uamnoise.network import (AltitudeLayerSet, Link, Network, NoiseZone,
-                              Vertiport, generate_scenario, load_scenario)
+                              Vertiport, generate_scenario, load_scenario, route_nodes)
 
 # The same examples on every run, and no example database in the checkout.
 settings.register_profile("repo", derandomize=True, database=None)
@@ -27,6 +27,30 @@ def step_with(world, actions):
     return world.step()
 
 
+def segment_crossing(p1, p2, p3, p4) -> bool:
+    """True if the two segments cross at an interior point of both."""
+    d1 = (p2[0] - p1[0], p2[1] - p1[1])
+    d2 = (p4[0] - p3[0], p4[1] - p3[1])
+    denom = d1[0] * d2[1] - d1[1] * d2[0]
+    if denom == 0.0:
+        return False
+    dx, dy = p3[0] - p1[0], p3[1] - p1[1]
+    t = (dx * d2[1] - dy * d2[0]) / denom
+    u = (dx * d1[1] - dy * d1[0]) / denom
+    return 0.0 < t < 1.0 and 0.0 < u < 1.0
+
+
+def routes_related(network, r1, r2) -> bool:
+    """The route relation pair by pair, the oracle of route_intersections:
+    routes interact when they share a vertiport (as they do when they share
+    a corridor in either direction) or their link segments cross at an
+    interior point."""
+    if set(route_nodes(network, r1)) & set(route_nodes(network, r2)):
+        return True
+    return any(segment_crossing(*network.link_segment(l1), *network.link_segment(l2))
+               for l1 in r1.link_ids for l2 in r2.link_ids)
+
+
 def make_line_network(link_len_m=12000.0, with_zone=True):
     """A -- B -- C line with both link directions."""
     vp = {
@@ -42,6 +66,24 @@ def make_line_network(link_len_m=12000.0, with_zone=True):
     if with_zone:
         zones = {"Z1": NoiseZone("Z1", tuple(sorted(links)) + ("A", "B", "C"), 50.0)}
     return Network(vp, links, AltitudeLayerSet(), zones)
+
+
+def make_cross_network():
+    """A 2-D network: corridors A-B and C-D cross at (1000, 1000), C-D-B
+    continues north along x = 2000, and E-F runs 600 m east of it on no
+    shared vertiport and no crossing, so it is unrelated to every other
+    route. Every link in both directions, no zones. Returns the network and
+    its O-D pairs: both directions of A-B, C-D, C-B and E-F."""
+    vp = {"A": Vertiport("A", 0.0, 0.0), "B": Vertiport("B", 2000.0, 2000.0),
+          "C": Vertiport("C", 0.0, 2000.0), "D": Vertiport("D", 2000.0, 0.0),
+          "E": Vertiport("E", 2600.0, 0.0), "F": Vertiport("F", 2600.0, 2000.0)}
+    links = {}
+    for a, b in (("A", "B"), ("C", "D"), ("D", "B"), ("E", "F")):
+        links[f"{a}-{b}"] = Link(f"{a}-{b}", a, b)
+        links[f"{b}-{a}"] = Link(f"{b}-{a}", b, a)
+    od = [(a, b) for o, d in (("A", "B"), ("C", "D"), ("C", "B"), ("E", "F"))
+          for a, b in ((o, d), (d, o))]
+    return Network(vp, links, AltitudeLayerSet(), {}), od
 
 
 def make_corridor_network(length_m=30000.0):

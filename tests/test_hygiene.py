@@ -3,8 +3,10 @@ imported name is used, the intra-package import graph has no cycle
 (function-level imports included), cli opens no file for writing, only
 errors.py calls math.isfinite, every public function is called, every
 dataclass field is read and every optional parameter is passed from the
-package or the benchmark."""
+package or the benchmark, and every name the benchmark's tracer patches
+exists."""
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -16,8 +18,8 @@ PACKAGE = "uamnoise"
 MODULES = {p.stem: ast.parse(p.read_text(), filename=str(p))
            for p in sorted(Path(uamnoise.__file__).parent.glob("*.py"))}
 # The benchmark's scripts, read only: a name they use is in use.
-BENCH = [ast.parse(p.read_text(), filename=str(p))
-         for p in sorted((Path(__file__).resolve().parent.parent / "bench").glob("*.py"))]
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+BENCH = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(BENCH_DIR.glob("*.py"))]
 
 
 def _imported_names(tree):
@@ -245,3 +247,51 @@ def test_every_optional_parameter_is_passed():
     unpassed = [f"{qual}({param})" for qual, called, param, pos in _optional_parameters()
                 if not any(_passes(c, param, pos) for c in calls.get(called, []))]
     assert not unpassed, f"optional parameters passed from neither src/ nor bench/: {unpassed}"
+
+
+# Tracer entries whose attribute no longer exists, so their layer reads 0.
+DEAD_TRACER_ENTRIES = {"rl.observe", "mdp.observe", "rl.agent_reward", "rl.encode_observation",
+                       "nnet.policy_forward", "nnet.sample_action", "metrics.attribute_layers",
+                       "metrics.single_event_level"}
+
+
+def _tracer_entries(tree):
+    """(owner expression, attribute) of each FRAMES and COUNTERS entry."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in ("FRAMES", "COUNTERS") for t in node.targets):
+            for entry in node.value.elts:
+                yield entry.elts[0], entry.elts[1].value
+
+
+def _tracer_namespace(tree):
+    """The package modules and names tracer.py imports, bound as it binds them."""
+    namespace = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == PACKAGE:
+            for alias in node.names:
+                namespace[alias.asname or alias.name] = (
+                    importlib.import_module(f"{PACKAGE}.{alias.name}") if node.module == PACKAGE
+                    else getattr(importlib.import_module(node.module), alias.name))
+    return namespace
+
+
+def _resolve(expr, namespace):
+    """The object a Name or dotted Attribute expression names in namespace."""
+    if isinstance(expr, ast.Name):
+        return namespace[expr.id]
+    return getattr(_resolve(expr.value, namespace), expr.attr)
+
+
+def test_every_tracer_entry_names_an_attribute():
+    # Tracer.install skips an entry whose attribute is missing, so a deleted
+    # function's layer would silently read 0
+    tree = ast.parse((BENCH_DIR / "tracer.py").read_text())
+    namespace = _tracer_namespace(tree)
+    entries = {f"{ast.unparse(owner)}.{attr}": attr in vars(_resolve(owner, namespace))
+               for owner, attr in _tracer_entries(tree)}
+    assert len(entries) > len(DEAD_TRACER_ENTRIES)  # the tables were found
+    dead = {name for name, exists in entries.items() if not exists}
+    # the allowlist names only entries that are still there and still dead
+    assert sorted(DEAD_TRACER_ENTRIES - dead) == []
+    assert sorted(dead - DEAD_TRACER_ENTRIES) == [], "bench/tracer.py patches missing names"

@@ -2,13 +2,17 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import uamnoise
 from uamnoise.errors import NoPathError, ValidationError
 from uamnoise.network import (AltitudeLayerSet, Link, Network, NoiseZone, Route,
                               Vertiport, build_route, generate_scenario,
                               load_network, load_scenario, route_intersections,
-                              route_nodes, routes_related, save_scenario)
+                              route_nodes, save_scenario)
+
+from conftest import routes_related
 
 
 def write_doc(tmp_path, doc, name="net.json"):
@@ -120,16 +124,52 @@ class TestBuildRoute:
             assert [sc.network.links[lid].from_id for lid in route.link_ids] == nodes[:-1]
 
 
+def related(net, r1, r2):
+    """route_intersections's entry for the pair, checked against the oracle."""
+    rel = route_intersections(net, [r1, r2])
+    assert rel[0, 1] == rel[1, 0] == routes_related(net, r1, r2)
+    return bool(rel[0, 1])
+
+
+def segments_network(points, link_ends):
+    """Vertiport Pk at each point, and link Li from P(ends[0]) to P(ends[1])
+    for each pair of link_ends that names two different points; no zones."""
+    vp = {f"P{k}": Vertiport(f"P{k}", x, y) for k, (x, y) in enumerate(points)}
+    links = {f"L{i}": Link(f"L{i}", f"P{a}", f"P{b}")
+             for i, (a, b) in enumerate(link_ends) if a != b and max(a, b) < len(points)}
+    return Network(vp, links, AltitudeLayerSet(), {})
+
+
+def one_link_routes(net):
+    return [Route((lid,), link.from_id, link.to_id) for lid, link in net.links.items()]
+
+
+# Two-link networks, P0-P1 against P2-P3, at the edges of the crossing test;
+# t and u are the crossing's parameters along P0-P1 and P2-P3.
+# Parallel, denominator 0; both numerators are 0.5, inside (0, 1).
+PARALLEL = [(0.0, 0.0), (1.0, 0.0), (0.0, -0.5), (1.0, -0.5)]
+COLLINEAR_OVERLAP = [(0.0, 0.0), (2000.0, 0.0), (1000.0, 0.0), (3000.0, 0.0)]
+# One point, two vertiports: the segments share an end, t = 1 and u = 0.
+TOUCHING_ENDS = [(0.0, 0.0), (1000.0, 0.0), (1000.0, 0.0), (1000.0, 1000.0)]
+T_JUNCTION = [(0.0, 0.0), (2000.0, 0.0), (1000.0, 0.0), (1000.0, 1000.0)]  # t = 0.5, u = 0
+T_END = [(1000.0, 1000.0), (1000.0, 0.0), (0.0, 0.0), (2000.0, 0.0)]  # t = 1, u = 0.5
+X_CROSSING = [(0.0, 0.0), (1000.0, 1000.0), (0.0, 1000.0), (1000.0, 0.0)]
+TWO_LINKS = [(0, 1), (2, 3)]
+
+GRID_OR_ANY = st.one_of(st.integers(-2, 2).map(lambda k: 1000.0 * k),
+                        st.floats(-3000.0, 3000.0))
+
+
 class TestRouteIntersections:
     def test_shared_link_related(self, line_network):
         r1 = build_route(line_network, "A", "C")
         r2 = build_route(line_network, "A", "B")
-        assert routes_related(line_network, r1, r2)
+        assert related(line_network, r1, r2)
 
     def test_opposite_directions_related(self, line_network):
         r1 = build_route(line_network, "A", "C")
         r2 = build_route(line_network, "C", "A")
-        assert routes_related(line_network, r1, r2)
+        assert related(line_network, r1, r2)
 
     def test_parallel_disjoint_unrelated(self):
         vp = {"A": Vertiport("A", 0, 0), "B": Vertiport("B", 1000, 0),
@@ -138,7 +178,7 @@ class TestRouteIntersections:
         net = Network(vp, links, AltitudeLayerSet(), {})
         r1 = Route(("A-B",), "A", "B")
         r2 = Route(("C-D",), "C", "D")
-        assert not routes_related(net, r1, r2)
+        assert not related(net, r1, r2)
 
     def test_crossing_segments(self):
         vp = {"P1": Vertiport("P1", 0, 0), "P2": Vertiport("P2", 1000, 1000),
@@ -147,7 +187,7 @@ class TestRouteIntersections:
         net = Network(vp, links, AltitudeLayerSet(), {})
         r1 = Route(("P1-P2",), "P1", "P2")
         r2 = Route(("P3-P4",), "P3", "P4")
-        assert routes_related(net, r1, r2)
+        assert related(net, r1, r2)
 
         # independent oracle: orientation tests confirm a proper crossing
         def orient(p, q, r):
@@ -157,6 +197,13 @@ class TestRouteIntersections:
         assert orient(a, b, c) * orient(a, b, d) < 0
         assert orient(c, d, a) * orient(c, d, b) < 0
 
+    @pytest.mark.parametrize("points", [PARALLEL, COLLINEAR_OVERLAP, TOUCHING_ENDS, T_JUNCTION,
+                                        T_END])
+    def test_segments_meeting_at_no_interior_point_unrelated(self, points):
+        # no shared vertiport, and no crossing strictly inside both segments
+        net = segments_network(points, TWO_LINKS)
+        assert not related(net, *one_link_routes(net))
+
     def test_relation_symmetric(self, line_network):
         routes = [build_route(line_network, a, b)
                   for a, b in (("A", "C"), ("C", "A"), ("A", "B"), ("B", "C"))]
@@ -164,6 +211,32 @@ class TestRouteIntersections:
         assert rel.any() and (rel == rel.T).all()
         assert rel.tolist() == [[routes_related(line_network, r1, r2) for r2 in routes]
                                 for r1 in routes]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(GRID_OR_ANY, GRID_OR_ANY), min_size=2, max_size=6),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=8))
+    @example(PARALLEL, TWO_LINKS)
+    @example(COLLINEAR_OVERLAP, TWO_LINKS)
+    @example(TOUCHING_ENDS, TWO_LINKS)
+    @example(T_JUNCTION, TWO_LINKS)
+    @example(T_END, TWO_LINKS)
+    @example(X_CROSSING, TWO_LINKS)
+    def test_matrix_equals_pairwise_oracle(self, points, link_ends):
+        """On random small 2-D networks, for each one-link route and each
+        shortest route between two vertiports, route_intersections equals
+        routes_related pair by pair."""
+        net = segments_network(points, link_ends)
+        routes = one_link_routes(net)
+        for a in net.vertiports:
+            for b in net.vertiports:
+                if a != b:
+                    try:
+                        routes.append(build_route(net, a, b))
+                    except NoPathError:
+                        pass
+        rel = route_intersections(net, routes)
+        assert rel.dtype == bool and rel.shape == (len(routes), len(routes))
+        assert rel.tolist() == [[routes_related(net, r1, r2) for r2 in routes] for r1 in routes]
 
 
 class TestGenerateScenario:

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from uamnoise.errors import SimulationError, ValidationError
 from uamnoise.mdp import N_MAX_INTRUDERS, RewardConfig, observe_tick
 from uamnoise.network import (COORD_LIMIT_M, AltitudeLayerSet, Flight, Network, Scenario,
-                              build_route, generate_scenario, routes_related)
+                              build_route, generate_scenario)
 from uamnoise.sim import (FT_TO_M, Action, AircraftState, LosEvent, Phase, SimConfig, World,
                           action_mask)
 
-from conftest import make_corridor_network, make_line_network, step_with
+from conftest import (make_corridor_network, make_cross_network, make_line_network,
+                      routes_related, step_with)
 
 
 def make_world(n=2, od=None, spacing=60.0, net=None, **cfg):
@@ -258,11 +259,35 @@ class TestDetectLos:
         assert world.los_events[0].duration_s > 100.0
 
 
+class TestLosBookkeeping:
+    """World.step's LOS events from scripted detect_los results, one list
+    per step; steps end at t = 1, 2, ..."""
+
+    def events(self, script):
+        world = make_world(n=3, spacing=0.0)
+        world.detect_los = iter(script).__next__
+        for _ in script:
+            world.step()
+        return world.los_events
+
+    def test_one_pair_ends_as_another_begins(self):
+        events = self.events([[("AC001", "AC002", 100.0)], [("AC001", "AC003", 90.0)], []])
+        assert events == [LosEvent(("AC001", "AC002"), 1.0, 1.0, 100.0),
+                          LosEvent(("AC001", "AC003"), 2.0, 1.0, 90.0)]
+
+    def test_continuing_pair_at_its_running_minimum(self):
+        pair = ("AC001", "AC002")
+        events = self.events([[(*pair, 100.0)], [(*pair, 120.0)], [(*pair, 100.0)],
+                              [(*pair, 100.0)], []])
+        assert events == [LosEvent(pair, 1.0, 4.0, 100.0)]
+
+
 class TestSweepCutoffs:
     """detect_los's x-order sweep keeps every pair with |dx| <= d_los: a pair at
-    |dx| == d_los is measured and rejected (LOS needs d < d_los). The
-    neighbours' range gate dx*dx + dy*dy <= d_comm*d_comm admits a pair at
-    |dx| == d_comm. Equal x exercise the ties of the sort and of the gate."""
+    |dx| == d_los is measured and rejected (LOS needs d < d_los). Of those it
+    measures only the pairs with |dy| < d_los. The neighbours' range gate
+    dx*dx + dy*dy <= d_comm*d_comm admits a pair at |dx| == d_comm. Equal x
+    exercise the ties of the sort and of the gate."""
 
     def place(self, xs, **cfg):
         world = make_world(n=len(xs), od=[("A", "C"), ("C", "A")], spacing=0.0, **cfg)
@@ -282,6 +307,29 @@ class TestSweepCutoffs:
         world = self.place([1000.0, x, 1000.0], d_los_m=d_los)
         assert world.detect_los() == [("AC001", "AC002", x - 1000.0), ("AC001", "AC003", 0.0),
                                       ("AC002", "AC003", x - 1000.0)]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("d_los", [150.0, 400.0])
+    def test_los_at_exactly_d_los_in_y(self, d_los, sign):
+        # dx == dz == 0: a pair |dy| == d_los apart is no LOS, one just nearer is
+        world = self.place([1000.0, 1000.0], d_los_m=d_los)
+        world.aircraft["AC002"].y_m = sign * d_los
+        assert world.detect_los() == []
+        world.aircraft["AC002"].y_m = y = sign * math.nextafter(d_los, 0.0)
+        assert world.detect_los() == [("AC001", "AC002", abs(y))]
+
+    def test_los_in_flight_order_not_id_order(self, line_network):
+        # scenario-flight order AC003, AC001, AC002 and x order AC001, AC002,
+        # AC003: the sweep meets the pairs in id order, and they come out in
+        # flight order, each pair's ids ascending
+        sc = generate_scenario(line_network, 3, [("A", "C")], departure_spacing_s=0.0, seed=0)
+        world = World(Scenario(line_network, tuple(sc.flights[i] for i in (2, 0, 1)), sc.routes),
+                      SimConfig())
+        world.spawn_due_aircraft()
+        for aid, x in (("AC001", 1000.0), ("AC002", 1050.0), ("AC003", 1100.0)):
+            world.aircraft[aid].x_m = x
+        assert world.detect_los() == [("AC001", "AC003", 100.0), ("AC002", "AC003", 50.0),
+                                      ("AC001", "AC002", 50.0)]
 
     @pytest.mark.parametrize("d_comm", [2500.0, 900.0])
     def test_neighbor_at_exactly_d_comm_is_returned(self, d_comm):
@@ -462,11 +510,21 @@ def scan_los(world):
     return out
 
 
+def draw_network(draw, line_od, link_len_m):
+    """The line network with link_len_m and the O-D pairs line_od, where y is
+    always 0 and every route is related to every other, or the 2-D cross
+    network with its O-D pairs: routes related by a crossing only, and one
+    unrelated corridor."""
+    if draw(st.booleans()):
+        return make_cross_network()
+    return make_line_network(link_len_m=link_len_m), line_od
+
+
 @st.composite
 def index_cases(draw):
     n = draw(st.integers(1, 40))
-    net = make_line_network(link_len_m=1500.0)
-    sc = generate_scenario(net, n, [("A", "C"), ("C", "A"), ("A", "B")],
+    net, od = draw_network(draw, [("A", "C"), ("C", "A"), ("A", "B")], 1500.0)
+    sc = generate_scenario(net, n, od,
                            departure_spacing_s=draw(st.sampled_from([0.0, 7.0, 25.0])),
                            seed=draw(st.integers(0, 99)))
     # scenario-flight order need not follow departure order
@@ -513,13 +571,14 @@ class TestEnrouteIndexProperty:
 
 @st.composite
 def los_cases(draw):
-    """Layer sets, time steps, separation minima and dense departures."""
-    base = make_line_network(link_len_m=draw(st.sampled_from([1500.0, 4000.0])))
+    """Networks in 1-D and 2-D, layer sets, time steps, separation minima and
+    dense departures."""
+    base, od = draw_network(draw, [("A", "C"), ("C", "A"), ("A", "B"), ("B", "C")],
+                            draw(st.sampled_from([1500.0, 4000.0])))
     levels = draw(st.sampled_from([AltitudeLayerSet().levels_ft, (1000.0, 1100.0, 1200.0),
                                    (400.0, 900.0, 1400.0, 1900.0)]))
     net = Network(base.vertiports, base.links, AltitudeLayerSet(levels), base.zones)
-    sc = generate_scenario(net, draw(st.integers(2, 30)),
-                           [("A", "C"), ("C", "A"), ("A", "B"), ("B", "C")],
+    sc = generate_scenario(net, draw(st.integers(2, 30)), od,
                            departure_spacing_s=draw(st.sampled_from([0.0, 0.0, 7.0, 25.0])),
                            seed=draw(st.integers(0, 99)))
     dt_s, interval_s = draw(st.sampled_from([(1.0, 10.0), (0.5, 1.0), (2.0, 10.0),
