@@ -50,6 +50,7 @@ class RewardConfig:
         # Loudest/quietest single-event levels over the layer range, cached.
         self.n_max_noise = single_event_level(self.condition, layers.z_min)
         self.n_min_noise = single_event_level(self.condition, layers.z_max)
+        self._noise_by_z: dict[float, float] = {}  # reward_noise's values, by altitude
         if not self.n_max_noise > self.n_min_noise:
             raise ValidationError(f"noise level must decrease from z_min to z_max, but the noise "
                                   f"curve clamps slant distance to [{Z_LO_FT:g}, {Z_HI_FT:g}] ft, "
@@ -106,12 +107,15 @@ def reward_noise(z_ft: float, config: RewardConfig) -> float:
 
     The underlying normalized-noise formula is a positive quantity describing
     a cost; it is negated here so that a reward-maximizing agent minimizes
-    noise impact.
+    noise impact. Memoized per altitude on the config, as n_max_noise is.
     """
     if not config.layers.z_min <= z_ft <= config.layers.z_max:
         raise ValidationError(f"altitude {z_ft} ft outside layer bounds")
-    n = single_event_level(config.condition, z_ft)
-    return -(n - config.n_min_noise) / (config.n_max_noise - config.n_min_noise)
+    if (r := config._noise_by_z.get(z_ft)) is None:
+        n = single_event_level(config.condition, z_ft)
+        r = config._noise_by_z[z_ft] = (
+            -(n - config.n_min_noise) / (config.n_max_noise - config.n_min_noise))
+    return r
 
 
 def separation_rewards(intr: np.ndarray, intr_mask: np.ndarray,

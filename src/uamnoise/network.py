@@ -10,6 +10,8 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -148,6 +150,30 @@ class Scenario:
     network: Network
     flights: tuple[Flight, ...]
     routes: dict[str, Route]  # flight id -> precomputed, frozen route
+
+    @cached_property
+    def geometry(self) -> tuple[dict[str, tuple], np.ndarray]:
+        """Per flight id, its route's geometry, shared by equal routes: (polyline
+        points, cumulative lengths, route number, segments), each segment a link
+        as (start, end, length, origin x, origin y, extent x, extent y, link id,
+        vertiport it leaves) for the distances [start, end) along the route; and
+        route_intersections of the distinct routes, by route number. Computed
+        on first use and read-only, so every world of the scenario shares it."""
+        net = self.network
+        unique = {r.link_ids: r for r in self.routes.values()}
+        geometry = {}
+        for no, (link_ids, route) in enumerate(unique.items()):
+            pts = tuple((vp.x_m, vp.y_m)
+                        for vp in map(net.vertiports.__getitem__, route_nodes(net, route)))
+            cum = tuple(accumulate(map(net.link_length_m, link_ids), initial=0.0))
+            segments = tuple(
+                (cum[i], cum[i + 1], cum[i + 1] - cum[i], ax, ay, bx - ax, by - ay, lid,
+                 net.links[lid].from_id)
+                for i, (lid, (ax, ay), (bx, by)) in enumerate(zip(link_ids, pts, pts[1:])))
+            geometry[link_ids] = (pts, cum, no, segments)
+        related = route_intersections(net, list(unique.values()))
+        related.setflags(write=False)
+        return {i: geometry[r.link_ids] for i, r in self.routes.items()}, related
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -86,7 +87,7 @@ def altitude_histogram(trace: list[TraceRow], layers: AltitudeLayerSet) -> dict[
         raise ValidationError("cannot build a histogram from an empty trace")
     hist = {z: 0.0 for z in layers.levels_ft}
     last_level: dict[str, float] = {}
-    for row in sorted(trace, key=lambda r: (r.t, r.id)):
+    for row in sorted(trace, key=attrgetter("t")):  # stable: each aircraft's rows in time order
         if row.z_ft in hist:
             last_level[row.id] = row.z_ft
         hist[last_level.get(row.id, layers.z_min)] += 1.0
@@ -153,10 +154,11 @@ def collect_rollout(
                 actions, logp = nnet.sample_actions(probs, rng)
                 blocks.append(_Block(np.array([world.flight_index[i] for i in enroute]), own,
                                      intr, intr_mask, masks, actions, logp, values))
+                t, member_of, command = world.t, world.member_of, world.apply_altitude_command
                 for ac, action in zip(acs, map(members.__getitem__, actions.tolist())):
-                    trace.append(TraceRow(world.t, ac.id, ac.x_m, ac.y_m, ac.z_ft,
-                                          action, ac.b_changing, world.member_of(ac)))
-                    world.apply_altitude_command(ac, action)
+                    trace.append(TraceRow(t, ac.id, ac.x_m, ac.y_m, ac.z_ft,
+                                          action, ac.b_changing, member_of(ac)))
+                    command(ac, action)
         world.step()
     if acted:
         enroute = world.enroute_ids()

@@ -14,13 +14,12 @@ import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
-from itertools import accumulate
 from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from .errors import SimulationError, ValidationError, check_number
-from .network import AltitudeLayerSet, Network, Route, Scenario, route_intersections, route_nodes
+from .network import AltitudeLayerSet, Network, Scenario
 
 FT_TO_M = 0.3048
 
@@ -61,10 +60,9 @@ class SimConfig:
             raise ValidationError("decision_interval_s must be an integer multiple of dt_s")
 
 
-@dataclass
+@dataclass(slots=True)  # slots: the physics loops read and write these per aircraft step
 class AircraftState:
     id: str
-    route: Route
     phase: Phase = Phase.PENDING
     dist_along_m: float = 0.0
     x_m: float = 0.0
@@ -73,6 +71,8 @@ class AircraftState:
     z_target_ft: float = 0.0
     b_changing: bool = False
     last_action: Action = Action.HOLD
+    segment: tuple = (0.0, 0.0)  # the Scenario.geometry segment last found to hold
+    # dist_along_m, (start, end, ...); the empty [0, 0) at first holds none
 
 
 def action_mask(state: AircraftState, layers: AltitudeLayerSet) -> tuple[bool, bool, bool]:
@@ -107,9 +107,10 @@ class World:
     (ENROUTE -> ARRIVED) change ``phase``, and each keeps the index in step, so
     the queries read the index instead of scanning every aircraft.
 
-    Nothing derived from positions is cached: ``detect_los`` sorts the enroute
-    aircraft by x once per call, and ``neighbors`` measures every enroute pair
-    in one NumPy pass per call, so neither can see a stale world state.
+    What is derived from positions is checked on use: an aircraft's segment
+    serves only while it holds dist_along_m, and ``_by_x``, which spawns and
+    arrivals keep equal to the enroute set, is re-sorted by x in each
+    ``detect_los`` call; ``neighbors`` measures every enroute pair afresh.
     """
 
     def __init__(self, scenario: Scenario, config: SimConfig):
@@ -120,9 +121,7 @@ class World:
         self.n_steps = 0
         self._interval_steps = round(config.decision_interval_s / config.dt_s)
         self._horizon_steps = math.ceil(config.max_episode_time_s / config.dt_s - 1e-9)
-        self.aircraft: dict[str, AircraftState] = {}
-        for fl in scenario.flights:
-            self.aircraft[fl.id] = AircraftState(id=fl.id, route=scenario.routes[fl.id])
+        self.aircraft = {fl.id: AircraftState(fl.id) for fl in scenario.flights}
         self.flight_index = {fl.id: i for i, fl in enumerate(scenario.flights)}
         # Enroute index (see the class docstring): a spawn queue of
         # (departure, aircraft) with a cursor, and the enroute list.
@@ -130,22 +129,9 @@ class World:
         self._queue = [(fl.departure_s, self.aircraft[fl.id]) for _, fl in by_departure]
         self._next = 0
         self._enroute: list[AircraftState] = []
+        self._by_x: list[AircraftState] = []  # the enroute aircraft, in detect_los's x order
 
-        # Frozen route geometry per flight id, shared by flights on equal
-        # routes: polyline points, cumulative lengths, the route number that
-        # indexes the route relation (a boolean matrix), and each segment's
-        # (start, length, origin x, origin y, extent x, extent y).
-        unique = {r.link_ids: r for r in scenario.routes.values()}
-        geometry = {}
-        for no, (link_ids, route) in enumerate(unique.items()):
-            pts = [(vp.x_m, vp.y_m)
-                   for vp in map(self.net.vertiports.__getitem__, route_nodes(self.net, route))]
-            cum = list(accumulate(map(self.net.link_length_m, link_ids), initial=0.0))
-            segments = [(cum[i], cum[i + 1] - cum[i], ax, ay, bx - ax, by - ay)
-                        for i, ((ax, ay), (bx, by)) in enumerate(zip(pts, pts[1:]))]
-            geometry[link_ids] = (pts, cum, no, segments)
-        self._geometry = {i: geometry[r.link_ids] for i, r in scenario.routes.items()}
-        self._related = route_intersections(self.net, list(unique.values()))
+        self._geometry, self._related = scenario.geometry  # by flight id; by route number
 
         self.los_events: list[LosEvent] = []
         self._active_los: dict[tuple[str, str], tuple[float, float]] = {}  # pair -> (onset, min d)
@@ -159,11 +145,12 @@ class World:
     def member_of(self, ac: AircraftState) -> str:
         """The network member whose zone an enroute aircraft counts for: the
         vertiport when it sits exactly on a route node, as at spawn, and
-        otherwise the route link it is on, by advance_kinematics's index."""
-        _, cum, _, _ = self._geometry[ac.id]
-        i = bisect_right(cum, ac.dist_along_m) - 1
-        link_id = ac.route.link_ids[i]
-        return self.net.links[link_id].from_id if ac.dist_along_m == cum[i] else link_id
+        otherwise the route link it is on, by advance_kinematics's segment."""
+        d, seg = ac.dist_along_m, ac.segment
+        if not seg[0] <= d < seg[1]:
+            _, cum, _, segments = self._geometry[ac.id]
+            seg = segments[bisect_right(cum, d) - 1]
+        return seg[8] if d == seg[0] else seg[7]
 
     @property
     def t(self) -> float:
@@ -196,6 +183,7 @@ class World:
             ac = self._queue[self._next][1]
             self._next += 1
             insort(self._enroute, ac, key=lambda a: self.flight_index[a.id])
+            self._by_x.append(ac)
             pts, _, _, _ = self._geometry[ac.id]
             ac.phase = Phase.ENROUTE
             ac.dist_along_m = 0.0
@@ -223,26 +211,13 @@ class World:
 
     def advance_kinematics(self, dt: float) -> None:
         """Moves each enroute aircraft along its polyline and toward its target
-        layer, snapping without overshoot. Arrivals leave the enroute index."""
+        layer, snapping without overshoot. Arrivals leave the enroute index. An
+        aircraft's cached segment serves while start <= dist_along_m < end."""
         step_ft = self.config.climb_rate_fpm / 60.0 * dt
         step_m = self.config.cruise_speed_mps * dt
         geometry = self._geometry
         still_enroute = []
         for ac in self._enroute:
-            pts, cum, _, segments = geometry[ac.id]
-            d = ac.dist_along_m + step_m
-            if d >= cum[-1]:
-                ac.phase = Phase.ARRIVED
-                ac.dist_along_m = cum[-1]
-                ac.x_m, ac.y_m = pts[-1]
-            else:
-                ac.dist_along_m = d
-                still_enroute.append(ac)
-                start, length, ax, ay, ex, ey = segments[bisect_right(cum, d) - 1]
-                f = (d - start) / length
-                ac.x_m = ax + f * ex
-                ac.y_m = ay + f * ey
-
             if ac.b_changing:
                 delta = ac.z_target_ft - ac.z_ft
                 if abs(delta) <= step_ft:
@@ -250,6 +225,23 @@ class World:
                     ac.b_changing = False
                 else:
                     ac.z_ft += math.copysign(step_ft, delta)
+            d = ac.dist_along_m + step_m
+            seg = ac.segment
+            if not seg[0] <= d < seg[1]:
+                pts, cum, _, segments = geometry[ac.id]
+                if d >= cum[-1]:
+                    ac.phase = Phase.ARRIVED
+                    ac.dist_along_m = cum[-1]
+                    ac.x_m, ac.y_m = pts[-1]
+                    continue
+                seg = ac.segment = segments[bisect_right(cum, d) - 1]
+            ac.dist_along_m = d
+            still_enroute.append(ac)
+            f = (d - seg[0]) / seg[2]
+            ac.x_m = seg[3] + f * seg[5]
+            ac.y_m = seg[4] + f * seg[6]
+        if len(still_enroute) < len(self._enroute):
+            self._by_x = [a for a in self._by_x if a.phase is Phase.ENROUTE]
         self._enroute = still_enroute
 
     def neighbors(self, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -283,20 +275,25 @@ class World:
         with id_a < id_b, ordered by the pair's enroute positions. Not
         route-filtered: separation is violated by geometry alone.
 
-        One sweep over the enroute aircraft sorted by x (stably, so equal x
-        keep enroute order) visits only the pairs with |dx| <= d_los, and
-        measures only those of them with |dy| < d_los. Both cut-offs are
-        exact, since the 3-D distance is never below |dx| or |dy|: in binary
-        floating point sqrt(y*y) rounds back to |y|, and rounding is monotone.
-        The window start only moves forward, since x rises along the order."""
+        One sweep over the enroute aircraft in x order visits only the pairs
+        with |dx| <= d_los, and measures only those of them with |dy| < d_los.
+        Both cut-offs are exact, since the 3-D distance is never below |dx| or
+        |dy|: in binary floating point sqrt(y*y) rounds back to |y|, and
+        rounding is monotone. The x order is kept between calls and re-sorted
+        in place, near-linear as aircraft move little per step; equal x keep
+        any order, as neither the pairs visited nor the output depend on it."""
         d_los, index, distance = self.config.d_los_m, self.flight_index, self.distance_3d_m
-        by_x = sorted(self._enroute, key=attrgetter("x_m"))
+        by_x = self._by_x
+        by_x.sort(key=attrgetter("x_m"))
         hits = []
         start = 0
         for j, b in enumerate(by_x):
-            bx, by, b_id = b.x_m, b.y_m, b.id
+            bx = b.x_m
             while bx - by_x[start].x_m > d_los:
                 start += 1
+            if start == j:
+                continue
+            by, b_id = b.y_m, b.id
             for a in by_x[start:j]:
                 if abs(a.y_m - by) < d_los and (d := distance(a, b)) < d_los:
                     ia, ib = index[a.id], index[b_id]
@@ -310,15 +307,16 @@ class World:
         if not violations and not active:
             return
         now = {(a, b): d for a, b, d in violations}
+        t = self.t
         for pair, d in now.items():
             if (kept := active.get(pair)) is None:
-                active[pair] = (self.t, d)
+                active[pair] = (t, d)
             elif d < kept[1]:
                 active[pair] = (kept[0], d)
         if len(active) > len(now):  # some active pair has ended
             for pair in [pair for pair in active if pair not in now]:
                 onset, dmin = active.pop(pair)
-                self.los_events.append(LosEvent(pair, onset, self.t - onset, dmin))
+                self.los_events.append(LosEvent(pair, onset, t - onset, dmin))
 
     def finalize_los(self) -> None:
         """Close any violations still active at episode end."""

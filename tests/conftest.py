@@ -1,5 +1,7 @@
 import os
 import tempfile
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
 from hypothesis import settings
@@ -25,6 +27,20 @@ def step_with(world, actions):
         for ac_id in world.enroute_ids():
             world.apply_altitude_command(world.aircraft[ac_id], actions[ac_id])
     return world.step()
+
+
+def route_position(network, route, d):
+    """(x, y, member) at distance d along route, from the cumulative link
+    lengths computed afresh and bisected on every call: the oracle of the
+    segment World caches per aircraft. The member is the link's origin
+    vertiport when d is exactly its start, and otherwise the link."""
+    cum = list(accumulate(map(network.link_length_m, route.link_ids), initial=0.0))
+    i = bisect_right(cum, d) - 1
+    lid = route.link_ids[i]
+    (ax, ay), (bx, by) = network.link_segment(lid)
+    f = (d - cum[i]) / (cum[i + 1] - cum[i])
+    return ax + f * (bx - ax), ay + f * (by - ay), (
+        network.links[lid].from_id if d == cum[i] else lid)
 
 
 def segment_crossing(p1, p2, p3, p4) -> bool:

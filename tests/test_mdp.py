@@ -238,10 +238,8 @@ class TestTickRewards:
 
 class TestActionMask:
     def make_state(self, z, changing=False, z_target=None):
-        from uamnoise.network import Route
         from uamnoise.sim import AircraftState
-        return AircraftState(id="X", route=Route(("A-B",), "A", "B"),
-                             z_ft=z, z_target_ft=z_target if z_target else z,
+        return AircraftState(id="X", z_ft=z, z_target_ft=z_target if z_target else z,
                              b_changing=changing)
 
     def test_mid_layer_all_allowed(self, line_network):

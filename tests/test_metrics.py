@@ -105,6 +105,25 @@ class TestAltitudeHistogram:
         with pytest.raises(ValidationError):
             M.altitude_histogram([], self.LAYERS)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from([1000.0, 1250.0, 1500.0, 2000.0, 2800.0, 3000.0]),
+                             min_size=1, max_size=12), min_size=1, max_size=6),
+           st.randoms(use_true_random=False))
+    def test_any_row_order_matches_sorted_oracle(self, altitudes, shuffle):
+        """Rows in any order count as in (t, id) order: each aircraft's rows
+        at distinct ticks, mid-transition altitudes among them, shuffled."""
+        trace = [row(10.0 * (tick + k), f"A{k}", z, changing=z not in self.LAYERS.levels_ft)
+                 for k, zs in enumerate(altitudes) for tick, z in enumerate(zs)]
+        hist = {z: 0.0 for z in self.LAYERS.levels_ft}
+        last_level = {}
+        for r in sorted(trace, key=lambda r: (r.t, r.id)):
+            if r.z_ft in hist:
+                last_level[r.id] = r.z_ft
+            hist[last_level.get(r.id, self.LAYERS.z_min)] += 1.0
+        shuffle.shuffle(trace)
+        assert M.altitude_histogram(trace, self.LAYERS) == {z: c / len(trace)
+                                                            for z, c in hist.items()}
+
     def test_entropy(self):
         flat = {z: 0.2 for z in self.LAYERS.levels_ft}
         peaked = {z: (1.0 if z == 3000.0 else 0.0) for z in self.LAYERS.levels_ft}

@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 
 from uamnoise.errors import SimulationError, ValidationError
 from uamnoise.mdp import N_MAX_INTRUDERS, RewardConfig, observe_tick
-from uamnoise.network import (COORD_LIMIT_M, AltitudeLayerSet, Flight, Network, Scenario,
-                              build_route, generate_scenario)
+from uamnoise.network import (COORD_LIMIT_M, AltitudeLayerSet, Flight, Link, Network,
+                              Scenario, Vertiport, build_route, generate_scenario)
+from uamnoise.rl import collect_rollout
 from uamnoise.sim import (FT_TO_M, Action, AircraftState, LosEvent, Phase, SimConfig, World,
                           action_mask)
 
 from conftest import (make_corridor_network, make_cross_network, make_line_network,
-                      routes_related, step_with)
+                      route_position, routes_related, step_with)
 
 
 def make_world(n=2, od=None, spacing=60.0, net=None, **cfg):
@@ -485,12 +487,12 @@ def distance(a, b):
 def scan_related(world, ac):
     """(distance, flight index, aircraft) of every enroute aircraft on a route
     related to ac's within planar d_comm, ascending."""
-    d_comm = world.config.d_comm_m
+    d_comm, routes = world.config.d_comm_m, world.scenario.routes
     found = []
     for other in scan_enroute(world):
         dx, dy = ac.x_m - other.x_m, ac.y_m - other.y_m
         if (other is not ac and dx * dx + dy * dy <= d_comm * d_comm
-                and routes_related(world.net, ac.route, other.route)):
+                and routes_related(world.net, routes[ac.id], routes[other.id])):
             found.append((distance(ac, other), world.flight_index[other.id], other))
     return sorted(found, key=lambda rec: rec[:2])
 
@@ -621,6 +623,145 @@ class TestLosEventsProperty:
         events += [LosEvent(pair, onset, world.t - onset, dmin)
                    for pair, (onset, dmin) in sorted(active.items())]
         assert world.los_events == events
+
+
+def make_chain_network(lengths, bend):
+    """Vertiports V0..Vn joined by links of the given lengths in both
+    directions, no zones; with bend, every second link runs north, not east."""
+    x, y, vp = 0.0, 0.0, {"V0": Vertiport("V0", 0.0, 0.0)}
+    for i, length in enumerate(lengths, 1):
+        x, y = (x, y + length) if bend and i % 2 == 0 else (x + length, y)
+        vp[f"V{i}"] = Vertiport(f"V{i}", x, y)
+    links = {}
+    for i in range(1, len(lengths) + 1):
+        a, b = f"V{i - 1}", f"V{i}"
+        links[f"{a}-{b}"] = Link(f"{a}-{b}", a, b)
+        links[f"{b}-{a}"] = Link(f"{b}-{a}", b, a)
+    return Network(vp, links, AltitudeLayerSet(), {})
+
+
+@st.composite
+def chain_cases(draw):
+    """Chains whose links range from shorter than one 67 m step, through
+    exactly one step, to kilometres, straight or bent; traffic both ways and
+    between inner vertiports, often departing together; a seed for the pokes."""
+    lengths = draw(st.lists(st.sampled_from([30.0, 67.0, 100.0, 450.0, 2000.0]),
+                            min_size=1, max_size=6))
+    n = len(lengths)
+    od = [("V0", f"V{n}"), (f"V{n}", "V0")] + ([("V1", f"V{n}")] if n > 1 else [])
+    net = make_chain_network(lengths, draw(st.booleans()))
+    sc = generate_scenario(net, draw(st.integers(1, 12)), od,
+                           departure_spacing_s=draw(st.sampled_from([0.0, 3.0, 20.0])),
+                           seed=draw(st.integers(0, 99)))
+    return sc, draw(st.sampled_from([150.0, 700.0])), draw(st.integers(0, 2**16))
+
+
+class TestPositionCacheProperty:
+    """World caches each aircraft's route segment and the x order of the
+    enroute aircraft; both must give what fresh computation gives."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(chain_cases())
+    def test_positions_and_members_match_bisect_oracle(self, case):
+        """Between steps, dist_along_m is poked backwards, forwards by
+        several links and exactly onto a route node, and member_of is checked
+        at once; after each step, every aircraft that moved sits where
+        route_position puts it, or on its destination if it arrived."""
+        scenario, _, seed = case
+        net, routes = scenario.network, scenario.routes
+        world = World(scenario, SimConfig())
+        rng = np.random.default_rng(seed)
+        while not world.terminal:
+            world.spawn_due_aircraft()
+            for aid in world.enroute_ids():
+                ac, route = world.aircraft[aid], routes[aid]
+                cum = list(accumulate(map(net.link_length_m, route.link_ids), initial=0.0))
+                kind = rng.integers(0, 6)
+                if kind == 0:  # backwards
+                    ac.dist_along_m = max(0.0, ac.dist_along_m - rng.uniform(0.0, 2500.0))
+                elif kind == 1:  # forwards, possibly past several links
+                    ac.dist_along_m = min(rng.uniform(ac.dist_along_m, cum[-1]),
+                                          math.nextafter(cum[-1], 0.0))
+                elif kind == 2:  # exactly onto a route node
+                    ac.dist_along_m = cum[rng.integers(0, len(cum) - 1)]
+                assert world.member_of(ac) == route_position(net, route, ac.dist_along_m)[2]
+            moved = world.enroute_ids()
+            world.step()
+            for aid in moved:
+                ac, route = world.aircraft[aid], routes[aid]
+                if ac.phase is Phase.ARRIVED:
+                    end = net.vertiports[route.destination]
+                    assert (ac.x_m, ac.y_m) == (end.x_m, end.y_m)
+                    assert ac.dist_along_m == sum(map(net.link_length_m, route.link_ids))
+                    assert aid not in world.enroute_ids()
+                else:
+                    x, y, member = route_position(net, route, ac.dist_along_m)
+                    assert (ac.x_m, ac.y_m) == (x, y)
+                    assert world.member_of(ac) == member
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(chain_cases())
+    def test_kept_x_order_matches_brute_force_los(self, case):
+        """detect_los keeps its x order across spawns, arrivals and steps;
+        between steps some aircraft are moved onto another's x, and some onto
+        its x and y, so equal x tie, and detect_los runs twice."""
+        scenario, d_los, seed = case
+        world = World(scenario, SimConfig(d_los_m=d_los))
+        rng = np.random.default_rng(seed)
+        while not world.terminal:
+            world.spawn_due_aircraft()
+            ids = world.enroute_ids()
+            for aid in ids:
+                if rng.random() < 0.3:
+                    ac, other = world.aircraft[aid], world.aircraft[ids[rng.integers(len(ids))]]
+                    ac.x_m = other.x_m
+                    if rng.random() < 0.5:
+                        ac.y_m = other.y_m
+            assert world.detect_los() == world.detect_los() == scan_los(world)
+            assert world.step() == scan_los(world)
+
+
+def test_tracer_step_contract(bundled_scenario, monkeypatch):
+    """bench/run.py --trace 1 counts aircraft steps from exactly one
+    spawn_due_aircraft, advance_kinematics and detect_los call per World.step,
+    and from each arriving aircraft reading ARRIVED once its advance_kinematics
+    call returns: checked over a bundled-scenario hold rollout."""
+    inside = []  # the calls of the current World.step, or None outside one
+
+    def wrap(name, after=None):
+        fn = getattr(World, name)
+
+        def wrapper(world, *args):
+            before = world.enroute_ids()
+            if inside[-1] is not None:
+                inside[-1].append(name)
+            result = fn(world, *args)
+            if after:
+                after(world, before)
+            return result
+        monkeypatch.setattr(World, name, wrapper)
+
+    def arrivals_read_arrived(world, before):
+        enroute = set(world.enroute_ids())
+        assert all((world.aircraft[i].phase is Phase.ENROUTE) == (i in enroute) for i in before)
+        assert all(world.aircraft[i].phase is Phase.ARRIVED for i in set(before) - enroute)
+
+    step = World.step
+
+    def counted_step(world):
+        inside.append([])
+        result = step(world)
+        assert inside.pop() == ["spawn_due_aircraft", "advance_kinematics", "detect_los"]
+        return result
+
+    inside.append(None)
+    wrap("spawn_due_aircraft")
+    wrap("advance_kinematics", arrivals_read_arrived)
+    wrap("detect_los")
+    monkeypatch.setattr(World, "step", counted_step)
+    batch = collect_rollout(bundled_scenario, None, SimConfig(),
+                            RewardConfig.for_layers(bundled_scenario.network.layers, 0.5))
+    assert inside == [None] and batch.trace
 
 
 def one_hot(action):
