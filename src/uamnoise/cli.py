@@ -87,17 +87,10 @@ _sweep_train_options = _train_options_without("iterations", "seed", "checkpoint_
 _reward_options = _field_options(RewardConfig, ["lam"])
 
 
-def _build_configs(scenario, kw, seed, iterations=0, **reward):
-    """Configs from the parsed options in kw and the reward fields in reward
-    (rho at least); a field given by neither keeps its dataclass default."""
-    def given(cls):
-        return {f.name: kw[f.name] for f in dataclasses.fields(cls) if f.name in kw}
-
-    sim_cfg = SimConfig(**given(SimConfig))
-    reward_cfg = RewardConfig.for_layers(scenario.network.layers,
-                                         **{**given(RewardConfig), **reward})
-    train_cfg = TrainConfig(iterations=iterations, seed=seed, **given(TrainConfig))
-    return sim_cfg, reward_cfg, train_cfg
+def _config(cls, kw, **values):
+    """Config dataclass cls from the parsed options in kw that are its fields,
+    overridden by values; a field given by neither keeps its default."""
+    return cls(**{f.name: kw[f.name] for f in dataclasses.fields(cls) if f.name in kw} | values)
 
 
 def _check_output_dirs(*paths):
@@ -128,10 +121,12 @@ def _load_policy(spec_str, scenario):
 @_sim_options
 def simulate(scenario_path, policy, seed, trace_path, out_path, **kw):
     """Run one evaluation episode and report its metrics."""
+    check_number("--seed", seed, 0, integer=True)
     _check_output_dirs(trace_path, out_path)
     scenario = load_scenario(scenario_path)
     params, reward = _load_policy(policy, scenario)
-    sim_cfg, reward_cfg, _ = _build_configs(scenario, kw, seed, **reward)
+    sim_cfg = _config(SimConfig, kw)
+    reward_cfg = _config(RewardConfig, kw, layers=scenario.network.layers, **reward)
     episode, trace = metrics_mod.run_episode(
         params, scenario, sim_cfg, reward_cfg, seed=seed, greedy=True)
     if trace_path is not None:
@@ -156,7 +151,9 @@ def train(scenario_path, rho, iterations, seed, out_path, metrics_log, **kw):
     """Train a policy for one rho value and write a checkpoint."""
     _check_output_dirs(out_path, metrics_log)
     scenario = load_scenario(scenario_path)
-    sim_cfg, reward_cfg, train_cfg = _build_configs(scenario, kw, seed, iterations, rho=rho)
+    sim_cfg = _config(SimConfig, kw)
+    reward_cfg = _config(RewardConfig, kw, layers=scenario.network.layers, rho=rho)
+    train_cfg = _config(TrainConfig, kw, iterations=iterations, seed=seed)
     params, rows = rl.train(scenario, train_cfg, sim_cfg, reward_cfg,
                             checkpoint_dir=os.path.dirname(os.path.abspath(out_path)))
     save_checkpoint(out_path, params, train_cfg, reward_cfg)
@@ -178,7 +175,8 @@ def eval_cmd(scenario_path, checkpoint, seeds, out_path, **kw):
     _check_output_dirs(out_path)
     scenario = load_scenario(scenario_path)
     params, reward = _load_policy(checkpoint, scenario)
-    sim_cfg, reward_cfg, _ = _build_configs(scenario, kw, 0, **reward)
+    sim_cfg = _config(SimConfig, kw)
+    reward_cfg = _config(RewardConfig, kw, layers=scenario.network.layers, **reward)
     episodes = []
     for seed in seed_values:
         episode, _ = metrics_mod.run_episode(
@@ -205,7 +203,9 @@ def sweep(scenario_path, rhos, iterations, seeds, out_dir, seed, **kw):
     seed_values = _parse_list("--seeds", seeds, int, low=0)
     os.makedirs(out_dir, exist_ok=True)
     scenario = load_scenario(scenario_path)
-    sim_cfg, reward_cfg, train_cfg = _build_configs(scenario, kw, seed, iterations, rho=0.0)
+    sim_cfg = _config(SimConfig, kw)
+    reward_cfg = _config(RewardConfig, kw, layers=scenario.network.layers, rho=0.0)
+    train_cfg = _config(TrainConfig, kw, iterations=iterations, seed=seed)
     rows = metrics_mod.sweep_rho(rho_values, scenario, train_cfg, sim_cfg, reward_cfg,
                                  seed_values)
     metrics_mod.export_metrics(rows, os.path.join(out_dir, "sweep_episodes.csv"), "csv")

@@ -9,8 +9,8 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property, partial
 from itertools import accumulate
 
 import numpy as np
@@ -110,10 +110,8 @@ class Network:
     zones: dict[str, NoiseZone]
 
     def link_length_m(self, link_id: str) -> float:
-        link = self.links[link_id]
-        a = self.vertiports[link.from_id]
-        b = self.vertiports[link.to_id]
-        return math.hypot(b.x_m - a.x_m, b.y_m - a.y_m)
+        (ax, ay), (bx, by) = self.link_segment(link_id)
+        return math.hypot(bx - ax, by - ay)
 
     def link_segment(self, link_id: str) -> tuple[tuple[float, float], tuple[float, float]]:
         link = self.links[link_id]
@@ -147,9 +145,16 @@ class Network:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A network and its flights; routes, by flight id, holds one Route per O-D pair."""
+
     network: Network
     flights: tuple[Flight, ...]
-    routes: dict[str, Route]  # flight id -> precomputed, frozen route
+    routes: dict[str, Route] = field(init=False)
+
+    def __post_init__(self):
+        route = cache(partial(build_route, self.network))  # one build_route per O-D pair
+        object.__setattr__(self, "routes", {fl.id: route(fl.origin, fl.destination)
+                                            for fl in self.flights})
 
     @cached_property
     def geometry(self) -> tuple[dict[str, tuple], np.ndarray]:
@@ -260,8 +265,7 @@ def load_scenario(path) -> Scenario:
             if vid not in net.vertiports:
                 raise ValidationError(f"flight '{fl.id}' references missing vertiport '{vid}'")
         flights.append(fl)
-    routes = {fl.id: build_route(net, fl.origin, fl.destination) for fl in flights}
-    return Scenario(net, tuple(flights), routes)
+    return Scenario(net, tuple(flights))
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -393,5 +397,4 @@ def generate_scenario(
         k = per_origin.get(origin, 0)
         per_origin[origin] = k + 1
         flights.append(Flight(f"AC{i + 1:03d}", origin, destination, k * departure_spacing_s))
-    routes = {fl.id: build_route(network, fl.origin, fl.destination) for fl in flights}
-    return Scenario(network, tuple(flights), routes)
+    return Scenario(network, tuple(flights))

@@ -152,7 +152,7 @@ def collect_rollout(
                     probs = np.tile([1.0, 0.0, 0.0], (len(enroute), 1))
                     values = np.zeros(len(enroute))
                 actions, logp = nnet.sample_actions(probs, rng)
-                blocks.append(_Block(np.array([world.flight_index[i] for i in enroute]), own,
+                blocks.append(_Block(np.array([ac.flight_index for ac in acs]), own,
                                      intr, intr_mask, masks, actions, logp, values))
                 t, member_of, command = world.t, world.member_of, world.apply_altitude_command
                 for ac, action in zip(acs, map(members.__getitem__, actions.tolist())):

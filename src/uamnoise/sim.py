@@ -62,7 +62,11 @@ class SimConfig:
 
 @dataclass(slots=True)  # slots: the physics loops read and write these per aircraft step
 class AircraftState:
+    """A flight's fixed index in scenario.flights and route geometry, then its state."""
+
     id: str
+    flight_index: int
+    geometry: tuple
     phase: Phase = Phase.PENDING
     dist_along_m: float = 0.0
     x_m: float = 0.0
@@ -71,8 +75,7 @@ class AircraftState:
     z_target_ft: float = 0.0
     b_changing: bool = False
     last_action: Action = Action.HOLD
-    segment: tuple = (0.0, 0.0)  # the Scenario.geometry segment last found to hold
-    # dist_along_m, (start, end, ...); the empty [0, 0) at first holds none
+    segment: tuple = (0.0, 0.0)  # of geometry, last found to hold dist_along_m; [0, 0) holds none
 
 
 def action_mask(state: AircraftState, layers: AltitudeLayerSet) -> tuple[bool, bool, bool]:
@@ -97,11 +100,8 @@ class LosEvent:
 class World:
     """Single-writer episode state; one world per rollout worker.
 
-    ``flight_index`` maps each flight id to its index in ``scenario.flights``,
-    the scenario-flight order of the enroute index and of LOS events.
-
     Enroute index invariant: ``_enroute`` holds exactly the aircraft whose
-    phase is ENROUTE, in scenario-flight order, and ``_queue[_next:]`` exactly
+    phase is ENROUTE, in ``flight_index`` order, and ``_queue[_next:]`` exactly
     the PENDING ones, sorted by (departure time, flight index). Only
     ``spawn_due_aircraft`` (PENDING -> ENROUTE) and ``advance_kinematics``
     (ENROUTE -> ARRIVED) change ``phase``, and each keeps the index in step, so
@@ -121,17 +121,16 @@ class World:
         self.n_steps = 0
         self._interval_steps = round(config.decision_interval_s / config.dt_s)
         self._horizon_steps = math.ceil(config.max_episode_time_s / config.dt_s - 1e-9)
-        self.aircraft = {fl.id: AircraftState(fl.id) for fl in scenario.flights}
-        self.flight_index = {fl.id: i for i, fl in enumerate(scenario.flights)}
+        geometry, self._related = scenario.geometry  # by flight id; by route number
+        self.aircraft = {fl.id: AircraftState(fl.id, i, geometry[fl.id])
+                         for i, fl in enumerate(scenario.flights)}
         # Enroute index (see the class docstring): a spawn queue of
-        # (departure, aircraft) with a cursor, and the enroute list.
-        by_departure = sorted(enumerate(scenario.flights), key=lambda p: (p[1].departure_s, p[0]))
-        self._queue = [(fl.departure_s, self.aircraft[fl.id]) for _, fl in by_departure]
+        # (departure, aircraft), stably sorted, with a cursor, and the enroute list.
+        self._queue = sorted(((fl.departure_s, self.aircraft[fl.id]) for fl in scenario.flights),
+                             key=itemgetter(0))
         self._next = 0
         self._enroute: list[AircraftState] = []
         self._by_x: list[AircraftState] = []  # the enroute aircraft, in detect_los's x order
-
-        self._geometry, self._related = scenario.geometry  # by flight id; by route number
 
         self.los_events: list[LosEvent] = []
         self._active_los: dict[tuple[str, str], tuple[float, float]] = {}  # pair -> (onset, min d)
@@ -148,7 +147,7 @@ class World:
         otherwise the route link it is on, by advance_kinematics's segment."""
         d, seg = ac.dist_along_m, ac.segment
         if not seg[0] <= d < seg[1]:
-            _, cum, _, segments = self._geometry[ac.id]
+            _, cum, _, segments = ac.geometry
             seg = segments[bisect_right(cum, d) - 1]
         return seg[8] if d == seg[0] else seg[7]
 
@@ -182,12 +181,11 @@ class World:
         while self._next < len(self._queue) and self._queue[self._next][0] <= t:
             ac = self._queue[self._next][1]
             self._next += 1
-            insort(self._enroute, ac, key=lambda a: self.flight_index[a.id])
+            insort(self._enroute, ac, key=attrgetter("flight_index"))
             self._by_x.append(ac)
-            pts, _, _, _ = self._geometry[ac.id]
             ac.phase = Phase.ENROUTE
             ac.dist_along_m = 0.0
-            ac.x_m, ac.y_m = pts[0]
+            ac.x_m, ac.y_m = ac.geometry[0][0]
             ac.z_ft = ac.z_target_ft = self.net.layers.z_min
             ac.b_changing = False
             ac.last_action = Action.HOLD
@@ -209,13 +207,12 @@ class World:
             action = Action.HOLD
         ac.last_action = action
 
-    def advance_kinematics(self, dt: float) -> None:
-        """Moves each enroute aircraft along its polyline and toward its target
-        layer, snapping without overshoot. Arrivals leave the enroute index. An
-        aircraft's cached segment serves while start <= dist_along_m < end."""
-        step_ft = self.config.climb_rate_fpm / 60.0 * dt
-        step_m = self.config.cruise_speed_mps * dt
-        geometry = self._geometry
+    def advance_kinematics(self) -> None:
+        """Moves each enroute aircraft one dt_s along its polyline and toward its
+        target layer, snapping without overshoot. Arrivals leave the enroute index.
+        An aircraft's cached segment serves while start <= dist_along_m < end."""
+        step_ft = self.config.climb_rate_fpm / 60.0 * self.config.dt_s
+        step_m = self.config.cruise_speed_mps * self.config.dt_s
         still_enroute = []
         for ac in self._enroute:
             if ac.b_changing:
@@ -228,7 +225,7 @@ class World:
             d = ac.dist_along_m + step_m
             seg = ac.segment
             if not seg[0] <= d < seg[1]:
-                pts, cum, _, segments = geometry[ac.id]
+                pts, cum, _, segments = ac.geometry
                 if d >= cum[-1]:
                     ac.phase = Phase.ARRIVED
                     ac.dist_along_m = cum[-1]
@@ -253,10 +250,10 @@ class World:
         of index holds the enroute indices of aircraft i's nearest such
         aircraft, at most limit of them, ascending by (distance, enroute
         index), then ones at distance inf where it has fewer."""
-        acs, geometry = self._enroute, self._geometry
+        acs = self._enroute
         n = len(acs)
         state = np.array([(a.x_m, a.y_m, a.z_ft, a.z_target_ft, a.b_changing, a.last_action,
-                           geometry[a.id][2]) for a in acs], dtype=float).reshape(n, 7)
+                           a.geometry[2]) for a in acs], dtype=float).reshape(n, 7)
         p = state[:, :3].T.copy()
         d = p[:, :, None] - p[:, None, :]  # d[:, i, j] = (dx, dy, dz in ft) of pair (i, j)
         d[2] *= FT_TO_M
@@ -282,7 +279,7 @@ class World:
         rounding is monotone. The x order is kept between calls and re-sorted
         in place, near-linear as aircraft move little per step; equal x keep
         any order, as neither the pairs visited nor the output depend on it."""
-        d_los, index, distance = self.config.d_los_m, self.flight_index, self.distance_3d_m
+        d_los, distance = self.config.d_los_m, self.distance_3d_m
         by_x = self._by_x
         by_x.sort(key=attrgetter("x_m"))
         hits = []
@@ -296,7 +293,7 @@ class World:
             by, b_id = b.y_m, b.id
             for a in by_x[start:j]:
                 if abs(a.y_m - by) < d_los and (d := distance(a, b)) < d_los:
-                    ia, ib = index[a.id], index[b_id]
+                    ia, ib = a.flight_index, b.flight_index
                     hits.append(((ia, ib) if ia < ib else (ib, ia),
                                  (a.id, b_id, d) if a.id < b_id else (b_id, a.id, d)))
         hits.sort(key=itemgetter(0))
@@ -328,7 +325,7 @@ class World:
         """One physics step: spawn, advance, detect LOS; returns its violations.
         A decision tick's commands come first, from apply_altitude_command."""
         self.spawn_due_aircraft()
-        self.advance_kinematics(self.config.dt_s)
+        self.advance_kinematics()
         self.n_steps += 1
         violations = self.detect_los()
         self._update_los_bookkeeping(violations)

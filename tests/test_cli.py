@@ -52,6 +52,16 @@ class TestSimulate:
             "--policy", "baseline:hold", "--seed", "0"])
         assert result.exit_code == 1
 
+    def test_negative_seed_names_the_option(self, runner, scenario_file, tmp_path):
+        out = tmp_path / "metrics.json"
+        result = runner.invoke(main, [
+            "simulate", "--scenario", scenario_file, "--policy", "baseline:hold",
+            "--seed", "-1", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "--seed must be finite and non-negative, got -1" in result.output
+        assert "TrainConfig" not in result.output
+        assert not out.exists()
+
     def test_determinism_byte_identical(self, runner, scenario_file, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):

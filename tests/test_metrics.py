@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -16,7 +17,7 @@ from uamnoise.mdp import RewardConfig
 from uamnoise.network import (AltitudeLayerSet, Network, NoiseZone, generate_scenario,
                               load_network, route_nodes)
 from uamnoise.rl import TraceRow, TrainConfig
-from uamnoise.sim import Action, SimConfig
+from uamnoise.sim import Action, SimConfig, World
 
 from conftest import make_corridor_network, make_line_network
 
@@ -220,6 +221,43 @@ class TestRunEpisode:
                                           metrics.los_count, metrics.mean_return,
                                           rho=rc.rho)
         assert recomputed == metrics
+
+    @pytest.mark.parametrize(
+        "name, los_count, median_db, max_db, mean_return, trace_sha, los_sha", [
+        ("bundled", 435, -8.946655544091069, 2.610899869919436, -11.574999999999998,
+         "b0e9f7814eefffb262557288b7f5ec761de985e58448b67cd1a24a8c5071b9d5",
+         "ad8e1a15dd1ab78a6160441b7bbe8f9cbdf106047b03ae5f5765a4036e75ec52"),
+        ("dense-hold", 3657, -2.574367947618984, 6.8021929473391936, -11.304399999999987,
+         "881189c258ce2ecfc03a4cbfe471e055e11cf29ebb1664b0b0dafda3ecfb354e",
+         "21f60d57b255896da6f3219311333ae145ad43ef088db28e1dd6942d364e159e"),
+    ])
+    def test_hold_episode_outputs_pinned(self, bundled_scenario, tmp_path, name, los_count,
+                                         median_db, max_db, mean_return, trace_sha, los_sha):
+        """Hold episodes on the bundled scenario and on the benchmark's
+        dense-hold set-up (500 flights over every vertiport pair, 10 s
+        spacing, seed 0), pinned bit for bit. The trace, the LOS events and
+        their count use only IEEE arithmetic and sqrt, so they are compared
+        exactly; the noise figures and the return pass through libm log10
+        and pow, so they are compared at rel 1e-12. A change meant to move
+        these numbers updates the pins and records it in CHANGES.md."""
+        scenario = bundled_scenario
+        if name == "dense-hold":
+            net = scenario.network
+            pairs = [(a, b) for a in net.vertiports for b in net.vertiports if a != b]
+            scenario = generate_scenario(net, 500, pairs, departure_spacing_s=10.0, seed=0)
+        rc = RewardConfig.for_layers(scenario.network.layers, 0.5)
+        metrics, trace = M.run_episode(None, scenario, SimConfig(), rc)
+        path = tmp_path / "trace.csv"
+        M.write_trace(trace, path)
+        world = World(scenario, SimConfig())
+        while not world.terminal:
+            world.step()
+        assert metrics.los_count == len(world.los_events) == los_count
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha
+        assert hashlib.sha256(repr(world.los_events).encode()).hexdigest() == los_sha
+        assert metrics.noise_increase_median_db == pytest.approx(median_db, rel=1e-12)
+        assert metrics.noise_increase_max_db == pytest.approx(max_db, rel=1e-12)
+        assert metrics.mean_return == pytest.approx(mean_return, rel=1e-12)
 
     def test_incompatible_layers_rejected(self, line_scenario):
         with pytest.raises(ValidationError, match="layers"):

@@ -12,7 +12,7 @@ from uamnoise.network import (AltitudeLayerSet, Link, Network, NoiseZone, Route,
                               load_network, load_scenario, route_intersections,
                               route_nodes, save_scenario)
 
-from conftest import routes_related
+from conftest import make_cross_network, routes_related
 
 
 def write_doc(tmp_path, doc, name="net.json"):
@@ -283,3 +283,46 @@ class TestGenerateScenario:
             generate_scenario(line_network, 0, [("A", "C")])
         with pytest.raises(ValidationError):
             generate_scenario(line_network, 1, [])
+
+
+@st.composite
+def generated_scenarios(draw):
+    """Generated traffic on the bundled network or the 2-D cross network,
+    over a drawn subset of the network's O-D pairs."""
+    if draw(st.booleans()):
+        net, od = make_cross_network()
+    else:
+        net = load_network(uamnoise.bundled_scenario_path())
+        od = [(a, b) for a in net.vertiports for b in net.vertiports if a != b]
+    pairs = draw(st.lists(st.sampled_from(od), min_size=1, max_size=12, unique=True))
+    return generate_scenario(net, draw(st.integers(1, 60)), pairs,
+                             departure_spacing_s=draw(st.sampled_from([0.0, 10.0, 60.0])),
+                             seed=draw(st.integers(0, 99)))
+
+
+class TestScenarioRoutes:
+    @settings(max_examples=25, deadline=None)
+    @given(generated_scenarios())
+    def test_routes_are_build_route_shared_per_pair(self, sc):
+        assert list(sc.routes) == [f.id for f in sc.flights]
+        by_pair = {}
+        for f in sc.flights:
+            route = sc.routes[f.id]
+            assert route == build_route(sc.network, f.origin, f.destination)
+            assert by_pair.setdefault((f.origin, f.destination), route) is route
+
+    def test_bundled_flights_share_one_route_per_pair(self):
+        sc = load_scenario(uamnoise.bundled_scenario_path())
+        assert len(sc.flights) == 136
+        assert len({id(r) for r in sc.routes.values()}) == 28
+
+    def test_unreachable_flight_fails_at_construction(self, tmp_path):
+        # MINIMAL's one link is A-B, so no route leads from B to A
+        doc = {**MINIMAL, "flights": [
+            {"id": "AC001", "origin": "A", "destination": "B", "departure_s": 0},
+            {"id": "AC002", "origin": "B", "destination": "A", "departure_s": 0}]}
+        with pytest.raises(NoPathError, match="no route from 'B' to 'A'"):
+            load_scenario(write_doc(tmp_path, doc))
+        net = load_network(write_doc(tmp_path, MINIMAL))
+        with pytest.raises(NoPathError, match="no route from 'B' to 'A'"):
+            generate_scenario(net, 2, [("A", "B"), ("B", "A")])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from uamnoise.errors import SimulationError, ValidationError
 from uamnoise.mdp import N_MAX_INTRUDERS, RewardConfig, observe_tick
 from uamnoise.network import (COORD_LIMIT_M, AltitudeLayerSet, Flight, Link, Network,
-                              Scenario, Vertiport, build_route, generate_scenario)
+                              Scenario, Vertiport, generate_scenario)
 from uamnoise.rl import collect_rollout
 from uamnoise.sim import (FT_TO_M, Action, AircraftState, LosEvent, Phase, SimConfig, World,
                           action_mask)
@@ -59,8 +59,7 @@ class TestClock:
         (0.2, 1.0, 36000, 7200), (0.3, 0.9, 24000, 8000)])
     def test_ticks_steps_and_horizon(self, line_network, dt_s, interval_s, steps, ticks):
         # a flight departing after the horizon keeps the episode running to it
-        sc = Scenario(line_network, (Flight("AC001", "A", "C", 1e6),),
-                      {"AC001": build_route(line_network, "A", "C")})
+        sc = Scenario(line_network, (Flight("AC001", "A", "C", 1e6),))
         config = SimConfig(dt_s=dt_s, decision_interval_s=interval_s)
         world = World(sc, config)
         n_steps = n_ticks = 0
@@ -114,7 +113,7 @@ class TestKinematics:
         world.spawn_due_aircraft()
         ac = world.aircraft["AC001"]
         ac.z_ft, ac.z_target_ft, ac.b_changing = 2400.0, 2500.0, True
-        world.advance_kinematics(1.0)
+        world.advance_kinematics()
         assert ac.z_ft == pytest.approx(2400.0 + 500.0 / 60.0, abs=1e-9)
 
     def test_snap_to_target_without_overshoot(self):
@@ -122,7 +121,7 @@ class TestKinematics:
         world.spawn_due_aircraft()
         ac = world.aircraft["AC001"]
         ac.z_ft, ac.z_target_ft, ac.b_changing = 2495.0, 2500.0, True
-        world.advance_kinematics(1.0)
+        world.advance_kinematics()
         assert ac.z_ft == 2500.0
         assert not ac.b_changing
 
@@ -133,7 +132,7 @@ class TestKinematics:
         world.spawn_due_aircraft()
         ac = world.aircraft["AC001"]
         ac.dist_along_m = 50.0
-        world.advance_kinematics(1.0)  # 67 m > 50 m remaining
+        world.advance_kinematics()  # 67 m > 50 m remaining
         assert ac.phase is Phase.ARRIVED
         assert (ac.x_m, ac.y_m) == (100.0, 0.0)
 
@@ -142,7 +141,7 @@ class TestKinematics:
         world.spawn_due_aircraft()
         ac = world.aircraft["AC001"]
         ac.dist_along_m = 12000.0 + 500.0
-        world.advance_kinematics(1.0)
+        world.advance_kinematics()
         # 12567 m along the route: 567 m past B, on the second link
         assert abs(ac.x_m - 12000.0) == pytest.approx(567.0)
         assert ac.y_m == 0.0
@@ -200,7 +199,7 @@ class TestNeighbors:
         # scenario-flight order AC003, AC001, AC002: two intruders 1 km either
         # side of AC002 come in flight order, against the order of their ids
         sc = generate_scenario(line_network, 3, [("A", "C")], departure_spacing_s=0.0, seed=0)
-        world = World(Scenario(line_network, tuple(sc.flights[i] for i in (2, 0, 1)), sc.routes),
+        world = World(Scenario(line_network, tuple(sc.flights[i] for i in (2, 0, 1))),
                       SimConfig())
         world.spawn_due_aircraft()
         assert world.enroute_ids() == ["AC003", "AC001", "AC002"]
@@ -325,7 +324,7 @@ class TestSweepCutoffs:
         # AC003: the sweep meets the pairs in id order, and they come out in
         # flight order, each pair's ids ascending
         sc = generate_scenario(line_network, 3, [("A", "C")], departure_spacing_s=0.0, seed=0)
-        world = World(Scenario(line_network, tuple(sc.flights[i] for i in (2, 0, 1)), sc.routes),
+        world = World(Scenario(line_network, tuple(sc.flights[i] for i in (2, 0, 1))),
                       SimConfig())
         world.spawn_due_aircraft()
         for aid, x in (("AC001", 1000.0), ("AC002", 1050.0), ("AC003", 1100.0)):
@@ -388,9 +387,7 @@ class TestDistanceRuleProperty:
 
 class TestStep:
     def test_empty_world_terminal(self, line_network):
-        sc = generate_scenario(line_network, 1, [("A", "C")], seed=0)
-        sc = type(sc)(sc.network, (), {})
-        world = World(sc, SimConfig())
+        world = World(Scenario(line_network, ()), SimConfig())
         assert world.terminal
 
     def test_single_aircraft_hold_arrives_without_los(self, solo_scenario):
@@ -488,12 +485,13 @@ def scan_related(world, ac):
     """(distance, flight index, aircraft) of every enroute aircraft on a route
     related to ac's within planar d_comm, ascending."""
     d_comm, routes = world.config.d_comm_m, world.scenario.routes
+    index = {fl.id: i for i, fl in enumerate(world.scenario.flights)}
     found = []
     for other in scan_enroute(world):
         dx, dy = ac.x_m - other.x_m, ac.y_m - other.y_m
         if (other is not ac and dx * dx + dy * dy <= d_comm * d_comm
                 and routes_related(world.net, routes[ac.id], routes[other.id])):
-            found.append((distance(ac, other), world.flight_index[other.id], other))
+            found.append((distance(ac, other), index[other.id], other))
     return sorted(found, key=lambda rec: rec[:2])
 
 
@@ -537,7 +535,7 @@ def index_cases(draw):
                        max_episode_time_s=draw(st.sampled_from([60.0, 250.0, 7200.0])),
                        d_los_m=draw(st.sampled_from([150.0, 40.0, 700.0, 3000.0])),
                        d_comm_m=draw(st.sampled_from([2500.0, 300.0, 1200.0, 9000.0])))
-    return Scenario(net, flights, sc.routes), config, draw(st.integers(0, 2**16))
+    return Scenario(net, flights), config, draw(st.integers(0, 2**16))
 
 
 class TestEnrouteIndexProperty:
@@ -569,6 +567,16 @@ class TestEnrouteIndexProperty:
             actions = {aid: Action(int(rng.integers(0, 3))) for aid in world.enroute_ids()}
             step_with(world, actions)
             check()
+
+    @settings(max_examples=30, deadline=None)
+    @given(index_cases())
+    def test_records_carry_flight_index_and_geometry(self, case):
+        # index_cases permutes the flights, so flight index and id order differ
+        scenario, config, _ = case
+        world = World(scenario, config)
+        for i, f in enumerate(scenario.flights):
+            assert world.aircraft[f.id].flight_index == i
+            assert world.aircraft[f.id].geometry is scenario.geometry[0][f.id]
 
 
 @st.composite
