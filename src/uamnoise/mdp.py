@@ -13,7 +13,7 @@ import numpy as np
 from .errors import SimulationError, ValidationError, check_number
 from .network import AltitudeLayerSet
 from .noise import Z_HI_FT, Z_LO_FT, Condition, single_event_level
-from .sim import FT_TO_M, Action, Phase, World
+from .sim import FT_TO_M, Action, AircraftState, Phase, World
 
 #: Nearest intruders kept in an observation; bounds compute and input size.
 N_MAX_INTRUDERS = 10
@@ -65,39 +65,30 @@ class RewardConfig:
         return cls(rho=rho, layers=layers, **kw)
 
 
-def observe_tick(world: World, ids: list[str],
-                 config: RewardConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(own, intr, intr_mask) of the enroute aircraft ids at one world state:
-    own (B, OWN_DIM); intr (B, K, INTRUDER_DIM), row b holding aircraft b's
-    nearest route-related intruders within planar d_comm (at most
-    N_MAX_INTRUDERS) in the layout above, ascending by 3-D distance
+def observe_tick(world: World, config: RewardConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(own, intr, intr_mask) of every enroute aircraft, row b belonging to
+    world.enroute()[b]: own (B, OWN_DIM); intr (B, K, INTRUDER_DIM), row b
+    holding aircraft b's nearest route-related intruders within planar d_comm
+    (at most N_MAX_INTRUDERS) in the layout above, ascending by 3-D distance
     (World.distance_3d_m's rule), equal distances in scenario-flight order,
     zero-padded to K = max(1, largest count); intr_mask (B, K) marks the
     filled rows. One World.neighbors query serves every row."""
-    enroute = world.enroute_ids()
-    row_of = dict(zip(enroute, range(len(enroute))))
-    try:
-        rows = np.array([row_of[i] for i in ids], dtype=np.intp)
-    except KeyError as exc:
-        raise SimulationError(f"aircraft {exc} is not enroute") from None
     state, index, dist = world.neighbors(N_MAX_INTRUDERS)
     z, last = state[:, 2], state[:, 5]
-    z_own = z[rows]
-    own = state.take(rows, axis=0).take(_OWN_COLUMNS, axis=1)  # then normalized in place
+    own = state.take(_OWN_COLUMNS, axis=1)  # then normalized in place
     own[:, 0:3:2] -= config.layers.z_min
     own[:, 0:3:2] /= config.span_ft
     own[:, 3:] = own[:, 3:] == _ACTIONS
-    index, dist = index.take(rows, axis=0), dist.take(rows, axis=0)
     counts = np.minimum((dist < np.inf).sum(axis=1), N_MAX_INTRUDERS)
     k = max(1, counts.max(initial=0))
     intr_mask = np.arange(k) < counts[:, None]
     r, c = np.nonzero(intr_mask)  # row-major, each row's intruders nearest first
     other = index[r, c]
     found = np.empty((len(r), INTRUDER_DIM))
-    found[:, 0] = (z[other] - z_own[r]) / config.span_ft
+    found[:, 0] = (z[other] - z[r]) / config.span_ft
     found[:, 1] = dist[r, other] / config.d_comm_m
     found[:, 2:] = last[other, None] == _ACTIONS
-    intr = np.zeros((len(rows), k, INTRUDER_DIM))
+    intr = np.zeros((len(state), k, INTRUDER_DIM))
     intr[r, c] = found
     return own, intr, intr_mask
 
@@ -135,20 +126,18 @@ def reward_total(r_noise, r_sep, rho: float):
     return rho * r_noise + (1.0 - rho) * r_sep
 
 
-def tick_rewards(world: World, ids: list[str], config: RewardConfig,
-                 observed) -> np.ndarray:
-    """Blended reward of each aircraft of ids at the world's current state,
-    aligned with ids; arrived aircraft see an empty intruder set. observed is
-    (enroute ids, intr, intr_mask) from this state's observe_tick, and must
-    cover every aircraft of ids that has not arrived, or SimulationError names
-    the first that it misses. The noise term is evaluated once per distinct
-    altitude."""
+def tick_rewards(acted: list[AircraftState], config: RewardConfig, observed) -> np.ndarray:
+    """Blended reward of each aircraft of acted at the world's current state,
+    aligned with acted; arrived aircraft see an empty intruder set. observed is
+    (enroute, intr, intr_mask): this state's world.enroute() and its
+    observe_tick rows, matched to acted by flight index. It must cover every
+    aircraft of acted that has not arrived, or SimulationError names the first
+    that it misses."""
     enroute, intr, intr_mask = observed
-    r_sep = dict(zip(enroute, separation_rewards(intr, intr_mask, config).tolist()))
-    for i in ids:
-        if i not in r_sep and world.aircraft[i].phase is not Phase.ARRIVED:
-            raise SimulationError(f"aircraft '{i}' has not arrived and is not observed")
-    z_ft = [world.aircraft[i].z_ft for i in ids]
-    r_noise = {z: reward_noise(z, config) for z in set(z_ft)}
-    return reward_total(np.array([r_noise[z] for z in z_ft]),
-                        np.array([r_sep.get(i, 0.0) for i in ids]), config.rho)
+    r_sep = dict(zip([ac.flight_index for ac in enroute],
+                     separation_rewards(intr, intr_mask, config).tolist()))
+    for ac in acted:
+        if ac.flight_index not in r_sep and ac.phase is not Phase.ARRIVED:
+            raise SimulationError(f"aircraft '{ac.id}' has not arrived and is not observed")
+    return reward_total(np.array([reward_noise(ac.z_ft, config) for ac in acted]),
+                        np.array([r_sep.get(ac.flight_index, 0.0) for ac in acted]), config.rho)

@@ -153,8 +153,13 @@ class Scenario:
 
     def __post_init__(self):
         route = cache(partial(build_route, self.network))  # one build_route per O-D pair
-        object.__setattr__(self, "routes", {fl.id: route(fl.origin, fl.destination)
-                                            for fl in self.flights})
+        routes = {}
+        for fl in self.flights:
+            try:
+                routes[fl.id] = route(fl.origin, fl.destination)
+            except ValidationError as exc:  # the same class, NoPathError included
+                raise type(exc)(f"flight '{fl.id}': {exc}") from None
+        object.__setattr__(self, "routes", routes)
 
     @cached_property
     def geometry(self) -> tuple[dict[str, tuple], np.ndarray]:

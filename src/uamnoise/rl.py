@@ -19,7 +19,7 @@ from .errors import ValidationError, check_number
 from .mdp import INTRUDER_DIM, OWN_DIM, RewardConfig, observe_tick, tick_rewards
 from .network import AltitudeLayerSet, Scenario
 from .noise import Condition
-from .sim import Action, SimConfig, World, action_mask
+from .sim import Action, AircraftState, SimConfig, World, action_mask
 
 
 @dataclass
@@ -118,39 +118,38 @@ def collect_rollout(
     params. params=None means the hold-only baseline. Actions are sampled
     from rng, or are the argmax without one (nnet.sample_actions).
 
-    Each decision tick is one set of array operations over its enroute
-    agents: one observe_tick, one batched policy pass, one sample_actions
-    and one stored block; then each agent's trace row and its command. The
-    rewards that close a block come at the next tick, as an array aligned
-    with the block's rows, from the observe_tick that tick makes; at episode
-    end, from one last observe_tick of the enroute aircraft, which closes the
-    last block the same way.
+    A decision tick's agents are world.enroute(), the enroute records in
+    flight order, read once. The tick is one set of array operations over
+    them: one observe_tick, whose row b is agent b's, one batched policy
+    pass, one sample_actions and one stored block; then each agent's trace
+    row and its command. The rewards that close a block come at the next
+    tick, from tick_rewards of the block's records against the observe_tick
+    that tick makes, as an array aligned with the block's rows; at episode
+    end, from one last observe_tick, which closes the last block the same way.
     """
     world = World(scenario, sim_config)
     layers = scenario.network.layers
     members = tuple(Action)  # indexed by a sampled action's wire integer
     blocks: list[_Block] = []
     rewards: list[np.ndarray] = []  # rewards[i] closes blocks[i]
-    acted: list[str] = []  # the agents of the last block
+    acted: list[AircraftState] = []  # the agents of the last block
     trace: list[TraceRow] = []
 
     while not world.terminal:
         if world.is_decision_tick():
             world.spawn_due_aircraft()
-            enroute = world.enroute_ids()
-            own, intr, intr_mask = observe_tick(world, enroute, reward_config)
+            acs = world.enroute()
+            own, intr, intr_mask = observe_tick(world, reward_config)
             if acted:
-                rewards.append(tick_rewards(world, acted, reward_config,
-                                            (enroute, intr, intr_mask)))
-            acted = enroute
-            if enroute:
-                acs = [world.aircraft[i] for i in enroute]
+                rewards.append(tick_rewards(acted, reward_config, (acs, intr, intr_mask)))
+            acted = acs
+            if acs:
                 masks = np.array([action_mask(ac, layers) for ac in acs])
                 if params is not None:
                     probs, values = nnet.policy_batch(params, own, intr, intr_mask, masks)
                 else:
-                    probs = np.tile([1.0, 0.0, 0.0], (len(enroute), 1))
-                    values = np.zeros(len(enroute))
+                    probs = np.tile([1.0, 0.0, 0.0], (len(acs), 1))
+                    values = np.zeros(len(acs))
                 actions, logp = nnet.sample_actions(probs, rng)
                 blocks.append(_Block(np.array([ac.flight_index for ac in acs]), own,
                                      intr, intr_mask, masks, actions, logp, values))
@@ -161,9 +160,8 @@ def collect_rollout(
                     command(ac, action)
         world.step()
     if acted:
-        enroute = world.enroute_ids()
-        _, intr, intr_mask = observe_tick(world, enroute, reward_config)
-        rewards.append(tick_rewards(world, acted, reward_config, (enroute, intr, intr_mask)))
+        _, intr, intr_mask = observe_tick(world, reward_config)
+        rewards.append(tick_rewards(acted, reward_config, (world.enroute(), intr, intr_mask)))
     return _pack(blocks, rewards, trace, world)
 
 

@@ -137,9 +137,10 @@ class World:
 
     # -- queries ----------------------------------------------------------
 
-    def enroute_ids(self) -> list[str]:
-        """Enroute aircraft ids in scenario-flight order."""
-        return [a.id for a in self._enroute]
+    def enroute(self) -> list[AircraftState]:
+        """The enroute aircraft in scenario-flight order, as a new list: a
+        spawn inserts into the index's own list in place."""
+        return self._enroute.copy()
 
     def member_of(self, ac: AircraftState) -> str:
         """The network member whose zone an enroute aircraft counts for: the

@@ -19,13 +19,18 @@ os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
                       os.path.join(tempfile.gettempdir(), "uamnoise-hypothesis"))
 
 
+def enroute_ids(world):
+    """The ids of World.enroute(), in its flight order."""
+    return [ac.id for ac in world.enroute()]
+
+
 def step_with(world, actions):
     """World.step after, on a decision tick, each enroute aircraft's command
     from actions, a mapping of aircraft id to action."""
     world.spawn_due_aircraft()
     if world.is_decision_tick():
-        for ac_id in world.enroute_ids():
-            world.apply_altitude_command(world.aircraft[ac_id], actions[ac_id])
+        for ac in world.enroute():
+            world.apply_altitude_command(ac, actions[ac.id])
     return world.step()
 
 

@@ -22,7 +22,7 @@ from uamnoise.noise import (COEFFICIENTS, Condition, NoiseSample, cumulative_inc
 from uamnoise.rl import TrainConfig
 from uamnoise.sim import Action, Phase, SimConfig, World
 
-from conftest import make_corridor_network, make_line_network, step_with
+from conftest import enroute_ids, make_corridor_network, make_line_network, step_with
 
 
 @contextlib.contextmanager
@@ -83,7 +83,7 @@ def test_criterion_04_los_matches_brute_force_oracle():
                 break
             world.spawn_due_aircraft()
             actions = {aid: Action(int(rng.integers(0, 3)))
-                       for aid in world.enroute_ids()}
+                       for aid in enroute_ids(world)}
             reported = {(a, b) for a, b, _ in step_with(world, actions)}
             oracle = set()
             enroute = [a for a in world.aircraft.values()

@@ -779,14 +779,20 @@ def test_out_of_range_ambient_db_exits_1(name, ambient_db, tmp_path):
     (lambda doc: doc["flights"].append(dict(doc["flights"][0])), "duplicate flight id 'AC001'"),
     (lambda doc: doc["flights"][0].update(origin="Q"),
      "flight 'AC001' references missing vertiport 'Q'"),
+    (lambda doc: doc["flights"][0].update(destination="C"),  # AC001 flies C to A
+     "flight 'AC001': origin and destination must differ"),
+    # without link A-B, and so without it as a zone member, no route leads from A
+    (lambda doc: (doc.update(links=[k for k in doc["links"] if k["id"] != "A-B"]),
+                  doc["zones"][0]["members"].remove("A-B")),
+     "flight 'AC002': no route from 'A' to 'C'"),
     # both layers beyond one end of the noise curve's distance clamp
     (lambda doc: doc.update(layers_ft=[50.0, 100.0]),
      "clamps slant distance to [200, 20000] ft, so layers_ft [50.0, 100.0] give one level"),
     (lambda doc: doc.update(layers_ft=[20000.0, 25000.0]),
      "clamps slant distance to [200, 20000] ft, so layers_ft [20000.0, 25000.0] give one level"),
 ], ids=["duplicate-link", "self-loop", "third-link", "duplicate-zone", "unknown-member",
-        "member-in-two-zones", "duplicate-flight", "unknown-vertiport", "layers-below-clamp",
-        "layers-above-clamp"])
+        "member-in-two-zones", "duplicate-flight", "unknown-vertiport", "equal-ends", "no-route",
+        "layers-below-clamp", "layers-above-clamp"])
 def test_malformed_scenario_exits_1(corrupt, message, tmp_path):
     doc = json.loads(_scenario_text("line"))
     corrupt(doc)

@@ -11,7 +11,7 @@ from uamnoise.mdp import (INTRUDER_DIM, N_MAX_INTRUDERS, OWN_DIM, RewardConfig, 
 from uamnoise.network import generate_scenario
 from uamnoise.sim import FT_TO_M, Action, Phase, SimConfig, World, action_mask
 
-from conftest import make_line_network, step_with
+from conftest import enroute_ids, make_line_network, step_with
 
 CFG = RewardConfig(rho=0.5)
 
@@ -39,7 +39,7 @@ class TestObserve:
     def test_lone_aircraft_no_intruders(self, solo_scenario):
         world = World(solo_scenario, SimConfig())
         world.spawn_due_aircraft()
-        own, intr, intr_mask = observe_tick(world, ["AC001"], CFG)
+        own, intr, intr_mask = observe_tick(world, CFG)
         # the empty intruder set is padded to one masked row
         assert own.shape == (1, OWN_DIM) and intr.shape == (1, 1, INTRUDER_DIM)
         assert intr_mask.tolist() == [[False]] and not intr.any()
@@ -47,11 +47,11 @@ class TestObserve:
     def test_normalization_endpoints(self, solo_scenario):
         world = World(solo_scenario, SimConfig())
         world.spawn_due_aircraft()
-        own, _, _ = observe_tick(world, ["AC001"], CFG)
+        own, _, _ = observe_tick(world, CFG)
         assert own[0, 0] == 0.0  # spawned at z_min
         world.aircraft["AC001"].z_ft = 3000.0
         world.aircraft["AC001"].z_target_ft = 3000.0
-        assert observe_tick(world, ["AC001"], CFG)[0][0, 0] == 1.0
+        assert observe_tick(world, CFG)[0][0, 0] == 1.0
 
     def test_intruder_fields(self):
         world = self.make_world()
@@ -60,8 +60,8 @@ class TestObserve:
         b.z_ft = a.z_ft + 500.0
         planar = 0.0
         d3 = math.hypot(planar, 500.0 * FT_TO_M)
-        _, intr, intr_mask = observe_tick(world, ["AC001"], CFG)
-        assert intr.shape == (1, 1, INTRUDER_DIM) and intr_mask.tolist() == [[True]]
+        _, intr, intr_mask = observe_tick(world, CFG)  # rows AC001, AC002
+        assert intr.shape == (2, 1, INTRUDER_DIM) and intr_mask.tolist() == [[True], [True]]
         assert intr[0, 0, 0] == pytest.approx(0.25)
         assert intr[0, 0, 1] == pytest.approx(d3 / 2500.0)
 
@@ -73,7 +73,7 @@ class TestObserve:
         b.z_ft = a.z_ft + 500.0
         b.x_m = a.x_m + math.sqrt(1000.0 ** 2 - dz_m ** 2)
         b.y_m = a.y_m
-        _, intr, _ = observe_tick(world, ["AC001"], CFG)
+        _, intr, _ = observe_tick(world, CFG)  # AC001's row is 0
         assert intr[0, 0, 0] == pytest.approx(0.25)
         assert intr[0, 0, 1] == pytest.approx(0.4)
 
@@ -83,28 +83,28 @@ class TestObserve:
         world = World(sc, SimConfig())
         world.spawn_due_aircraft()
         # 13 intruders on a line, 150 m apart in reverse flight order
-        for k, ac_id in enumerate(world.enroute_ids()):
+        for k, ac_id in enumerate(enroute_ids(world)):
             world.aircraft[ac_id].x_m = 150.0 * (14 - k)
-        _, intr, intr_mask = observe_tick(world, ["AC014"], CFG)
-        assert intr.shape == (1, N_MAX_INTRUDERS, INTRUDER_DIM) and intr_mask.all()
-        assert intr[0, :, 1].tolist() == [150.0 * k / 2500.0 for k in range(1, 11)]
+        _, intr, intr_mask = observe_tick(world, CFG)
+        assert enroute_ids(world)[13] == "AC014"
+        assert intr.shape == (14, N_MAX_INTRUDERS, INTRUDER_DIM) and intr_mask[13].all()
+        assert intr[13, :, 1].tolist() == [150.0 * k / 2500.0 for k in range(1, 11)]
 
-    def test_pending_or_arrived_id_rejected(self, solo_scenario):
+    def test_pending_and_arrived_aircraft_are_not_observed(self, solo_scenario):
         world = World(solo_scenario, SimConfig())
-        with pytest.raises(SimulationError, match="'AC001' is not enroute"):
-            observe_tick(world, ["AC001"], CFG)  # pending
+        shapes = [(0, OWN_DIM), (0, 1, INTRUDER_DIM), (0, 1)]
+        assert [a.shape for a in observe_tick(world, CFG)] == shapes  # pending
         while not world.terminal:
             world.spawn_due_aircraft()
             world.step()
         assert world.aircraft["AC001"].phase is Phase.ARRIVED
-        with pytest.raises(SimulationError, match="'AC001' is not enroute"):
-            observe_tick(world, ["AC001"], CFG)
+        assert [a.shape for a in observe_tick(world, CFG)] == shapes
 
 
 @st.composite
 def tick_cases(draw):
     """A world state reached by a hold or a randomly sampled rollout of a
-    line scenario, and a drawn subset, in a drawn order, of its enroute ids."""
+    line scenario, and a number of padding rows."""
     scenario = generate_scenario(make_line_network(), draw(st.integers(3, 12)),
                                  [("A", "C"), ("C", "A")],
                                  departure_spacing_s=draw(st.floats(0.0, 40.0)),
@@ -117,30 +117,25 @@ def tick_cases(draw):
         actions = {}
         if world.is_decision_tick():
             actions = {aid: Action(int(rng.integers(0, 3))) if sampled else Action.HOLD
-                       for aid in world.enroute_ids()}
+                       for aid in enroute_ids(world)}
         step_with(world, actions)
     world.spawn_due_aircraft()
-    ids = draw(st.permutations(world.enroute_ids()))
-    return world, ids[:draw(st.integers(min(1, len(ids)), len(ids)))], draw(st.integers(1, 4))
+    return world, draw(st.integers(1, 4))
 
 
 class TestTickObservationProperty:
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(tick_cases())
     def test_rows_are_independent_of_the_batch(self, case):
-        world, ids, extra_k = case
-        own, intr, intr_mask = observe_tick(world, ids, CFG)
-        assert own.shape[0] == intr.shape[0] == intr_mask.shape[0] == len(ids)
-        for b, ac_id in enumerate(ids):
-            own1, intr1, mask1 = observe_tick(world, [ac_id], CFG)
-            assert own[b].tobytes() == own1[0].tobytes()
-            assert intr_mask[b].sum() == mask1[0].sum()
-            assert intr[b, intr_mask[b]].tobytes() == intr1[0, mask1[0]].tobytes()
+        world, extra_k = case
+        _, intr, intr_mask = observe_tick(world, CFG)
+        n = len(world.enroute())
+        assert intr.shape[0] == intr_mask.shape[0] == n
         # padding to a larger K with masked rows leaves the separation term as it is
         k = intr.shape[1]
-        padded = np.zeros((len(ids), k + extra_k, INTRUDER_DIM))
+        padded = np.zeros((n, k + extra_k, INTRUDER_DIM))
         padded[:, :k] = intr
-        padded_mask = np.zeros((len(ids), k + extra_k), dtype=bool)
+        padded_mask = np.zeros((n, k + extra_k), dtype=bool)
         padded_mask[:, :k] = intr_mask
         assert separation_rewards(padded, padded_mask, CFG).tobytes() == \
             separation_rewards(intr, intr_mask, CFG).tobytes()
@@ -226,14 +221,15 @@ class TestTickRewards:
                                      departure_spacing_s=0.0, seed=0)
         world = World(scenario, SimConfig())
         world.spawn_due_aircraft()
-        ids = world.enroute_ids()
-        r_noise = reward_noise(world.aircraft[ids[0]].z_ft, CFG)
+        acs = world.enroute()
+        r_noise = reward_noise(acs[0].z_ft, CFG)
         expected = reward_total(r_noise, -5 * CFG.lam, CFG.rho)
-        rewards = tick_rewards(world, ids, CFG, (ids, *observe_tick(world, ids, CFG)[1:]))
+        _, intr, intr_mask = observe_tick(world, CFG)
+        rewards = tick_rewards(acs, CFG, (acs, intr, intr_mask))
         assert rewards.tolist() == [expected] * 6
         # an observation of one aircraft does not score the other five
-        with pytest.raises(SimulationError, match=f"'{ids[1]}' has not arrived"):
-            tick_rewards(world, ids, CFG, (ids[:1], *observe_tick(world, ids[:1], CFG)[1:]))
+        with pytest.raises(SimulationError, match=f"'{acs[1].id}' has not arrived"):
+            tick_rewards(acs, CFG, (acs[:1], intr[:1], intr_mask[:1]))
 
 
 class TestActionMask:
@@ -265,7 +261,7 @@ class TestEncode:
         a, b = world.aircraft["AC001"], world.aircraft["AC002"]
         a.z_ft, a.z_target_ft, a.b_changing, a.last_action = 2000.0, 2500.0, True, Action.CLIMB
         b.x_m, b.y_m, b.z_ft, b.last_action = a.x_m, a.y_m, 2500.0, Action.DESCEND
-        own, intr, intr_mask = observe_tick(world, ["AC001"], CFG)
-        assert own.shape == (1, 6) and intr.shape == (1, 1, 5) and intr_mask.all()
+        own, intr, intr_mask = observe_tick(world, CFG)  # rows AC001, AC002
+        assert own.shape == (2, 6) and intr.shape == (2, 1, 5) and intr_mask.all()
         assert own[0].tolist() == [0.5, 1.0, 0.75, 0.0, 0.0, 1.0]
         assert intr[0, 0].tolist() == [0.25, 500.0 * FT_TO_M / 2500.0, 0.0, 1.0, 0.0]

@@ -321,8 +321,8 @@ class TestScenarioRoutes:
         doc = {**MINIMAL, "flights": [
             {"id": "AC001", "origin": "A", "destination": "B", "departure_s": 0},
             {"id": "AC002", "origin": "B", "destination": "A", "departure_s": 0}]}
-        with pytest.raises(NoPathError, match="no route from 'B' to 'A'"):
+        with pytest.raises(NoPathError, match="^flight 'AC002': no route from 'B' to 'A'$"):
             load_scenario(write_doc(tmp_path, doc))
         net = load_network(write_doc(tmp_path, MINIMAL))
-        with pytest.raises(NoPathError, match="no route from 'B' to 'A'"):
+        with pytest.raises(NoPathError, match="^flight 'AC002': no route from 'B' to 'A'$"):
             generate_scenario(net, 2, [("A", "B"), ("B", "A")])

@@ -16,7 +16,7 @@ from uamnoise.rl import (RolloutResult, TraceRow, TrainConfig, collect_rollout,
                          save_checkpoint, train)
 from uamnoise.sim import Action, Phase, SimConfig, World, action_mask
 
-from conftest import make_corridor_network, make_line_network, step_with
+from conftest import enroute_ids, make_corridor_network, make_line_network, step_with
 
 
 def small_train_config(iters, hidden=8, seed=0):
@@ -94,21 +94,28 @@ class TestCollectRollout:
 
 
 def reference_rollout(scenario, params, sim_config, reward_config, rng=None):
-    """collect_rollout one agent at a time: an observe_tick of [id], a
-    policy_batch of that one row and a sample_actions of its probabilities
-    per agent, and a fresh one-agent observe_tick inside every reward.
-    Returns (per-agent transition lists, trace, LOS event count)."""
+    """collect_rollout one agent at a time: the agent's row of a fresh
+    observe_tick, a policy_batch of that one row and a sample_actions of its
+    probabilities per agent, and a fresh observe_tick's row inside every
+    reward. Returns (per-agent transition lists, trace, LOS event count)."""
     world = World(scenario, sim_config)
     layers = scenario.network.layers
     records = {fl.id: [] for fl in scenario.flights}
     pending = {}
     trace = []
 
+    def agent_row(ac_id):
+        """ac_id's row of a fresh observe_tick, trimmed to its own intruder
+        count (at least one padded row), as a batch of one."""
+        own, intr, intr_mask = observe_tick(world, reward_config)
+        b = enroute_ids(world).index(ac_id)
+        k = max(1, int(intr_mask[b].sum()))
+        return own[b:b + 1], intr[b:b + 1, :k], intr_mask[b:b + 1, :k]
+
     def agent_reward(ac):
         """Blended reward of one aircraft, scored on its own; arrived
         aircraft see an empty intruder set."""
-        r_sep = (float(separation_rewards(*observe_tick(world, [ac.id], reward_config)[1:],
-                                          reward_config)[0])
+        r_sep = (float(separation_rewards(*agent_row(ac.id)[1:], reward_config)[0])
                  if ac.phase is Phase.ENROUTE else 0.0)
         return reward_total(reward_noise(ac.z_ft, reward_config), r_sep, reward_config.rho)
 
@@ -122,11 +129,11 @@ def reference_rollout(scenario, params, sim_config, reward_config, rng=None):
         joint = {}
         if world.is_decision_tick():
             world.spawn_due_aircraft()
-            enroute = world.enroute_ids()
+            enroute = enroute_ids(world)
             for ac_id in records:
                 if ac_id not in enroute:
                     finalize(ac_id, done=True)
-            obs_list = [observe_tick(world, [i], reward_config) for i in enroute]
+            obs_list = [agent_row(i) for i in enroute]
             for ac_id in enroute:
                 finalize(ac_id, done=False)
             for ac_id, (own, intr, intr_mask) in zip(enroute, obs_list):
@@ -177,9 +184,9 @@ class TestBatchedTickMatchesReference:
         observed, forwards = [], []
 
         def recording(fn):
-            def wrapper(world, ids, config):
-                observed.append((world.t, list(ids)))
-                return fn(world, ids, config)
+            def wrapper(world, config):
+                observed.append((world.t, enroute_ids(world)))
+                return fn(world, config)
             return wrapper
 
         def counting(*args):

@@ -16,8 +16,8 @@ from uamnoise.rl import collect_rollout
 from uamnoise.sim import (FT_TO_M, Action, AircraftState, LosEvent, Phase, SimConfig, World,
                           action_mask)
 
-from conftest import (make_corridor_network, make_cross_network, make_line_network,
-                      route_position, routes_related, step_with)
+from conftest import (enroute_ids, make_corridor_network, make_cross_network,
+                      make_line_network, route_position, routes_related, step_with)
 
 
 def make_world(n=2, od=None, spacing=60.0, net=None, **cfg):
@@ -50,7 +50,22 @@ class TestSpawn:
         while world.t < 60.0:
             world.step()
         world.spawn_due_aircraft()
-        assert len(world.enroute_ids()) == 2
+        assert len(world.enroute()) == 2
+
+    def test_enroute_is_a_new_list(self, line_network):
+        # a caller may keep or mutate it: the world's own list is not shared,
+        # and a later spawn, which inserts into that list, leaves a kept one as it is
+        sc = generate_scenario(line_network, 2, [("A", "C")], departure_spacing_s=60.0, seed=0)
+        world = World(sc, SimConfig())
+        world.spawn_due_aircraft()
+        kept, mutated = world.enroute(), world.enroute()
+        assert kept is not mutated and len(kept) == 1
+        mutated.clear()
+        assert world.enroute() == kept and not world.terminal
+        while world.t < 60.0:
+            world.step()
+        world.spawn_due_aircraft()
+        assert len(kept) == 1 and enroute_ids(world) == ["AC001", "AC002"]
 
 
 class TestClock:
@@ -150,7 +165,7 @@ class TestKinematics:
 def neighbor_lists(world, limit=N_MAX_INTRUDERS):
     """World.neighbors as each enroute id's list of (distance, id), nearest first."""
     _, index, dist = world.neighbors(limit)
-    ids = world.enroute_ids()
+    ids = enroute_ids(world)
     return {ids[i]: [(float(dist[i, j]), ids[j]) for j in row if dist[i, j] < math.inf]
             for i, row in enumerate(index)}
 
@@ -183,7 +198,7 @@ class TestNeighbors:
                                departure_spacing_s=0.0, seed=0)
         world = World(sc, SimConfig())
         world.spawn_due_aircraft()
-        assert neighbor_lists(world) == {aid: [] for aid in world.enroute_ids()}
+        assert neighbor_lists(world) == {aid: [] for aid in enroute_ids(world)}
 
     def test_symmetry_over_episode(self, line_scenario):
         world = World(line_scenario, SimConfig())
@@ -202,15 +217,15 @@ class TestNeighbors:
         world = World(Scenario(line_network, tuple(sc.flights[i] for i in (2, 0, 1))),
                       SimConfig())
         world.spawn_due_aircraft()
-        assert world.enroute_ids() == ["AC003", "AC001", "AC002"]
+        assert enroute_ids(world) == ["AC003", "AC001", "AC002"]
         for aid, x, action in (("AC003", 4000.0, Action.CLIMB), ("AC001", 6000.0, Action.DESCEND),
                                ("AC002", 5000.0, Action.HOLD)):
             world.aircraft[aid].x_m = x
             world.aircraft[aid].last_action = action
         assert neighbor_lists(world)["AC002"] == [(1000.0, "AC003"), (1000.0, "AC001")]
-        _, intr, intr_mask = observe_tick(world, ["AC002"], RewardConfig())
-        assert intr_mask.tolist() == [[True, True]]
-        assert intr[0, :, 2:].tolist() == [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]  # climb, descend
+        _, intr, intr_mask = observe_tick(world, RewardConfig())  # AC002's row is 2
+        assert intr_mask[2].tolist() == [True, True]
+        assert intr[2, :, 2:].tolist() == [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]  # climb, descend
 
     def test_tie_at_the_cap_keeps_the_earlier_flight(self):
         # 9 intruders at 100..900 m and two at 1000 m, one each side: only
@@ -219,7 +234,7 @@ class TestNeighbors:
         # -1000 m, first in x order) goes
         world = make_world(n=12, spacing=0.0)
         world.spawn_due_aircraft()
-        ids = world.enroute_ids()
+        ids = enroute_ids(world)
         xs = [5000.0, 6000.0, *(5000.0 + 100.0 * k for k in range(1, 10)), 4000.0]
         for aid, x in zip(ids, xs):
             world.aircraft[aid].x_m = x
@@ -293,7 +308,7 @@ class TestSweepCutoffs:
     def place(self, xs, **cfg):
         world = make_world(n=len(xs), od=[("A", "C"), ("C", "A")], spacing=0.0, **cfg)
         world.spawn_due_aircraft()
-        for aid, x in zip(world.enroute_ids(), xs):
+        for aid, x in zip(enroute_ids(world), xs):
             world.aircraft[aid].x_m, world.aircraft[aid].y_m = x, 0.0
         return world
 
@@ -352,7 +367,7 @@ class TestOnePairPass:
     def test_distance_is_bitwise_symmetric(self, coords):
         world = make_world()
         world.spawn_due_aircraft()
-        a, b = (world.aircraft[aid] for aid in world.enroute_ids())
+        a, b = world.enroute()
         (a.x_m, a.y_m, a.z_ft), (b.x_m, b.y_m, b.z_ft) = coords[:3], coords[3:]
         d_ab, d_ba = world.distance_3d_m(a, b), world.distance_3d_m(b, a)
         assert struct.pack("<d", d_ab) == struct.pack("<d", d_ba)
@@ -370,7 +385,7 @@ class TestDistanceRuleProperty:
         # every route related and every pair in range, so every pair is measured
         world = make_world(n=len(points), spacing=0.0, d_comm_m=1e9)
         world.spawn_due_aircraft()
-        acs = [world.aircraft[aid] for aid in world.enroute_ids()]
+        acs = world.enroute()
         for ac, (x, y, z) in zip(acs, points):
             ac.x_m, ac.y_m, ac.z_ft = x, y, z
         _, _, dist = world.neighbors(N_MAX_INTRUDERS)
@@ -404,7 +419,7 @@ class TestStep:
             while not world.terminal:
                 world.spawn_due_aircraft()
                 actions = {}
-                for i, aid in enumerate(world.enroute_ids()):
+                for i, aid in enumerate(enroute_ids(world)):
                     actions[aid] = Action.CLIMB if (int(world.t) // 10 + i) % 3 == 0 \
                         else Action.HOLD
                 step_with(world, actions)
@@ -425,7 +440,7 @@ class TestStep:
         locked_target: dict[str, float] = {}
         while not world.terminal:
             world.spawn_due_aircraft()
-            actions = {aid: Action(int(rng.integers(0, 3))) for aid in world.enroute_ids()}
+            actions = {aid: Action(int(rng.integers(0, 3))) for aid in enroute_ids(world)}
             step_with(world, actions)
             for ac in world.aircraft.values():
                 if ac.phase is not Phase.ENROUTE:
@@ -549,7 +564,7 @@ class TestEnrouteIndexProperty:
 
         def check():
             enroute = [a.id for a in scan_enroute(world)]
-            assert world.enroute_ids() == enroute
+            assert enroute_ids(world) == enroute
             all_arrived = all(a.phase is Phase.ARRIVED for a in world.aircraft.values())
             assert world.terminal == (world.n_steps >= horizon_steps or all_arrived)
             table = neighbor_lists(world, limit=len(world.aircraft))
@@ -564,7 +579,7 @@ class TestEnrouteIndexProperty:
             assert all((a.phase is Phase.PENDING) == (departures[a.id] > world.t)
                        for a in world.aircraft.values())
             check()
-            actions = {aid: Action(int(rng.integers(0, 3))) for aid in world.enroute_ids()}
+            actions = {aid: Action(int(rng.integers(0, 3))) for aid in enroute_ids(world)}
             step_with(world, actions)
             check()
 
@@ -613,7 +628,7 @@ class TestLosEventsProperty:
         events = []
         while not world.terminal:
             world.spawn_due_aircraft()
-            actions = {aid: Action(int(rng.integers(0, 3))) for aid in world.enroute_ids()}
+            actions = {aid: Action(int(rng.integers(0, 3))) for aid in enroute_ids(world)}
             step_with(world, actions)
             now = {}
             enroute = scan_enroute(world)
@@ -681,7 +696,7 @@ class TestPositionCacheProperty:
         rng = np.random.default_rng(seed)
         while not world.terminal:
             world.spawn_due_aircraft()
-            for aid in world.enroute_ids():
+            for aid in enroute_ids(world):
                 ac, route = world.aircraft[aid], routes[aid]
                 cum = list(accumulate(map(net.link_length_m, route.link_ids), initial=0.0))
                 kind = rng.integers(0, 6)
@@ -693,7 +708,7 @@ class TestPositionCacheProperty:
                 elif kind == 2:  # exactly onto a route node
                     ac.dist_along_m = cum[rng.integers(0, len(cum) - 1)]
                 assert world.member_of(ac) == route_position(net, route, ac.dist_along_m)[2]
-            moved = world.enroute_ids()
+            moved = enroute_ids(world)
             world.step()
             for aid in moved:
                 ac, route = world.aircraft[aid], routes[aid]
@@ -701,7 +716,7 @@ class TestPositionCacheProperty:
                     end = net.vertiports[route.destination]
                     assert (ac.x_m, ac.y_m) == (end.x_m, end.y_m)
                     assert ac.dist_along_m == sum(map(net.link_length_m, route.link_ids))
-                    assert aid not in world.enroute_ids()
+                    assert aid not in enroute_ids(world)
                 else:
                     x, y, member = route_position(net, route, ac.dist_along_m)
                     assert (ac.x_m, ac.y_m) == (x, y)
@@ -718,7 +733,7 @@ class TestPositionCacheProperty:
         rng = np.random.default_rng(seed)
         while not world.terminal:
             world.spawn_due_aircraft()
-            ids = world.enroute_ids()
+            ids = enroute_ids(world)
             for aid in ids:
                 if rng.random() < 0.3:
                     ac, other = world.aircraft[aid], world.aircraft[ids[rng.integers(len(ids))]]
@@ -740,7 +755,7 @@ def test_tracer_step_contract(bundled_scenario, monkeypatch):
         fn = getattr(World, name)
 
         def wrapper(world, *args):
-            before = world.enroute_ids()
+            before = enroute_ids(world)
             if inside[-1] is not None:
                 inside[-1].append(name)
             result = fn(world, *args)
@@ -750,7 +765,7 @@ def test_tracer_step_contract(bundled_scenario, monkeypatch):
         monkeypatch.setattr(World, name, wrapper)
 
     def arrivals_read_arrived(world, before):
-        enroute = set(world.enroute_ids())
+        enroute = set(enroute_ids(world))
         assert all((world.aircraft[i].phase is Phase.ENROUTE) == (i in enroute) for i in before)
         assert all(world.aircraft[i].phase is Phase.ARRIVED for i in set(before) - enroute)
 
@@ -821,16 +836,19 @@ class TestCommandAndObservationProperty:
             world.spawn_due_aircraft()
             actions = {}
             if world.is_decision_tick():
-                for aid in world.enroute_ids():
-                    own, intr, intr_mask = observe_tick(world, [aid], reward_config)
-                    own, intr = own[0], intr[0, intr_mask[0]]
-                    assert intr.shape[0] <= N_MAX_INTRUDERS
-                    d_o = intr[:, 1]
+                # one observation of the tick; row b is world.enroute()[b]'s
+                own, intr, intr_mask = observe_tick(world, reward_config)
+                acs = world.enroute()
+                assert own.shape[0] == intr.shape[0] == intr_mask.shape[0] == len(acs)
+                for b, ac in enumerate(acs):
+                    found = intr[b, intr_mask[b]]
+                    assert found.shape[0] <= N_MAX_INTRUDERS
+                    d_o = found[:, 1]
                     assert (np.diff(d_o) >= 0).all() and (d_o >= 0).all()
                     assert (d_o <= max_d_o).all()
-                    assert (own.tolist(), intr.tolist()) == scan_observe(world, aid,
-                                                                         reward_config)
-                actions = {aid: Action(int(rng.integers(0, 3))) for aid in world.enroute_ids()}
+                    assert (own[b].tolist(), found.tolist()) == scan_observe(world, ac.id,
+                                                                             reward_config)
+                actions = {aid: Action(int(rng.integers(0, 3))) for aid in enroute_ids(world)}
             masks = {aid: action_mask(world.aircraft[aid], layers) for aid in actions}
             step_with(world, actions)
             for aid, requested in actions.items():
@@ -843,10 +861,11 @@ class TestCommandAndObservationProperty:
                 if not ac.b_changing:
                     assert ac.z_ft in layers.levels_ft
 
-    @pytest.mark.xfail(strict=True, reason="neighbors gates on planar range, so an "
-                       "intruder at the range edge on another layer has d_o > 1")
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="neighbors gates on planar range, so an intruder at the "
+                       "range edge on another layer has d_o > 1")
     def test_intruder_distance_within_comm_range(self):
         world, a, b = TestNeighbors().make_pair(2490.0)
         b.z_ft = a.z_ft + 2000.0  # 3-D distance 2563 m
-        _, intr, _ = observe_tick(world, [a.id], RewardConfig())
+        _, intr, _ = observe_tick(world, RewardConfig())  # a's row is 0
         assert intr[0, 0, 1] <= 1.0
