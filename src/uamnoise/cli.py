@@ -94,9 +94,11 @@ def _config(cls, kw, **values):
 
 
 def _check_output_dirs(*paths):
-    """Fail before any work when the directory of an output path is missing;
-    None stands for an output not asked for."""
+    """Fail before any work when an output path is empty or its directory is
+    missing; None stands for an output not asked for."""
     for path in paths:
+        if path == "":
+            raise ValidationError("an output path is empty")
         if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ValidationError(f"cannot write {path}: its directory does not exist")
 
@@ -131,7 +133,7 @@ def simulate(scenario_path, policy, seed, trace_path, out_path, **kw):
         params, scenario, sim_cfg, reward_cfg, seed=seed, greedy=True)
     if trace_path is not None:
         metrics_mod.write_trace(trace, trace_path)
-    if out_path:
+    if out_path is not None:
         metrics_mod.export_metrics([episode], out_path, "json")
     click.echo(json.dumps(metrics_mod.metrics_record(episode), default=str))
 

@@ -160,12 +160,13 @@ def run_episode(
 ) -> tuple[EpisodeMetrics, list[TraceRow]]:
     """Full episode under the policy (params=None is the hold-only baseline):
     argmax actions when greedy, otherwise sampled from a generator of seed.
-    Returns the episode's metrics and its trace."""
-    batch = collect_rollout(scenario, params, sim_config, reward_config,
-                            None if greedy else np.random.default_rng(seed))
-    metrics = metrics_from_trace(batch.trace, scenario.network, batch.los_count,
-                                 batch.mean_return, seed, reward_config.rho)
-    return metrics, batch.trace
+    Returns the episode's metrics and its trace. The episode's PPO batch is
+    never packed: only training needs it."""
+    episode = collect_rollout(scenario, params, sim_config, reward_config,
+                              None if greedy else np.random.default_rng(seed))
+    metrics = metrics_from_trace(episode.trace, scenario.network, episode.los_count,
+                                 episode.mean_return, seed, reward_config.rho)
+    return metrics, episode.trace
 
 
 def check_compatible(layers_ft, scenario: Scenario) -> None:

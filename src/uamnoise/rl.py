@@ -47,7 +47,7 @@ class TrainConfig:
                          integer=type(f.default) is int)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     t: float
     id: str
@@ -61,7 +61,7 @@ class TraceRow:
 
 @dataclass
 class RolloutResult:
-    """Per-agent transition arrays plus episode bookkeeping. Agent id's
+    """An episode's PPO batch (_pack): per-agent transition arrays. Agent id's
     transitions are the rows agent_slices[id], in time order; the bootstrap
     after its last one is 0, whether it arrived or was cut off by the horizon."""
 
@@ -74,9 +74,6 @@ class RolloutResult:
     rewards: np.ndarray      # (B,)
     values: np.ndarray       # (B,)
     agent_slices: dict[str, slice]
-    trace: list[TraceRow]
-    los_count: int
-    mean_return: float       # mean over the agents that acted; 0 with none
 
 
 def altitude_histogram(trace: list[TraceRow], layers: AltitudeLayerSet) -> dict[float, float]:
@@ -107,13 +104,28 @@ class _Block(NamedTuple):
     values: np.ndarray
 
 
+@dataclass
+class Episode:
+    """One episode as collect_rollout returns it: what evaluation reads (the
+    trace, the LOS count and the mean return), and the per-tick blocks and
+    rewards that _pack turns into the PPO batch."""
+
+    trace: list[TraceRow]
+    los_count: int
+    mean_return: float       # mean over the agents that acted; 0 with none
+    blocks: list[_Block]
+    order: np.ndarray        # (B,) the blocks' concatenated rows, agent-major
+    rewards: np.ndarray      # (B,) agent-major, aligned with order
+    agent_slices: dict[str, slice]
+
+
 def collect_rollout(
     scenario: Scenario,
     params: dict | None,
     sim_config: SimConfig,
     reward_config: RewardConfig,
     rng: np.random.Generator | None = None,
-) -> RolloutResult:
+) -> Episode:
     """Run one full episode with every enroute aircraft acting from the shared
     params. params=None means the hold-only baseline. Actions are sampled
     from rng, or are the argmax without one (nnet.sample_actions).
@@ -126,6 +138,12 @@ def collect_rollout(
     tick, from tick_rewards of the block's records against the observe_tick
     that tick makes, as an array aligned with the block's rows; at episode
     end, from one last observe_tick, which closes the last block the same way.
+
+    The episode's rows are put in agent-major order (agents in flight order,
+    each agent's rows in time order) by one stable sort on flight index. The
+    episode keeps that order, the rewards in it and each agent's slice of
+    them; the mean return is the mean of the per-agent sums. The other
+    columns stay in their tick blocks: only training packs them (_pack).
     """
     world = World(scenario, sim_config)
     layers = scenario.network.layers
@@ -162,24 +180,31 @@ def collect_rollout(
     if acted:
         _, intr, intr_mask = observe_tick(world, reward_config)
         rewards.append(tick_rewards(acted, reward_config, (world.enroute(), intr, intr_mask)))
-    return _pack(blocks, rewards, trace, world)
+    flight = np.concatenate([np.zeros(0, dtype=int), *(blk.flight for blk in blocks)])
+    order = np.argsort(flight, kind="stable")
+    r = np.concatenate([np.zeros(0), *rewards])[order]
+    counts = np.bincount(flight, minlength=len(scenario.flights)).tolist()
+    ends = np.cumsum(counts).tolist()
+    agent_slices = {fl.id: slice(end - n, end)
+                    for fl, n, end in zip(scenario.flights, counts, ends) if n}
+    mean_return = (sum(float(r[sl].sum()) for sl in agent_slices.values()) / len(agent_slices)
+                   if agent_slices else 0.0)
+    return Episode(trace, len(world.los_events), mean_return, blocks, order, r, agent_slices)
 
 
-def _pack(blocks: list[_Block], rewards: list[np.ndarray], trace, world) -> RolloutResult:
-    """Concatenate the tick blocks, intruders zero-padded to the batch's K,
-    and reorder the rows agent-major (agents in flight order, each agent's
-    rows in time order) with one stable sort on flight index. Each block's
+def _pack(episode: Episode) -> RolloutResult:
+    """The episode's PPO batch: its tick blocks concatenated in the episode's
+    agent-major order, intruders zero-padded to the batch's K. Each block's
     intruders are written straight to their batch rows."""
     empty = _Block(np.zeros(0, dtype=int), np.zeros((0, OWN_DIM)), np.zeros((0, 1, INTRUDER_DIM)),
                    np.zeros((0, 1), dtype=bool), np.zeros((0, 3), dtype=bool),
                    np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))
-    blocks = [empty, *blocks]
+    blocks = [empty, *episode.blocks]
+    order = episode.order
 
     def column(name):
-        return np.concatenate([getattr(blk, name) for blk in blocks])
+        return np.concatenate([getattr(blk, name) for blk in blocks])[order]
 
-    flight = column("flight")
-    order = np.argsort(flight, kind="stable")
     batch_row = np.empty_like(order)
     batch_row[order] = np.arange(len(order))
     k = max(blk.intr.shape[1] for blk in blocks)
@@ -191,17 +216,9 @@ def _pack(blocks: list[_Block], rewards: list[np.ndarray], trace, world) -> Roll
         start += len(rows)
         intr[rows, :blk.intr.shape[1]] = blk.intr
         intr_mask[rows, :blk.intr.shape[1]] = blk.intr_mask
-    r = np.concatenate([np.zeros(0), *rewards])[order]
-    counts = np.bincount(flight, minlength=len(world.scenario.flights)).tolist()
-    ends = np.cumsum(counts).tolist()
-    agent_slices = {fl.id: slice(end - n, end)
-                    for fl, n, end in zip(world.scenario.flights, counts, ends) if n}
-    mean_return = (sum(float(r[sl].sum()) for sl in agent_slices.values()) / len(agent_slices)
-                   if agent_slices else 0.0)
-    return RolloutResult(column("own")[order], intr, intr_mask, column("act_mask")[order],
-                         column("actions")[order], column("old_logp")[order], r,
-                         column("values")[order], agent_slices, trace, len(world.los_events),
-                         mean_return)
+    return RolloutResult(column("own"), intr, intr_mask, column("act_mask"), column("actions"),
+                         column("old_logp"), episode.rewards, column("values"),
+                         episode.agent_slices)
 
 
 def compute_advantages(batch: RolloutResult, gamma: float, gae_lambda: float):
@@ -258,7 +275,7 @@ def train(
     checkpoint_dir=None,
     progress=None,
 ):
-    """collect -> advantages -> update loop.
+    """collect -> pack -> advantages -> update loop.
 
     Returns (params, metrics rows); each row is (iteration, mean episode
     return, LOS event count, top-layer occupancy). Fully reproducible for a
@@ -271,11 +288,12 @@ def train(
     metrics: list[tuple[int, float, int, float]] = []
 
     for it in range(train_config.iterations):
-        batch = collect_rollout(scenario, params, sim_config, reward_config, rng=rng)
+        episode = collect_rollout(scenario, params, sim_config, reward_config, rng=rng)
+        batch = _pack(episode)
         if len(batch.actions):
             ppo_update(params, batch, train_config, adam, rng)
-        top = altitude_histogram(batch.trace, layers)[layers.z_max] if batch.trace else 0.0
-        row = (it, batch.mean_return, batch.los_count, top)
+        top = altitude_histogram(episode.trace, layers)[layers.z_max] if episode.trace else 0.0
+        row = (it, episode.mean_return, episode.los_count, top)
         metrics.append(row)
         if progress is not None:
             progress(row)

@@ -87,7 +87,7 @@ def action_mask(state: AircraftState, layers: AltitudeLayerSet) -> tuple[bool, b
     return (True, idx > 0, idx < len(layers.levels_ft) - 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class LosEvent:
     """One contiguous separation violation between an unordered aircraft pair."""
 

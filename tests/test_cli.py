@@ -379,6 +379,31 @@ def test_unwritable_output_path_exits_1(runner, scenario_file, tmp_path, command
     assert set(tmp_path.iterdir()) == inputs  # found before any output was written
 
 
+@pytest.mark.parametrize("command", [
+    "simulate --out", "simulate --trace", "train --out", "train --metrics-log", "eval --out",
+])
+def test_empty_output_path_exits_1_at_once(runner, scenario_file, tmp_path, monkeypatch,
+                                           command):
+    # an empty path resolves to the working directory's parent, which exists
+    def fail(*args, **kwargs):
+        raise SimulationError("work began before the output paths were checked")
+    monkeypatch.setattr("uamnoise.metrics.run_episode", fail)
+    monkeypatch.setattr("uamnoise.rl.train", fail)
+    name, option = command.split()
+    args = {
+        "simulate": ["--scenario", scenario_file, "--policy", "baseline:hold", "--seed", "0"],
+        "train": ["--scenario", scenario_file, "--rho", "0.5", "--iterations", "1",
+                  "--seed", "0", "--hidden", "4", "--out", str(tmp_path / "policy.json")],
+        "eval": ["--scenario", scenario_file, "--checkpoint", "baseline:hold",
+                 "--seeds", "0"],
+    }[name]
+    inputs = set(tmp_path.iterdir())
+    result = runner.invoke(main, [name, *args, option, ""])
+    assert result.exit_code == 1, result.output
+    assert "error: an output path is empty" in result.output
+    assert set(tmp_path.iterdir()) == inputs
+
+
 @pytest.mark.parametrize("field, value", [
     ("hidden", "0"), ("learning_rate", "-1"), ("learning_rate", "inf"), ("iterations", "-3"),
     ("minibatch_size", "0"), ("epochs", "0"), ("checkpoint_interval", "-1"),

@@ -172,10 +172,12 @@ UNREAD_FIELDS_OK = {
 
 
 def _dataclass_fields(tree):
-    """(class, field) for each annotated field of each @dataclass class."""
+    """(class, field) for each annotated field of each class decorated with
+    @dataclass or @dataclass(...)."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and any(
-                isinstance(d, ast.Name) and d.id == "dataclass" for d in node.decorator_list):
+                isinstance(d, ast.Name) and d.id == "dataclass"
+                for d in (getattr(d, "func", d) for d in node.decorator_list)):
             yield from ((node.name, st.target.id) for st in node.body
                         if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name))
 
@@ -187,9 +189,10 @@ def _attribute_reads(tree):
 
 def test_every_dataclass_field_is_read():
     # a field nothing reads restates a value the caller already holds
-    sample = ast.parse("@dataclass\nclass A:\n    x: int\n    y: int = 0\nprint(a.x)\na.y = 1")
+    sample = ast.parse("@dataclass\nclass A:\n    x: int\n    y: int = 0\nprint(a.x)\na.y = 1\n"
+                       "@dataclass(slots=True)\nclass B:\n    z: int")
     assert [f for f in _dataclass_fields(sample) if f[1] not in _attribute_reads(sample)] \
-        == [("A", "y")]
+        == [("A", "y"), ("B", "z")]
     reads = set().union(*map(_attribute_reads, [*MODULES.values(), *BENCH]))
     unread = [f"{cls}.{name}" for tree in MODULES.values()
               for cls, name in _dataclass_fields(tree)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from uamnoise import mdp, nnet, rl
+from uamnoise import mdp, metrics, nnet, rl
 from uamnoise.mdp import (RewardConfig, observe_tick, reward_noise, reward_total,
                           separation_rewards)
 from uamnoise.network import AltitudeLayerSet, generate_scenario
 from uamnoise.noise import Condition
-from uamnoise.rl import (RolloutResult, TraceRow, TrainConfig, collect_rollout,
+from uamnoise.rl import (RolloutResult, TraceRow, TrainConfig, _pack, collect_rollout,
                          compute_advantages, load_checkpoint, ppo_update,
                          save_checkpoint, train)
 from uamnoise.sim import Action, Phase, SimConfig, World, action_mask
@@ -37,8 +37,7 @@ def fake_batch(rewards, values, lengths=None):
         old_logp=z(n), rewards=np.asarray(rewards, dtype=float),
         values=np.asarray(values, dtype=float),
         agent_slices={f"A{k}": slice(end - m, end)
-                      for k, (m, end) in enumerate(zip(lengths, ends))},
-        trace=[], los_count=0, mean_return=0.0)
+                      for k, (m, end) in enumerate(zip(lengths, ends))})
 
 
 class TestCollectRollout:
@@ -46,8 +45,8 @@ class TestCollectRollout:
         params = nnet.init_params(8, 0)
         cfg = SimConfig()
         rc = RewardConfig.for_layers(solo_scenario.network.layers, 1.0)
-        batch = collect_rollout(solo_scenario, params, cfg, rc,
-                                rng=np.random.default_rng(0))
+        batch = _pack(collect_rollout(solo_scenario, params, cfg, rc,
+                                      rng=np.random.default_rng(0)))
         # 30 km at 67 m/s, one decision every 10 s
         assert 0 < len(batch.actions) <= 46
         assert batch.agent_slices == {solo_scenario.flights[0].id: slice(0, len(batch.actions))}
@@ -57,8 +56,8 @@ class TestCollectRollout:
         # same direction, spaced beyond d_comm the whole flight
         sc = generate_scenario(net, 2, [("A", "B")], departure_spacing_s=60.0, seed=0)
         rc = RewardConfig.for_layers(net.layers, 0.5)
-        batch = collect_rollout(sc, nnet.init_params(8, 1), SimConfig(), rc,
-                                rng=np.random.default_rng(1))
+        batch = _pack(collect_rollout(sc, nnet.init_params(8, 1), SimConfig(), rc,
+                                      rng=np.random.default_rng(1)))
         assert not batch.intr_mask.any()
 
     def test_seeded_rollout_identical(self, line_scenario):
@@ -66,8 +65,8 @@ class TestCollectRollout:
         rc = RewardConfig.for_layers(line_scenario.network.layers, 0.5)
 
         def run():
-            return collect_rollout(line_scenario, params, SimConfig(), rc,
-                                   rng=np.random.default_rng(5))
+            return _pack(collect_rollout(line_scenario, params, SimConfig(), rc,
+                                         rng=np.random.default_rng(5)))
 
         b1, b2 = run(), run()
         assert np.array_equal(b1.actions, b2.actions)
@@ -78,8 +77,8 @@ class TestCollectRollout:
         # over a seeded stochastic episode the trace contains no
         # climb-at-top, descend-at-bottom, or non-hold-while-locked entries
         rc = RewardConfig.for_layers(line_scenario.network.layers, 0.5)
-        batch = collect_rollout(line_scenario, nnet.init_params(8, 3), SimConfig(),
-                                rc, rng=np.random.default_rng(7))
+        batch = _pack(collect_rollout(line_scenario, nnet.init_params(8, 3), SimConfig(),
+                                      rc, rng=np.random.default_rng(7)))
         layers = line_scenario.network.layers
         idx = np.arange(len(batch.actions))
         assert batch.act_mask[idx, batch.actions].all()
@@ -175,10 +174,10 @@ class TestBatchedTickMatchesReference:
             return fn(scenario, params, sim, rc,
                       rng=None if mode == "greedy" else np.random.default_rng(4))
 
-        batch = run(collect_rollout)
-        assert_equals_reference(batch, *run(reference_rollout))
-        if mode == "sampled":
-            assert len(set(batch.actions.tolist())) > 1  # sampling must not be vacuous
+        episode = run(collect_rollout)
+        assert_equals_reference(episode, *run(reference_rollout))
+        if mode == "sampled":  # sampling must not be vacuous
+            assert len(set(_pack(episode).actions.tolist())) > 1
 
     def test_one_observe_and_one_forward_per_tick(self, line_scenario, monkeypatch):
         observed, forwards = [], []
@@ -202,18 +201,18 @@ class TestBatchedTickMatchesReference:
         for sim in (SimConfig(), SimConfig(max_episode_time_s=400.0)):
             observed.clear()
             forwards.clear()
-            batch = collect_rollout(line_scenario, nnet.init_params(8, 3), sim, rc,
-                                    rng=np.random.default_rng(7))
-            ticks = sorted({row.t for row in batch.trace})
-            assert len(ticks) < len(batch.trace)  # several agents share a tick
+            episode = collect_rollout(line_scenario, nnet.init_params(8, 3), sim, rc,
+                                      rng=np.random.default_rng(7))
+            ticks = sorted({row.t for row in episode.trace})
+            assert len(ticks) < len(episode.trace)  # several agents share a tick
             # one observe_tick per decision tick, over its enroute agents ...
             *per_tick, (end_t, at_end) = observed
             assert len(per_tick) == count_decision_ticks(line_scenario, sim)
             assert [(t, ids) for t, ids in per_tick if ids] == \
-                [(t, [row.id for row in batch.trace if row.t == t]) for t in ticks]
+                [(t, [row.id for row in episode.trace if row.t == t]) for t in ticks]
             # ... and one at episode end, over the last tick's agents still enroute
             assert end_t > ticks[-1]
-            last = [row.id for row in batch.trace if row.t == ticks[-1]]
+            last = [row.id for row in episode.trace if row.t == ticks[-1]]
             assert at_end == [i for i in last if i in at_end]
             assert bool(at_end) == (sim.max_episode_time_s == 400.0)
             # one forward per tick with enroute agents, over all of them
@@ -231,9 +230,14 @@ def count_decision_ticks(scenario, sim_config):
     return ticks
 
 
-def assert_equals_reference(batch, records, trace, los_count):
-    """A collect_rollout batch holds exactly reference_rollout's transitions."""
-    assert batch.trace == trace and batch.los_count == los_count
+def assert_equals_reference(episode, records, trace, los_count):
+    """A collect_rollout episode, and the batch _pack makes of it, hold
+    exactly reference_rollout's trace and transitions."""
+    assert episode.trace == trace and episode.los_count == los_count
+    returns = [sum(rec["reward"] for rec in recs) for recs in records.values()]
+    assert episode.mean_return == pytest.approx(
+        sum(returns) / len(returns) if returns else 0.0, rel=1e-12, abs=1e-12)
+    batch = _pack(episode)
     assert list(batch.agent_slices) == list(records)
     assert sum(len(recs) for recs in records.values()) == len(batch.actions)
     for ac_id, recs in records.items():
@@ -465,6 +469,37 @@ class TestCheckpointRoundTripProperty:
         assert again.read_bytes() == path.read_bytes()
 
 
+class TestPackOnlyInTraining:
+    """collect_rollout leaves the PPO batch unbuilt: evaluation never packs
+    one, and training packs one per iteration."""
+
+    @pytest.mark.parametrize("mode", ["hold", "sampled"])
+    def test_run_episode_never_packs(self, line_scenario, monkeypatch, mode):
+        def fail(episode):
+            raise AssertionError("an evaluation episode packed a PPO batch")
+
+        monkeypatch.setattr(rl, "_pack", fail)
+        params = None if mode == "hold" else nnet.init_params(8, 6)
+        rc = RewardConfig.for_layers(line_scenario.network.layers, 0.5)
+        _, trace = metrics.run_episode(params, line_scenario, SimConfig(), rc,
+                                       seed=2, greedy=mode == "hold")
+        assert trace
+
+    def test_train_packs_once_per_iteration(self, line_scenario, monkeypatch):
+        packed = []
+
+        def counting(episode):
+            packed.append(episode)
+            return pack(episode)
+
+        pack = rl._pack
+        monkeypatch.setattr(rl, "_pack", counting)
+        rc = RewardConfig.for_layers(line_scenario.network.layers, 0.5)
+        _, rows = train(line_scenario, small_train_config(3), SimConfig(), rc)
+        assert len(rows) == len(packed) == 3
+        assert [ep.mean_return for ep in packed] == [row[1] for row in rows]
+
+
 class TestPpoUpdate:
     def test_updates_change_params(self, solo_scenario):
         params = nnet.init_params(8, 0)
@@ -472,7 +507,7 @@ class TestPpoUpdate:
         cfg = small_train_config(1)
         rc = RewardConfig.for_layers(solo_scenario.network.layers, 1.0)
         rng = np.random.default_rng(0)
-        batch = collect_rollout(solo_scenario, params, SimConfig(), rc, rng=rng)
+        batch = _pack(collect_rollout(solo_scenario, params, SimConfig(), rc, rng=rng))
         adam = nnet.Adam(params, lr=cfg.learning_rate)
         params, stats = ppo_update(params, batch, cfg, adam, rng)
         assert not np.array_equal(before, params.flat)

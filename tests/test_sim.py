@@ -782,9 +782,9 @@ def test_tracer_step_contract(bundled_scenario, monkeypatch):
     wrap("advance_kinematics", arrivals_read_arrived)
     wrap("detect_los")
     monkeypatch.setattr(World, "step", counted_step)
-    batch = collect_rollout(bundled_scenario, None, SimConfig(),
-                            RewardConfig.for_layers(bundled_scenario.network.layers, 0.5))
-    assert inside == [None] and batch.trace
+    episode = collect_rollout(bundled_scenario, None, SimConfig(),
+                              RewardConfig.for_layers(bundled_scenario.network.layers, 0.5))
+    assert inside == [None] and episode.trace
 
 
 def one_hot(action):
