@@ -105,13 +105,12 @@ def _check_output_dirs(*paths):
 
 def _load_policy(spec_str, scenario):
     """A checkpoint path or 'baseline:hold'. Returns (params, the reward
-    fields the policy was trained with: rho, and lam and condition from a
-    checkpoint)."""
+    fields the policy was trained with: rho, and lam from a checkpoint)."""
     if spec_str == "baseline:hold":
         return None, {"rho": 0.0}
     params, _tc, rc = load_checkpoint(spec_str)
     metrics_mod.check_compatible(rc.layers.levels_ft, scenario)
-    return params, {"rho": rc.rho, "lam": rc.lam, "condition": rc.condition}
+    return params, {"rho": rc.rho, "lam": rc.lam}
 
 
 @main.command()
@@ -203,11 +202,12 @@ def sweep(scenario_path, rhos, iterations, seeds, out_dir, seed, **kw):
     """Train one policy per rho, evaluate over the seeds, emit tradeoff tables."""
     rho_values = _parse_list("--rhos", rhos, float, low=0, high=1)
     seed_values = _parse_list("--seeds", seeds, int, low=0)
-    os.makedirs(out_dir, exist_ok=True)
+    _check_output_dirs(out_dir)
     scenario = load_scenario(scenario_path)
     sim_cfg = _config(SimConfig, kw)
     reward_cfg = _config(RewardConfig, kw, layers=scenario.network.layers, rho=0.0)
     train_cfg = _config(TrainConfig, kw, iterations=iterations, seed=seed)
+    os.makedirs(out_dir, exist_ok=True)
     rows = metrics_mod.sweep_rho(rho_values, scenario, train_cfg, sim_cfg, reward_cfg,
                                  seed_values)
     metrics_mod.export_metrics(rows, os.path.join(out_dir, "sweep_episodes.csv"), "csv")

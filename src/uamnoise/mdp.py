@@ -32,13 +32,13 @@ _ACTIONS = np.array([float(a) for a in Action])
 
 @dataclass
 class RewardConfig:
-    """Reward weights and ranges; the altitude bounds are those of layers."""
+    """Reward weights and ranges; the altitude bounds are those of layers, and
+    the noise curve is the Mode L centerline one that zone reports read."""
 
     rho: float = 0.5
     lam: float = 0.1
     d_los_m: float = 150.0
     d_comm_m: float = 2500.0
-    condition: Condition = Condition.L_CENTERLINE
     layers: InitVar[AltitudeLayerSet] = AltitudeLayerSet()
 
     def __post_init__(self, layers):
@@ -48,8 +48,8 @@ class RewardConfig:
             check_number(f"RewardConfig.{name}", getattr(self, name), 0, above=True)
         self.layers = layers
         # Loudest/quietest single-event levels over the layer range, cached.
-        self.n_max_noise = single_event_level(self.condition, layers.z_min)
-        self.n_min_noise = single_event_level(self.condition, layers.z_max)
+        self.n_max_noise = single_event_level(Condition.L_CENTERLINE, layers.z_min)
+        self.n_min_noise = single_event_level(Condition.L_CENTERLINE, layers.z_max)
         self._noise_by_z: dict[float, float] = {}  # reward_noise's values, by altitude
         if not self.n_max_noise > self.n_min_noise:
             raise ValidationError(f"noise level must decrease from z_min to z_max, but the noise "
@@ -103,7 +103,7 @@ def reward_noise(z_ft: float, config: RewardConfig) -> float:
     if not config.layers.z_min <= z_ft <= config.layers.z_max:
         raise ValidationError(f"altitude {z_ft} ft outside layer bounds")
     if (r := config._noise_by_z.get(z_ft)) is None:
-        n = single_event_level(config.condition, z_ft)
+        n = single_event_level(Condition.L_CENTERLINE, z_ft)
         r = config._noise_by_z[z_ft] = (
             -(n - config.n_min_noise) / (config.n_max_noise - config.n_min_noise))
     return r

@@ -246,11 +246,6 @@ def _network_from_doc(doc: dict, path) -> Network:
     return Network(vertiports, links, layers, zones)
 
 
-def load_network(path) -> Network:
-    """Load and validate the network portion of a scenario file."""
-    return _network_from_doc(_parse_document(path), path)
-
-
 def load_scenario(path) -> Scenario:
     """Load a full scenario: network plus flight list, with routes built."""
     doc = _parse_document(path)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import SimulationError, ValidationError
+from .errors import SimulationError, ValidationError, check_number
 from .mdp import INTRUDER_DIM, OWN_DIM
 
 N_ACTIONS = 3
@@ -39,7 +39,9 @@ def param_layout(hidden: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
     )
 
 
-PARAM_KEYS = tuple(key for key, _ in param_layout(1))
+def param_count(hidden: int) -> int:
+    """Length of the flat parameter vector for a hidden size."""
+    return sum(math.prod(shape) for _, shape in param_layout(hidden))
 
 
 class Params(dict):
@@ -48,11 +50,10 @@ class Params(dict):
     start with."""
 
     def __init__(self, hidden: int):
-        layout = param_layout(hidden)
         self.hidden = hidden
-        self.flat = np.zeros(sum(math.prod(shape) for _, shape in layout))
+        self.flat = np.zeros(param_count(hidden))
         start = 0
-        for key, shape in layout:
+        for key, shape in param_layout(hidden):
             self[key] = self.flat[start:start + math.prod(shape)].reshape(shape)
             start += self[key].size
 
@@ -285,28 +286,18 @@ class Adam:
 # Serialization
 
 
-def params_to_doc(params: Params) -> dict[str, list]:
-    return {k: params[k].tolist() for k in PARAM_KEYS}
-
-
-def params_from_doc(doc: dict, hidden: int) -> Params:
-    """Params of the given hidden size from params_to_doc's output; every
-    tensor must be present, finite and of exactly its layout shape."""
-    unknown = sorted(set(doc) - set(PARAM_KEYS))
-    if unknown:
-        raise ValidationError(f"unknown weight tensor(s) {', '.join(unknown)}")
+def params_from_list(values, hidden: int) -> Params:
+    """Params of the given hidden size from params.flat.tolist(): a list of
+    exactly param_count(hidden) finite numbers, its length checked before
+    anything is allocated."""
+    size = param_count(hidden)
+    if not isinstance(values, list):
+        raise ValidationError(f"params must be a list, got {type(values).__name__}")
+    if len(values) != size:
+        raise ValidationError(f"params has shape ({len(values)},), expected ({size},) "
+                              f"for hidden {hidden}")
+    for i, value in enumerate(values):
+        check_number(f"params[{i}]", value)
     params = Params(hidden)
-    for key, shape in param_layout(hidden):
-        if key not in doc:
-            raise ValidationError(f"missing weight tensor '{key}'")
-        try:
-            tensor = np.asarray(doc[key], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"weight tensor '{key}': {exc}") from exc
-        if tensor.shape != shape:
-            raise ValidationError(f"weight tensor '{key}' has shape {tensor.shape}, "
-                                  f"expected {shape} for hidden {hidden}")
-        if not np.isfinite(tensor).all():  # a JSON null reads as nan
-            raise ValidationError(f"weight tensor '{key}' has non-finite entries")
-        params[key][...] = tensor
+    params.flat[:] = values
     return params

@@ -109,11 +109,8 @@ def cumulative_increase(levels_db: list[float], ambient_db: float) -> float | No
 def zone_noise_report(zone_ambients: dict[str, float],
                       aircraft: list[tuple[str, float]]) -> dict[str, float | None]:
     """Per-zone cumulative increase for (zone id, slant distance ft) entries,
-    on the Mode L centerline curve.
-
-    The curve is fixed because a trace does not record the condition of the
-    reward that produced it, so a report recomputed from the trace must read
-    every run off the same curve. Zones with no aircraft map to None.
+    on the Mode L centerline curve, the one the reward reads. Zones with no
+    aircraft map to None.
     """
     per_zone: dict[str, list[float]] = {zid: [] for zid in zone_ambients}
     level: dict[float, float] = {}  # per distinct distance, as rows repeat altitudes

@@ -18,7 +18,6 @@ from . import nnet
 from .errors import ValidationError, check_number
 from .mdp import INTRUDER_DIM, OWN_DIM, RewardConfig, observe_tick, tick_rewards
 from .network import AltitudeLayerSet, Scenario
-from .noise import Condition
 from .sim import Action, AircraftState, SimConfig, World, action_mask
 
 
@@ -310,19 +309,14 @@ def train(
 
 def save_checkpoint(path, params, train_config: TrainConfig,
                     reward_config: RewardConfig) -> None:
-    """Writes params and both configs; the layers are reward_config's."""
+    """Writes both configs, the reward config with its layers, and params as
+    the flat vector; train_config.hidden is the params' hidden size."""
     doc = {
-        "version": 1,
-        "hidden": params.hidden,
-        "layers_ft": list(reward_config.layers.levels_ft),
+        "version": 2,
         "train_config": asdict(train_config),
-        "reward_config": {
-            "rho": reward_config.rho, "lam": reward_config.lam,
-            "d_los_m": reward_config.d_los_m, "d_comm_m": reward_config.d_comm_m,
-            "z_min_ft": reward_config.layers.z_min, "z_max_ft": reward_config.layers.z_max,
-            "condition": reward_config.condition.value,
-        },
-        "params": nnet.params_to_doc(params),
+        "reward_config": asdict(reward_config) | {
+            "layers_ft": list(reward_config.layers.levels_ft)},
+        "params": params.flat.tolist(),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -345,37 +339,28 @@ def load_checkpoint(path):
 def _checkpoint_from_doc(doc):
     if not isinstance(doc, dict):
         raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
-    if doc.get("version") != 1:
+    if doc.get("version") != 2:
         raise ValidationError(f"unsupported version {doc.get('version')!r}")
-    missing = [k for k in ("hidden", "layers_ft", "train_config", "reward_config", "params")
-               if k not in doc]
+    missing = [k for k in ("train_config", "reward_config", "params") if k not in doc]
     if missing:
         raise ValidationError(f"missing section(s) {', '.join(missing)}")
     tc = TrainConfig(**_section(doc, "train_config", TrainConfig))
-    if doc["hidden"] != tc.hidden:
-        raise ValidationError(f"hidden {doc['hidden']!r} differs from "
-                              f"train_config.hidden {tc.hidden}")
-    params = nnet.params_from_doc(_section(doc, "params"), tc.hidden)
-    levels = doc["layers_ft"]
+    params = nnet.params_from_list(doc["params"], tc.hidden)
+    rc_doc = _section(doc, "reward_config", RewardConfig, "layers_ft")
+    levels = rc_doc.pop("layers_ft")
     if not isinstance(levels, list):
-        raise ValidationError(f"layers_ft must be a list, got {levels!r}")
-    layers = AltitudeLayerSet(tuple(levels))
-    rc_doc = _section(doc, "reward_config", RewardConfig,
-                      derived=("z_min_ft", "z_max_ft"))  # bounds of layers_ft
-    try:
-        rc_doc["condition"] = Condition(rc_doc.get("condition"))
-    except ValueError as exc:
-        raise ValidationError(f"reward_config: {exc}") from exc
-    return params, tc, RewardConfig(**rc_doc, layers=layers)
+        raise ValidationError(f"reward_config.layers_ft must be a list, got {levels!r}")
+    return params, tc, RewardConfig(**rc_doc, layers=AltitudeLayerSet(tuple(levels)))
 
 
-def _section(doc: dict, name: str, cls=None, derived=()) -> dict:
-    """doc[name], a JSON object, less its derived keys; with cls, every other
-    key must be a field of cls, which checks the values."""
+def _section(doc: dict, name: str, cls, *keys: str) -> dict:
+    """A copy of doc[name], a JSON object whose keys are exactly the fields of
+    cls, which checks the values, and keys."""
     if not isinstance(doc[name], dict):
         raise ValidationError(f"{name} must be a JSON object, got {doc[name]!r}")
-    section = {k: v for k, v in doc[name].items() if k not in derived}
-    unknown = sorted(set(section) - {f.name for f in fields(cls)}) if cls else []
-    if unknown:
-        raise ValidationError(f"unknown {name} field(s) {', '.join(unknown)}")
-    return section
+    expected = {f.name for f in fields(cls)} | set(keys)
+    for fault, names in (("unknown", set(doc[name]) - expected),
+                         ("missing", expected - set(doc[name]))):
+        if names:
+            raise ValidationError(f"{fault} {name} field(s) {', '.join(sorted(names))}")
+    return dict(doc[name])

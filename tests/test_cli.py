@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import uamnoise
+from uamnoise import nnet
 from uamnoise.cli import main
 from uamnoise.errors import SimulationError
 from uamnoise.network import Network, NoiseZone, generate_scenario, save_scenario
@@ -381,6 +382,7 @@ def test_unwritable_output_path_exits_1(runner, scenario_file, tmp_path, command
 
 @pytest.mark.parametrize("command", [
     "simulate --out", "simulate --trace", "train --out", "train --metrics-log", "eval --out",
+    "sweep --out-dir",
 ])
 def test_empty_output_path_exits_1_at_once(runner, scenario_file, tmp_path, monkeypatch,
                                            command):
@@ -396,12 +398,32 @@ def test_empty_output_path_exits_1_at_once(runner, scenario_file, tmp_path, monk
                   "--seed", "0", "--hidden", "4", "--out", str(tmp_path / "policy.json")],
         "eval": ["--scenario", scenario_file, "--checkpoint", "baseline:hold",
                  "--seeds", "0"],
+        "sweep": ["--scenario", scenario_file, "--rhos", "0.0", "--iterations", "1",
+                  "--seeds", "0", "--hidden", "4"],
     }[name]
     inputs = set(tmp_path.iterdir())
     result = runner.invoke(main, [name, *args, option, ""])
     assert result.exit_code == 1, result.output
     assert "error: an output path is empty" in result.output
     assert set(tmp_path.iterdir()) == inputs
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"--scenario": "nonexist.json"}, "nonexist.json"),
+    ({"--lam": "-1"}, "RewardConfig.lam must be finite and non-negative, got -1"),
+    ({"--hidden": "0"}, "TrainConfig.hidden must be finite and at least 1, got 0"),
+], ids=["scenario", "reward-config", "train-config"])
+def test_failed_sweep_makes_no_out_dir(runner, scenario_file, tmp_path, monkeypatch, bad,
+                                      message):
+    monkeypatch.chdir(tmp_path)
+    args = {"--scenario": scenario_file, "--rhos": "0.0", "--iterations": "0",
+            "--seeds": "0", "--hidden": "4"} | bad
+    out_dir = tmp_path / "sweep"
+    result = runner.invoke(main, ["sweep", *[tok for kv in args.items() for tok in kv],
+                                  "--out-dir", str(out_dir)])
+    assert result.exit_code == 1, result.output
+    assert message in result.output
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -519,16 +541,16 @@ def test_runtime_error_exits_2(runner, scenario_file, monkeypatch):
     assert "runtime error: episode failed" in result.output
 
 
-def _transpose_w1(doc):
-    doc["params"]["w1"] = [list(col) for col in zip(*doc["params"]["w1"])]
+def _short_params(doc):
+    doc["params"].pop()
 
 
 def _break_hidden(doc):
-    doc["hidden"] = 99
+    doc["train_config"]["hidden"] = 99
 
 
-def _break_b1(doc):
-    doc["params"]["b1"] = [0.0]
+def _huge_hidden(doc):
+    doc["train_config"]["hidden"] = 10**7
 
 
 def _drop_params(doc):
@@ -539,20 +561,33 @@ def _add_train_field(doc):
     doc["train_config"]["momentum"] = 0.9
 
 
-def _add_tensor(doc):
-    doc["params"]["w9"] = [0.0]
+def _object_params(doc):
+    doc["params"] = {"w1": doc["params"]}
 
 
-def _ragged_w2(doc):
-    doc["params"]["w2"][0] = [0.0]
+def _ragged_params(doc):
+    doc["params"][5] = [0.0]
+
+
+def _string_weight(doc):
+    doc["params"][5] = "0.1"
 
 
 def _null_weight(doc):
-    doc["params"]["wq"][1][2] = None
+    doc["params"][7] = None
 
 
-def _break_condition(doc):
-    doc["reward_config"]["condition"] = "Mode X"
+def _add_condition(doc):
+    doc["reward_config"]["condition"] = "Mode L - Centerline"
+
+
+def _drop_lam(doc):
+    # it would load as the default lam, not the one trained with
+    del doc["reward_config"]["lam"]
+
+
+def _drop_layers(doc):
+    del doc["reward_config"]["layers_ft"]
 
 
 def _string_hidden(doc):
@@ -583,32 +618,42 @@ def _object_npd(doc):
     doc["reward_config"]["npd"] = {}
 
 
-def _version_2(doc):
-    doc["version"] = 2
+def _version_1(doc):
+    # the first format: hidden and layers_ft at the top, derived layer bounds
+    # and a noise condition in the reward config, one nested list per tensor
+    params = nnet.params_from_list(doc["params"], 4)
+    reward = doc["reward_config"]
+    levels = reward.pop("layers_ft")
+    return {"version": 1, "hidden": 4, "layers_ft": levels,
+            "train_config": doc["train_config"],
+            "reward_config": reward | {"z_min_ft": levels[0], "z_max_ft": levels[-1],
+                                       "condition": "Mode L - Centerline"},
+            "params": {key: params[key].tolist() for key in params}}
 
 
 def _scalar_layers(doc):
-    doc["layers_ft"] = 1000
+    doc["reward_config"]["layers_ft"] = 1000
 
 
 def _list_train_config(doc):
     doc["train_config"] = []
 
 
-def _drop_w1(doc):
-    del doc["params"]["w1"]
-
-
 @pytest.mark.parametrize("corrupt, message", [
-    (_break_b1, "weight tensor 'b1' has shape (1,), expected (4,)"),
-    (_transpose_w1, "weight tensor 'w1' has shape (4, 6), expected (6, 4)"),
-    (_break_hidden, "hidden 99 differs from train_config.hidden 4"),
+    # hidden 4 has 196 weights: 7 h**2 + 20 h + 4
+    (_short_params, "params has shape (195,), expected (196,) for hidden 4"),
+    (_break_hidden, "params has shape (196,), expected (70591,) for hidden 99"),
+    # found from the lengths alone, before the weights are allocated
+    (_huge_hidden, "params has shape (196,), expected (700000200000004,) for hidden 10000000"),
     (_drop_params, "missing section(s) params"),
     (_add_train_field, "unknown train_config field(s) momentum"),
-    (_add_tensor, "unknown weight tensor(s) w9"),
-    (_ragged_w2, "weight tensor 'w2': "),
-    (_null_weight, "weight tensor 'wq' has non-finite entries"),
-    (_break_condition, "reward_config: 'Mode X' is not a valid Condition"),
+    (_object_params, "params must be a list, got dict"),
+    (_ragged_params, "params[5] must be a number, got [0.0]"),
+    (_string_weight, "params[5] must be a number, got '0.1'"),
+    (_null_weight, "params[7] must be a number, got None"),
+    (_add_condition, "unknown reward_config field(s) condition"),
+    (_drop_lam, "missing reward_config field(s) lam"),
+    (_drop_layers, "missing reward_config field(s) layers_ft"),
     (lambda doc: [doc], "expected a JSON object, got list"),
     (_string_hidden, "TrainConfig.hidden must be an integer, got '4'"),
     (_null_gamma, "TrainConfig.gamma must be a number, got None"),
@@ -617,15 +662,14 @@ def _drop_w1(doc):
     (_negative_d_los, "RewardConfig.d_los_m must be finite and positive, got -5"),
     (_null_npd, "unknown reward_config field(s) npd"),
     (_object_npd, "unknown reward_config field(s) npd"),
-    (_version_2, "unsupported version 2"),
-    (_scalar_layers, "layers_ft must be a list, got 1000"),
+    (_version_1, "unsupported version 1"),
+    (_scalar_layers, "reward_config.layers_ft must be a list, got 1000"),
     (_list_train_config, "train_config must be a JSON object, got []"),
-    (_drop_w1, "missing weight tensor 'w1'"),
-], ids=["tensor-shape", "tensor-transposed", "hidden", "no-params", "unknown-field",
-        "unknown-tensor", "ragged-tensor", "null-weight", "bad-condition", "list-document",
-        "string-hidden", "null-gamma", "string-lam", "negative-lam", "negative-d-los",
-        "npd-null", "npd-object", "version-2", "scalar-layers", "list-section",
-        "missing-tensor"])
+], ids=["tensor-shape", "hidden", "huge-hidden", "no-params", "unknown-field",
+        "params-object", "ragged-tensor", "string-weight", "null-weight", "bad-condition",
+        "missing-field", "missing-layers", "list-document", "string-hidden", "null-gamma", "string-lam", "negative-lam",
+        "negative-d-los", "npd-null", "npd-object", "version-1", "scalar-layers",
+        "list-section"])
 def test_malformed_checkpoint_exits_1(runner, scenario_file, tmp_path, corrupt, message):
     ck = tmp_path / "policy.json"
     result = runner.invoke(main, ["train", "--scenario", scenario_file, "--rho", "0.5",

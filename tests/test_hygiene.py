@@ -126,7 +126,6 @@ def test_only_errors_calls_math_isfinite():
 
 # Library entry points that nothing in the package or the benchmark calls.
 UNCALLED_ENTRY_POINTS = {
-    "load_network": "reads a network file without flights, for scripts that generate traffic",
     "save_scenario": "writes a scenario file that load_scenario reads back",
     "histogram_entropy": "the altitude-spread measure of criterion 9; no report prints it",
 }

@@ -15,7 +15,7 @@ from uamnoise import nnet
 from uamnoise.errors import ValidationError
 from uamnoise.mdp import RewardConfig
 from uamnoise.network import (AltitudeLayerSet, Network, NoiseZone, generate_scenario,
-                              load_network, route_nodes)
+                              load_scenario, route_nodes)
 from uamnoise.rl import TraceRow, TrainConfig
 from uamnoise.sim import Action, SimConfig, World
 
@@ -59,7 +59,7 @@ def attribution_cases(draw):
     an aircraft bound through B sits exactly on B at a decision tick, under
     the hold baseline or a sampled policy."""
     if draw(st.booleans()):
-        net = load_network(uamnoise.bundled_scenario_path())
+        net = load_scenario(uamnoise.bundled_scenario_path()).network
         pairs = draw(st.lists(st.sampled_from(
             [(a, b) for a in sorted(net.vertiports) for b in sorted(net.vertiports) if a != b]),
             min_size=1, max_size=8))

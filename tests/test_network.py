@@ -9,7 +9,7 @@ import uamnoise
 from uamnoise.errors import NoPathError, ValidationError
 from uamnoise.network import (AltitudeLayerSet, Link, Network, NoiseZone, Route,
                               Vertiport, build_route, generate_scenario,
-                              load_network, load_scenario, route_intersections,
+                              load_scenario, route_intersections,
                               route_nodes, save_scenario)
 
 from conftest import make_cross_network, routes_related
@@ -32,7 +32,7 @@ MINIMAL = {
 
 class TestLoadNetwork:
     def test_bundled_south_austin(self):
-        net = load_network(uamnoise.bundled_scenario_path())
+        net = load_scenario(uamnoise.bundled_scenario_path()).network
         assert len(net.vertiports) == 10
         assert len(net.links) == 38
         assert net.layers.levels_ft == (1000.0, 1500.0, 2000.0, 2500.0, 3000.0)
@@ -47,41 +47,41 @@ class TestLoadNetwork:
         assert len(od) == 28
 
     def test_minimal_network(self, tmp_path):
-        net = load_network(write_doc(tmp_path, MINIMAL))
+        net = load_scenario(write_doc(tmp_path, MINIMAL)).network
         assert set(net.links) == {"A-B"}
 
     def test_dangling_link_endpoint_named(self, tmp_path):
         doc = dict(MINIMAL, links=[{"id": "A-X", "from": "A", "to": "X"}])
         with pytest.raises(ValidationError, match="A-X"):
-            load_network(write_doc(tmp_path, doc))
+            load_scenario(write_doc(tmp_path, doc))
 
     def test_duplicate_vertiport_rejected(self, tmp_path):
         doc = dict(MINIMAL)
         doc["vertiports"] = MINIMAL["vertiports"] + [{"id": "A", "x_m": 5.0, "y_m": 5.0}]
         with pytest.raises(ValidationError, match="duplicate vertiport"):
-            load_network(write_doc(tmp_path, doc))
+            load_scenario(write_doc(tmp_path, doc))
 
     def test_non_increasing_layers_rejected(self, tmp_path):
         doc = dict(MINIMAL, layers_ft=[1000, 1000, 2000])
         with pytest.raises(ValidationError, match="increasing"):
-            load_network(write_doc(tmp_path, doc))
+            load_scenario(write_doc(tmp_path, doc))
 
     def test_missing_schema_rejected(self, tmp_path):
         doc = {k: v for k, v in MINIMAL.items()}
         doc.pop("schema")
         with pytest.raises(ValidationError, match="schema"):
-            load_network(write_doc(tmp_path, doc))
+            load_scenario(write_doc(tmp_path, doc))
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{")
         with pytest.raises(ValidationError, match="malformed"):
-            load_network(path)
+            load_scenario(path)
 
     def test_incomplete_zone_partition_rejected(self, tmp_path):
         doc = dict(MINIMAL, zones=[{"id": "Z1", "members": ["A", "B"], "ambient_db": 40}])
         with pytest.raises(ValidationError, match="A-B"):
-            load_network(write_doc(tmp_path, doc))
+            load_scenario(write_doc(tmp_path, doc))
 
 
 class TestBuildRoute:
@@ -292,7 +292,7 @@ def generated_scenarios(draw):
     if draw(st.booleans()):
         net, od = make_cross_network()
     else:
-        net = load_network(uamnoise.bundled_scenario_path())
+        net = load_scenario(uamnoise.bundled_scenario_path()).network
         od = [(a, b) for a in net.vertiports for b in net.vertiports if a != b]
     pairs = draw(st.lists(st.sampled_from(od), min_size=1, max_size=12, unique=True))
     return generate_scenario(net, draw(st.integers(1, 60)), pairs,
@@ -323,6 +323,6 @@ class TestScenarioRoutes:
             {"id": "AC002", "origin": "B", "destination": "A", "departure_s": 0}]}
         with pytest.raises(NoPathError, match="^flight 'AC002': no route from 'B' to 'A'$"):
             load_scenario(write_doc(tmp_path, doc))
-        net = load_network(write_doc(tmp_path, MINIMAL))
+        net = load_scenario(write_doc(tmp_path, MINIMAL)).network
         with pytest.raises(NoPathError, match="^flight 'AC002': no route from 'B' to 'A'$"):
             generate_scenario(net, 2, [("A", "B"), ("B", "A")])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uamnoise import nnet
-from uamnoise.errors import SimulationError
+from uamnoise.errors import SimulationError, ValidationError
 
 
 def random_batch(rng, b=8, k=4, hidden=4, empty_rows=True):
@@ -255,10 +255,8 @@ class TestSerialization:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(13)
         params = nnet.init_params(8, 3)
-        doc = nnet.params_to_doc(params)
-        restored = nnet.params_from_doc(doc, 8)
-        for key in nnet.PARAM_KEYS:
-            assert np.array_equal(params[key], restored[key])
+        restored = nnet.params_from_list(params.flat.tolist(), 8)
+        assert restored.flat.tobytes() == params.flat.tobytes()
         own = rng.normal(size=6)
         intr = rng.normal(size=(3, 5))
         p1, v1 = nnet.policy_batch(params, *one_row(own, intr, (True, True, True)))
@@ -268,22 +266,42 @@ class TestSerialization:
     def test_json_round_trip_bit_exact(self):
         import json
         params = nnet.init_params(4, 4)
-        doc = json.loads(json.dumps(nnet.params_to_doc(params)))
-        restored = nnet.params_from_doc(doc, 4)
-        for key in nnet.PARAM_KEYS:
+        restored = nnet.params_from_list(json.loads(json.dumps(params.flat.tolist())), 4)
+        for key in params:
             assert np.array_equal(params[key], restored[key])
+
+    @pytest.mark.parametrize("hidden", [1, 4, 64])
+    def test_param_count_is_the_vector_length(self, hidden):
+        assert nnet.param_count(hidden) == nnet.Params(hidden).flat.size
+        assert nnet.param_count(hidden) == 7 * hidden**2 + 20 * hidden + 4
+
+    @pytest.mark.parametrize("values, hidden, message", [
+        # found from the lengths alone, before the weights are allocated
+        ([0.0] * 196, 10**7,
+         "params has shape (196,), expected (700000200000004,) for hidden 10000000"),
+        ((0.0,) * 196, 4, "params must be a list, got tuple"),
+        ([0.0] * 195 + [True], 4, "params[195] must be a number, got True"),
+        ([0.0] * 195 + [float("nan")], 4, "params[195] must be finite, got nan"),
+        ([0.0] * 195 + [10**400], 4, "params[195] must be finite, got 1000"),
+    ], ids=["huge-hidden", "tuple", "bool", "nan", "huge-int"])
+    def test_bad_vector_rejected(self, values, hidden, message):
+        with pytest.raises(ValidationError) as exc:
+            nnet.params_from_list(values, hidden)
+        assert str(exc.value).startswith(message)
 
     def test_views_share_the_buffer(self):
         params = nnet.init_params(6, 5)
-        offsets = np.cumsum([0] + [params[k].size for k in nnet.PARAM_KEYS])
+        keys = list(params)
+        assert keys == [key for key, _ in nnet.param_layout(6)]
+        offsets = np.cumsum([0] + [params[k].size for k in keys])
         assert params.flat.size == offsets[-1]
         # writing the vector changes every view, row-major from its offset
         params.flat[:] = np.arange(params.flat.size)
-        for key, start in zip(nnet.PARAM_KEYS, offsets):
+        for key, start in zip(keys, offsets):
             assert np.array_equal(params[key].ravel(),
                                   np.arange(start, start + params[key].size))
         # writing a view changes the vector there and nowhere else
         params["wt"][...] = -1.0
-        i = nnet.PARAM_KEYS.index("wt")
+        i = keys.index("wt")
         assert (params.flat[offsets[i]:offsets[i + 1]] == -1.0).all()
         assert np.count_nonzero(params.flat == -1.0) == params["wt"].size

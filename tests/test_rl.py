@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from uamnoise import mdp, metrics, nnet, rl
 from uamnoise.mdp import (RewardConfig, observe_tick, reward_noise, reward_total,
                           separation_rewards)
 from uamnoise.network import AltitudeLayerSet, generate_scenario
-from uamnoise.noise import Condition
 from uamnoise.rl import (RolloutResult, TraceRow, TrainConfig, _pack, collect_rollout,
                          compute_advantages, load_checkpoint, ppo_update,
                          save_checkpoint, train)
@@ -365,7 +364,7 @@ class TestTrain:
         rc = RewardConfig.for_layers(solo_scenario.network.layers, 1.0)
         params, rows = train(solo_scenario, cfg, SimConfig(), rc)
         init = nnet.init_params(cfg.hidden, cfg.seed)
-        for key in nnet.PARAM_KEYS:
+        for key in params:
             assert np.array_equal(params[key], init[key])
         assert rows == []
 
@@ -393,7 +392,7 @@ class TestCheckpointFile:
         path = tmp_path / "ck.json"
         save_checkpoint(path, params, tc, rc)
         p2, tc2, rc2 = load_checkpoint(path)
-        for key in nnet.PARAM_KEYS:
+        for key in params:
             assert np.array_equal(params[key], p2[key])
         assert tc2 == tc
         assert rc2.rho == 0.25
@@ -413,14 +412,27 @@ class TestCheckpointFile:
         p2, v2 = nnet.policy_batch(restored, own, intr, *masks)
         assert np.array_equal(p1, p2) and np.array_equal(v1, v2)
 
+    def test_document_holds_each_value_once(self, tmp_path, line_network):
+        params = nnet.init_params(4, 1)
+        tc = small_train_config(1, hidden=4)
+        rc = RewardConfig.for_layers(line_network.layers, 0.5)
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, params, tc, rc)
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["version", "train_config", "reward_config", "params"]
+        assert doc["version"] == 2
+        assert doc["train_config"] == asdict(tc)
+        assert doc["reward_config"]["layers_ft"] == list(line_network.layers.levels_ft)
+        assert doc["params"] == params.flat.tolist()
+
     def test_every_reward_field_saved(self, tmp_path, line_network):
         # a RewardConfig field that save_checkpoint does not write would load
         # back as its default, or be accepted from a file without being saved
         path = tmp_path / "ck.json"
         save_checkpoint(path, nnet.init_params(4, 0), small_train_config(1, hidden=4),
                         RewardConfig.for_layers(line_network.layers, 0.5))
-        saved = set(json.loads(path.read_text())["reward_config"]) - {"z_min_ft", "z_max_ft"}
-        assert saved == {f.name for f in fields(RewardConfig)}
+        saved = set(json.loads(path.read_text())["reward_config"])
+        assert saved == {f.name for f in fields(RewardConfig)} | {"layers_ft"}
 
 
 @st.composite
@@ -447,8 +459,7 @@ def checkpoint_cases(draw):
     levels = draw(st.lists(st.floats(200.0, 10000.0), min_size=2, max_size=7, unique_by=round))
     layers = AltitudeLayerSet(tuple(sorted(levels)))
     rc = RewardConfig.for_layers(layers, draw(unit), lam=draw(st.floats(0.0, 10.0)),
-                                 d_los_m=draw(positive), d_comm_m=draw(positive),
-                                 condition=draw(st.sampled_from(list(Condition))))
+                                 d_los_m=draw(positive), d_comm_m=draw(positive))
     return params, tc, rc, layers
 
 
