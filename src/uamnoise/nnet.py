@@ -10,6 +10,10 @@ Batch layout: own (B, 6); intruders padded to (B, K, 5) with a validity mask
 (B, K); action masks (B, 3). Rows with zero valid intruders pool to the zero
 vector. Disallowed logits are forced to -inf so masked actions have exactly
 zero probability.
+
+The intruder encoder runs on the valid rows intr[intr_mask] only, so padded
+slots are never read. No key or value is formed per intruder: the scores use
+q.(f2 @ wk) = (q @ wk.T).f2, and the pooled sum_k att (f2 @ wv) = (sum_k att f2) @ wv.
 """
 from __future__ import annotations
 
@@ -78,25 +82,26 @@ def forward(params, own, intr, intr_mask, act_mask):
     e1 = np.tanh(own @ params["w1"] + params["b1"])
     e2 = np.tanh(e1 @ params["w2"] + params["b2"])
 
-    f1 = np.tanh(intr @ params["v1"] + params["c1"])
+    x = intr[intr_mask]  # (n, 5): the valid intruders only
+    f1 = np.tanh(x @ params["v1"] + params["c1"])
     f2 = np.tanh(f1 @ params["v2"] + params["c2"])
+    f2_pad = np.zeros(intr_mask.shape + (h,))  # exact zeros at padded slots
+    f2_pad[intr_mask] = f2
 
     q = e2 @ params["wq"]
-    k = f2 @ params["wk"]
-    v = f2 @ params["wv"]
-    scores = np.einsum("bh,bkh->bk", q, k) / np.sqrt(h)
+    qk = q @ params["wk"].T
+    scores = np.einsum("bh,bkh->bk", qk, f2_pad) / np.sqrt(h)
     att = _masked_softmax(scores, intr_mask)
-    pooled = np.einsum("bk,bkh->bh", att, v)
+    u = np.einsum("bk,bkh->bh", att, f2_pad)
 
-    t0 = np.concatenate([e2, pooled], axis=1)
+    t0 = np.concatenate([e2, u @ params["wv"]], axis=1)  # [own, pooled]
     t1 = np.tanh(t0 @ params["wt"] + params["bt"])
     logits = t1 @ params["wp"] + params["bp"]
     value = (t1 @ params["wu"] + params["bu"])[:, 0]
     masked_logits = np.where(act_mask, logits, -np.inf)
 
-    cache = dict(own=own, intr=intr, intr_mask=intr_mask, act_mask=act_mask,
-                 e1=e1, e2=e2, f1=f1, f2=f2, q=q, k=k, v=v, att=att,
-                 pooled=pooled, t0=t0, t1=t1)
+    cache = dict(own=own, x=x, intr_mask=intr_mask, e1=e1, e2=e2, f1=f1, f2=f2,
+                 f2_pad=f2_pad, q=q, qk=qk, att=att, u=u, t0=t0, t1=t1)
     return masked_logits, value, cache
 
 
@@ -122,30 +127,27 @@ def backward(params, cache, dlogits, dvalue):
     de2 = dt0[:, :h].copy()
     dpooled = dt0[:, h:]
 
-    att, v, k, q = cache["att"], cache["v"], cache["k"], cache["q"]
-    datt = np.einsum("bh,bkh->bk", dpooled, v)
-    dv = att[:, :, None] * dpooled[:, None, :]
-    dscores = att * (datt - (att * datt).sum(axis=1, keepdims=True))
-    dscores = np.where(cache["intr_mask"], dscores, 0.0) / np.sqrt(h)
-    dq = np.einsum("bk,bkh->bh", dscores, k)
-    dk = dscores[:, :, None] * q[:, None, :]
-
-    e2, f2, f1 = cache["e2"], cache["f2"], cache["f1"]
+    att, qk, f2_pad, e2 = cache["att"], cache["qk"], cache["f2_pad"], cache["e2"]
+    grads["wv"][...] = cache["u"].T @ dpooled
+    du = dpooled @ params["wv"].T
+    datt = np.einsum("bh,bkh->bk", du, f2_pad)
+    # att is exactly 0 at padded slots, and so is dscores
+    dscores = att * (datt - (att * datt).sum(axis=1, keepdims=True)) / np.sqrt(h)
+    dqk = np.einsum("bk,bkh->bh", dscores, f2_pad)
+    grads["wk"][...] = dqk.T @ cache["q"]
+    dq = dqk @ params["wk"]
     grads["wq"][...] = e2.T @ dq
     de2 += dq @ params["wq"].T
-    b, kk, _ = f2.shape
-    f2_flat = f2.reshape(b * kk, h)
-    grads["wk"][...] = f2_flat.T @ dk.reshape(b * kk, h)
-    grads["wv"][...] = f2_flat.T @ dv.reshape(b * kk, h)
-    df2 = dk @ params["wk"].T + dv @ params["wv"].T
 
+    mask, f2, f1 = cache["intr_mask"], cache["f2"], cache["f1"]
+    rows = np.nonzero(mask)[0]  # each valid intruder's batch row
+    df2 = att[mask][:, None] * du[rows] + dscores[mask][:, None] * qk[rows]
     dz_f2 = df2 * (1.0 - f2 * f2)
-    grads["v2"][...] = f1.reshape(b * kk, h).T @ dz_f2.reshape(b * kk, h)
-    grads["c2"][...] = dz_f2.sum(axis=(0, 1))
-    df1 = dz_f2 @ params["v2"].T
-    dz_f1 = df1 * (1.0 - f1 * f1)
-    grads["v1"][...] = cache["intr"].reshape(b * kk, -1).T @ dz_f1.reshape(b * kk, h)
-    grads["c1"][...] = dz_f1.sum(axis=(0, 1))
+    grads["v2"][...] = f1.T @ dz_f2
+    grads["c2"][...] = dz_f2.sum(axis=0)
+    dz_f1 = (dz_f2 @ params["v2"].T) * (1.0 - f1 * f1)
+    grads["v1"][...] = cache["x"].T @ dz_f1
+    grads["c1"][...] = dz_f1.sum(axis=0)
 
     e1 = cache["e1"]
     dz_e2 = de2 * (1.0 - e2 * e2)
@@ -176,11 +178,16 @@ def masked_log_softmax(masked_logits):
 
 
 def policy_batch(params, own, intr, intr_mask, act_mask):
-    """Action probabilities (B, 3) and values (B,) for a batch of observations."""
+    """Action probabilities (B, 3) and values (B,) for a batch of observations;
+    SimulationError if a row's probabilities are not finite (scores overflow)."""
     if not act_mask.any(axis=1).all():
         raise SimulationError("action mask allows no action")
     logits, value, _ = forward(params, own, intr, intr_mask, act_mask)
-    return np.exp(masked_log_softmax(logits)), value
+    probs = np.exp(masked_log_softmax(logits))
+    if not np.isfinite(probs.sum()):  # one reduction per tick
+        bad = np.count_nonzero(~np.isfinite(probs).all(axis=1))
+        raise SimulationError(f"policy probabilities not finite in {bad} of {len(probs)} rows")
+    return probs, value
 
 
 def sample_actions(probs, rng=None):

@@ -541,6 +541,30 @@ def test_runtime_error_exits_2(runner, scenario_file, monkeypatch):
     assert "runtime error: episode failed" in result.output
 
 
+# the overflow's RuntimeWarnings are expected here; pyproject.toml makes them errors
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_policy_exits_2(runner, scenario_file, tmp_path):
+    """Finite but huge weights load, but their attention scores overflow: the
+    episode stops with a runtime error instead of reporting NaN probabilities
+    as a hold policy's metrics."""
+    ck = tmp_path / "policy.json"
+    result = runner.invoke(main, ["train", "--scenario", scenario_file, "--rho", "0.5",
+                                  "--iterations", "0", "--seed", "0", "--hidden", "4",
+                                  "--out", str(ck)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(ck.read_text())
+    doc["params"] = [1e300] * len(doc["params"])
+    ck.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    for args in (["simulate", "--policy", str(ck), "--seed", "0"],
+                 ["eval", "--checkpoint", str(ck), "--seeds", "0"]):
+        result = runner.invoke(main, [*args, "--scenario", scenario_file, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert re.search(r"runtime error: policy probabilities not finite in \d+ of \d+ rows",
+                         result.output)
+        assert not out.exists()
+
+
 def _short_params(doc):
     doc["params"].pop()
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uamnoise import nnet
 from uamnoise.errors import SimulationError, ValidationError
@@ -249,6 +251,149 @@ class TestGradients:
         batch["returns"] = np.full_like(batch["returns"], np.inf)
         with pytest.raises(SimulationError, match="non-finite"):
             nnet.ppo_loss_and_grads(params, batch, 0.2, 0.5, 0.01)
+
+
+def padded_forward(params, own, intr, intr_mask, act_mask):
+    """The padded formulation forward replaced, verbatim: the intruder encoder
+    on every slot of intr, and explicit keys and values per slot. The oracle."""
+    h = params.hidden
+    e1 = np.tanh(own @ params["w1"] + params["b1"])
+    e2 = np.tanh(e1 @ params["w2"] + params["b2"])
+
+    f1 = np.tanh(intr @ params["v1"] + params["c1"])
+    f2 = np.tanh(f1 @ params["v2"] + params["c2"])
+
+    q = e2 @ params["wq"]
+    k = f2 @ params["wk"]
+    v = f2 @ params["wv"]
+    scores = np.einsum("bh,bkh->bk", q, k) / np.sqrt(h)
+    att = nnet._masked_softmax(scores, intr_mask)
+    pooled = np.einsum("bk,bkh->bh", att, v)
+
+    t0 = np.concatenate([e2, pooled], axis=1)
+    t1 = np.tanh(t0 @ params["wt"] + params["bt"])
+    logits = t1 @ params["wp"] + params["bp"]
+    value = (t1 @ params["wu"] + params["bu"])[:, 0]
+    masked_logits = np.where(act_mask, logits, -np.inf)
+
+    cache = dict(own=own, intr=intr, intr_mask=intr_mask, act_mask=act_mask,
+                 e1=e1, e2=e2, f1=f1, f2=f2, q=q, k=k, v=v, att=att,
+                 pooled=pooled, t0=t0, t1=t1)
+    return masked_logits, value, cache
+
+
+def padded_backward(params, cache, dlogits, dvalue):
+    """The backward of padded_forward, verbatim: the oracle."""
+    h = params.hidden
+    t1 = cache["t1"]
+    grads = nnet.Params(h)
+
+    grads["wp"][...] = t1.T @ dlogits
+    grads["bp"][...] = dlogits.sum(axis=0)
+    grads["wu"][:, 0] = (t1 * dvalue[:, None]).sum(axis=0)
+    grads["bu"][0] = dvalue.sum()
+
+    dt1 = dlogits @ params["wp"].T + dvalue[:, None] * params["wu"][:, 0][None, :]
+    dz_t = dt1 * (1.0 - t1 * t1)
+    grads["wt"][...] = cache["t0"].T @ dz_t
+    grads["bt"][...] = dz_t.sum(axis=0)
+    dt0 = dz_t @ params["wt"].T
+    de2 = dt0[:, :h].copy()
+    dpooled = dt0[:, h:]
+
+    att, v, k, q = cache["att"], cache["v"], cache["k"], cache["q"]
+    datt = np.einsum("bh,bkh->bk", dpooled, v)
+    dv = att[:, :, None] * dpooled[:, None, :]
+    dscores = att * (datt - (att * datt).sum(axis=1, keepdims=True))
+    dscores = np.where(cache["intr_mask"], dscores, 0.0) / np.sqrt(h)
+    dq = np.einsum("bk,bkh->bh", dscores, k)
+    dk = dscores[:, :, None] * q[:, None, :]
+
+    e2, f2, f1 = cache["e2"], cache["f2"], cache["f1"]
+    grads["wq"][...] = e2.T @ dq
+    de2 += dq @ params["wq"].T
+    b, kk, _ = f2.shape
+    f2_flat = f2.reshape(b * kk, h)
+    grads["wk"][...] = f2_flat.T @ dk.reshape(b * kk, h)
+    grads["wv"][...] = f2_flat.T @ dv.reshape(b * kk, h)
+    df2 = dk @ params["wk"].T + dv @ params["wv"].T
+
+    dz_f2 = df2 * (1.0 - f2 * f2)
+    grads["v2"][...] = f1.reshape(b * kk, h).T @ dz_f2.reshape(b * kk, h)
+    grads["c2"][...] = dz_f2.sum(axis=(0, 1))
+    df1 = dz_f2 @ params["v2"].T
+    dz_f1 = df1 * (1.0 - f1 * f1)
+    grads["v1"][...] = cache["intr"].reshape(b * kk, -1).T @ dz_f1.reshape(b * kk, h)
+    grads["c1"][...] = dz_f1.sum(axis=(0, 1))
+
+    e1 = cache["e1"]
+    dz_e2 = de2 * (1.0 - e2 * e2)
+    grads["w2"][...] = e1.T @ dz_e2
+    grads["b2"][...] = dz_e2.sum(axis=0)
+    de1 = dz_e2 @ params["w2"].T
+    dz_e1 = de1 * (1.0 - e1 * e1)
+    grads["w1"][...] = cache["own"].T @ dz_e1
+    grads["b1"][...] = dz_e1.sum(axis=0)
+    return grads
+
+
+def pass_inputs(seed, b, k, hidden, p_valid, empty_rows):
+    """Weights, a batch whose rows 0..empty_rows-1 have no valid intruder,
+    and loss gradients dlogits (zero at masked actions) and dvalue."""
+    rng = np.random.default_rng(seed)
+    params = nnet.init_params(hidden, seed)
+    params.flat[:] += rng.normal(0.0, 0.5, size=params.flat.size)
+    own = rng.normal(size=(b, 6))
+    intr = rng.normal(size=(b, k, 5))
+    intr_mask = rng.random((b, k)) < p_valid
+    intr_mask[:empty_rows] = False
+    intr[~intr_mask] = 0.0  # as observe_tick pads
+    act_mask = rng.random((b, 3)) < 0.7
+    act_mask[np.arange(b), rng.integers(0, 3, size=b)] = True
+    dlogits = np.where(act_mask, rng.normal(size=(b, 3)), 0.0)
+    return params, (own, intr, intr_mask, act_mask), dlogits, rng.normal(size=b)
+
+
+class TestValidIntrudersOnly:
+    """forward and backward touch only the valid intruder slots, and agree with
+    the padded formulation with explicit keys and values per slot."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 40), k=st.integers(1, 10),
+           hidden=st.integers(1, 16), p_valid=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+           empty_rows=st.integers(0, 3))
+    @example(seed=0, b=1, k=1, hidden=1, p_valid=1.0, empty_rows=0)
+    @example(seed=1, b=5, k=1, hidden=16, p_valid=0.7, empty_rows=2)
+    @example(seed=2, b=40, k=10, hidden=16, p_valid=0.0, empty_rows=0)
+    @example(seed=3, b=3, k=4, hidden=8, p_valid=1.0, empty_rows=3)
+    def test_matches_padded_oracle(self, seed, b, k, hidden, p_valid, empty_rows):
+        params, inputs, dlogits, dvalue = pass_inputs(seed, b, k, hidden, p_valid, empty_rows)
+        logits, value, cache = nnet.forward(params, *inputs)
+        ref_logits, ref_value, ref_cache = padded_forward(params, *inputs)
+        act_mask = inputs[3]
+        assert (logits[~act_mask] == -np.inf).all() and np.isfinite(logits[act_mask]).all()
+        assert (ref_logits[~act_mask] == -np.inf).all()
+        np.testing.assert_allclose(logits[act_mask], ref_logits[act_mask],
+                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(value, ref_value, rtol=1e-10, atol=1e-12)
+        grads = nnet.backward(params, cache, dlogits, dvalue)
+        ref_grads = padded_backward(params, ref_cache, dlogits, dvalue)
+        for key in grads:
+            np.testing.assert_allclose(grads[key], ref_grads[key], rtol=1e-10, atol=1e-12,
+                                       err_msg=key)
+
+    @pytest.mark.parametrize("fill", [np.nan, 1e308, -1e308])
+    def test_padded_slots_never_read(self, fill):
+        params, inputs, dlogits, dvalue = pass_inputs(5, 12, 6, 8, 0.5, 2)
+        own, intr, intr_mask, act_mask = inputs
+        filled = intr.copy()
+        filled[~intr_mask] = fill
+        runs = []
+        for slots in (intr, filled):
+            logits, value, cache = nnet.forward(params, own, slots, intr_mask, act_mask)
+            runs.append((logits, value, nnet.backward(params, cache, dlogits, dvalue).flat))
+        for zero_padded, fill_padded in zip(*runs):
+            assert fill_padded.tobytes() == zero_padded.tobytes()
 
 
 class TestSerialization:
