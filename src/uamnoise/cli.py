@@ -1,8 +1,8 @@
-"""Command-line surface: simulate, train, eval, sweep, fit-npd, noise-report.
+"""Command-line surface: simulate, train, sweep, fit-npd, noise-report.
 
-All randomness flows from --seed flags. Exit codes: 0 success, 1 validation
-or usage error (an option click cannot parse included) or unreadable/unwritable
-file, 2 runtime error. Reports are written by
+All randomness flows from the --seed and --seeds options. Exit codes: 0
+success, 1 validation or usage error (an option click cannot parse included)
+or unreadable/unwritable file, 2 runtime error. Reports are written by
 metrics' writers, checkpoints by rl.save_checkpoint.
 """
 from __future__ import annotations
@@ -164,49 +164,24 @@ def train(scenario_path, rho, iterations, seed, out_path, metrics_log, **kw):
     click.echo(f"checkpoint written to {out_path} ({len(rows)} iterations)")
 
 
-@main.command(name="eval")
-@click.option("--scenario", "scenario_path", required=True, type=click.Path())
-@click.option("--checkpoint", required=True, type=click.Path())
-@click.option("--seeds", required=True, help="comma-separated seed list")
-@click.option("--out", "out_path", required=True, type=click.Path())
-@_sim_options
-def eval_cmd(scenario_path, checkpoint, seeds, out_path, **kw):
-    """Evaluate a checkpoint over several seeds; write a metrics CSV."""
-    seed_values = _parse_list("--seeds", seeds, int, low=0)
-    _check_output_dirs(out_path)
-    scenario = load_scenario(scenario_path)
-    params, reward = _load_policy(checkpoint, scenario)
-    sim_cfg = _config(SimConfig, kw)
-    reward_cfg = _config(RewardConfig, kw, layers=scenario.network.layers, **reward)
-    episodes = []
-    for seed in seed_values:
-        episode, _ = metrics_mod.run_episode(
-            params, scenario, sim_cfg, reward_cfg, seed=seed, greedy=True)
-        episodes.append(episode)
-    metrics_mod.export_metrics(episodes, out_path, "csv")
-    click.echo(f"wrote {len(episodes)} rows to {out_path}")
-
-
 @main.command()
 @click.option("--scenario", "scenario_path", required=True, type=click.Path())
 @click.option("--rhos", required=True, help="comma-separated rho list")
 @click.option("--iterations", type=int, required=True)
-@click.option("--seeds", required=True, help="comma-separated seed list")
+@click.option("--seeds", required=True, help="comma-separated training seed list")
 @click.option("--out-dir", required=True, type=click.Path())
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="training seed")
 @_sim_options
 @_sweep_train_options
 @_reward_options
-def sweep(scenario_path, rhos, iterations, seeds, out_dir, seed, **kw):
-    """Train one policy per rho, evaluate over the seeds, emit tradeoff tables."""
+def sweep(scenario_path, rhos, iterations, seeds, out_dir, **kw):
+    """Train and evaluate one policy per rho and training seed; emit tradeoff tables."""
     rho_values = _parse_list("--rhos", rhos, float, low=0, high=1)
     seed_values = _parse_list("--seeds", seeds, int, low=0)
     _check_output_dirs(out_dir)
     scenario = load_scenario(scenario_path)
     sim_cfg = _config(SimConfig, kw)
     reward_cfg = _config(RewardConfig, kw, layers=scenario.network.layers, rho=0.0)
-    train_cfg = _config(TrainConfig, kw, iterations=iterations, seed=seed)
+    train_cfg = _config(TrainConfig, kw, iterations=iterations)
     os.makedirs(out_dir, exist_ok=True)
     rows = metrics_mod.sweep_rho(rho_values, scenario, train_cfg, sim_cfg, reward_cfg,
                                  seed_values)

@@ -92,7 +92,8 @@ def read_trace(path, network: Network) -> list[TraceRow]:
 
 
 def histogram_entropy(hist: dict[float, float]) -> float:
-    return -sum(p * math.log(p) for p in hist.values() if p > 0.0)
+    """Shannon entropy in nats; 0.0, not -0.0, for one occupied layer."""
+    return sum(-p * math.log(p) for p in hist.values() if p > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +183,8 @@ def check_compatible(layers_ft, scenario: Scenario) -> None:
 
 def tradeoff(rows: list[EpisodeMetrics]) -> list[dict]:
     """One dict per rho of the rows, ascending: median noise increase, mean
-    LOS, mean top-layer fraction, mean histogram."""
+    LOS, mean top-layer fraction, mean histogram and that histogram's
+    entropy."""
     by_rho: dict[float, list[EpisodeMetrics]] = {}
     for m in rows:
         by_rho.setdefault(m.rho, []).append(m)
@@ -192,16 +194,14 @@ def tradeoff(rows: list[EpisodeMetrics]) -> list[dict]:
         layer_keys = list(group[0].histogram)
         medians = [m.noise_increase_median_db for m in group
                    if m.noise_increase_median_db is not None]
+        histogram = {z: sum(m.histogram[z] for m in group) / len(group) for z in layer_keys}
         out.append({
             "rho": rho,
             "median_noise_increase_db": statistics.median(medians) if medians else None,
             "mean_los": sum(m.los_count for m in group) / len(group),
-            "top_layer_fraction": sum(
-                m.histogram[layer_keys[-1]] for m in group) / len(group),
-            "histogram": {
-                z: sum(m.histogram[z] for m in group) / len(group)
-                for z in layer_keys
-            },
+            "top_layer_fraction": histogram[layer_keys[-1]],
+            "histogram_entropy": histogram_entropy(histogram),
+            "histogram": histogram,
         })
     return out
 
@@ -214,15 +214,16 @@ def sweep_rho(
     reward_config: RewardConfig,
     seeds: list[int],
 ) -> list[EpisodeMetrics]:
-    """Train one policy per rho, under reward_config with that rho, and
-    evaluate it over the seeds. Returns the episode rows, rho-major, then
-    seed."""
+    """Train one policy per rho and training seed, under reward_config with
+    that rho and train_config with that seed, and evaluate it in one episode.
+    Returns the episode rows, rho-major, then seed; a row's seed is its
+    training seed."""
     rows: list[EpisodeMetrics] = []
     for rho in rho_values:
         config = replace(reward_config, rho=rho)
-        params, _ = rl.train(scenario, train_config, sim_config, config)
-        rows += [run_episode(params, scenario, sim_config, config, seed=seed)[0]
-                 for seed in seeds]
+        for seed in seeds:
+            params, _ = rl.train(scenario, replace(train_config, seed=seed), sim_config, config)
+            rows.append(run_episode(params, scenario, sim_config, config, seed=seed)[0])
     return rows
 
 
@@ -231,7 +232,8 @@ def sweep_rho(
 
 EPISODE_COLUMNS = ("rho", "seed", "los_count", "median_noise_increase_db",
                    "max_noise_increase_db", "mean_return")
-TRADEOFF_COLUMNS = ("rho", "median_noise_increase_db", "mean_los", "top_layer_fraction")
+TRADEOFF_COLUMNS = ("rho", "median_noise_increase_db", "mean_los", "top_layer_fraction",
+                    "histogram_entropy")
 
 
 def _fmt(value) -> str:

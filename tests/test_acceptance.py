@@ -218,16 +218,15 @@ def test_criterion_09_noise_separation_tradeoff_trend():
         train_cfg = TrainConfig(iterations=2000, seed=0, hidden=16,
                                 learning_rate=1e-3, minibatch_size=128)
         rows = M.sweep_rho([0.0, 0.9], sc, train_cfg, sim_cfg,
-                           RewardConfig.for_layers(net.layers, 0.0), seeds=[0, 1, 2, 3, 4])
+                           RewardConfig.for_layers(net.layers, 0.0), seeds=[0])
         low, high = M.tradeoff(rows)  # sorted by rho
         assert low["rho"] == 0.0 and high["rho"] == 0.9
 
         assert high["top_layer_fraction"] - low["top_layer_fraction"] >= 0.2
         assert high["median_noise_increase_db"] < low["median_noise_increase_db"]
         assert high["mean_los"] >= low["mean_los"]
-        ent_low = M.histogram_entropy(low["histogram"])
-        ent_high = M.histogram_entropy(high["histogram"])
-        assert ent_low > ent_high, (ent_low, ent_high)
+        assert low["histogram_entropy"] > high["histogram_entropy"], (
+            low["histogram_entropy"], high["histogram_entropy"])
         assert time.perf_counter() - start < 1800.0
 
 

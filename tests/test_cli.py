@@ -86,14 +86,13 @@ class TestTrainEvalSweep:
         assert result.exit_code == 0, result.output
         assert ck.exists()
 
-        out = tmp_path / "eval.csv"
+        out = tmp_path / "eval.json"
         result = runner.invoke(main, [
-            "eval", "--scenario", scenario_file, "--checkpoint", str(ck),
-            "--seeds", "0,1,2", "--out", str(out)])
+            "simulate", "--scenario", scenario_file, "--policy", str(ck),
+            "--seed", "0", "--out", str(out)])
         assert result.exit_code == 0, result.output
-        with open(out) as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 4
+        doc = json.loads(out.read_text())
+        assert len(doc) == 1 and doc[0]["rho"] == 0.5
 
     def test_train_metrics_log_deterministic(self, runner, scenario_file, tmp_path):
         logs = []
@@ -115,15 +114,17 @@ class TestTrainEvalSweep:
         out_dir = tmp_path / "sweep"
         result = runner.invoke(main, [
             "sweep", "--scenario", str(path), "--rhos", "0.0,1.0",
-            "--iterations", "2", "--seeds", "0,1", "--out-dir", str(out_dir),
+            "--iterations", "2", "--seeds", "3,1", "--out-dir", str(out_dir),
             "--hidden", "4", "--minibatch_size", "32"])
         assert result.exit_code == 0, result.output
         with open(out_dir / "sweep_episodes.csv") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 1 + 2 * 2  # header + |rhos| x |seeds|
+            rows = list(csv.DictReader(fh))
+        # one row per rho and training seed, rho-major
+        assert [(r["rho"], r["seed"]) for r in rows] == [("0", "3"), ("0", "1"),
+                                                         ("1", "3"), ("1", "1")]
         with open(out_dir / "sweep_tradeoff.csv") as fh:
-            agg = list(csv.reader(fh))
-        assert len(agg) == 3
+            agg = list(csv.DictReader(fh))
+        assert len(agg) == 2 and "histogram_entropy" in agg[0]
 
     def test_sweep_lam_sets_separation_penalty(self, runner, tmp_path):
         # Four co-located aircraft and an untrained policy (0 iterations): the
@@ -144,8 +145,9 @@ class TestTrainEvalSweep:
         assert returns["0.9"] < returns["0.1"] < 0.0
 
     def test_eval_scores_with_checkpoint_lam(self, runner, tmp_path):
-        # The co-located set-up of test_sweep_lam_sets_separation_penalty: eval
-        # of an untrained lam=0.9 checkpoint must use lam=0.9, not the default.
+        # The co-located set-up of test_sweep_lam_sets_separation_penalty:
+        # simulate with an untrained lam=0.9 checkpoint must use lam=0.9, not
+        # the default.
         net = make_corridor_network(length_m=2000.0)
         sc = generate_scenario(net, 4, [("A", "B")], departure_spacing_s=0.0, seed=0)
         path = tmp_path / "colocated.json"
@@ -156,12 +158,11 @@ class TestTrainEvalSweep:
         result = runner.invoke(main, ["train", *common, "--rho", "0", "--seed", "0",
                                       "--out", str(ck)])
         assert result.exit_code == 0, result.output
-        out = tmp_path / "eval.csv"
-        result = runner.invoke(main, ["eval", "--scenario", str(path), "--checkpoint",
-                                      str(ck), "--seeds", "0", "--out", str(out)])
+        out = tmp_path / "eval.json"
+        result = runner.invoke(main, ["simulate", "--scenario", str(path), "--policy",
+                                      str(ck), "--seed", "0", "--out", str(out)])
         assert result.exit_code == 0, result.output
-        with open(out) as fh:
-            evaluated = float(next(csv.DictReader(fh))["mean_return"])
+        evaluated = json.loads(out.read_text())[0]["mean_return"]
         out_dir = tmp_path / "sweep"
         result = runner.invoke(main, ["sweep", *common, "--rhos", "0.0", "--seeds", "0",
                                       "--out-dir", str(out_dir)])
@@ -344,7 +345,7 @@ def test_noise_report_rejects_trace_without_member(runner, scenario_file, tmp_pa
 
 @pytest.mark.parametrize("command", [
     "simulate --out", "simulate --trace", "train --out", "train --metrics-log",
-    "eval --out", "noise-report --out", "fit-npd --out", "sweep --out-dir",
+    "noise-report --out", "fit-npd --out", "sweep --out-dir",
 ])
 def test_unwritable_output_path_exits_1(runner, scenario_file, tmp_path, command):
     name, option = command.split()
@@ -356,8 +357,6 @@ def test_unwritable_output_path_exits_1(runner, scenario_file, tmp_path, command
         "simulate": ["--scenario", scenario_file, "--policy", "baseline:hold", "--seed", "0"],
         "train": ["--scenario", scenario_file, "--rho", "0.5", "--iterations", "0",
                   "--seed", "0", "--hidden", "4"],
-        "eval": ["--scenario", scenario_file, "--checkpoint", "baseline:hold",
-                 "--seeds", "0"],
         "noise-report": ["--trace", str(trace), "--scenario", scenario_file],
         "fit-npd": ["--samples", str(samples)],
         "sweep": ["--scenario", scenario_file, "--rhos", "0.0", "--iterations", "0",
@@ -381,7 +380,7 @@ def test_unwritable_output_path_exits_1(runner, scenario_file, tmp_path, command
 
 
 @pytest.mark.parametrize("command", [
-    "simulate --out", "simulate --trace", "train --out", "train --metrics-log", "eval --out",
+    "simulate --out", "simulate --trace", "train --out", "train --metrics-log",
     "sweep --out-dir",
 ])
 def test_empty_output_path_exits_1_at_once(runner, scenario_file, tmp_path, monkeypatch,
@@ -396,8 +395,6 @@ def test_empty_output_path_exits_1_at_once(runner, scenario_file, tmp_path, monk
         "simulate": ["--scenario", scenario_file, "--policy", "baseline:hold", "--seed", "0"],
         "train": ["--scenario", scenario_file, "--rho", "0.5", "--iterations", "1",
                   "--seed", "0", "--hidden", "4", "--out", str(tmp_path / "policy.json")],
-        "eval": ["--scenario", scenario_file, "--checkpoint", "baseline:hold",
-                 "--seeds", "0"],
         "sweep": ["--scenario", scenario_file, "--rhos", "0.0", "--iterations", "1",
                   "--seeds", "0", "--hidden", "4"],
     }[name]
@@ -476,23 +473,16 @@ def test_train_rejects_out_of_range_lam(runner, scenario_file, tmp_path, lam):
     ("sweep --rhos ,", "--rhos has no items, got ','"),
     ("sweep --seeds 0,1.5", "--seeds item must be an integer, got '1.5'"),
     ("sweep --seeds ,", "--seeds has no items, got ','"),
-    ("eval --seeds 0,-1", "--seeds item must be finite and non-negative, got -1"),
-    ("eval --seeds ,", "--seeds has no items, got ','"),
+    ("sweep --seeds 0,-1", "--seeds item must be finite and non-negative, got -1"),
     # checked before the out-dir is made or the first rho trains
     ("sweep --rhos 0.5,0.50", "--rhos item 0.5 is repeated in '0.5,0.50'"),
     ("sweep --seeds 1,2,1", "--seeds item 1 is repeated in '1,2,1'"),
-    ("eval --seeds 0,0", "--seeds item 0 is repeated in '0,0'"),
 ], ids=["rhos-string", "rhos-nan", "rhos-above-one", "rhos-empty", "seeds-float",
-        "seeds-empty", "seeds-negative", "eval-seeds-empty", "rhos-repeated",
-        "seeds-repeated", "eval-seeds-repeated"])
+        "seeds-empty", "seeds-negative", "rhos-repeated", "seeds-repeated"])
 def test_bad_list_item_exits_1(runner, scenario_file, tmp_path, command, message):
     name, option, value = command.split()
-    args = {
-        "sweep": ["--scenario", scenario_file, "--rhos", "0.0", "--iterations", "0",
-                  "--seeds", "0", "--hidden", "4", "--out-dir", str(tmp_path / "sweep")],
-        "eval": ["--scenario", scenario_file, "--checkpoint", "baseline:hold", "--seeds", "0",
-                 "--out", str(tmp_path / "eval.csv")],
-    }[name]
+    args = ["--scenario", scenario_file, "--rhos", "0.0", "--iterations", "0",
+            "--seeds", "0", "--hidden", "4", "--out-dir", str(tmp_path / "sweep")]
     args[args.index(option) + 1] = value
     inputs = set(tmp_path.iterdir())
     result = runner.invoke(main, [name, *args])
@@ -507,7 +497,10 @@ def test_bad_list_item_exits_1(runner, scenario_file, tmp_path, command, message
     ("train --no-such-option", "No such option '--no-such-option'"),
     ("--bogus", "No such option '--bogus'"),
     ("no-such-command", "No such command 'no-such-command'"),
-], ids=["train-hidden", "simulate-seed", "command-option", "group-option", "command"])
+    ("eval", "No such command 'eval'"),
+    ("sweep --seed 0", "No such option '--seed'"),
+], ids=["train-hidden", "simulate-seed", "command-option", "group-option", "command",
+        "eval-command", "sweep-seed"])
 def test_unparsable_command_line_exits_1(runner, scenario_file, tmp_path, command, message):
     # click's own exit code for these is 2, which the CLI keeps for runtime errors
     name, *rest = command.split()
@@ -517,6 +510,8 @@ def test_unparsable_command_line_exits_1(runner, scenario_file, tmp_path, comman
                   "--seed", "0", "--out", out],
         "simulate": ["--scenario", scenario_file, "--policy", "baseline:hold", "--seed", "0",
                      "--out", out],
+        "sweep": ["--scenario", scenario_file, "--rhos", "0.0", "--iterations", "0",
+                  "--seeds", "0", "--hidden", "4", "--out-dir", out],
     }.get(name, [])
     result = runner.invoke(main, [name, *args, *rest])
     assert result.exit_code == 1, result.output
@@ -556,13 +551,12 @@ def test_overflowing_policy_exits_2(runner, scenario_file, tmp_path):
     doc["params"] = [1e300] * len(doc["params"])
     ck.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    for args in (["simulate", "--policy", str(ck), "--seed", "0"],
-                 ["eval", "--checkpoint", str(ck), "--seeds", "0"]):
-        result = runner.invoke(main, [*args, "--scenario", scenario_file, "--out", str(out)])
-        assert result.exit_code == 2, result.output
-        assert re.search(r"runtime error: policy probabilities not finite in \d+ of \d+ rows",
-                         result.output)
-        assert not out.exists()
+    result = runner.invoke(main, ["simulate", "--policy", str(ck), "--seed", "0",
+                                  "--scenario", scenario_file, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert re.search(r"runtime error: policy probabilities not finite in \d+ of \d+ rows",
+                     result.output)
+    assert not out.exists()
 
 
 def _short_params(doc):
@@ -703,9 +697,9 @@ def test_malformed_checkpoint_exits_1(runner, scenario_file, tmp_path, corrupt, 
     doc = json.loads(ck.read_text())
     # a corruption edits doc in place or returns the document to write instead
     ck.write_text(json.dumps(corrupt(doc) or doc))
-    out = tmp_path / "eval.csv"
-    result = runner.invoke(main, ["eval", "--scenario", scenario_file, "--checkpoint",
-                                  str(ck), "--seeds", "0", "--out", str(out)])
+    out = tmp_path / "eval.json"
+    result = runner.invoke(main, ["simulate", "--scenario", scenario_file, "--policy",
+                                  str(ck), "--seed", "0", "--out", str(out)])
     assert result.exit_code == 1, result.output
     assert f"bad checkpoint {ck}: {message}" in result.output
     assert not out.exists()
@@ -716,10 +710,12 @@ def test_unreadable_checkpoint_exits_1(runner, scenario_file, tmp_path, text):
     ck = tmp_path / "policy.json"
     if text is not None:
         ck.write_text(text)
-    result = runner.invoke(main, ["eval", "--scenario", scenario_file, "--checkpoint",
-                                  str(ck), "--seeds", "0", "--out", str(tmp_path / "eval.csv")])
+    out = tmp_path / "eval.json"
+    result = runner.invoke(main, ["simulate", "--scenario", scenario_file, "--policy",
+                                  str(ck), "--seed", "0", "--out", str(out)])
     assert result.exit_code == 1, result.output
     assert f"cannot read checkpoint {ck}: " in result.output
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,6 @@ def test_only_errors_calls_math_isfinite():
 # Library entry points that nothing in the package or the benchmark calls.
 UNCALLED_ENTRY_POINTS = {
     "save_scenario": "writes a scenario file that load_scenario reads back",
-    "histogram_entropy": "the altitude-spread measure of criterion 9; no report prints it",
 }
 
 

@@ -130,6 +130,7 @@ class TestAltitudeHistogram:
         peaked = {z: (1.0 if z == 3000.0 else 0.0) for z in self.LAYERS.levels_ft}
         assert M.histogram_entropy(flat) == pytest.approx(math.log(5))
         assert M.histogram_entropy(peaked) == 0.0
+        assert math.copysign(1.0, M.histogram_entropy(peaked)) == 1.0  # reported as 0
 
 
 class TestZoneNoise:
@@ -322,17 +323,44 @@ class TestSweep:
 
     def test_checkpoint_reuse_identical_table(self):
         # sweep_rho trains and scores under the caller's reward config with
-        # each rho, so its row equals a train + run_episode by hand
+        # each rho and train config with each seed, so its rows equal a
+        # train + run_episode per (rho, seed) by hand, in that order
         net = make_corridor_network(length_m=3000.0)
         sc = generate_scenario(net, 1, [("A", "B")], seed=0)
         tc = TrainConfig(iterations=2, hidden=4, seed=0, minibatch_size=32)
-        rows = M.sweep_rho([0.3], sc, tc, SimConfig(), RewardConfig.for_layers(net.layers, 0.0),
-                           seeds=[0])
+        rows = M.sweep_rho([0.3, 0.6], sc, tc, SimConfig(),
+                           RewardConfig.for_layers(net.layers, 0.0), seeds=[0, 1])
         from uamnoise.rl import train
-        rc = RewardConfig.for_layers(net.layers, 0.3,
-                                     d_los_m=150.0, d_comm_m=2500.0)
-        params, _ = train(sc, tc, SimConfig(), rc)
-        assert rows == [M.run_episode(params, sc, SimConfig(), rc, seed=0)[0]]
+        expected, flats = [], []
+        for rho in (0.3, 0.6):
+            rc = RewardConfig.for_layers(net.layers, rho, d_los_m=150.0, d_comm_m=2500.0)
+            for seed in (0, 1):
+                params, _ = train(sc, replace(tc, seed=seed), SimConfig(), rc)
+                expected.append(M.run_episode(params, sc, SimConfig(), rc, seed=seed)[0])
+                flats.append(params.flat)
+        assert rows == expected
+        assert [(m.rho, m.seed) for m in rows] == [(0.3, 0), (0.3, 1), (0.6, 0), (0.6, 1)]
+        # the seed is a training seed: each one trains other weights
+        assert not np.array_equal(flats[0], flats[1])
+
+    def test_tradeoff_means_over_seeds(self, tmp_path):
+        def episode(rho, seed, los, top):
+            return M.EpisodeMetrics(los, 1.0, 2.0, {1000.0: 1.0 - top, 3000.0: top}, -1.0,
+                                    seed, rho)
+        rows = [episode(0.9, 0, 4, 1.0), episode(0.9, 1, 2, 0.5),
+                episode(0.0, 0, 1, 0.0), episode(0.0, 1, 0, 0.0)]
+        low, high = M.tradeoff(rows)
+        assert (low["rho"], low["mean_los"], low["top_layer_fraction"]) == (0.0, 0.5, 0.0)
+        assert (high["rho"], high["mean_los"], high["top_layer_fraction"]) == (0.9, 3.0, 0.75)
+        assert high["histogram"] == {1000.0: 0.25, 3000.0: 0.75}
+        assert low["histogram_entropy"] == 0.0
+        assert high["histogram_entropy"] == M.histogram_entropy(high["histogram"]) > 0.0
+        path = tmp_path / "tradeoff.csv"
+        M.export_tradeoff(rows, path)
+        with open(path) as fh:
+            table = list(csv.DictReader(fh))
+        assert [rec["histogram_entropy"] for rec in table] == [
+            "0", f"{M.histogram_entropy(high['histogram']):.6g}"]
 
     def test_rows_keep_the_callers_layers_and_lam(self):
         # a head-on pair under layers and lam that are not the defaults: a
