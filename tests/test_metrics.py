@@ -260,6 +260,24 @@ class TestRunEpisode:
         assert metrics.noise_increase_max_db == pytest.approx(max_db, rel=1e-12)
         assert metrics.mean_return == pytest.approx(mean_return, rel=1e-12)
 
+    def test_policy_episode_outputs_pinned(self, bundled_scenario, tmp_path):
+        """A sampled hidden-64 policy episode on the bundled scenario, as the
+        benchmark's bundled-policy workload runs it at seed 0, pinned bit for
+        bit. Unlike the hold episodes, its aircraft change layers, so dz
+        varies within LOS pairs. Exact and rel 1e-12 comparisons as in
+        test_hold_episode_outputs_pinned."""
+        rc = RewardConfig.for_layers(bundled_scenario.network.layers, 0.5)
+        metrics, trace = M.run_episode(nnet.init_params(64, 0), bundled_scenario, SimConfig(),
+                                       rc, seed=0, greedy=False)
+        path = tmp_path / "trace.csv"
+        M.write_trace(trace, path)
+        assert metrics.los_count == 324 and len(trace) == 2369
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "1e19704f628fa5670adf65f8e2bf4b432f72ce1e9b36b2c8c67f1f8e39073965"
+        assert metrics.noise_increase_median_db == pytest.approx(-10.322677863105657, rel=1e-12)
+        assert metrics.noise_increase_max_db == pytest.approx(0.5699547870834039, rel=1e-12)
+        assert metrics.mean_return == pytest.approx(-8.521862351727284, rel=1e-12)
+
     def test_incompatible_layers_rejected(self, line_scenario):
         with pytest.raises(ValidationError, match="layers"):
             M.check_compatible((1000.0, 2000.0), line_scenario)
