@@ -185,6 +185,13 @@ class Scenario:
         related.setflags(write=False)
         return {i: geometry[r.link_ids] for i, r in self.routes.items()}, related
 
+    @cached_property
+    def motion_plans(self) -> dict:
+        """The simulator's motion plans of this scenario, by their key (see
+        sim.motion_plan): each is built on first use and read-only, so, like
+        geometry, every world of the scenario shares it."""
+        return {}
+
 
 # ---------------------------------------------------------------------------
 # File I/O

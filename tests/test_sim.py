@@ -14,7 +14,7 @@ from uamnoise.network import (COORD_LIMIT_M, AltitudeLayerSet, Flight, Link, Net
                               Scenario, Vertiport, generate_scenario)
 from uamnoise.rl import collect_rollout
 from uamnoise.sim import (FT_TO_M, Action, AircraftState, LosEvent, Phase, SimConfig, World,
-                          action_mask)
+                          action_mask, motion_plan)
 
 from conftest import (enroute_ids, make_corridor_network, make_cross_network,
                       make_line_network, route_position, routes_related, step_with)
@@ -141,24 +141,31 @@ class TestKinematics:
         assert not ac.b_changing
 
     def test_arrival_near_destination(self):
+        # a 100 m route: 67 m after one step, 33 m short; the second step's
+        # 67 m reach past the end, so it arrives on the destination
         net = make_corridor_network(length_m=100.0)
         sc = generate_scenario(net, 1, [("A", "B")], seed=0)
         world = World(sc, SimConfig())
-        world.spawn_due_aircraft()
         ac = world.aircraft["AC001"]
-        ac.dist_along_m = 50.0
-        world.advance_kinematics()  # 67 m > 50 m remaining
-        assert ac.phase is Phase.ARRIVED
-        assert (ac.x_m, ac.y_m) == (100.0, 0.0)
+        world.step()
+        assert ac.phase is Phase.ENROUTE
+        assert (ac.x_m, ac.y_m, ac.dist_along_m) == (67.0, 0.0, 67.0)
+        world.step()
+        assert ac.phase is Phase.ARRIVED and world.enroute() == []
+        assert (ac.x_m, ac.y_m, ac.dist_along_m) == (100.0, 0.0, 100.0)
 
     def test_link_handoff_positions_on_second_link(self, line_scenario):
+        # 12 km links: 179 steps of 67 m end 7 m short of B, on the first
+        # link; the 180th ends 60 m past B, on the second
         world = World(line_scenario, SimConfig())
-        world.spawn_due_aircraft()
         ac = world.aircraft["AC001"]
-        ac.dist_along_m = 12000.0 + 500.0
-        world.advance_kinematics()
-        # 12567 m along the route: 567 m past B, on the second link
-        assert abs(ac.x_m - 12000.0) == pytest.approx(567.0)
+        links = line_scenario.routes["AC001"].link_ids
+        for _ in range(179):
+            world.step()
+        assert abs(ac.x_m - 12000.0) == 7.0 and world.member_of(ac) == links[0]
+        world.step()
+        assert ac.dist_along_m == 12060.0
+        assert abs(ac.x_m - 12000.0) == 60.0 and world.member_of(ac) == links[1]
         assert ac.y_m == 0.0
 
 
@@ -245,9 +252,40 @@ class TestNeighbors:
                                                                  (1000.0, ids[11])]
 
 
+def parallel_world(offsets, north=True, order=None, **cfg):
+    """A world of straight 10 km corridors, one per offset, all running north
+    with their x at the offset, or east with their y at it, and flight
+    AC00<i+1> on corridor i, departing at 0, spawned. Every step keeps the
+    aircraft side by side at exactly their offsets' distances apart. order,
+    if given, permutes the scenario's flights."""
+    vp, links, flights = {}, {}, []
+    for i, off in enumerate(offsets):
+        ends = ((off, 0.0), (off, 10000.0)) if north else ((0.0, off), (10000.0, off))
+        for name, (x, y) in zip((f"O{i}", f"D{i}"), ends):
+            vp[name] = Vertiport(name, x, y)
+        links[f"L{i}"] = Link(f"L{i}", f"O{i}", f"D{i}")
+        flights.append(Flight(f"AC{i + 1:03d}", f"O{i}", f"D{i}", 0.0))
+    scenario = Scenario(Network(vp, links, AltitudeLayerSet(), {}),
+                        tuple(flights[i] for i in order or range(len(flights))))
+    world = World(scenario, SimConfig(**cfg))
+    world.spawn_due_aircraft()
+    return world
+
+
+def planned_pairs(world):
+    """The flight-id pairs the world's motion plan gives detect_los to
+    measure at the current step."""
+    plan = motion_plan(world.scenario, world.config)
+    lo, hi = plan.los_steps.get(world.n_steps, (0, 0))
+    ids = [fl.id for fl in world.scenario.flights]
+    return [(ids[a], ids[b]) for a, b in zip(plan.los_a[lo:hi], plan.los_b[lo:hi])]
+
+
 class TestDetectLos:
     def make_pair(self, dz_ft, planar_m=0.0):
-        world, a, b = TestNeighbors().make_pair(planar_m)
+        # side by side on parallel corridors, planar_m apart, dz_ft vertically
+        world = parallel_world([0.0, planar_m])
+        a, b = world.enroute()
         b.z_ft = a.z_ft + dz_ft
         return world
 
@@ -299,11 +337,12 @@ class TestLosBookkeeping:
 
 
 class TestSweepCutoffs:
-    """detect_los's x-order sweep keeps every pair with |dx| <= d_los: a pair at
-    |dx| == d_los is measured and rejected (LOS needs d < d_los). Of those it
-    measures only the pairs with |dy| < d_los. The neighbours' range gate
-    dx*dx + dy*dy <= d_comm*d_comm admits a pair at |dx| == d_comm. Equal x
-    exercise the ties of the sort and of the gate."""
+    """The motion plan's LOS candidates are the pairs with |dx| <= d_los and
+    |dy| < d_los: a pair at |dx| == d_los is measured and rejected (LOS needs
+    d < d_los), and a pair at |dy| == d_los is not measured. Aircraft side by
+    side on parallel corridors stay exactly their corridors' offset apart;
+    co-located ones exercise equal positions. The neighbours' range gate
+    dx*dx + dy*dy <= d_comm*d_comm admits a pair at |dx| == d_comm."""
 
     def place(self, xs, **cfg):
         world = make_world(n=len(xs), od=[("A", "C"), ("C", "A")], spacing=0.0, **cfg)
@@ -314,36 +353,35 @@ class TestSweepCutoffs:
 
     @pytest.mark.parametrize("d_los", [150.0, 400.0])
     def test_los_at_exactly_d_los_is_not_los(self, d_los):
-        world = self.place([1000.0, 1000.0 + d_los, 1000.0], d_los_m=d_los)
-        assert world.detect_los() == [("AC001", "AC003", 0.0)]
+        world = parallel_world([0.0, d_los, 0.0], d_los_m=d_los)
+        for _ in range(3):
+            assert ("AC001", "AC002") in planned_pairs(world)
+            assert world.detect_los() == [("AC001", "AC003", 0.0)]
+            world.step()
 
     @pytest.mark.parametrize("d_los", [150.0, 400.0])
     def test_los_just_below_d_los(self, d_los):
-        x = math.nextafter(1000.0 + d_los, 0.0)
-        world = self.place([1000.0, x, 1000.0], d_los_m=d_los)
-        assert world.detect_los() == [("AC001", "AC002", x - 1000.0), ("AC001", "AC003", 0.0),
-                                      ("AC002", "AC003", x - 1000.0)]
+        x = math.nextafter(d_los, 0.0)
+        world = parallel_world([0.0, x, 0.0], d_los_m=d_los)
+        for _ in range(3):
+            assert world.detect_los() == [("AC001", "AC002", x), ("AC001", "AC003", 0.0),
+                                          ("AC002", "AC003", x)]
+            world.step()
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("d_los", [150.0, 400.0])
     def test_los_at_exactly_d_los_in_y(self, d_los, sign):
         # dx == dz == 0: a pair |dy| == d_los apart is no LOS, one just nearer is
-        world = self.place([1000.0, 1000.0], d_los_m=d_los)
-        world.aircraft["AC002"].y_m = sign * d_los
-        assert world.detect_los() == []
-        world.aircraft["AC002"].y_m = y = sign * math.nextafter(d_los, 0.0)
+        world = parallel_world([0.0, sign * d_los], north=False, d_los_m=d_los)
+        assert planned_pairs(world) == [] and world.detect_los() == []
+        y = sign * math.nextafter(d_los, 0.0)
+        world = parallel_world([0.0, y], north=False, d_los_m=d_los)
         assert world.detect_los() == [("AC001", "AC002", abs(y))]
 
-    def test_los_in_flight_order_not_id_order(self, line_network):
+    def test_los_in_flight_order_not_id_order(self):
         # scenario-flight order AC003, AC001, AC002 and x order AC001, AC002,
-        # AC003: the sweep meets the pairs in id order, and they come out in
-        # flight order, each pair's ids ascending
-        sc = generate_scenario(line_network, 3, [("A", "C")], departure_spacing_s=0.0, seed=0)
-        world = World(Scenario(line_network, tuple(sc.flights[i] for i in (2, 0, 1))),
-                      SimConfig())
-        world.spawn_due_aircraft()
-        for aid, x in (("AC001", 1000.0), ("AC002", 1050.0), ("AC003", 1100.0)):
-            world.aircraft[aid].x_m = x
+        # AC003: the pairs come out in flight order, each pair's ids ascending
+        world = parallel_world([0.0, 50.0, 100.0], order=(2, 0, 1))
         assert world.detect_los() == [("AC001", "AC003", 100.0), ("AC002", "AC003", 50.0),
                                       ("AC001", "AC002", 50.0)]
 
@@ -680,8 +718,8 @@ def chain_cases(draw):
 
 
 class TestPositionCacheProperty:
-    """World caches each aircraft's route segment and the x order of the
-    enroute aircraft; both must give what fresh computation gives."""
+    """World reads positions and LOS candidates from the scenario's motion
+    plan; both must give what fresh computation gives."""
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(chain_cases())
@@ -724,15 +762,19 @@ class TestPositionCacheProperty:
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(chain_cases())
-    def test_kept_x_order_matches_brute_force_los(self, case):
-        """detect_los keeps its x order across spawns, arrivals and steps;
-        between steps some aircraft are moved onto another's x, and some onto
-        its x and y, so equal x tie, and detect_los runs twice."""
+    def test_planned_los_matches_brute_force(self, case):
+        """detect_los, run twice, equals the all-pairs scan right after each
+        spawn and after each step, on chains whose links are shorter than,
+        equal to or longer than one step. Then some aircraft are moved by
+        hand onto another's x, and some onto its x and y, so equal x tie:
+        detect_los measures the moved positions of the planned pairs, and of
+        no other pair, until the step puts every aircraft back on its track."""
         scenario, d_los, seed = case
         world = World(scenario, SimConfig(d_los_m=d_los))
         rng = np.random.default_rng(seed)
         while not world.terminal:
             world.spawn_due_aircraft()
+            assert world.detect_los() == world.detect_los() == scan_los(world)
             ids = enroute_ids(world)
             for aid in ids:
                 if rng.random() < 0.3:
@@ -740,8 +782,34 @@ class TestPositionCacheProperty:
                     ac.x_m = other.x_m
                     if rng.random() < 0.5:
                         ac.y_m = other.y_m
-            assert world.detect_los() == world.detect_los() == scan_los(world)
+            planned = {tuple(sorted(pair)) for pair in planned_pairs(world)}
+            assert world.detect_los() == [hit for hit in scan_los(world) if hit[:2] in planned]
             assert world.step() == scan_los(world)
+
+
+class TestMotionPlanReuse:
+    """One Scenario object serves worlds of several configs in turn, each
+    with the plan of its own (dt_s, cruise_speed_mps, d_los_m)."""
+
+    def los_events(self, scenario, config):
+        world = World(scenario, config)
+        while not world.terminal:
+            assert world.step() == scan_los(world)
+        return world.los_events
+
+    def test_each_key_field_selects_its_own_plan(self, line_network):
+        # the base config's plan comes first; a key without one of the three
+        # fields would hand it to the config that differs only there
+        flights = generate_scenario(line_network, 12, [("A", "C"), ("C", "A")],
+                                    departure_spacing_s=50.0, seed=3).flights
+        shared = Scenario(line_network, flights)
+        base = self.los_events(shared, SimConfig())
+        for field, value in (("d_los_m", 400.0), ("cruise_speed_mps", 80.0), ("dt_s", 0.5)):
+            config = SimConfig(**{field: value})
+            events = self.los_events(shared, config)
+            assert events == self.los_events(Scenario(line_network, flights), config)
+            assert events and events != base
+        assert len(shared.motion_plans) == 4
 
 
 def test_tracer_step_contract(bundled_scenario, monkeypatch):
