@@ -196,6 +196,8 @@ class MotionPlan:
         n_max = int(step.max(initial=0))
         # Cells per axis, few enough that keys fit in int64.
         cells = min(2 ** 24, math.isqrt(2 ** 62 // (n_max + 2)) - 3)
+        # w a little above d_los: coordinates within d_los of each other, in
+        # (xy - low) / w as rounded, are less than one cell apart.
         low = xy.min(axis=1, keepdims=True) if xy.size else 0.0
         w = max(d_los_m * (1 + 2 ** -20), float((xy - low).max(initial=0.0)) / cells)
         cx, cy = np.floor((xy - low) / w).astype(np.int64)
@@ -223,8 +225,7 @@ class MotionPlan:
         n, a, b = n[by], a[by], b[by]
         lo = np.flatnonzero(np.diff(n, prepend=-1)).tolist()
         self.los_steps = dict(zip(n[lo].tolist(), zip(lo, lo[1:] + [len(n)])))
-        self.los_a = memoryview(a.astype(np.int32))
-        self.los_b = memoryview(b.astype(np.int32))
+        self.los_a, self.los_b = a.astype(np.int32), b.astype(np.int32)
 
 
 def motion_plan(scenario: Scenario, config: SimConfig) -> MotionPlan:
@@ -268,7 +269,9 @@ class World:
         self._horizon_steps = math.ceil(config.max_episode_time_s / config.dt_s - 1e-9)
         geometry, self._related = scenario.geometry  # by flight id; by route number
         plan = motion_plan(scenario, config)
-        self._los_steps, self._los_a, self._los_b = plan.los_steps, plan.los_a, plan.los_b
+        # memoryviews: iterating one yields Python ints
+        self._los_a, self._los_b = memoryview(plan.los_a), memoryview(plan.los_b)
+        self._los_steps = plan.los_steps
         self._records = [AircraftState(fl.id, i, geometry[fl.id], track, spawn)
                          for i, (fl, track, spawn)
                          in enumerate(zip(scenario.flights, plan.tracks, plan.spawn_steps))]
