@@ -165,7 +165,9 @@ class MotionPlan:
         xy[1, at] = ay[link] + f * ey[link]
         for i, (pts, _, _, _) in enumerate(routes):
             xy[:, start[i]], xy[:, start[i] + arrival[i]] = pts[0], pts[-1]
-        xs, ys = xy.tolist()
+        # Equal coordinates share one float object, as routes share links.
+        values, inverse = np.unique(xy, return_inverse=True)
+        xs, ys = np.array(values.tolist(), dtype=object)[inverse.reshape(xy.shape)].tolist()
         along_list = along.tolist()
         by_route = [(xs[s:s + n + 1], ys[s:s + n + 1], along_list[:n] + [cum[-1]], n)
                     for (_, cum, _, _), s, n in zip(routes, start.tolist(), arrival.tolist())]
