@@ -278,6 +278,29 @@ class TestRunEpisode:
         assert metrics.noise_increase_max_db == pytest.approx(0.5699547870834039, rel=1e-12)
         assert metrics.mean_return == pytest.approx(-8.521862351727284, rel=1e-12)
 
+    @pytest.mark.parametrize("horizon_s, los_count, rows, mean_return, trace_sha", [
+        (600.0, 212, 1404, -7.940976003570161,
+         "15c3cf454f5467ea393a668618bfc4c11b9501226dce03d513e9fae5bd1a59a6"),
+        (605.0, 215, 1431, -7.500545850417467,
+         "8b4359753838d7cc465d66ffe1a97acc7a43caa52b1ee49bb3d3fa7d79e8dabc"),
+    ])
+    def test_horizon_cut_episode_outputs_pinned(self, bundled_scenario, tmp_path, horizon_s,
+                                                los_count, rows, mean_return, trace_sha):
+        """The sampled hidden-64 policy episode of
+        test_policy_episode_outputs_pinned, cut by the horizon with aircraft
+        still enroute. 600 s is a decision step whose departures are still
+        unspawned at the last observation; 605 s is not a decision step.
+        Exact and rel 1e-12 comparisons as in test_hold_episode_outputs_pinned."""
+        rc = RewardConfig.for_layers(bundled_scenario.network.layers, 0.5)
+        metrics, trace = M.run_episode(nnet.init_params(64, 0), bundled_scenario,
+                                       SimConfig(max_episode_time_s=horizon_s), rc, seed=0,
+                                       greedy=False)
+        path = tmp_path / "trace.csv"
+        M.write_trace(trace, path)
+        assert metrics.los_count == los_count and len(trace) == rows
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha
+        assert metrics.mean_return == pytest.approx(mean_return, rel=1e-12)
+
     def test_incompatible_layers_rejected(self, line_scenario):
         with pytest.raises(ValidationError, match="layers"):
             M.check_compatible((1000.0, 2000.0), line_scenario)
