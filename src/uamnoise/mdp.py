@@ -7,6 +7,7 @@ neighbors. A single tradeoff weight rho blends the two.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -24,9 +25,10 @@ OWN_DIM = 6  # z, b_changing (0 or 1), z_target, one-hot last action
 # One row per intruder, ascending by d_o: z_rel (signed altitude difference
 # over the span), d_o (3-D distance over d_comm), one-hot last action.
 INTRUDER_DIM = 5
-# The columns of World.neighbors's state that own's entries are read from, the
-# last action once per one-hot column, and the wire values of those columns.
-_OWN_COLUMNS = np.array([2, 4, 3, 5, 5, 5])
+# The columns of observe_tick's state (z, z_target, b_changing, last action)
+# that own's entries are read from, the last action once per one-hot column,
+# and the wire values of those columns.
+_OWN_COLUMNS = np.array([0, 2, 1, 3, 3, 3])
 _ACTIONS = np.array([float(a) for a in Action])
 
 
@@ -70,26 +72,28 @@ def observe_tick(world: World, config: RewardConfig) -> tuple[np.ndarray, np.nda
     world.enroute()[b]: own (B, OWN_DIM); intr (B, K, INTRUDER_DIM), row b
     holding aircraft b's nearest route-related intruders within planar d_comm
     (at most N_MAX_INTRUDERS) in the layout above, ascending by 3-D distance
-    (World.distance_3d_m's rule), equal distances in scenario-flight order,
+    (the rule of the sim module), equal distances in scenario-flight order,
     zero-padded to K = max(1, largest count); intr_mask (B, K) marks the
-    filled rows. One World.neighbors query serves every row."""
-    state, index, dist = world.neighbors(N_MAX_INTRUDERS)
-    z, last = state[:, 2], state[:, 5]
+    filled rows. One World.neighbors query serves every row; the altitudes
+    and actions come from the records, and no position is read."""
+    row, other, dist = world.neighbors(N_MAX_INTRUDERS)
+    acs = world.enroute()
+    state = np.fromiter(chain.from_iterable((a.z_ft, a.z_target_ft, a.b_changing, a.last_action)
+                                            for a in acs), float, 4 * len(acs)).reshape(-1, 4)
+    z, last = state[:, 0], state[:, 3]
     own = state.take(_OWN_COLUMNS, axis=1)  # then normalized in place
     own[:, 0:3:2] -= config.layers.z_min
     own[:, 0:3:2] /= config.span_ft
-    own[:, 3:] = own[:, 3:] == _ACTIONS
-    counts = np.minimum((dist < np.inf).sum(axis=1), N_MAX_INTRUDERS)
-    k = max(1, counts.max(initial=0))
-    intr_mask = np.arange(k) < counts[:, None]
-    r, c = np.nonzero(intr_mask)  # row-major, each row's intruders nearest first
-    other = index[r, c]
-    found = np.empty((len(r), INTRUDER_DIM))
-    found[:, 0] = (z[other] - z[r]) / config.span_ft
-    found[:, 1] = dist[r, other] / config.d_comm_m
-    found[:, 2:] = last[other, None] == _ACTIONS
-    intr = np.zeros((len(state), k, INTRUDER_DIM))
-    intr[r, c] = found
+    np.equal(own[:, 3:], _ACTIONS, out=own[:, 3:])
+    counts = np.bincount(row, minlength=len(acs))
+    intr_mask = np.arange(max(1, counts.max(initial=0))) < counts[:, None]
+    found = np.empty((len(row), INTRUDER_DIM))
+    np.subtract(z[other], z[row], out=found[:, 0])
+    found[:, 0] /= config.span_ft
+    np.divide(dist, config.d_comm_m, out=found[:, 1])
+    np.equal(last[other, None], _ACTIONS, out=found[:, 2:])
+    intr = np.zeros((*intr_mask.shape, INTRUDER_DIM))
+    intr[intr_mask] = found  # row-major: each row's intruders nearest first
     return own, intr, intr_mask
 
 

@@ -188,8 +188,9 @@ class Scenario:
     @cached_property
     def motion_plans(self) -> dict:
         """The simulator's motion plans of this scenario, by their key (see
-        sim.motion_plan): each is built on first use and read-only, so, like
-        geometry, every world of the scenario shares it."""
+        sim.motion_plan): each is built on first use, and only its neighbour
+        pairs are added to afterwards, so, like geometry, every world of the
+        scenario shares it."""
         return {}
 
 

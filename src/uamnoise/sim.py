@@ -3,11 +3,15 @@
 Advances aircraft along frozen route polylines, executes altitude transitions
 under the completion lock, finds in-range neighbors on related routes, and
 records loss-of-separation events. Horizontal motion depends on no action, so
-it is planned once per scenario and configuration (``MotionPlan``).
+it is planned once per scenario and configuration (``MotionPlan``), and both
+pair queries take their pairs and planar distances from the plan.
 
-Altitudes live in feet; positions in meters. Altitude is converted to meters
-(factor 0.3048 exact) only inside Euclidean-distance computations, which all
-follow one rule, ``World.distance_3d_m``.
+Altitudes live in feet; positions in meters. Every distance follows one rule:
+sqrt(planar2 + dz*dz), with planar2 = dx*dx + dy*dy from the plan's tracks and
+dz = (z_a - z_b) * FT_TO_M (factor 0.3048 exact) from the live altitudes.
+Python and NumPy round each of its operations alike, so ``detect_los`` and
+``World.neighbors`` give the same bits, and it is bitwise symmetric, as
+negation is exact.
 """
 from __future__ import annotations
 
@@ -102,14 +106,22 @@ class LosEvent:
 
 #: Spawn steps are planned up to here; a world never steps this far.
 _LAST_STEP = 2.0 ** 52
+#: Neighbour pairs are planned in batches of at most this many steps, and of
+#: at most this many (step, flight, flight) cells unless one step alone has
+#: more; this bounds a batch's temporary arrays to about 1.5 MB.
+_PAIR_STEPS, _PAIR_CELLS = 64, 2 ** 15
 
 
 class MotionPlan:
     """The horizontal motion of a scenario's flights under one (dt_s,
     cruise_speed_mps, d_los_m). Along-track motion depends on no action and no
     altitude, so these fix which aircraft are enroute at each step, where each
-    is in the plane, and which pairs the plane brings within d_los. Built once
-    per key by ``motion_plan`` and read-only.
+    is in the plane, which pairs the plane brings within d_los, and which
+    related pairs within a d_comm. Built once per key by ``motion_plan``; only
+    the neighbour pairs are added to afterwards, a batch of steps at a time.
+    Both of a world's pair queries take their pairs and planar distances from
+    here and read no record's position, so a position set by hand moves
+    neither.
 
     - ``tracks[i]``, for flight index i, is its route's (xs, ys, ds, K): the
       position and distance along the route after k steps, for k = 0 (the
@@ -123,20 +135,31 @@ class MotionPlan:
     - ``los_steps`` maps a step n to a range [lo, hi) of ``los_a`` and
       ``los_b``: the flight-index pairs a < b, ascending, that are both
       enroute at n by their tracks (spawned at or before n, and not arrived)
-      and there at |dx| <= d_los and |dy| < d_los. Both cut-offs are exact,
-      since the 3-D distance is never below |dx| or |dy|: in binary floating
-      point sqrt(y*y) rounds back to |y|, and rounding is monotone.
+      and there at |dx| <= d_los and |dy| < d_los, and ``los_planar2`` their
+      dx*dx + dy*dy. Both cut-offs are exact, since the 3-D distance is never
+      below |dx| or |dy|: in binary floating point sqrt(y*y) rounds back to
+      |y|, and rounding is monotone.
+    - ``neighbor_pairs(d_comm_m, n, every)`` gives the flights enroute at n
+      by their tracks and, as positions in that list, the pairs a < b,
+      ascending, on related routes (``Scenario.geometry``'s table) and there
+      within planar range, dx*dx + dy*dy <= d_comm*d_comm, with that planar2.
+      The first request for (d_comm_m, n) plans a batch of steps n, n +
+      every, n + 2*every, ... at once, and each is kept under (d_comm_m,
+      step): a world asks at its decision ticks, every decision interval.
 
-    The candidate search bins the (flight, step) positions into cells of
+    The LOS candidate search bins the (flight, step) positions into cells of
     side w > d_los (just above, unless the network's extent caps the cell
     count), keyed by (step, column, row): a pair within the cut-offs lies in
     the same or adjacent cells, so each position is compared with those of
     its own and the next cell up, and of the three cells of the next column.
+    The neighbour pairs, whose d_comm spans much of a network, come from
+    every pair of flights enroute at a step, all of a batch's steps in one
+    set of (steps, flights, flights) arrays.
     """
 
     def __init__(self, scenario: Scenario, dt_s: float, cruise_speed_mps: float,
                  d_los_m: float):
-        geometry, _ = scenario.geometry
+        geometry, related = scenario.geometry
         routes = [g for _, g in sorted({g[2]: g for g in geometry.values()}.items())]
         length = np.array([cum[-1] for _, cum, _, _ in routes])
         step_m = cruise_speed_mps * dt_s
@@ -186,6 +209,13 @@ class MotionPlan:
         self.tracks = [by_route[i] for i in route.tolist()]
         self.spawn_steps = spawn.tolist()
         self._plan_los(xy, start, arrival, route, spawn, d_los_m)
+        # for neighbor_pairs: a flight is enroute at the steps n with
+        # _spawn <= n < _end, at the track column _column + n
+        self._xy, self._column = xy, start[route] - spawn
+        self._spawn, self._end = spawn, spawn + arrival[route]
+        self._by_spawn, self._by_end = np.sort(self._spawn), np.sort(self._end)
+        self._route, self._related = route, related
+        self._pairs: dict[tuple[float, int], tuple] = {}
 
     def _plan_los(self, xy, start, arrival, route, spawn, d_los_m):
         # One row per flight and step it is enroute at, k = 0 .. K - 1.
@@ -219,7 +249,7 @@ class MotionPlan:
         i, j = order[np.concatenate((same, right), axis=1)]
         dx, dy = xy[:, point[i]] - xy[:, point[j]]
         near = (np.abs(dx) <= d_los_m) & (np.abs(dy) < d_los_m)
-        i, j = i[near], j[near]
+        i, j, planar2 = i[near], j[near], (dx * dx + dy * dy)[near]
         a, b = np.minimum(flight[i], flight[j]), np.maximum(flight[i], flight[j])
         n = step[i]
         by = np.argsort(a * len(route) + b)
@@ -228,6 +258,74 @@ class MotionPlan:
         lo = np.flatnonzero(np.diff(n, prepend=-1)).tolist()
         self.los_steps = dict(zip(n[lo].tolist(), zip(lo, lo[1:] + [len(n)])))
         self.los_a, self.los_b = a.astype(np.int32), b.astype(np.int32)
+        self.los_planar2 = planar2[by]
+
+    def neighbor_pairs(self, d_comm_m: float, n: int, every: int) -> tuple:
+        """(flights, ab, planar2, cells, width) of step n's neighbour pairs
+        within d_comm_m (see the class docstring): the int32 flight indices
+        enroute at n, ascending; each pair once, as a column (a, b) of ab (2,
+        pairs), positions a < b in flights, with its float64 planar2; and, in
+        that column of cells, its flat index in a's and in b's row of a
+        (len(flights), width) table whose row holds a flight's pairs in flight
+        order of the other, width being the largest count. Positions and
+        cells take the smallest unsigned type that holds them."""
+        if (d_comm_m, n) not in self._pairs:
+            self._plan_pairs(d_comm_m, n, every)
+        return self._pairs[(d_comm_m, n)]
+
+    def _plan_pairs(self, d_comm_m, n, every):
+        # the batch's steps, each with its enroute flights, in flight order, in
+        # a row of a (steps, w) table, w the largest count; NaN pads the rest
+        steps = n + every * np.arange(_PAIR_STEPS)
+        m = self._by_spawn.searchsorted(steps, "right") - self._by_end.searchsorted(steps, "right")
+        size = np.maximum.accumulate(m) ** 2 * np.arange(1, len(m) + 1)
+        steps = steps[:max(1, size.searchsorted(_PAIR_CELLS, "right"))]
+        m = m[:len(steps)]
+        w = max(int(m.max(initial=0)), 1)
+        step, flight = np.nonzero((self._spawn <= steps[:, None]) & (steps[:, None] < self._end))
+        first = np.cumsum(m) - m  # each step's first entry in flight
+        at = step * w + np.arange(len(flight)) - first[step]
+        x, y = np.full((2, len(steps) * w), np.nan)
+        x[at], y[at] = self._xy[:, self._column[flight] + steps[step]]
+        route = np.zeros(len(steps) * w, dtype=np.intp)
+        route[at] = self._route[flight]
+        x, y = x.reshape(-1, w), y.reshape(-1, w)
+        # planar2[s, a, b] of flights a and b of step s; e runs over the (s,
+        # a, b), a < b, in range (a NaN compares false) and on related routes,
+        # as flat indices, ascending, and row and col over the cells of (s, a)
+        # and (s, b) in the table
+        planar2, dy = x[:, :, None] - x[:, None, :], y[:, :, None] - y[:, None, :]
+        planar2 *= planar2
+        dy *= dy
+        planar2 += dy
+        near = planar2 <= d_comm_m * d_comm_m
+        near &= np.arange(w)[:, None] < np.arange(w)
+        e = np.flatnonzero(near)
+        row, b = np.divmod(e, w)
+        a = row % w
+        col = row - a + b
+        keep = self._related[route[row], route[col]]
+        e, row, col, a, b = e[keep], row[keep], col[keep], a[keep], b[keep]
+        # a flight's table row holds its pairs with earlier flights, then those
+        # with later ones, each by flight: the pair (s, a, b) sits at column
+        # slot_a of the row of (s, a) and slot_b of that of (s, b)
+        earlier, later = np.bincount(col, minlength=x.size), np.bincount(row, minlength=x.size)
+        count = earlier + later
+        slot_a = earlier[row] + np.arange(len(e)) - (np.cumsum(later) - later)[row]
+        by_col = col.astype(np.min_scalar_type(x.size)).argsort(kind="stable")  # radix, if small
+        slot_b = np.empty(len(e), dtype=np.intp)
+        slot_b[by_col] = np.arange(len(e)) - (np.cumsum(earlier) - earlier)[col[by_col]]
+        widths = count.reshape(len(steps), w).max(axis=1)
+        width = widths[row // w]
+        cells = np.array([a * width + slot_a, b * width + slot_b])
+        cells = cells.astype(np.min_scalar_type(int((m * widths).max())))
+        ab = np.array([a, b], dtype=np.min_scalar_type(w - 1))
+        planar2, flight = planar2.ravel()[e], flight.astype(np.int32)
+        bounds = (row // w).searchsorted(np.arange(len(steps) + 1)).tolist()
+        for k, (at_n, lo, rows) in enumerate(zip(steps.tolist(), first.tolist(), m.tolist())):
+            pairs = slice(bounds[k], bounds[k + 1])
+            self._pairs[(d_comm_m, at_n)] = (flight[lo:lo + rows], ab[:, pairs], planar2[pairs],
+                                             cells[:, pairs], int(widths[k]))
 
 
 def motion_plan(scenario: Scenario, config: SimConfig) -> MotionPlan:
@@ -254,10 +352,10 @@ class World:
     cruise_speed_mps, d_los_m), shared by every world of the scenario with
     that key: at step n an aircraft spawned at step s sits on its track at k
     = n - s, both just after a spawn and after a step. ``advance_kinematics``
-    copies x, y and dist_along_m from the track, and ``detect_los`` measures
-    only the plan's candidate pairs of the step. A position set by hand is
-    read by ``neighbors``, which measures every enroute pair afresh, by
-    ``member_of``, and by ``detect_los`` for a planned pair; the next step
+    copies x, y and dist_along_m from the track every step. ``neighbors`` and
+    ``detect_los`` measure only the plan's pairs of the step, from the plan's
+    planar2 and the records' altitudes, so neither reads a position: one set
+    by hand is read only by ``member_of`` (dist_along_m), and the next step
     overwrites it.
     """
 
@@ -269,10 +367,11 @@ class World:
         self.n_steps = 0
         self._interval_steps = round(config.decision_interval_s / config.dt_s)
         self._horizon_steps = math.ceil(config.max_episode_time_s / config.dt_s - 1e-9)
-        geometry, self._related = scenario.geometry  # by flight id; by route number
-        plan = motion_plan(scenario, config)
-        # memoryviews: iterating one yields Python ints
+        geometry = scenario.geometry[0]  # by flight id
+        self._plan = plan = motion_plan(scenario, config)
+        # memoryviews: iterating one yields Python ints and floats
         self._los_a, self._los_b = memoryview(plan.los_a), memoryview(plan.los_b)
+        self._los_planar2 = memoryview(plan.los_planar2)
         self._los_steps = plan.los_steps
         self._records = [AircraftState(fl.id, i, geometry[fl.id], track, spawn)
                          for i, (fl, track, spawn)
@@ -315,14 +414,6 @@ class World:
         if self.n_steps >= self._horizon_steps:
             return True
         return self._next == len(self._queue) and not self._enroute
-
-    def distance_3d_m(self, a: AircraftState, b: AircraftState) -> float:
-        """3-D distance in m, sqrt((dx*dx + dy*dy) + dz*dz) with dz = (z_a -
-        z_b) * FT_TO_M: the one distance rule. Python and NumPy round each of
-        its operations alike, so ``neighbors`` computes it bitwise equal, and
-        it is bitwise symmetric, as negation is exact."""
-        dx, dy, dz = a.x_m - b.x_m, a.y_m - b.y_m, (a.z_ft - b.z_ft) * FT_TO_M
-        return math.sqrt((dx * dx + dy * dy) + dz * dz)
 
     # -- dynamics ---------------------------------------------------------
 
@@ -384,49 +475,65 @@ class World:
         self._enroute = still_enroute
 
     def neighbors(self, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One NumPy pass over the enroute aircraft, in enroute order: (state,
-        index, distance). Row i of state (n, 6) holds aircraft i's x_m, y_m,
-        z_ft, z_target_ft, b_changing and last_action. distance (n, n), bitwise
-        symmetric, holds the distance_3d_m of each pair on related routes within
-        planar range, dx*dx + dy*dy <= d_comm*d_comm, and inf elsewhere. Row i
-        of index holds the enroute indices of aircraft i's nearest such
-        aircraft, at most limit of them, ascending by (distance, enroute
-        index), then ones at distance inf where it has fewer."""
+        """Each enroute aircraft's nearest aircraft on a related route within
+        planar range, dx*dx + dy*dy <= d_comm*d_comm, at most limit of them,
+        as flat arrays (row, other, distance): enroute indices and the 3-D
+        distance, rows ascending, then ascending by (distance, enroute index).
+        The pairs and their planar2 are the motion plan's for this step; a
+        pair with a flight not yet spawned, as at a step whose departures are
+        still due, is dropped. Only the altitudes come from the records, so a
+        position set by hand changes nothing here. Each row's few entries are
+        sorted in a compact (n, largest count) table; no (n, n) array is
+        formed."""
+        flights, ab, planar2, cells, width = self._plan.neighbor_pairs(
+            self.config.d_comm_m, self.n_steps, self._interval_steps)
         acs = self._enroute
         n = len(acs)
-        state = np.array([(a.x_m, a.y_m, a.z_ft, a.z_target_ft, a.b_changing, a.last_action,
-                           a.geometry[2]) for a in acs], dtype=float).reshape(n, 7)
-        p = state[:, :3].T.copy()
-        d = p[:, :, None] - p[:, None, :]  # d[:, i, j] = (dx, dy, dz in ft) of pair (i, j)
-        d[2] *= FT_TO_M
-        d *= d
-        planar2 = d[0] + d[1]
-        r = state[:, 6].astype(np.intp)
-        keep = self._related.take(r, axis=0).take(r, axis=1)
-        keep &= planar2 <= self.config.d_comm_m * self.config.d_comm_m
-        keep.flat[::n + 1] = False
-        dist = np.sqrt(planar2 + d[2])
-        dist[~keep] = np.inf
-        return state[:, :6], np.argsort(dist, axis=1, kind="stable")[:, :limit], dist
+        # the world's enroute flights are the plan's, less any departures still due
+        if n < len(flights):  # rows by flight index; pairs with an unspawned flight go
+            row_of = np.full(len(self._records), -1)
+            row_of[[ac.flight_index for ac in acs]] = np.arange(n)
+            ab = row_of[flights[ab]]
+            spawned = np.minimum(*ab) >= 0
+            ab, planar2 = ab[:, spawned], planar2[spawned]
+            cells = ab * width + cells[:, spawned] % width
+        z = np.array([ac.z_ft for ac in acs])
+        dist = z[ab[0]] - z[ab[1]]  # dz, then the pair's distance, in place
+        dist *= FT_TO_M
+        dist *= dist
+        dist += planar2
+        np.sqrt(dist, out=dist)
+        # a dropped pair leaves an inf cell, which sorts after every entry
+        table, other = np.full(n * width, np.inf), np.empty(n * width, dtype=ab.dtype)
+        table[cells] = dist
+        other[cells] = ab[::-1]
+        nearest = np.argsort(table.reshape(n, width), axis=1, kind="stable")[:, :limit]
+        nearest += width * np.arange(n)[:, None]
+        dist = table[nearest]
+        found = dist < np.inf
+        return np.nonzero(found)[0], other[nearest[found]], dist[found]
 
     def detect_los(self) -> list[tuple[str, str, float]]:
         """All enroute pairs closer than d_los in 3-D, as (id_a, id_b, dist)
         with id_a < id_b, ordered by the pair's enroute positions. Not
         route-filtered: separation is violated by geometry alone. Only the
-        motion plan's candidates of the current step are measured: every pair
-        the tracks bring within d_los in both x and y, which holds every
+        motion plan's candidates of the current step are measured, from their
+        planned planar2 and the records' altitudes, reading no x or y: every
+        pair the tracks bring within d_los in both x and y, which holds every
         pair closer than d_los in 3-D."""
         span = self._los_steps.get(self.n_steps)
         if span is None:
             return []
         lo, hi = span
-        records, enroute = self._records, Phase.ENROUTE
-        d_los, distance = self.config.d_los_m, self.distance_3d_m
+        records, enroute, d_los = self._records, Phase.ENROUTE, self.config.d_los_m
         hits = []
-        for i, j in zip(self._los_a[lo:hi], self._los_b[lo:hi]):
+        for i, j, planar2 in zip(self._los_a[lo:hi], self._los_b[lo:hi],
+                                 self._los_planar2[lo:hi]):
             a, b = records[i], records[j]
-            if a.phase is enroute and b.phase is enroute and (d := distance(a, b)) < d_los:
-                hits.append((a.id, b.id, d) if a.id < b.id else (b.id, a.id, d))
+            if a.phase is enroute and b.phase is enroute:
+                dz = (a.z_ft - b.z_ft) * FT_TO_M
+                if (d := math.sqrt(planar2 + dz * dz)) < d_los:
+                    hits.append((a.id, b.id, d) if a.id < b.id else (b.id, a.id, d))
         return hits
 
     def _update_los_bookkeeping(self, violations) -> None:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import settings
 
 import uamnoise
-from uamnoise.network import (AltitudeLayerSet, Link, Network, NoiseZone,
+from uamnoise.network import (AltitudeLayerSet, Flight, Link, Network, NoiseZone, Scenario,
                               Vertiport, generate_scenario, load_scenario, route_nodes)
+from uamnoise.sim import SimConfig, World
 
 # The same examples on every run, and no example database in the checkout.
 settings.register_profile("repo", derandomize=True, database=None)
@@ -115,6 +116,51 @@ def make_corridor_network(length_m=30000.0):
         "B-A": Link("B-A", "B", "A"),
     }
     return Network(vp, links, AltitudeLayerSet(), {})
+
+
+def parallel_world(offsets, north=True, order=None, **cfg):
+    """A world of straight 10 km corridors, one per offset, all running north
+    with their x at the offset, or east with their y at it, and flight
+    AC00<i+1> on corridor i, departing at 0, spawned. Every step keeps the
+    aircraft side by side at exactly their offsets' distances apart. Each
+    corridor then runs on to one shared hub vertiport at (20 km, 20 km), the
+    flights' destination, so every route is related to every other. order,
+    if given, permutes the scenario's flights."""
+    vp, links, flights = {"H": Vertiport("H", 20000.0, 20000.0)}, {}, []
+    for i, off in enumerate(offsets):
+        ends = ((off, 0.0), (off, 10000.0)) if north else ((0.0, off), (10000.0, off))
+        for name, (x, y) in zip((f"O{i}", f"D{i}"), ends):
+            vp[name] = Vertiport(name, x, y)
+        links[f"L{i}"] = Link(f"L{i}", f"O{i}", f"D{i}")
+        links[f"H{i}"] = Link(f"H{i}", f"D{i}", "H")
+        flights.append(Flight(f"AC{i + 1:03d}", f"O{i}", "H", 0.0))
+    scenario = Scenario(Network(vp, links, AltitudeLayerSet(), {}),
+                        tuple(flights[i] for i in order or range(len(flights))))
+    world = World(scenario, SimConfig(**cfg))
+    world.spawn_due_aircraft()
+    return world
+
+
+#: The hub of hub_world, away from the round numbers that tests place.
+HUB = (1234.5, -678.25)
+
+
+def hub_world(points, **cfg):
+    """A world whose flight AC00<i+1> departs at 0 from a vertiport at
+    points[i], (x, y), straight to one shared hub at HUB, spawned: every
+    route is related to every other, and each aircraft sits on its point.
+    Cruise is so fast that the longest route takes a few steps, which keeps
+    the motion plan small over any coordinates. No point may be HUB."""
+    vp = {"H": Vertiport("H", *HUB)}
+    links, flights = {}, []
+    for i, (x, y) in enumerate(points):
+        vp[f"P{i}"] = Vertiport(f"P{i}", x, y)
+        links[f"L{i}"] = Link(f"L{i}", f"P{i}", "H")
+        flights.append(Flight(f"AC{i + 1:03d}", f"P{i}", "H", 0.0))
+    world = World(Scenario(Network(vp, links, AltitudeLayerSet(), {}), tuple(flights)),
+                  SimConfig(cruise_speed_mps=1e7, **cfg))
+    world.spawn_due_aircraft()
+    return world
 
 
 @pytest.fixture

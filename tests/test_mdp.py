@@ -11,7 +11,7 @@ from uamnoise.mdp import (INTRUDER_DIM, N_MAX_INTRUDERS, OWN_DIM, RewardConfig, 
 from uamnoise.network import generate_scenario
 from uamnoise.sim import FT_TO_M, Action, Phase, SimConfig, World, action_mask
 
-from conftest import enroute_ids, make_line_network, step_with
+from conftest import enroute_ids, make_line_network, parallel_world, step_with
 
 CFG = RewardConfig(rho=0.5)
 
@@ -28,14 +28,6 @@ def intruders(*dz_ft, d_o=0.1):
 
 
 class TestObserve:
-    def make_world(self):
-        net = make_line_network()
-        sc = generate_scenario(net, 2, [("A", "C"), ("C", "A")],
-                               departure_spacing_s=0.0, seed=3)
-        world = World(sc, SimConfig())
-        world.spawn_due_aircraft()
-        return world
-
     def test_lone_aircraft_no_intruders(self, solo_scenario):
         world = World(solo_scenario, SimConfig())
         world.spawn_due_aircraft()
@@ -54,9 +46,8 @@ class TestObserve:
         assert observe_tick(world, CFG)[0][0, 0] == 1.0
 
     def test_intruder_fields(self):
-        world = self.make_world()
+        world = parallel_world([0.0, 0.0])  # side by side at one planar point
         a, b = world.aircraft["AC001"], world.aircraft["AC002"]
-        b.x_m, b.y_m = a.x_m, a.y_m
         b.z_ft = a.z_ft + 500.0
         planar = 0.0
         d3 = math.hypot(planar, 500.0 * FT_TO_M)
@@ -66,25 +57,18 @@ class TestObserve:
         assert intr[0, 0, 1] == pytest.approx(d3 / 2500.0)
 
     def test_intruder_at_1km_normalized(self):
-        world = self.make_world()
-        a, b = world.aircraft["AC001"], world.aircraft["AC002"]
-        # place intruder so the full 3-D separation is 1000 m
+        # corridors apart so that the full 3-D separation is 1000 m
         dz_m = 500.0 * FT_TO_M
+        world = parallel_world([0.0, math.sqrt(1000.0 ** 2 - dz_m ** 2)])
+        a, b = world.aircraft["AC001"], world.aircraft["AC002"]
         b.z_ft = a.z_ft + 500.0
-        b.x_m = a.x_m + math.sqrt(1000.0 ** 2 - dz_m ** 2)
-        b.y_m = a.y_m
         _, intr, _ = observe_tick(world, CFG)  # AC001's row is 0
         assert intr[0, 0, 0] == pytest.approx(0.25)
         assert intr[0, 0, 1] == pytest.approx(0.4)
 
     def test_intruders_sorted_and_capped(self):
-        sc = generate_scenario(make_line_network(), 14, [("A", "C"), ("C", "A")],
-                               departure_spacing_s=0.0, seed=3)
-        world = World(sc, SimConfig())
-        world.spawn_due_aircraft()
         # 13 intruders on a line, 150 m apart in reverse flight order
-        for k, ac_id in enumerate(enroute_ids(world)):
-            world.aircraft[ac_id].x_m = 150.0 * (14 - k)
+        world = parallel_world([150.0 * (14 - k) for k in range(14)])
         _, intr, intr_mask = observe_tick(world, CFG)
         assert enroute_ids(world)[13] == "AC014"
         assert intr.shape == (14, N_MAX_INTRUDERS, INTRUDER_DIM) and intr_mask[13].all()
@@ -257,10 +241,10 @@ class TestActionMask:
 
 class TestEncode:
     def test_shapes_and_one_hot(self):
-        world = TestObserve().make_world()
+        world = parallel_world([0.0, 0.0])  # side by side at one planar point
         a, b = world.aircraft["AC001"], world.aircraft["AC002"]
         a.z_ft, a.z_target_ft, a.b_changing, a.last_action = 2000.0, 2500.0, True, Action.CLIMB
-        b.x_m, b.y_m, b.z_ft, b.last_action = a.x_m, a.y_m, 2500.0, Action.DESCEND
+        b.z_ft, b.last_action = 2500.0, Action.DESCEND
         own, intr, intr_mask = observe_tick(world, CFG)  # rows AC001, AC002
         assert own.shape == (2, 6) and intr.shape == (2, 1, 5) and intr_mask.all()
         assert own[0].tolist() == [0.5, 1.0, 0.75, 0.0, 0.0, 1.0]

@@ -5,7 +5,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from uamnoise.errors import SimulationError, ValidationError
@@ -16,8 +16,9 @@ from uamnoise.rl import collect_rollout
 from uamnoise.sim import (FT_TO_M, Action, AircraftState, LosEvent, Phase, SimConfig, World,
                           action_mask, motion_plan)
 
-from conftest import (enroute_ids, make_corridor_network, make_cross_network,
-                      make_line_network, route_position, routes_related, step_with)
+from conftest import (HUB, enroute_ids, hub_world, make_corridor_network, make_cross_network,
+                      make_line_network, parallel_world, route_position, routes_related,
+                      step_with)
 
 
 def make_world(n=2, od=None, spacing=60.0, net=None, **cfg):
@@ -170,21 +171,22 @@ class TestKinematics:
 
 
 def neighbor_lists(world, limit=N_MAX_INTRUDERS):
-    """World.neighbors as each enroute id's list of (distance, id), nearest first."""
-    _, index, dist = world.neighbors(limit)
+    """World.neighbors as each enroute id's list of (distance, id), nearest
+    first, after checking that its flat rows ascend."""
+    row, other, dist = world.neighbors(limit)
+    assert len(row) == len(other) == len(dist) and (np.diff(row) >= 0).all()
     ids = enroute_ids(world)
-    return {ids[i]: [(float(dist[i, j]), ids[j]) for j in row if dist[i, j] < math.inf]
-            for i, row in enumerate(index)}
+    lists = {aid: [] for aid in ids}
+    for r, o, d in zip(row.tolist(), other.tolist(), dist.tolist()):
+        lists[ids[r]].append((d, ids[o]))
+    return lists
 
 
 class TestNeighbors:
     def make_pair(self, planar_sep):
-        world = make_world(n=2, od=[("A", "C"), ("C", "A")], spacing=0.0)
-        world.spawn_due_aircraft()
-        a, b = world.aircraft["AC001"], world.aircraft["AC002"]
-        a.x_m, a.y_m = 0.0, 0.0
-        b.x_m, b.y_m = planar_sep, 0.0
-        return world, a, b
+        # side by side on related parallel corridors, planar_sep apart
+        world = parallel_world([0.0, planar_sep])
+        return world, world.aircraft["AC001"], world.aircraft["AC002"]
 
     def test_in_range_sees_each_other(self):
         world, a, b = self.make_pair(2400.0)
@@ -217,17 +219,13 @@ class TestNeighbors:
                     assert (d, aid) in table[other]
             world.step()
 
-    def test_equal_distances_in_flight_order_not_id_order(self, line_network):
+    def test_equal_distances_in_flight_order_not_id_order(self):
         # scenario-flight order AC003, AC001, AC002: two intruders 1 km either
         # side of AC002 come in flight order, against the order of their ids
-        sc = generate_scenario(line_network, 3, [("A", "C")], departure_spacing_s=0.0, seed=0)
-        world = World(Scenario(line_network, tuple(sc.flights[i] for i in (2, 0, 1))),
-                      SimConfig())
-        world.spawn_due_aircraft()
+        world = parallel_world([6000.0, 5000.0, 4000.0], order=(2, 0, 1))
         assert enroute_ids(world) == ["AC003", "AC001", "AC002"]
-        for aid, x, action in (("AC003", 4000.0, Action.CLIMB), ("AC001", 6000.0, Action.DESCEND),
-                               ("AC002", 5000.0, Action.HOLD)):
-            world.aircraft[aid].x_m = x
+        for aid, action in (("AC003", Action.CLIMB), ("AC001", Action.DESCEND),
+                            ("AC002", Action.HOLD)):
             world.aircraft[aid].last_action = action
         assert neighbor_lists(world)["AC002"] == [(1000.0, "AC003"), (1000.0, "AC001")]
         _, intr, intr_mask = observe_tick(world, RewardConfig())  # AC002's row is 2
@@ -239,37 +237,14 @@ class TestNeighbors:
         # N_MAX_INTRUDERS are kept, so of the tied 10th and 11th the earlier
         # flight (ids[1], at +1000 m) stays and the later one (ids[11], at
         # -1000 m, first in x order) goes
-        world = make_world(n=12, spacing=0.0)
-        world.spawn_due_aircraft()
+        world = parallel_world([5000.0, 6000.0, *(5000.0 + 100.0 * k for k in range(1, 10)),
+                                4000.0])
         ids = enroute_ids(world)
-        xs = [5000.0, 6000.0, *(5000.0 + 100.0 * k for k in range(1, 10)), 4000.0]
-        for aid, x in zip(ids, xs):
-            world.aircraft[aid].x_m = x
         assert N_MAX_INTRUDERS == 10
         found = neighbor_lists(world)[ids[0]]
         assert found == [(100.0 * k, ids[k + 1]) for k in range(1, 10)] + [(1000.0, ids[1])]
         assert neighbor_lists(world, limit=11)[ids[0]][-2:] == [(1000.0, ids[1]),
                                                                  (1000.0, ids[11])]
-
-
-def parallel_world(offsets, north=True, order=None, **cfg):
-    """A world of straight 10 km corridors, one per offset, all running north
-    with their x at the offset, or east with their y at it, and flight
-    AC00<i+1> on corridor i, departing at 0, spawned. Every step keeps the
-    aircraft side by side at exactly their offsets' distances apart. order,
-    if given, permutes the scenario's flights."""
-    vp, links, flights = {}, {}, []
-    for i, off in enumerate(offsets):
-        ends = ((off, 0.0), (off, 10000.0)) if north else ((0.0, off), (10000.0, off))
-        for name, (x, y) in zip((f"O{i}", f"D{i}"), ends):
-            vp[name] = Vertiport(name, x, y)
-        links[f"L{i}"] = Link(f"L{i}", f"O{i}", f"D{i}")
-        flights.append(Flight(f"AC{i + 1:03d}", f"O{i}", f"D{i}", 0.0))
-    scenario = Scenario(Network(vp, links, AltitudeLayerSet(), {}),
-                        tuple(flights[i] for i in order or range(len(flights))))
-    world = World(scenario, SimConfig(**cfg))
-    world.spawn_due_aircraft()
-    return world
 
 
 def planned_pairs(world):
@@ -344,13 +319,6 @@ class TestSweepCutoffs:
     co-located ones exercise equal positions. The neighbours' range gate
     dx*dx + dy*dy <= d_comm*d_comm admits a pair at |dx| == d_comm."""
 
-    def place(self, xs, **cfg):
-        world = make_world(n=len(xs), od=[("A", "C"), ("C", "A")], spacing=0.0, **cfg)
-        world.spawn_due_aircraft()
-        for aid, x in zip(enroute_ids(world), xs):
-            world.aircraft[aid].x_m, world.aircraft[aid].y_m = x, 0.0
-        return world
-
     @pytest.mark.parametrize("d_los", [150.0, 400.0])
     def test_los_at_exactly_d_los_is_not_los(self, d_los):
         world = parallel_world([0.0, d_los, 0.0], d_los_m=d_los)
@@ -387,53 +355,77 @@ class TestSweepCutoffs:
 
     @pytest.mark.parametrize("d_comm", [2500.0, 900.0])
     def test_neighbor_at_exactly_d_comm_is_returned(self, d_comm):
-        world = self.place([5000.0, 5000.0 + d_comm, 5000.0 + d_comm], d_comm_m=d_comm)
-        ids = [[other for _, other in found] for found in neighbor_lists(world).values()]
-        assert ids == [["AC002", "AC003"], ["AC003", "AC001"], ["AC002", "AC001"]]
+        world = parallel_world([5000.0, 5000.0 + d_comm, 5000.0 + d_comm], d_comm_m=d_comm)
+        for _ in range(3):
+            ids = [[other for _, other in found] for found in neighbor_lists(world).values()]
+            assert ids == [["AC002", "AC003"], ["AC003", "AC001"], ["AC002", "AC001"]]
+            world.step()
 
     @pytest.mark.parametrize("d_comm", [2500.0, 900.0])
     def test_neighbor_just_beyond_d_comm_is_not(self, d_comm):
         x = math.nextafter(5000.0 + d_comm, math.inf)
-        world = self.place([5000.0, x, x], d_comm_m=d_comm)
-        ids = [[other for _, other in found] for found in neighbor_lists(world).values()]
-        assert ids == [[], ["AC003"], ["AC002"]]
-
-
-class TestOnePairPass:
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6))
-    @example([1e308, -1e308, 5e-324, -1e308, 1e308, -5e-324])
-    def test_distance_is_bitwise_symmetric(self, coords):
-        world = make_world()
-        world.spawn_due_aircraft()
-        a, b = world.enroute()
-        (a.x_m, a.y_m, a.z_ft), (b.x_m, b.y_m, b.z_ft) = coords[:3], coords[3:]
-        d_ab, d_ba = world.distance_3d_m(a, b), world.distance_3d_m(b, a)
-        assert struct.pack("<d", d_ab) == struct.pack("<d", d_ba)
+        world = parallel_world([5000.0, x, x], d_comm_m=d_comm)
+        for _ in range(3):
+            ids = [[other for _, other in found] for found in neighbor_lists(world).values()]
+            assert ids == [[], ["AC003"], ["AC002"]]
+            world.step()
 
 
 COORD = st.floats(-COORD_LIMIT_M, COORD_LIMIT_M)
+
+
+def distance(a, b):
+    """The one distance rule, restated over the records' positions:
+    sqrt((dx*dx + dy*dy) + dz*dz) with dz = (z_a - z_b) * FT_TO_M."""
+    dx, dy, dz = a.x_m - b.x_m, a.y_m - b.y_m, (a.z_ft - b.z_ft) * FT_TO_M
+    return math.sqrt((dx * dx + dy * dy) + dz * dz)
+
+
+def distance_table(world):
+    """World.neighbors's distances with no limit, as a dict by (row, other)."""
+    row, other, dist = world.neighbors(len(world.aircraft))
+    return dict(zip(zip(row.tolist(), other.tolist()), dist.tolist()))
+
+
+class TestOnePairPass:
+    @given(st.tuples(COORD, COORD, COORD), st.tuples(COORD, COORD, COORD))
+    @example((1e7, -1e7, 5e-324), (-1e7, 5e-324, -1e7))
+    def test_distance_is_bitwise_symmetric(self, p, q):
+        assume(HUB not in (p[:2], q[:2]))
+        world = hub_world([p[:2], q[:2]], d_comm_m=1e9)
+        a, b = world.enroute()
+        a.z_ft, b.z_ft = p[2], q[2]
+        table = distance_table(world)
+        assert sorted(table) == [(0, 1), (1, 0)]
+        assert struct.pack("<d", table[0, 1]) == struct.pack("<d", table[1, 0])
+        assert struct.pack("<d", table[0, 1]) == struct.pack("<d", distance(a, b))
 
 
 class TestDistanceRuleProperty:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(COORD, COORD, COORD), min_size=2, max_size=8))
     def test_python_and_numpy_distances_bitwise_equal(self, points):
-        """distance_3d_m, the NumPy expression of its rule, and World.neighbors's
-        distance matrix agree bit for bit, and the matrix is symmetric."""
+        """The rule over the records' positions in Python, its NumPy
+        expression, and World.neighbors's distances agree bit for bit, and
+        neighbors gives each pair's distance in both rows alike."""
         # every route related and every pair in range, so every pair is measured
-        world = make_world(n=len(points), spacing=0.0, d_comm_m=1e9)
-        world.spawn_due_aircraft()
+        assume(all((x, y) != HUB for x, y, _ in points))
+        world = hub_world([(x, y) for x, y, _ in points], d_comm_m=1e9)
         acs = world.enroute()
-        for ac, (x, y, z) in zip(acs, points):
-            ac.x_m, ac.y_m, ac.z_ft = x, y, z
-        _, _, dist = world.neighbors(N_MAX_INTRUDERS)
+        for ac, (_, _, z) in zip(acs, points):
+            ac.z_ft = z
         p = np.array(points)
         dx, dy = p[:, None, 0] - p[:, 0], p[:, None, 1] - p[:, 1]
         dz = (p[:, None, 2] - p[:, 2]) * FT_TO_M
         expr = np.sqrt((dx * dx + dy * dy) + dz * dz)
-        python = np.array([[world.distance_3d_m(a, b) for b in acs] for a in acs])
-        off = ~np.eye(len(acs), dtype=bool)
+        python = np.array([[distance(a, b) for b in acs] for a in acs])
         assert python.tobytes() == expr.tobytes()
+        table = distance_table(world)
+        off = ~np.eye(len(acs), dtype=bool)
+        assert sorted(table) == list(zip(*np.nonzero(off)))
+        dist = np.zeros_like(python)
+        for (i, j), d in table.items():
+            dist[i, j] = d
         assert dist[off].tobytes() == python[off].tobytes()
         assert dist.tobytes() == dist.T.tobytes()
 
@@ -528,12 +520,6 @@ def scan_enroute(world):
     return [a for a in world.aircraft.values() if a.phase is Phase.ENROUTE]
 
 
-def distance(a, b):
-    """The one distance rule, restated: sqrt((dx*dx + dy*dy) + dz*dz)."""
-    dx, dy, dz = a.x_m - b.x_m, a.y_m - b.y_m, (a.z_ft - b.z_ft) * FT_TO_M
-    return math.sqrt((dx * dx + dy * dy) + dz * dz)
-
-
 def scan_related(world, ac):
     """(distance, flight index, aircraft) of every enroute aircraft on a route
     related to ac's within planar d_comm, ascending."""
@@ -557,7 +543,7 @@ def scan_los(world):
     out = []
     for i, a in enumerate(enroute):
         for b in enroute[i + 1:]:
-            d = world.distance_3d_m(a, b)
+            d = distance(a, b)
             if d < world.config.d_los_m:
                 out.append((*sorted((a.id, b.id)), d))
     return out
@@ -595,19 +581,32 @@ class TestEnrouteIndexProperty:
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(index_cases())
     def test_index_matches_full_scan(self, case):
+        """Drawn worlds, run with random commands to the end, horizon cuts
+        included, checked right after each spawn and after each step."""
         scenario, config, seed = case
         world = World(scenario, config)
         rng = np.random.default_rng(seed)
         horizon_steps = math.ceil(config.max_episode_time_s / config.dt_s - 1e-9)
 
+        reward_config = RewardConfig(d_comm_m=config.d_comm_m)
+
         def check():
+            """The index, and neighbors with no limit and at N_MAX_INTRUDERS,
+            observe_tick and detect_los, against full scans of the records.
+            After a step, departures of the new step are not spawned yet."""
             enroute = [a.id for a in scan_enroute(world)]
             assert enroute_ids(world) == enroute
             all_arrived = all(a.phase is Phase.ARRIVED for a in world.aircraft.values())
             assert world.terminal == (world.n_steps >= horizon_steps or all_arrived)
             table = neighbor_lists(world, limit=len(world.aircraft))
-            for aid in enroute:
-                assert table[aid] == scan_neighbors(world, aid)
+            capped = neighbor_lists(world)
+            own, intr, intr_mask = observe_tick(world, reward_config)
+            for b, aid in enumerate(enroute):
+                found = scan_related(world, world.aircraft[aid])
+                assert table[aid] == [(d, other.id) for d, _, other in found]
+                assert capped[aid] == table[aid][:N_MAX_INTRUDERS]
+                assert (own[b].tolist(), intr[b, intr_mask[b]].tolist()) == \
+                    scan_observe(world, aid, reward_config, found)
             assert world.detect_los() == scan_los(world)
 
         departures = {fl.id: fl.departure_s for fl in scenario.flights}
@@ -672,7 +671,7 @@ class TestLosEventsProperty:
             enroute = scan_enroute(world)
             for i, a in enumerate(enroute):
                 for b in enroute[i + 1:]:
-                    d = world.distance_3d_m(a, b)
+                    d = distance(a, b)
                     if d < config.d_los_m:
                         now[tuple(sorted((a.id, b.id)))] = d
             for pair, d in now.items():
@@ -766,15 +765,16 @@ class TestPositionCacheProperty:
         """detect_los, run twice, equals the all-pairs scan right after each
         spawn and after each step, on chains whose links are shorter than,
         equal to or longer than one step. Then some aircraft are moved by
-        hand onto another's x, and some onto its x and y, so equal x tie:
-        detect_los measures the moved positions of the planned pairs, and of
-        no other pair, until the step puts every aircraft back on its track."""
+        hand onto another's x, and some onto its x and y: neither pair query
+        reads a position, so detect_los and neighbors give what they gave
+        before, and the step puts every aircraft back on its track."""
         scenario, d_los, seed = case
         world = World(scenario, SimConfig(d_los_m=d_los))
         rng = np.random.default_rng(seed)
         while not world.terminal:
             world.spawn_due_aircraft()
-            assert world.detect_los() == world.detect_los() == scan_los(world)
+            hits, table = world.detect_los(), neighbor_lists(world)
+            assert hits == world.detect_los() == scan_los(world)
             ids = enroute_ids(world)
             for aid in ids:
                 if rng.random() < 0.3:
@@ -782,14 +782,14 @@ class TestPositionCacheProperty:
                     ac.x_m = other.x_m
                     if rng.random() < 0.5:
                         ac.y_m = other.y_m
-            planned = {tuple(sorted(pair)) for pair in planned_pairs(world)}
-            assert world.detect_los() == [hit for hit in scan_los(world) if hit[:2] in planned]
+            assert world.detect_los() == hits and neighbor_lists(world) == table
             assert world.step() == scan_los(world)
 
 
 class TestMotionPlanReuse:
     """One Scenario object serves worlds of several configs in turn, each
-    with the plan of its own (dt_s, cruise_speed_mps, d_los_m)."""
+    with the plan of its own (dt_s, cruise_speed_mps, d_los_m), and within
+    a plan the neighbour pairs of its own d_comm_m."""
 
     def los_events(self, scenario, config):
         world = World(scenario, config)
@@ -810,6 +810,27 @@ class TestMotionPlanReuse:
             assert events == self.los_events(Scenario(line_network, flights), config)
             assert events and events != base
         assert len(shared.motion_plans) == 4
+
+    def test_worlds_differing_only_in_d_comm_each_match_the_scan(self, line_network):
+        # d_comm_m is not in the plan's key, so these worlds share one plan;
+        # its neighbour pairs must still be kept per d_comm
+        flights = generate_scenario(line_network, 12, [("A", "C"), ("C", "A")],
+                                    departure_spacing_s=50.0, seed=3).flights
+        shared = Scenario(line_network, flights)
+        sizes = []
+        for d_comm in (2500.0, 900.0, 6000.0, 2500.0):
+            world = World(shared, SimConfig(d_comm_m=d_comm))
+            size = 0
+            while not world.terminal:
+                world.spawn_due_aircraft()
+                if world.is_decision_tick():
+                    table = neighbor_lists(world, limit=len(flights))
+                    assert table == {aid: scan_neighbors(world, aid) for aid in table}
+                    size += sum(map(len, table.values()))
+                world.step()
+            sizes.append(size)
+        assert len(shared.motion_plans) == 1
+        assert sizes[1] < sizes[0] < sizes[2] and sizes[3] == sizes[0]
 
 
 def test_tracer_step_contract(bundled_scenario, monkeypatch):
@@ -859,15 +880,16 @@ def one_hot(action):
     return [float(action == a) for a in Action]
 
 
-def scan_observe(world, ac_id, config):
+def scan_observe(world, ac_id, config, found=None):
     """observe_tick's row of ac_id, unmasked intruders only, recomputed
-    from the aircraft states, as nested lists."""
+    from the aircraft states, as nested lists; found, if given, is
+    scan_related's list for ac_id."""
     ac = world.aircraft[ac_id]
     z_min, span = world.net.layers.z_min, world.net.layers.z_max - world.net.layers.z_min
     own = [(ac.z_ft - z_min) / span, float(ac.b_changing),
            (ac.z_target_ft - z_min) / span, *one_hot(ac.last_action)]
     rows = [[(other.z_ft - ac.z_ft) / span, d / config.d_comm_m, *one_hot(other.last_action)]
-            for d, _, other in scan_related(world, ac)]
+            for d, _, other in (scan_related(world, ac) if found is None else found)]
     return own, rows[:N_MAX_INTRUDERS]
 
 
