@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import struct
@@ -154,6 +155,30 @@ class TestKinematics:
         world.step()
         assert ac.phase is Phase.ARRIVED and world.enroute() == []
         assert (ac.x_m, ac.y_m, ac.dist_along_m) == (100.0, 0.0, 100.0)
+
+    def test_arrival_mid_transition_freezes_the_record(self):
+        # a 300 m route takes 5 steps of 67 m; a climb of 500 ft at 500 ft/min
+        # takes 60, so the aircraft arrives still changing altitude; a later
+        # departure keeps the episode running past the arrival
+        net = make_corridor_network(length_m=300.0)
+        world = World(Scenario(net, (Flight("AC001", "A", "B", 0.0),
+                                     Flight("AC002", "A", "B", 30.0))), SimConfig())
+        world.spawn_due_aircraft()
+        ac = world.aircraft["AC001"]
+        world.apply_altitude_command(ac, Action.CLIMB)
+        z, step_ft = ac.z_ft, 500.0 / 60.0
+        for _ in range(5):
+            assert ac.phase is Phase.ENROUTE
+            world.step()
+            z += step_ft
+        assert ac.phase is Phase.ARRIVED and ac.b_changing
+        assert ac.z_ft == z and ac.z_target_ft == 1500.0
+        assert "AC001" not in enroute_ids(world)
+        frozen = dataclasses.astuple(ac)
+        while not world.terminal:
+            world.step()
+            assert dataclasses.astuple(ac) == frozen and "AC001" not in enroute_ids(world)
+        assert world.aircraft["AC002"].phase is Phase.ARRIVED and world.n_steps == 35
 
     def test_link_handoff_positions_on_second_link(self, line_scenario):
         # 12 km links: 179 steps of 67 m end 7 m short of B, on the first
