@@ -4,7 +4,7 @@ writers behind every report the CLI emits.
 All trace-derivable metrics (altitude histogram, per-zone noise series) are
 pure functions of the decision-tick trace, so recomputing them from a saved
 trace file reproduces the live values exactly. Each trace row carries the
-network member the simulator placed the aircraft on (World.member_of), which
+network member the simulator placed the aircraft on (World.position), which
 is the one source of its zone. LOS counts come from the simulator's event log.
 """
 from __future__ import annotations

@@ -55,7 +55,7 @@ class TraceRow:
     z_ft: float
     action: Action
     b_changing: bool
-    member: str  # World.member_of: the link or vertiport the row counts for
+    member: str  # World.position: the link or vertiport the row counts for
 
 
 @dataclass
@@ -170,10 +170,10 @@ def collect_rollout(
                 actions, logp = nnet.sample_actions(probs, rng)
                 blocks.append(_Block(np.array([ac.flight_index for ac in acs]), own,
                                      intr, intr_mask, masks, actions, logp, values))
-                t, member_of, command = world.t, world.member_of, world.apply_altitude_command
+                t, position, command = world.t, world.position, world.apply_altitude_command
                 for ac, action in zip(acs, map(members.__getitem__, actions.tolist())):
-                    trace.append(TraceRow(t, ac.id, ac.x_m, ac.y_m, ac.z_ft,
-                                          action, ac.b_changing, member_of(ac)))
+                    x, y, member = position(ac)
+                    trace.append(TraceRow(t, ac.id, x, y, ac.z_ft, action, ac.b_changing, member))
                     command(ac, action)
         world.step()
     if acted:

@@ -16,7 +16,7 @@ negation is exact.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from operator import attrgetter, itemgetter
@@ -68,7 +68,7 @@ class SimConfig:
 @dataclass(slots=True)  # slots: the physics loops read and write these per aircraft step
 class AircraftState:
     """A flight's fixed index in scenario.flights, route geometry, planned
-    track and spawn step (MotionPlan), then its state."""
+    track and spawn step (MotionPlan), then its state; World.position reads its position."""
 
     id: str
     flight_index: int
@@ -76,9 +76,6 @@ class AircraftState:
     track: tuple = ()
     spawn_step: int = 0
     phase: Phase = Phase.PENDING
-    dist_along_m: float = 0.0
-    x_m: float = 0.0
-    y_m: float = 0.0
     z_ft: float = 0.0
     z_target_ft: float = 0.0
     b_changing: bool = False
@@ -119,9 +116,8 @@ class MotionPlan:
     is in the plane, which pairs the plane brings within d_los, and which
     related pairs within a d_comm. Built once per key by ``motion_plan``; only
     the neighbour pairs are added to afterwards, a batch of steps at a time.
-    Both of a world's pair queries take their pairs and planar distances from
-    here and read no record's position, so a position set by hand moves
-    neither.
+    A world reads positions, arrivals and both pair queries' pairs and planar
+    distances from here.
 
     - ``tracks[i]``, for flight index i, is its route's (xs, ys, ds, K): the
       position and distance along the route after k steps, for k = 0 (the
@@ -132,6 +128,7 @@ class MotionPlan:
       compute them.
     - ``spawn_steps[i]`` is the first n with n * dt_s >= departure_s, the
       spawn rule's own comparison.
+    - ``arrivals`` maps a step n to the flight indices i, ascending, with spawn_steps[i] + K = n.
     - ``los_steps`` maps a step n to a range [lo, hi) of ``los_a`` and
       ``los_b``: the flight-index pairs a < b, ascending, that are both
       enroute at n by their tracks (spawned at or before n, and not arrived)
@@ -214,6 +211,9 @@ class MotionPlan:
         self._xy, self._column = xy, start[route] - spawn
         self._spawn, self._end = spawn, spawn + arrival[route]
         self._by_spawn, self._by_end = np.sort(self._spawn), np.sort(self._end)
+        self.arrivals: dict[int, list[int]] = {}
+        for i, n in enumerate(self._end.tolist()):
+            self.arrivals.setdefault(n, []).append(i)
         self._route, self._related = route, related
         self._pairs: dict[tuple[float, int], tuple] = {}
 
@@ -351,12 +351,11 @@ class World:
     Horizontal motion comes from the scenario's MotionPlan for (dt_s,
     cruise_speed_mps, d_los_m), shared by every world of the scenario with
     that key: at step n an aircraft spawned at step s sits on its track at k
-    = n - s, both just after a spawn and after a step. ``advance_kinematics``
-    copies x, y and dist_along_m from the track every step. ``neighbors`` and
-    ``detect_los`` measure only the plan's pairs of the step, from the plan's
-    planar2 and the records' altitudes, so neither reads a position: one set
-    by hand is read only by ``member_of`` (dist_along_m), and the next step
-    overwrites it.
+    = min(n - s, K), both just after a spawn and after a step, and is
+    enroute while k < K. ``position`` looks it up; a step writes only the
+    altitudes of the aircraft changing layer and the phase of its arrivals.
+    ``neighbors`` and ``detect_los`` measure only the plan's pairs of the
+    step, from the plan's planar2 and the records' altitudes.
     """
 
     def __init__(self, scenario: Scenario, config: SimConfig):
@@ -372,7 +371,7 @@ class World:
         # memoryviews: iterating one yields Python ints and floats
         self._los_a, self._los_b = memoryview(plan.los_a), memoryview(plan.los_b)
         self._los_planar2 = memoryview(plan.los_planar2)
-        self._los_steps = plan.los_steps
+        self._los_steps, self._arrivals = plan.los_steps, plan.arrivals
         self._records = [AircraftState(fl.id, i, geometry[fl.id], track, spawn)
                          for i, (fl, track, spawn)
                          in enumerate(zip(scenario.flights, plan.tracks, plan.spawn_steps))]
@@ -394,13 +393,21 @@ class World:
         spawn inserts into the index's own list in place."""
         return self._enroute.copy()
 
-    def member_of(self, ac: AircraftState) -> str:
-        """The network member whose zone an enroute aircraft counts for: the
-        vertiport when it sits exactly on a route node, as at spawn, and
-        otherwise the route link it is on, by its dist_along_m."""
-        d, (_, cum, _, segments) = ac.dist_along_m, ac.geometry
+    def position(self, ac: AircraftState) -> tuple[float, float, str]:
+        """(x_m, y_m, member) of a spawned aircraft: its planned track's point
+        k = min(n_steps - spawn_step, K), and the network member whose zone
+        it counts for there, the vertiport when it sits exactly on a route
+        node, as at spawn and on arrival, and otherwise the route link it is
+        on."""
+        (xs, ys, ds, arrival), (_, cum, _, segments) = ac.track, ac.geometry
+        k = self.n_steps - ac.spawn_step
+        if not 0 <= k < arrival:
+            if k < 0:
+                raise SimulationError(f"aircraft '{ac.id}' has no position before it spawns")
+            return xs[arrival], ys[arrival], self.net.links[segments[-1][7]].to_id
+        d = ds[k]
         seg = segments[bisect_right(cum, d) - 1]
-        return seg[8] if d == seg[0] else seg[7]
+        return xs[k], ys[k], seg[8] if d == seg[0] else seg[7]
 
     @property
     def t(self) -> float:
@@ -426,8 +433,6 @@ class World:
             self._next += 1
             insort(self._enroute, ac, key=attrgetter("flight_index"))
             ac.phase = Phase.ENROUTE
-            ac.dist_along_m = 0.0
-            ac.x_m, ac.y_m = ac.geometry[0][0]
             ac.z_ft = ac.z_target_ft = self.net.layers.z_min
             ac.b_changing = False
             ac.last_action = Action.HOLD
@@ -450,29 +455,24 @@ class World:
         ac.last_action = action
 
     def advance_kinematics(self) -> None:
-        """Moves each enroute aircraft one dt_s along its route, to the next
-        point of its planned track, and toward its target layer, snapping
-        without overshoot. Arrivals, at the track's last point, leave the
-        enroute index."""
+        """Moves each enroute aircraft that is changing layer (b_changing)
+        one dt_s toward its target, snapping without overshoot; along-track
+        motion is the plan's. Then the aircraft whose tracks end at the next
+        step, the plan's arrivals, leave the enroute index as ARRIVED, each
+        with the altitude and lock of its last step."""
         step_ft = self.config.climb_rate_fpm / 60.0 * self.config.dt_s
-        n = self.n_steps + 1
-        still_enroute = []
-        for ac in self._enroute:
-            if ac.b_changing:
-                delta = ac.z_target_ft - ac.z_ft
-                if abs(delta) <= step_ft:
-                    ac.z_ft = ac.z_target_ft
-                    ac.b_changing = False
-                else:
-                    ac.z_ft += math.copysign(step_ft, delta)
-            xs, ys, ds, arrival = ac.track
-            k = n - ac.spawn_step
-            ac.x_m, ac.y_m, ac.dist_along_m = xs[k], ys[k], ds[k]
-            if k < arrival:
-                still_enroute.append(ac)
+        enroute = self._enroute
+        for ac in filter(attrgetter("b_changing"), enroute):
+            delta = ac.z_target_ft - ac.z_ft
+            if abs(delta) <= step_ft:
+                ac.z_ft = ac.z_target_ft
+                ac.b_changing = False
             else:
-                ac.phase = Phase.ARRIVED
-        self._enroute = still_enroute
+                ac.z_ft += math.copysign(step_ft, delta)
+        for i in self._arrivals.get(self.n_steps + 1, ()):
+            at = bisect_left(enroute, i, key=attrgetter("flight_index"))
+            if at < len(enroute) and enroute[at].flight_index == i:
+                enroute.pop(at).phase = Phase.ARRIVED
 
     def neighbors(self, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each enroute aircraft's nearest aircraft on a related route within
@@ -481,10 +481,9 @@ class World:
         distance, rows ascending, then ascending by (distance, enroute index).
         The pairs and their planar2 are the motion plan's for this step; a
         pair with a flight not yet spawned, as at a step whose departures are
-        still due, is dropped. Only the altitudes come from the records, so a
-        position set by hand changes nothing here. Each row's few entries are
-        sorted in a compact (n, largest count) table; no (n, n) array is
-        formed."""
+        still due, is dropped. Only the altitudes come from the records. Each
+        row's few entries are sorted in a compact (n, largest count) table;
+        no (n, n) array is formed."""
         flights, ab, planar2, cells, width = self._plan.neighbor_pairs(
             self.config.d_comm_m, self.n_steps, self._interval_steps)
         acs = self._enroute
@@ -518,9 +517,9 @@ class World:
         with id_a < id_b, ordered by the pair's enroute positions. Not
         route-filtered: separation is violated by geometry alone. Only the
         motion plan's candidates of the current step are measured, from their
-        planned planar2 and the records' altitudes, reading no x or y: every
-        pair the tracks bring within d_los in both x and y, which holds every
-        pair closer than d_los in 3-D."""
+        planned planar2 and the records' altitudes: every pair the tracks
+        bring within d_los in both x and y, which holds every pair closer
+        than d_los in 3-D."""
         span = self._los_steps.get(self.n_steps)
         if span is None:
             return []

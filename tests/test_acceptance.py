@@ -90,7 +90,8 @@ def test_criterion_04_los_matches_brute_force_oracle():
                        if a.phase is Phase.ENROUTE]
             for i, a in enumerate(enroute):
                 for b in enroute[i + 1:]:
-                    d = math.sqrt((a.x_m - b.x_m) ** 2 + (a.y_m - b.y_m) ** 2
+                    (ax, ay, _), (bx, by, _) = world.position(a), world.position(b)
+                    d = math.sqrt((ax - bx) ** 2 + (ay - by) ** 2
                                   + ((a.z_ft - b.z_ft) * 0.3048) ** 2)
                     if d < 150.0:
                         oracle.add(tuple(sorted((a.id, b.id))))

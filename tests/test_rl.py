@@ -149,8 +149,9 @@ def reference_rollout(scenario, params, sim_config, reward_config, rng=None):
                                        "act_mask": mask, "action": action,
                                        "logp": float(logp[0]), "value": float(value[0])})
                 pending[ac_id] = len(records[ac_id]) - 1
-                trace.append(TraceRow(world.t, ac_id, ac.x_m, ac.y_m, ac.z_ft,
-                                      Action(action), ac.b_changing, world.member_of(ac)))
+                x, y, member = world.position(ac)
+                trace.append(TraceRow(world.t, ac_id, x, y, ac.z_ft,
+                                      Action(action), ac.b_changing, member))
         step_with(world, joint)
     for ac_id in list(pending):
         finalize(ac_id, done=True)

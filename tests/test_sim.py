@@ -35,7 +35,7 @@ class TestSpawn:
         world.spawn_due_aircraft()
         ac = world.aircraft["AC001"]
         assert ac.phase is Phase.ENROUTE
-        assert (ac.x_m, ac.y_m) == (0.0, 0.0)
+        assert world.position(ac) == (0.0, 0.0, "A")
         assert ac.z_ft == 1000.0 and ac.z_target_ft == 1000.0 and not ac.b_changing
 
     def test_future_departure_stays_pending(self, line_network):
@@ -151,10 +151,18 @@ class TestKinematics:
         ac = world.aircraft["AC001"]
         world.step()
         assert ac.phase is Phase.ENROUTE
-        assert (ac.x_m, ac.y_m, ac.dist_along_m) == (67.0, 0.0, 67.0)
+        assert world.position(ac) == (67.0, 0.0, "A-B")
         world.step()
         assert ac.phase is Phase.ARRIVED and world.enroute() == []
-        assert (ac.x_m, ac.y_m, ac.dist_along_m) == (100.0, 0.0, 100.0)
+        assert world.position(ac) == (100.0, 0.0, "B")
+
+    def test_no_position_before_spawn(self, line_network):
+        sc = generate_scenario(line_network, 2, [("A", "C")], departure_spacing_s=60.0, seed=0)
+        world = World(sc, SimConfig())
+        world.spawn_due_aircraft()
+        assert world.position(world.aircraft["AC001"]) == (0.0, 0.0, "A")
+        with pytest.raises(SimulationError, match="'AC002' has no position before it spawns"):
+            world.position(world.aircraft["AC002"])
 
     def test_arrival_mid_transition_freezes_the_record(self):
         # a 300 m route takes 5 steps of 67 m; a climb of 500 ft at 500 ft/min
@@ -188,11 +196,11 @@ class TestKinematics:
         links = line_scenario.routes["AC001"].link_ids
         for _ in range(179):
             world.step()
-        assert abs(ac.x_m - 12000.0) == 7.0 and world.member_of(ac) == links[0]
+        x, y, member = world.position(ac)
+        assert abs(x - 12000.0) == 7.0 and y == 0.0 and member == links[0]
         world.step()
-        assert ac.dist_along_m == 12060.0
-        assert abs(ac.x_m - 12000.0) == 60.0 and world.member_of(ac) == links[1]
-        assert ac.y_m == 0.0
+        x, y, member = world.position(ac)
+        assert abs(x - 12000.0) == 60.0 and y == 0.0 and member == links[1]
 
 
 def neighbor_lists(world, limit=N_MAX_INTRUDERS):
@@ -399,10 +407,11 @@ class TestSweepCutoffs:
 COORD = st.floats(-COORD_LIMIT_M, COORD_LIMIT_M)
 
 
-def distance(a, b):
-    """The one distance rule, restated over the records' positions:
+def distance(world, a, b):
+    """The one distance rule, restated over World.position:
     sqrt((dx*dx + dy*dy) + dz*dz) with dz = (z_a - z_b) * FT_TO_M."""
-    dx, dy, dz = a.x_m - b.x_m, a.y_m - b.y_m, (a.z_ft - b.z_ft) * FT_TO_M
+    (ax, ay, _), (bx, by, _) = world.position(a), world.position(b)
+    dx, dy, dz = ax - bx, ay - by, (a.z_ft - b.z_ft) * FT_TO_M
     return math.sqrt((dx * dx + dy * dy) + dz * dz)
 
 
@@ -423,14 +432,14 @@ class TestOnePairPass:
         table = distance_table(world)
         assert sorted(table) == [(0, 1), (1, 0)]
         assert struct.pack("<d", table[0, 1]) == struct.pack("<d", table[1, 0])
-        assert struct.pack("<d", table[0, 1]) == struct.pack("<d", distance(a, b))
+        assert struct.pack("<d", table[0, 1]) == struct.pack("<d", distance(world, a, b))
 
 
 class TestDistanceRuleProperty:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(COORD, COORD, COORD), min_size=2, max_size=8))
     def test_python_and_numpy_distances_bitwise_equal(self, points):
-        """The rule over the records' positions in Python, its NumPy
+        """The rule over World.position in Python, its NumPy
         expression, and World.neighbors's distances agree bit for bit, and
         neighbors gives each pair's distance in both rows alike."""
         # every route related and every pair in range, so every pair is measured
@@ -443,7 +452,7 @@ class TestDistanceRuleProperty:
         dx, dy = p[:, None, 0] - p[:, 0], p[:, None, 1] - p[:, 1]
         dz = (p[:, None, 2] - p[:, 2]) * FT_TO_M
         expr = np.sqrt((dx * dx + dy * dy) + dz * dz)
-        python = np.array([[distance(a, b) for b in acs] for a in acs])
+        python = np.array([[distance(world, a, b) for b in acs] for a in acs])
         assert python.tobytes() == expr.tobytes()
         table = distance_table(world)
         off = ~np.eye(len(acs), dtype=bool)
@@ -479,7 +488,9 @@ class TestStep:
                         else Action.HOLD
                 step_with(world, actions)
                 for ac in world.aircraft.values():
-                    log.append((world.t, ac.id, ac.x_m, ac.y_m, ac.z_ft, ac.b_changing))
+                    spawned = ac.phase is not Phase.PENDING
+                    log.append((world.t, dataclasses.astuple(ac),
+                                spawned and world.position(ac)))
             return log, world.los_events
 
         log1, ev1 = run()
@@ -551,11 +562,13 @@ def scan_related(world, ac):
     d_comm, routes = world.config.d_comm_m, world.scenario.routes
     index = {fl.id: i for i, fl in enumerate(world.scenario.flights)}
     found = []
+    x, y, _ = world.position(ac)
     for other in scan_enroute(world):
-        dx, dy = ac.x_m - other.x_m, ac.y_m - other.y_m
+        ox, oy, _ = world.position(other)
+        dx, dy = x - ox, y - oy
         if (other is not ac and dx * dx + dy * dy <= d_comm * d_comm
                 and routes_related(world.net, routes[ac.id], routes[other.id])):
-            found.append((distance(ac, other), index[other.id], other))
+            found.append((distance(world, ac, other), index[other.id], other))
     return sorted(found, key=lambda rec: rec[:2])
 
 
@@ -568,7 +581,7 @@ def scan_los(world):
     out = []
     for i, a in enumerate(enroute):
         for b in enroute[i + 1:]:
-            d = distance(a, b)
+            d = distance(world, a, b)
             if d < world.config.d_los_m:
                 out.append((*sorted((a.id, b.id)), d))
     return out
@@ -696,7 +709,7 @@ class TestLosEventsProperty:
             enroute = scan_enroute(world)
             for i, a in enumerate(enroute):
                 for b in enroute[i + 1:]:
-                    d = distance(a, b)
+                    d = distance(world, a, b)
                     if d < config.d_los_m:
                         now[tuple(sorted((a.id, b.id)))] = d
             for pair, d in now.items():
@@ -729,7 +742,7 @@ def make_chain_network(lengths, bend):
 def chain_cases(draw):
     """Chains whose links range from shorter than one 67 m step, through
     exactly one step, to kilometres, straight or bent; traffic both ways and
-    between inner vertiports, often departing together; a seed for the pokes."""
+    between inner vertiports, often departing together; a seed for the commands."""
     lengths = draw(st.lists(st.sampled_from([30.0, 67.0, 100.0, 450.0, 2000.0]),
                             min_size=1, max_size=6))
     n = len(lengths)
@@ -741,74 +754,121 @@ def chain_cases(draw):
     return sc, draw(st.sampled_from([150.0, 700.0])), draw(st.integers(0, 2**16))
 
 
+def random_commands(world, rng):
+    """step_with's actions: a random command per enroute aircraft."""
+    return {aid: Action(int(rng.integers(0, 3))) for aid in enroute_ids(world)}
+
+
+def record(ac):
+    """ac's fields in dataclasses.astuple's order, not copied."""
+    return tuple(getattr(ac, f.name) for f in dataclasses.fields(ac))
+
+
 class TestPositionCacheProperty:
-    """World reads positions and LOS candidates from the scenario's motion
-    plan; both must give what fresh computation gives."""
+    """World reads positions, arrivals and LOS candidates from the
+    scenario's motion plan; each must give what fresh computation gives."""
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(chain_cases())
     def test_positions_and_members_match_bisect_oracle(self, case):
-        """Between steps, dist_along_m is poked backwards, forwards by
-        several links and exactly onto a route node, and member_of is checked
-        at once; after each step, every aircraft that moved sits where
-        route_position puts it, or on its destination if it arrived."""
+        """Right after each spawn and after each step, under random
+        commands, every spawned aircraft sits where route_position puts it
+        at k sequential additions of cruise_speed_mps * dt_s, k the steps
+        since its spawn, and counts for the member it gives; once the sum
+        reaches the route's length, on its destination vertiport, arrived."""
         scenario, _, seed = case
         net, routes = scenario.network, scenario.routes
-        world = World(scenario, SimConfig())
+        config = SimConfig()
+        step_m = config.cruise_speed_mps * config.dt_s
+        world = World(scenario, config)
         rng = np.random.default_rng(seed)
+        along = {}  # by spawned aircraft id, capped at its route's length
+
+        def check():
+            for aid, d in along.items():
+                ac, route = world.aircraft[aid], routes[aid]
+                if d == sum(map(net.link_length_m, route.link_ids)):
+                    end = net.vertiports[route.destination]
+                    assert world.position(ac) == (end.x_m, end.y_m, end.id)
+                    assert ac.phase is Phase.ARRIVED
+                else:
+                    assert world.position(ac) == route_position(net, route, d)
+                    assert ac.phase is Phase.ENROUTE
+
         while not world.terminal:
             world.spawn_due_aircraft()
             for aid in enroute_ids(world):
-                ac, route = world.aircraft[aid], routes[aid]
-                cum = list(accumulate(map(net.link_length_m, route.link_ids), initial=0.0))
-                kind = rng.integers(0, 6)
-                if kind == 0:  # backwards
-                    ac.dist_along_m = max(0.0, ac.dist_along_m - rng.uniform(0.0, 2500.0))
-                elif kind == 1:  # forwards, possibly past several links
-                    ac.dist_along_m = min(rng.uniform(ac.dist_along_m, cum[-1]),
-                                          math.nextafter(cum[-1], 0.0))
-                elif kind == 2:  # exactly onto a route node
-                    ac.dist_along_m = cum[rng.integers(0, len(cum) - 1)]
-                assert world.member_of(ac) == route_position(net, route, ac.dist_along_m)[2]
-            moved = enroute_ids(world)
+                along.setdefault(aid, 0.0)
+            check()
+            step_with(world, random_commands(world, rng))
+            for aid, d in along.items():
+                along[aid] = min(d + step_m, sum(map(net.link_length_m, routes[aid].link_ids)))
+            check()
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(chain_cases())
+    def test_step_changes_only_altitudes_and_arrivals(self, case):
+        """Under random commands, right after each spawn at step n the
+        enroute index holds the flights with spawn <= n < spawn + K, and
+        after the step to n + 1 those with spawn <= n < n + 1 < spawn + K,
+        where spawn is the first step at or after the departure and K the
+        first count of sequential one-step additions that reaches the
+        route's length, both found without the motion plan. The step leaves
+        every record's fields as they were, but for the altitude (z_ft,
+        b_changing) of each aircraft changing layer and the phase of each
+        arrival, which reads ARRIVED."""
+        scenario, _, seed = case
+        net = scenario.network
+        config = SimConfig()
+        world = World(scenario, config)
+        rng = np.random.default_rng(seed)
+        span = {}  # flight id -> (spawn, spawn + K)
+        for fl in scenario.flights:
+            length = sum(map(net.link_length_m, scenario.routes[fl.id].link_ids))
+            d, k = 0.0, 0
+            while k == 0 or d < length:
+                d, k = d + config.cruise_speed_mps * config.dt_s, k + 1
+            spawn = 0
+            while spawn * config.dt_s < fl.departure_s:
+                spawn += 1
+            span[fl.id] = (spawn, spawn + k)
+
+        def expected(last_spawn, n):
+            return [fl.id for fl in scenario.flights
+                    if span[fl.id][0] <= last_spawn and n < span[fl.id][1]]
+
+        while not world.terminal:
+            n = world.n_steps
+            world.spawn_due_aircraft()
+            assert enroute_ids(world) == expected(n, n)
+            if world.is_decision_tick():
+                for ac in world.enroute():
+                    world.apply_altitude_command(ac, Action(int(rng.integers(0, 3))))
+            before = {aid: record(ac) for aid, ac in world.aircraft.items()}
+            changing = {ac.id for ac in world.enroute() if ac.b_changing}
             world.step()
-            for aid in moved:
-                ac, route = world.aircraft[aid], routes[aid]
-                if ac.phase is Phase.ARRIVED:
-                    end = net.vertiports[route.destination]
-                    assert (ac.x_m, ac.y_m) == (end.x_m, end.y_m)
-                    assert ac.dist_along_m == sum(map(net.link_length_m, route.link_ids))
-                    assert aid not in enroute_ids(world)
-                else:
-                    x, y, member = route_position(net, route, ac.dist_along_m)
-                    assert (ac.x_m, ac.y_m) == (x, y)
-                    assert world.member_of(ac) == member
+            assert enroute_ids(world) == expected(n, n + 1)
+            for aid, ac in world.aircraft.items():
+                moved = {f.name for f, old, new in zip(dataclasses.fields(ac), before[aid],
+                                                      record(ac)) if old != new}
+                arrived = span[aid][1] == n + 1
+                assert moved <= ({"z_ft", "b_changing"} if aid in changing else set()) | (
+                    {"phase"} if arrived else set())
+                assert (ac.phase is Phase.ARRIVED) == (span[aid][1] <= n + 1)
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(chain_cases())
     def test_planned_los_matches_brute_force(self, case):
         """detect_los, run twice, equals the all-pairs scan right after each
-        spawn and after each step, on chains whose links are shorter than,
-        equal to or longer than one step. Then some aircraft are moved by
-        hand onto another's x, and some onto its x and y: neither pair query
-        reads a position, so detect_los and neighbors give what they gave
-        before, and the step puts every aircraft back on its track."""
+        spawn and after each step, under random commands, on chains whose
+        links are shorter than, equal to or longer than one step."""
         scenario, d_los, seed = case
         world = World(scenario, SimConfig(d_los_m=d_los))
         rng = np.random.default_rng(seed)
         while not world.terminal:
             world.spawn_due_aircraft()
-            hits, table = world.detect_los(), neighbor_lists(world)
-            assert hits == world.detect_los() == scan_los(world)
-            ids = enroute_ids(world)
-            for aid in ids:
-                if rng.random() < 0.3:
-                    ac, other = world.aircraft[aid], world.aircraft[ids[rng.integers(len(ids))]]
-                    ac.x_m = other.x_m
-                    if rng.random() < 0.5:
-                        ac.y_m = other.y_m
-            assert world.detect_los() == hits and neighbor_lists(world) == table
-            assert world.step() == scan_los(world)
+            assert world.detect_los() == world.detect_los() == scan_los(world)
+            assert step_with(world, random_commands(world, rng)) == scan_los(world)
 
 
 class TestMotionPlanReuse:
