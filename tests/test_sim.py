@@ -2,7 +2,6 @@ import dataclasses
 import math
 import re
 import struct
-from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -163,6 +162,18 @@ class TestKinematics:
         assert world.position(world.aircraft["AC001"]) == (0.0, 0.0, "A")
         with pytest.raises(SimulationError, match="'AC002' has no position before it spawns"):
             world.position(world.aircraft["AC002"])
+
+    def test_planned_arrival_of_an_unspawned_flight_retires_no_one(self):
+        # AC001 (30 m, spawn step 1) is planned to arrive at step 2; an
+        # advance_kinematics call at step 1 without the spawn that step()
+        # makes first leaves it pending and AC002 (2030 m) enroute
+        net = make_chain_network([30.0, 2000.0], bend=False)
+        world = World(Scenario(net, (Flight("AC001", "V0", "V1", 0.5),
+                                     Flight("AC002", "V0", "V2", 0.0))), SimConfig())
+        world.step()
+        world.advance_kinematics()
+        assert world.aircraft["AC001"].phase is Phase.PENDING
+        assert enroute_ids(world) == ["AC002"]
 
     def test_arrival_mid_transition_freezes_the_record(self):
         # a 300 m route takes 5 steps of 67 m; a climb of 500 ft at 500 ft/min
@@ -810,7 +821,7 @@ class TestPositionCacheProperty:
     def test_step_changes_only_altitudes_and_arrivals(self, case):
         """Under random commands, right after each spawn at step n the
         enroute index holds the flights with spawn <= n < spawn + K, and
-        after the step to n + 1 those with spawn <= n < n + 1 < spawn + K,
+        after the step to n + 1 those with spawn <= n and n + 1 < spawn + K,
         where spawn is the first step at or after the departure and K the
         first count of sequential one-step additions that reaches the
         route's length, both found without the motion plan. The step leaves
