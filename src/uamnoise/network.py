@@ -11,7 +11,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from itertools import accumulate
 
 import numpy as np
 
@@ -123,6 +122,15 @@ class Network:
         return self._member_zone[member_id]
 
     def __post_init__(self):
+        for lid, link in self.links.items():
+            for end in (link.from_id, link.to_id):
+                if end not in self.vertiports:
+                    raise ValidationError(f"link '{lid}' references missing vertiport '{end}'")
+            if self.link_length_m(lid) == 0.0:
+                vp = self.vertiports[link.from_id]
+                raise ValidationError(
+                    f"link '{lid}' has zero length: its ends '{link.from_id}' and "
+                    f"'{link.to_id}' share x_m {vp.x_m} and y_m {vp.y_m}")
         member_zone: dict[str, str] = {}
         for zone in self.zones.values():
             for mid in zone.members:
@@ -162,35 +170,10 @@ class Scenario:
         object.__setattr__(self, "routes", routes)
 
     @cached_property
-    def geometry(self) -> tuple[dict[str, tuple], np.ndarray]:
-        """Per flight id, its route's geometry, shared by equal routes: (polyline
-        points, cumulative lengths, route number, segments), each segment a link
-        as (start, end, length, origin x, origin y, extent x, extent y, link id,
-        vertiport it leaves) for the distances [start, end) along the route; and
-        route_intersections of the distinct routes, by route number. Computed
-        on first use and read-only, so every world of the scenario shares it."""
-        net = self.network
-        unique = {r.link_ids: r for r in self.routes.values()}
-        geometry = {}
-        for no, (link_ids, route) in enumerate(unique.items()):
-            pts = tuple((vp.x_m, vp.y_m)
-                        for vp in map(net.vertiports.__getitem__, route_nodes(net, route)))
-            cum = tuple(accumulate(map(net.link_length_m, link_ids), initial=0.0))
-            segments = tuple(
-                (cum[i], cum[i + 1], cum[i + 1] - cum[i], ax, ay, bx - ax, by - ay, lid,
-                 net.links[lid].from_id)
-                for i, (lid, (ax, ay), (bx, by)) in enumerate(zip(link_ids, pts, pts[1:])))
-            geometry[link_ids] = (pts, cum, no, segments)
-        related = route_intersections(net, list(unique.values()))
-        related.setflags(write=False)
-        return {i: geometry[r.link_ids] for i, r in self.routes.items()}, related
-
-    @cached_property
     def motion_plans(self) -> dict:
         """The simulator's motion plans of this scenario, by their key (see
         sim.motion_plan): each is built on first use, and only its neighbour
-        pairs are added to afterwards, so, like geometry, every world of the
-        scenario shares it."""
+        pairs are added to afterwards, so every world of the scenario shares it."""
         return {}
 
 
@@ -228,9 +211,6 @@ def _network_from_doc(doc: dict, path) -> Network:
                 raise ValidationError(f"duplicate link id '{link.id}'")
             if link.from_id == link.to_id:
                 raise ValidationError(f"link '{link.id}' is a self-loop")
-            for end in (link.from_id, link.to_id):
-                if end not in vertiports:
-                    raise ValidationError(f"link '{link.id}' references missing vertiport '{end}'")
             pair = tuple(sorted((link.from_id, link.to_id)))
             pair_count[pair] = pair_count.get(pair, 0) + 1
             if pair_count[pair] > 2:
@@ -258,9 +238,11 @@ def load_scenario(path) -> Scenario:
     """Load a full scenario: network plus flight list, with routes built."""
     doc = _parse_document(path)
     net = _network_from_doc(doc, path)
+    if not isinstance(rows := doc.get("flights", []), list):
+        raise ValidationError(f"{path}: field 'flights' must be a list, got {rows!r}")
     flights: list[Flight] = []
     seen: set[str] = set()
-    for row in doc.get("flights", []):
+    for row in rows:
         try:
             fl = Flight(str(row["id"]), str(row["origin"]), str(row["destination"]),
                         to_number(row["departure_s"]))

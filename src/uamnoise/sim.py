@@ -3,8 +3,9 @@
 Advances aircraft along frozen route polylines, executes altitude transitions
 under the completion lock, finds in-range neighbors on related routes, and
 records loss-of-separation events. Horizontal motion depends on no action, so
-it is planned once per scenario and configuration (``MotionPlan``), and both
-pair queries take their pairs and planar distances from the plan.
+it is planned once per scenario and configuration (``MotionPlan``), from the
+scenario's routes: spawn steps, positions, arrivals, and both pair queries'
+pairs and planar distances.
 
 Altitudes live in feet; positions in meters. Every distance follows one rule:
 sqrt(planar2 + dz*dz), with planar2 = dx*dx + dy*dy from the plan's tracks and
@@ -16,15 +17,16 @@ negation is exact.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
+from itertools import accumulate
 from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from .errors import SimulationError, ValidationError, check_number
-from .network import AltitudeLayerSet, Network, Scenario
+from .network import AltitudeLayerSet, Network, Route, Scenario, route_intersections
 
 FT_TO_M = 0.3048
 
@@ -67,14 +69,11 @@ class SimConfig:
 
 @dataclass(slots=True)  # slots: the physics loops read and write these per aircraft step
 class AircraftState:
-    """A flight's fixed index in scenario.flights, route geometry, planned
-    track and spawn step (MotionPlan), then its state; World.position reads its position."""
+    """A flight's id and fixed index in scenario.flights, then its state. Its
+    motion is the MotionPlan's, by flight index; World.position reads it."""
 
     id: str
     flight_index: int
-    geometry: tuple
-    track: tuple = ()
-    spawn_step: int = 0
     phase: Phase = Phase.PENDING
     z_ft: float = 0.0
     z_target_ft: float = 0.0
@@ -119,16 +118,21 @@ class MotionPlan:
     A world reads positions, arrivals and both pair queries' pairs and planar
     distances from here.
 
-    - ``tracks[i]``, for flight index i, is its route's (xs, ys, ds, K): the
-      position and distance along the route after k steps, for k = 0 (the
-      origin) up to K, the first step whose distance reaches the route's
-      length; there it sits on the destination, at that length. The distance
-      after k steps is k additions of cruise_speed_mps * dt_s, and the
-      position x = ax + f*ex of the link that holds it, as a step loop would
-      compute them.
-    - ``spawn_steps[i]`` is the first n with n * dt_s >= departure_s, the
-      spawn rule's own comparison.
-    - ``arrivals`` maps a step n to the flight indices i, ascending, with spawn_steps[i] + K = n.
+    - ``points`` holds each distinct route's track, one (x_m, y_m, member)
+      per step k since spawn, for k = 0 (the origin) up to K, the first step
+      whose distance along the route reaches its length; there it sits on
+      the destination. The distance after k steps is k additions of
+      cruise_speed_mps * dt_s, and the position x = ax + f*ex of the link
+      that holds it, as a step loop would compute them. The member is the
+      network member whose zone the point counts for: the vertiport at k = 0
+      and K, and the one a link leaves when the point is exactly on its
+      start; otherwise the link. The routes are numbered once, in flight
+      order, and their relation is ``route_intersections``'s, read-only.
+    - ``spans[i]``, for flight index i, is (column, spawn, end): spawn is the
+      first n with n * dt_s >= departure_s, end = spawn + K, and at step n >=
+      spawn the flight sits at points[column + min(n, end)], enroute while n
+      < end.
+    - ``arrivals`` maps a step n to the flight indices i, ascending, whose end is n.
     - ``los_steps`` maps a step n to a range [lo, hi) of ``los_a`` and
       ``los_b``: the flight-index pairs a < b, ascending, that are both
       enroute at n by their tracks (spawned at or before n, and not arrived)
@@ -138,11 +142,11 @@ class MotionPlan:
       |y|, and rounding is monotone.
     - ``neighbor_pairs(d_comm_m, n, every)`` gives the flights enroute at n
       by their tracks and, as positions in that list, the pairs a < b,
-      ascending, on related routes (``Scenario.geometry``'s table) and there
-      within planar range, dx*dx + dy*dy <= d_comm*d_comm, with that planar2.
-      The first request for (d_comm_m, n) plans a batch of steps n, n +
-      every, n + 2*every, ... at once, and each is kept under (d_comm_m,
-      step): a world asks at its decision ticks, every decision interval.
+      ascending, on related routes and there within planar range, dx*dx +
+      dy*dy <= d_comm*d_comm, with that planar2. The first request for
+      (d_comm_m, n) plans a batch of steps n, n + every, n + 2*every, ... at
+      once, and each is kept under (d_comm_m, step): a world asks at its
+      decision ticks, every decision interval.
 
     The LOS candidate search bins the (flight, step) positions into cells of
     side w > d_los (just above, unless the network's extent caps the cell
@@ -156,9 +160,22 @@ class MotionPlan:
 
     def __init__(self, scenario: Scenario, dt_s: float, cruise_speed_mps: float,
                  d_los_m: float):
-        geometry, related = scenario.geometry
-        routes = [g for _, g in sorted({g[2]: g for g in geometry.values()}.items())]
-        length = np.array([cum[-1] for _, cum, _, _ in routes])
+        net, flights = scenario.network, scenario.flights
+        number: dict[Route, int] = {}  # each distinct route's number, in flight order
+        route = np.array([number.setdefault(scenario.routes[fl.id], len(number))
+                          for fl in flights], dtype=np.intp)
+        # Each route's links as (route, start, end, length, origin x, origin y,
+        # extent x, extent y) for the distances [start, end) along the route,
+        # with the link id and the vertiport it leaves.
+        links, names, length = [], [], []
+        for r, rt in enumerate(number):
+            cum = list(accumulate(map(net.link_length_m, rt.link_ids), initial=0.0))
+            for lid, a, b in zip(rt.link_ids, cum, cum[1:]):
+                (ax, ay), (bx, by) = net.link_segment(lid)
+                links.append((r, a, b, b - a, ax, ay, bx - ax, by - ay))
+                names.append((lid, net.links[lid].from_id))
+            length.append(cum[-1])
+        length = np.array(length)
         step_m = cruise_speed_mps * dt_s
         # Distance after k steps, by k additions (np.cumsum adds in order), far
         # enough for the longest route: the slack outlasts the sum's rounding.
@@ -167,12 +184,11 @@ class MotionPlan:
         along = np.concatenate(([0.0], along))
         arrival = np.maximum(np.searchsorted(along, length), 1)
 
-        # Route r's track is xy[:, start[r]:start[r] + arrival[r] + 1]. Each
-        # link holds the steps k with start <= along[k] < end, as
-        # searchsorted(cum, along[k], "right") - 1 picks it.
+        # Route r's track is column start[r] + k, k = 0 .. arrival[r], of xy
+        # and member. Each link holds the steps k with start <= along[k] < end.
         start = np.cumsum(arrival + 1) - (arrival + 1)
-        xy = np.empty((2, start[-1] + arrival[-1] + 1 if routes else 0))
-        links = [(r, *seg[:7]) for r, (_, _, _, segs) in enumerate(routes) for seg in segs]
+        size = start[-1] + arrival[-1] + 1 if number else 0
+        xy, member = np.empty((2, size)), np.empty(size, dtype=object)
         r, a, b, link_m, ax, ay, ex, ey = np.array(links, dtype=float).reshape(-1, 8).T
         r = r.astype(np.intp)
         first = np.maximum(np.searchsorted(along, a), 1)
@@ -183,17 +199,15 @@ class MotionPlan:
         at = start[r[link]] + k
         xy[0, at] = ax[link] + f * ex[link]
         xy[1, at] = ay[link] + f * ey[link]
-        for i, (pts, _, _, _) in enumerate(routes):
-            xy[:, start[i]], xy[:, start[i] + arrival[i]] = pts[0], pts[-1]
-        # Equal coordinates share one float object, as routes share links.
-        values, inverse = np.unique(xy, return_inverse=True)
-        xs, ys = np.array(values.tolist(), dtype=object)[inverse.reshape(xy.shape)].tolist()
-        along_list = along.tolist()
-        by_route = [(xs[s:s + n + 1], ys[s:s + n + 1], along_list[:n] + [cum[-1]], n)
-                    for (_, cum, _, _), s, n in zip(routes, start.tolist(), arrival.tolist())]
+        lid, leaves = np.array(names, dtype=object).reshape(-1, 2).T
+        member[at] = np.where(along[k] == a[link], leaves[link], lid[link])
+        # k = 0 sits on the origin, and K on the destination
+        for rt, s, n in zip(number, start.tolist(), arrival.tolist()):
+            for col, vid in ((s, rt.origin), (s + n, rt.destination)):
+                vp = net.vertiports[vid]
+                xy[:, col], member[col] = (vp.x_m, vp.y_m), vid
+        self.points = list(zip(*xy.tolist(), member.tolist()))
 
-        flights = scenario.flights
-        route = np.array([geometry[fl.id][2] for fl in flights], dtype=np.intp)
         departure = np.array([fl.departure_s for fl in flights], dtype=float)
         spawn = np.ceil(np.minimum(departure / dt_s, _LAST_STEP))
         # The first n with n * dt_s >= departure: n * dt_s is monotone in n.
@@ -203,18 +217,18 @@ class MotionPlan:
         while (late := (spawn < _LAST_STEP) & (spawn * dt_s < departure)).any():
             spawn[late] += 1
         spawn = spawn.astype(np.int64)
-        self.tracks = [by_route[i] for i in route.tolist()]
-        self.spawn_steps = spawn.tolist()
         self._plan_los(xy, start, arrival, route, spawn, d_los_m)
-        # for neighbor_pairs: a flight is enroute at the steps n with
-        # _spawn <= n < _end, at the track column _column + n
+        # a flight is enroute at the steps n with _spawn <= n < _end, at the
+        # track column _column + n
         self._xy, self._column = xy, start[route] - spawn
         self._spawn, self._end = spawn, spawn + arrival[route]
-        self._by_spawn, self._by_end = np.sort(self._spawn), np.sort(self._end)
+        self.spans = list(zip(self._column.tolist(), spawn.tolist(), self._end.tolist()))
         self.arrivals: dict[int, list[int]] = {}
         for i, n in enumerate(self._end.tolist()):
             self.arrivals.setdefault(n, []).append(i)
-        self._route, self._related = route, related
+        self._route = route
+        self._related = route_intersections(net, list(number))
+        self._related.setflags(write=False)
         self._pairs: dict[tuple[float, int], tuple] = {}
 
     def _plan_los(self, xy, start, arrival, route, spawn, d_los_m):
@@ -277,12 +291,13 @@ class MotionPlan:
         # the batch's steps, each with its enroute flights, in flight order, in
         # a row of a (steps, w) table, w the largest count; NaN pads the rest
         steps = n + every * np.arange(_PAIR_STEPS)
-        m = self._by_spawn.searchsorted(steps, "right") - self._by_end.searchsorted(steps, "right")
+        enroute = (self._spawn <= steps[:, None]) & (steps[:, None] < self._end)
+        m = enroute.sum(axis=1)
         size = np.maximum.accumulate(m) ** 2 * np.arange(1, len(m) + 1)
         steps = steps[:max(1, size.searchsorted(_PAIR_CELLS, "right"))]
         m = m[:len(steps)]
         w = max(int(m.max(initial=0)), 1)
-        step, flight = np.nonzero((self._spawn <= steps[:, None]) & (steps[:, None] < self._end))
+        step, flight = np.nonzero(enroute[:len(steps)])
         first = np.cumsum(m) - m  # each step's first entry in flight
         at = step * w + np.arange(len(flight)) - first[step]
         x, y = np.full((2, len(steps) * w), np.nan)
@@ -343,17 +358,18 @@ class World:
 
     Enroute index invariant: ``_enroute`` holds exactly the aircraft whose
     phase is ENROUTE, in ``flight_index`` order, and ``_queue[_next:]`` exactly
-    the PENDING ones, sorted by (departure time, flight index). Only
+    the PENDING ones, sorted by (spawn step, flight index). Only
     ``spawn_due_aircraft`` (PENDING -> ENROUTE) and ``advance_kinematics``
     (ENROUTE -> ARRIVED) change ``phase``, and each keeps the index in step, so
     the queries read the index instead of scanning every aircraft.
 
     Horizontal motion comes from the scenario's MotionPlan for (dt_s,
     cruise_speed_mps, d_los_m), shared by every world of the scenario with
-    that key: at step n an aircraft spawned at step s sits on its track at k
-    = min(n - s, K), both just after a spawn and after a step, and is
-    enroute while k < K. ``position`` looks it up; a step writes only the
-    altitudes of the aircraft changing layer and the phase of its arrivals.
+    that key, and so do the spawn steps: at step n an aircraft spawned at
+    step s sits on its track at k = min(n - s, K), both just after a spawn
+    and after a step, and is enroute while k < K. ``position`` looks it up
+    by flight index; a step writes only the altitudes of the aircraft
+    changing layer and the phase of its arrivals.
     ``neighbors`` and ``detect_los`` measure only the plan's pairs of the
     step, from the plan's planar2 and the records' altitudes.
     """
@@ -366,19 +382,17 @@ class World:
         self.n_steps = 0
         self._interval_steps = round(config.decision_interval_s / config.dt_s)
         self._horizon_steps = math.ceil(config.max_episode_time_s / config.dt_s - 1e-9)
-        geometry = scenario.geometry[0]  # by flight id
         self._plan = plan = motion_plan(scenario, config)
         # memoryviews: iterating one yields Python ints and floats
         self._los_a, self._los_b = memoryview(plan.los_a), memoryview(plan.los_b)
         self._los_planar2 = memoryview(plan.los_planar2)
         self._los_steps, self._arrivals = plan.los_steps, plan.arrivals
-        self._records = [AircraftState(fl.id, i, geometry[fl.id], track, spawn)
-                         for i, (fl, track, spawn)
-                         in enumerate(zip(scenario.flights, plan.tracks, plan.spawn_steps))]
+        self._points, self._spans = plan.points, plan.spans
+        self._records = [AircraftState(fl.id, i) for i, fl in enumerate(scenario.flights)]
         self.aircraft = {ac.id: ac for ac in self._records}
-        # Enroute index (see the class docstring): a spawn queue of
-        # (departure, aircraft), stably sorted, with a cursor, and the enroute list.
-        self._queue = sorted(((fl.departure_s, self.aircraft[fl.id]) for fl in scenario.flights),
+        # Enroute index (see the class docstring): a spawn queue of (spawn
+        # step, aircraft), stably sorted, with a cursor, and the enroute list.
+        self._queue = sorted(((spawn, ac) for (_, spawn, _), ac in zip(plan.spans, self._records)),
                              key=itemgetter(0))
         self._next = 0
         self._enroute: list[AircraftState] = []
@@ -394,20 +408,12 @@ class World:
         return self._enroute.copy()
 
     def position(self, ac: AircraftState) -> tuple[float, float, str]:
-        """(x_m, y_m, member) of a spawned aircraft: its planned track's point
-        k = min(n_steps - spawn_step, K), and the network member whose zone
-        it counts for there, the vertiport when it sits exactly on a route
-        node, as at spawn and on arrival, and otherwise the route link it is
-        on."""
-        (xs, ys, ds, arrival), (_, cum, _, segments) = ac.track, ac.geometry
-        k = self.n_steps - ac.spawn_step
-        if not 0 <= k < arrival:
-            if k < 0:
-                raise SimulationError(f"aircraft '{ac.id}' has no position before it spawns")
-            return xs[arrival], ys[arrival], self.net.links[segments[-1][7]].to_id
-        d = ds[k]
-        seg = segments[bisect_right(cum, d) - 1]
-        return xs[k], ys[k], seg[8] if d == seg[0] else seg[7]
+        """(x_m, y_m, member) of a spawned aircraft: the motion plan's point
+        of its track at k = min(n_steps - spawn, K) (see MotionPlan.points)."""
+        column, spawn, end = self._spans[ac.flight_index]
+        if (n := self.n_steps) < spawn:
+            raise SimulationError(f"aircraft '{ac.id}' has no position before it spawns")
+        return self._points[column + (n if n < end else end)]  # min(n, end), without a call
 
     @property
     def t(self) -> float:
@@ -425,10 +431,11 @@ class World:
     # -- dynamics ---------------------------------------------------------
 
     def spawn_due_aircraft(self) -> None:
-        """Pending flights at or past their departure time leave the spawn
-        queue and enter the network at their origin on the lowest layer, level."""
-        t = self.t
-        while self._next < len(self._queue) and self._queue[self._next][0] <= t:
+        """Pending flights whose spawn step (MotionPlan) has come, the first
+        step at or past their departure time, leave the spawn queue and enter
+        the network at their origin on the lowest layer, level."""
+        n = self.n_steps
+        while self._next < len(self._queue) and self._queue[self._next][0] <= n:
             ac = self._queue[self._next][1]
             self._next += 1
             insort(self._enroute, ac, key=attrgetter("flight_index"))

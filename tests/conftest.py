@@ -38,8 +38,8 @@ def step_with(world, actions):
 def route_position(network, route, d):
     """(x, y, member) at distance d along route, from the cumulative link
     lengths computed afresh and bisected on every call: the oracle of the
-    segment World caches per aircraft. The member is the link's origin
-    vertiport when d is exactly its start, and otherwise the link."""
+    motion plan's points that World.position reads. The member is the link's
+    origin vertiport when d is exactly its start, and otherwise the link."""
     cum = list(accumulate(map(network.link_length_m, route.link_ids), initial=0.0))
     i = bisect_right(cum, d) - 1
     lid = route.link_ids[i]

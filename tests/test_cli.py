@@ -879,9 +879,13 @@ def test_out_of_range_ambient_db_exits_1(name, ambient_db, tmp_path):
      "clamps slant distance to [200, 20000] ft, so layers_ft [50.0, 100.0] give one level"),
     (lambda doc: doc.update(layers_ft=[20000.0, 25000.0]),
      "clamps slant distance to [200, 20000] ft, so layers_ft [20000.0, 25000.0] give one level"),
+    # B moved onto A: every route from A starts with a link of no length
+    (lambda doc: doc["vertiports"][1].update(x_m=0.0),
+     "link 'A-B' has zero length: its ends 'A' and 'B' share x_m 0.0 and y_m 0.0"),
+    (lambda doc: doc.update(flights=5), "field 'flights' must be a list, got 5"),
 ], ids=["duplicate-link", "self-loop", "third-link", "duplicate-zone", "unknown-member",
         "member-in-two-zones", "duplicate-flight", "unknown-vertiport", "equal-ends", "no-route",
-        "layers-below-clamp", "layers-above-clamp"])
+        "layers-below-clamp", "layers-above-clamp", "zero-length-link", "flights-not-a-list"])
 def test_malformed_scenario_exits_1(corrupt, message, tmp_path):
     doc = json.loads(_scenario_text("line"))
     corrupt(doc)

@@ -219,7 +219,7 @@ class TestTickRewards:
 class TestActionMask:
     def make_state(self, z, changing=False, z_target=None):
         from uamnoise.sim import AircraftState
-        return AircraftState(id="X", flight_index=0, geometry=(), z_ft=z,
+        return AircraftState(id="X", flight_index=0, z_ft=z,
                              z_target_ft=z_target if z_target else z, b_changing=changing)
 
     def test_mid_layer_all_allowed(self, line_network):

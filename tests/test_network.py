@@ -78,6 +78,12 @@ class TestLoadNetwork:
         with pytest.raises(ValidationError, match="malformed"):
             load_scenario(path)
 
+    def test_zero_length_link_rejected(self):
+        # checked by Network itself, so networks built in code are checked too
+        vp = {"A": Vertiport("A", 5.0, -2.0), "B": Vertiport("B", 5.0, -2.0)}
+        with pytest.raises(ValidationError, match="link 'A-B' has zero length"):
+            Network(vp, {"A-B": Link("A-B", "A", "B")}, AltitudeLayerSet(), {})
+
     def test_incomplete_zone_partition_rejected(self, tmp_path):
         doc = dict(MINIMAL, zones=[{"id": "Z1", "members": ["A", "B"], "ambient_db": 40}])
         with pytest.raises(ValidationError, match="A-B"):
@@ -133,10 +139,11 @@ def related(net, r1, r2):
 
 def segments_network(points, link_ends):
     """Vertiport Pk at each point, and link Li from P(ends[0]) to P(ends[1])
-    for each pair of link_ends that names two different points; no zones."""
+    for each pair of link_ends that names two points at different places (a
+    link has a length); no zones."""
     vp = {f"P{k}": Vertiport(f"P{k}", x, y) for k, (x, y) in enumerate(points)}
-    links = {f"L{i}": Link(f"L{i}", f"P{a}", f"P{b}")
-             for i, (a, b) in enumerate(link_ends) if a != b and max(a, b) < len(points)}
+    links = {f"L{i}": Link(f"L{i}", f"P{a}", f"P{b}") for i, (a, b) in enumerate(link_ends)
+             if max(a, b) < len(points) and points[a] != points[b]}
     return Network(vp, links, AltitudeLayerSet(), {})
 
 

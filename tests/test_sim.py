@@ -612,8 +612,9 @@ def draw_network(draw, line_od, link_len_m):
 def index_cases(draw):
     n = draw(st.integers(1, 40))
     net, od = draw_network(draw, [("A", "C"), ("C", "A"), ("A", "B")], 1500.0)
-    sc = generate_scenario(net, n, od,
-                           departure_spacing_s=draw(st.sampled_from([0.0, 7.0, 25.0])),
+    # 0.3 and 0.9 s give departure times that are not exact in binary
+    spacing = draw(st.sampled_from([0.0, 0.3, 0.9, 7.0, 25.0]))
+    sc = generate_scenario(net, n, od, departure_spacing_s=spacing,
                            seed=draw(st.integers(0, 99)))
     # scenario-flight order need not follow departure order
     flights = tuple(sc.flights[i] for i in draw(st.permutations(range(n))))
@@ -626,9 +627,18 @@ def index_cases(draw):
     return Scenario(net, flights), config, draw(st.integers(0, 2**16))
 
 
+#: Departures k * 0.9 s against steps n * 0.3 s: in binary 0.9 / 0.3 == 3 but
+#: 3 * 0.3 < 0.9, so a flight departing at 0.9 spawns at step 4, not 3.
+INEXACT_SPAWN_CASE = (generate_scenario(make_line_network(link_len_m=1500.0), 12,
+                                        [("A", "C"), ("C", "A"), ("A", "B")],
+                                        departure_spacing_s=0.9, seed=0),
+                      SimConfig(dt_s=0.3, decision_interval_s=0.9, max_episode_time_s=250.0), 0)
+
+
 class TestEnrouteIndexProperty:
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(index_cases())
+    @example(INEXACT_SPAWN_CASE)
     def test_index_matches_full_scan(self, case):
         """Drawn worlds, run with random commands to the end, horizon cuts
         included, checked right after each spawn and after each step."""
@@ -671,13 +681,12 @@ class TestEnrouteIndexProperty:
 
     @settings(max_examples=30, deadline=None)
     @given(index_cases())
-    def test_records_carry_flight_index_and_geometry(self, case):
+    def test_records_carry_flight_index(self, case):
         # index_cases permutes the flights, so flight index and id order differ
         scenario, config, _ = case
         world = World(scenario, config)
         for i, f in enumerate(scenario.flights):
             assert world.aircraft[f.id].flight_index == i
-            assert world.aircraft[f.id].geometry is scenario.geometry[0][f.id]
 
 
 @st.composite
