@@ -1,4 +1,7 @@
-"""Exception hierarchy and check_number, the one rule for numbers from outside."""
+"""Exception hierarchy and the rules for input from outside: check_number for
+numbers, check_type and check_object for the shape of a JSON document, and
+read_json for reading one."""
+import json
 import sys
 from numbers import Integral, Real
 
@@ -41,6 +44,46 @@ def check_number(name: str, value, low=None, high=None, above=False, integer=Fal
                 else " and positive" if above else " and non-negative")
         raise ValidationError(f"{name} must be finite{rule}, got {value}")
     return value
+
+
+#: The JSON kinds a shape names, by the Python type json decodes them to.
+_JSON_KINDS = {dict: "a JSON object", list: "a list", str: "a string"}
+
+
+def check_type(name: str, value, kind: type):
+    """value, unchanged, once it is of kind (dict, list or str). Otherwise
+    raises ValidationError naming name, its path in the document ('' for the
+    document itself), and value, or for a container only its type."""
+    if not isinstance(value, kind):
+        scalar = isinstance(value, (str, int, float, type(None)))
+        raise ValidationError(f"{name or 'the document'} must be {_JSON_KINDS[kind]}, "
+                              f"got {repr(value) if scalar else type(value).__name__}")
+    return value
+
+
+def check_object(name: str, value, keys, closed=False) -> dict:
+    """value, unchanged, once it is a JSON object holding every key of keys
+    and, if closed, no other key. A fault raises ValidationError naming the
+    path of the key ('unknown train_config.momentum', 'missing links[3].from')."""
+    check_type(name, value, dict)
+    prefix = f"{name}." if name else ""
+    for fault, names in (("unknown", sorted(set(value) - set(keys)) if closed else []),
+                         ("missing", [key for key in keys if key not in value])):
+        if names:
+            raise ValidationError(f"{fault} {prefix}{names[0]}")
+    return value
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at path. A file that cannot be opened or
+    decoded raises ValidationError: 'cannot read <what> <path>: ...'."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not text
+        raise ValidationError(f"cannot read {what} {path}: malformed JSON: {exc}") from exc
 
 
 def to_number(value, kind=float):

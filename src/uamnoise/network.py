@@ -1,20 +1,21 @@
 """Layered vertiport/corridor topology, routes, noise zones, and scenarios.
 
 Coordinates are a local flat-earth projection in meters. Altitude layers are
-in feet. A scenario file bundles the network with a flight list; see
-``load_scenario`` for the schema.
+in feet. A scenario file bundles the network with a flight list; ``ROWS``
+states its schema.
 """
 from __future__ import annotations
 
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cache, cached_property, partial
 
 import numpy as np
 
-from .errors import NoPathError, ValidationError, check_number, to_number
+from .errors import (NoPathError, ValidationError, check_number, check_object, check_type,
+                     read_json, to_number)
 
 SCHEMA_VERSION = 1
 
@@ -163,6 +164,8 @@ class Scenario:
         route = cache(partial(build_route, self.network))  # one build_route per O-D pair
         routes = {}
         for fl in self.flights:
+            if fl.id in routes:
+                raise ValidationError(f"duplicate flight id '{fl.id}'")
             try:
                 routes[fl.id] = route(fl.origin, fl.destination)
             except ValidationError as exc:  # the same class, NoPathError included
@@ -181,105 +184,80 @@ class Scenario:
 # File I/O
 
 
-def _parse_document(path) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed scenario file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
-        raise ValidationError(f"{path}: missing or unsupported schema version (need schema: 1)")
-    return doc
+#: The scenario document's shape: schema (SCHEMA_VERSION), layers_ft (a list of
+#: numbers) and these row lists, each with its row class and its rows' keys, in
+#: the order of the class's fields, with the JSON kind of each value (float: a
+#: number, which the class checks; members lists ids). zones and flights may be
+#: left out, and a row's other keys are ignored.
+ROWS = {
+    "vertiports": (Vertiport, {"id": str, "x_m": float, "y_m": float}),
+    "links": (Link, {"id": str, "from": str, "to": str}),
+    "zones": (NoiseZone, {"id": str, "members": list, "ambient_db": float}),
+    "flights": (Flight, {"id": str, "origin": str, "destination": str, "departure_s": float}),
+}
 
 
-def _network_from_doc(doc: dict, path) -> Network:
-    try:
-        vertiports: dict[str, Vertiport] = {}
-        for row in doc["vertiports"]:
-            vp = Vertiport(str(row["id"]), to_number(row["x_m"]), to_number(row["y_m"]))
-            if vp.id in vertiports:
-                raise ValidationError(f"duplicate vertiport id '{vp.id}'")
-            vertiports[vp.id] = vp
+def _row_args(doc: dict, list_key: str) -> list[list]:
+    """The class arguments of each row of doc[list_key], once the list has the
+    shape ROWS states."""
+    keys, args = ROWS[list_key][1], []
+    for i, row in enumerate(check_type(list_key, doc.get(list_key, []), list)):
+        check_object(f"{list_key}[{i}]", row, keys)
+        args.append([_value(f"{list_key}[{i}].{key}", row[key], kind)
+                     for key, kind in keys.items()])
+    return args
 
-        links: dict[str, Link] = {}
-        pair_count: dict[tuple[str, str], int] = {}
-        for row in doc["links"]:
-            link = Link(str(row["id"]), str(row["from"]), str(row["to"]))
-            if link.id in links:
-                raise ValidationError(f"duplicate link id '{link.id}'")
-            if link.from_id == link.to_id:
-                raise ValidationError(f"link '{link.id}' is a self-loop")
-            pair = tuple(sorted((link.from_id, link.to_id)))
-            pair_count[pair] = pair_count.get(pair, 0) + 1
-            if pair_count[pair] > 2:
-                raise ValidationError(f"vertiport pair {pair} has more than two links")
-            links[link.id] = link
 
-        layers = AltitudeLayerSet(tuple(map(to_number, doc["layers_ft"])))
+def _value(name: str, value, kind: type):
+    if kind is float:
+        return to_number(value)
+    if kind is list:
+        return tuple(_value(f"{name}[{j}]", member, str)
+                     for j, member in enumerate(check_type(name, value, list)))
+    return check_type(name, value, kind)
 
-        zones: dict[str, NoiseZone] = {}
-        for row in doc.get("zones", []):
-            zone = NoiseZone(str(row["id"]), tuple(str(m) for m in row["members"]),
-                             to_number(row["ambient_db"]))
-            if zone.id in zones:
-                raise ValidationError(f"duplicate zone id '{zone.id}'")
-            zones[zone.id] = zone
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing required field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: bad field value: {exc}") from exc
 
-    return Network(vertiports, links, layers, zones)
+def _by_id(kind: str, items) -> dict:
+    out = {}
+    for item in items:
+        if item.id in out:
+            raise ValidationError(f"duplicate {kind} id '{item.id}'")
+        out[item.id] = item
+    return out
 
 
 def load_scenario(path) -> Scenario:
-    """Load a full scenario: network plus flight list, with routes built."""
-    doc = _parse_document(path)
-    net = _network_from_doc(doc, path)
-    if not isinstance(rows := doc.get("flights", []), list):
-        raise ValidationError(f"{path}: field 'flights' must be a list, got {rows!r}")
-    flights: list[Flight] = []
-    seen: set[str] = set()
-    for row in rows:
-        try:
-            fl = Flight(str(row["id"]), str(row["origin"]), str(row["destination"]),
-                        to_number(row["departure_s"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: bad flight record {row}: {exc}") from exc
-        if fl.id in seen:
-            raise ValidationError(f"duplicate flight id '{fl.id}'")
-        seen.add(fl.id)
-        for vid in (fl.origin, fl.destination):
-            if vid not in net.vertiports:
-                raise ValidationError(f"flight '{fl.id}' references missing vertiport '{vid}'")
-        flights.append(fl)
-    return Scenario(net, tuple(flights))
+    """Load a full scenario: network plus flight list, with routes built. The
+    document's whole shape (ROWS) is checked before any row is built."""
+    doc = read_json(path, "scenario file")
+    if check_type("", doc, dict).get("schema") != SCHEMA_VERSION:
+        raise ValidationError(f"{path}: missing or unsupported schema version (need schema: 1)")
+    check_object("", doc, ("vertiports", "links", "layers_ft"))
+    levels = tuple(map(to_number, check_type("layers_ft", doc["layers_ft"], list)))
+    args = {key: _row_args(doc, key) for key in ROWS}
+    rows = {key: [cls(*values) for values in args[key]] for key, (cls, _) in ROWS.items()}
+    links = _by_id("link", rows["links"])
+    pair_count: dict[tuple[str, str], int] = {}
+    for link in links.values():
+        if link.from_id == link.to_id:
+            raise ValidationError(f"link '{link.id}' is a self-loop")
+        pair = tuple(sorted((link.from_id, link.to_id)))
+        pair_count[pair] = pair_count.get(pair, 0) + 1
+        if pair_count[pair] > 2:
+            raise ValidationError(f"vertiport pair {pair} has more than two links")
+    net = Network(_by_id("vertiport", rows["vertiports"]), links, AltitudeLayerSet(levels),
+                  _by_id("zone", rows["zones"]))
+    return Scenario(net, tuple(rows["flights"]))
 
 
 def save_scenario(scenario: Scenario, path) -> None:
     """Serialize a scenario; output is byte-stable for identical inputs."""
     net = scenario.network
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "vertiports": [
-            {"id": v.id, "x_m": v.x_m, "y_m": v.y_m} for v in net.vertiports.values()
-        ],
-        "links": [
-            {"id": l.id, "from": l.from_id, "to": l.to_id} for l in net.links.values()
-        ],
-        "layers_ft": list(net.layers.levels_ft),
-        "zones": [
-            {"id": z.id, "members": list(z.members), "ambient_db": z.ambient_db}
-            for z in net.zones.values()
-        ],
-        "flights": [
-            {"id": f.id, "origin": f.origin, "destination": f.destination,
-             "departure_s": f.departure_s}
-            for f in scenario.flights
-        ],
-    }
+    rows = {"vertiports": net.vertiports.values(), "links": net.links.values(),
+            "zones": net.zones.values(), "flights": scenario.flights}
+    doc = {"schema": SCHEMA_VERSION, "layers_ft": list(net.layers.levels_ft)}
+    for key, (_, keys) in ROWS.items():
+        doc[key] = [dict(zip(keys, astuple(row))) for row in rows[key]]
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

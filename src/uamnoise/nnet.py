@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import SimulationError, ValidationError, check_number
+from .errors import SimulationError, ValidationError, check_number, check_type
 from .mdp import INTRUDER_DIM, OWN_DIM
 
 N_ACTIONS = 3
@@ -298,9 +298,7 @@ def params_from_list(values, hidden: int) -> Params:
     exactly param_count(hidden) finite numbers, its length checked before
     anything is allocated."""
     size = param_count(hidden)
-    if not isinstance(values, list):
-        raise ValidationError(f"params must be a list, got {type(values).__name__}")
-    if len(values) != size:
+    if len(check_type("params", values, list)) != size:
         raise ValidationError(f"params has shape ({len(values)},), expected ({size},) "
                               f"for hidden {hidden}")
     for i, value in enumerate(values):

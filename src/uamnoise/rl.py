@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nnet
-from .errors import ValidationError, check_number
+from .errors import ValidationError, check_number, check_object, check_type, read_json
 from .mdp import INTRUDER_DIM, OWN_DIM, RewardConfig, observe_tick, tick_rewards
 from .network import AltitudeLayerSet, Scenario
 from .sim import Action, AircraftState, SimConfig, World, action_mask
@@ -325,11 +325,7 @@ def save_checkpoint(path, params, train_config: TrainConfig,
 
 def load_checkpoint(path):
     """Returns (params, train_config, reward_config)."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read checkpoint {path}: {exc}") from exc
+    doc = read_json(path, "checkpoint")
     try:
         return _checkpoint_from_doc(doc)
     except ValidationError as exc:
@@ -337,30 +333,13 @@ def load_checkpoint(path):
 
 
 def _checkpoint_from_doc(doc):
-    if not isinstance(doc, dict):
-        raise ValidationError(f"expected a JSON object, got {type(doc).__name__}")
-    if doc.get("version") != 2:
+    if check_type("", doc, dict).get("version") != 2:
         raise ValidationError(f"unsupported version {doc.get('version')!r}")
-    missing = [k for k in ("train_config", "reward_config", "params") if k not in doc]
-    if missing:
-        raise ValidationError(f"missing section(s) {', '.join(missing)}")
-    tc = TrainConfig(**_section(doc, "train_config", TrainConfig))
+    check_object("", doc, ("version", "train_config", "reward_config", "params"), closed=True)
+    tc = TrainConfig(**check_object("train_config", doc["train_config"],
+                                    [f.name for f in fields(TrainConfig)], closed=True))
     params = nnet.params_from_list(doc["params"], tc.hidden)
-    rc_doc = _section(doc, "reward_config", RewardConfig, "layers_ft")
-    levels = rc_doc.pop("layers_ft")
-    if not isinstance(levels, list):
-        raise ValidationError(f"reward_config.layers_ft must be a list, got {levels!r}")
+    rc_doc = dict(check_object("reward_config", doc["reward_config"],
+                               [f.name for f in fields(RewardConfig)] + ["layers_ft"], closed=True))
+    levels = check_type("reward_config.layers_ft", rc_doc.pop("layers_ft"), list)
     return params, tc, RewardConfig(**rc_doc, layers=AltitudeLayerSet(tuple(levels)))
-
-
-def _section(doc: dict, name: str, cls, *keys: str) -> dict:
-    """A copy of doc[name], a JSON object whose keys are exactly the fields of
-    cls, which checks the values, and keys."""
-    if not isinstance(doc[name], dict):
-        raise ValidationError(f"{name} must be a JSON object, got {doc[name]!r}")
-    expected = {f.name for f in fields(cls)} | set(keys)
-    for fault, names in (("unknown", set(doc[name]) - expected),
-                         ("missing", expected - set(doc[name]))):
-        if names:
-            raise ValidationError(f"{fault} {name} field(s) {', '.join(sorted(names))}")
-    return dict(doc[name])

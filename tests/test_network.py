@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import uamnoise
 from uamnoise.errors import NoPathError, ValidationError
-from uamnoise.network import (AltitudeLayerSet, Link, Network, NoiseZone, Route,
-                              Vertiport, build_route, generate_scenario,
+from uamnoise.network import (AltitudeLayerSet, Flight, Link, Network, NoiseZone, Route,
+                              Scenario, Vertiport, build_route, generate_scenario,
                               load_scenario, route_intersections,
                               route_nodes, save_scenario)
 
@@ -333,3 +333,10 @@ class TestScenarioRoutes:
         net = load_scenario(write_doc(tmp_path, MINIMAL)).network
         with pytest.raises(NoPathError, match="^flight 'AC002': no route from 'B' to 'A'$"):
             generate_scenario(net, 2, [("A", "B"), ("B", "A")])
+
+    def test_duplicate_flight_id_fails_at_construction(self, line_network):
+        # checked by Scenario itself: routes, by flight id, would keep one
+        # route for both flights
+        flights = (Flight("AC001", "A", "C", 0.0), Flight("AC001", "C", "A", 10.0))
+        with pytest.raises(ValidationError, match="^duplicate flight id 'AC001'$"):
+            Scenario(line_network, flights)
