@@ -123,7 +123,10 @@ class Network:
         return self._member_zone[member_id]
 
     def __post_init__(self):
+        pair_count: dict[tuple[str, str], int] = {}
         for lid, link in self.links.items():
+            if link.from_id == link.to_id:
+                raise ValidationError(f"link '{lid}' is a self-loop")
             for end in (link.from_id, link.to_id):
                 if end not in self.vertiports:
                     raise ValidationError(f"link '{lid}' references missing vertiport '{end}'")
@@ -132,6 +135,10 @@ class Network:
                 raise ValidationError(
                     f"link '{lid}' has zero length: its ends '{link.from_id}' and "
                     f"'{link.to_id}' share x_m {vp.x_m} and y_m {vp.y_m}")
+            pair = tuple(sorted((link.from_id, link.to_id)))
+            pair_count[pair] = pair_count.get(pair, 0) + 1
+            if pair_count[pair] > 2:
+                raise ValidationError(f"vertiport pair {pair} has more than two links")
         member_zone: dict[str, str] = {}
         for zone in self.zones.values():
             for mid in zone.members:
@@ -236,17 +243,8 @@ def load_scenario(path) -> Scenario:
     levels = tuple(map(to_number, check_type("layers_ft", doc["layers_ft"], list)))
     args = {key: _row_args(doc, key) for key in ROWS}
     rows = {key: [cls(*values) for values in args[key]] for key, (cls, _) in ROWS.items()}
-    links = _by_id("link", rows["links"])
-    pair_count: dict[tuple[str, str], int] = {}
-    for link in links.values():
-        if link.from_id == link.to_id:
-            raise ValidationError(f"link '{link.id}' is a self-loop")
-        pair = tuple(sorted((link.from_id, link.to_id)))
-        pair_count[pair] = pair_count.get(pair, 0) + 1
-        if pair_count[pair] > 2:
-            raise ValidationError(f"vertiport pair {pair} has more than two links")
-    net = Network(_by_id("vertiport", rows["vertiports"]), links, AltitudeLayerSet(levels),
-                  _by_id("zone", rows["zones"]))
+    net = Network(_by_id("vertiport", rows["vertiports"]), _by_id("link", rows["links"]),
+                  AltitudeLayerSet(levels), _by_id("zone", rows["zones"]))
     return Scenario(net, tuple(rows["flights"]))
 
 

@@ -102,10 +102,6 @@ class LosEvent:
 
 #: Spawn steps are planned up to here; a world never steps this far.
 _LAST_STEP = 2.0 ** 52
-#: Neighbour pairs are planned in batches of at most this many steps, and of
-#: at most this many (step, flight, flight) cells unless one step alone has
-#: more; this bounds a batch's temporary arrays to about 1.5 MB.
-_PAIR_STEPS, _PAIR_CELLS = 64, 2 ** 15
 
 
 class MotionPlan:
@@ -114,9 +110,9 @@ class MotionPlan:
     altitude, so these fix which aircraft are enroute at each step, where each
     is in the plane, which pairs the plane brings within d_los, and which
     related pairs within a d_comm. Built once per key by ``motion_plan``; only
-    the neighbour pairs are added to afterwards, a batch of steps at a time.
-    A world reads positions, arrivals and both pair queries' pairs and planar
-    distances from here.
+    the neighbour pairs are added to afterwards, one step at a time, at the
+    steps a world observes. A world reads positions, arrivals and both pair
+    queries' pairs and planar distances from here.
 
     - ``points`` holds each distinct route's track, one (x_m, y_m, member)
       per step k since spawn, for k = 0 (the origin) up to K, the first step
@@ -140,13 +136,11 @@ class MotionPlan:
       dx*dx + dy*dy. Both cut-offs are exact, since the 3-D distance is never
       below |dx| or |dy|: in binary floating point sqrt(y*y) rounds back to
       |y|, and rounding is monotone.
-    - ``neighbor_pairs(d_comm_m, n, every)`` gives the flights enroute at n
-      by their tracks and, as positions in that list, the pairs a < b,
+    - ``plan_pairs(d_comm_m, n, flights)`` gives, for an ascending list of
+      flights enroute at n, as positions in that list, the pairs a < b,
       ascending, on related routes and there within planar range, dx*dx +
-      dy*dy <= d_comm*d_comm, with that planar2. The first request for
-      (d_comm_m, n) plans a batch of steps n, n + every, n + 2*every, ... at
-      once, and each is kept under (d_comm_m, step): a world asks at its
-      decision ticks, every decision interval.
+      dy*dy <= d_comm*d_comm, with that planar2. ``neighbor_pairs(d_comm_m,
+      n)`` keeps it for the flights enroute at n by their tracks.
 
     The LOS candidate search bins the (flight, step) positions into cells of
     side w > d_los (just above, unless the network's extent caps the cell
@@ -154,8 +148,7 @@ class MotionPlan:
     the same or adjacent cells, so each position is compared with those of
     its own and the next cell up, and of the three cells of the next column.
     The neighbour pairs, whose d_comm spans much of a network, come from
-    every pair of flights enroute at a step, all of a batch's steps in one
-    set of (steps, flights, flights) arrays.
+    every pair of the flights, in (flights, flights) arrays.
     """
 
     def __init__(self, scenario: Scenario, dt_s: float, cruise_speed_mps: float,
@@ -274,73 +267,40 @@ class MotionPlan:
         self.los_a, self.los_b = a.astype(np.int32), b.astype(np.int32)
         self.los_planar2 = planar2[by]
 
-    def neighbor_pairs(self, d_comm_m: float, n: int, every: int) -> tuple:
-        """(flights, ab, planar2, cells, width) of step n's neighbour pairs
-        within d_comm_m (see the class docstring): the int32 flight indices
-        enroute at n, ascending; each pair once, as a column (a, b) of ab (2,
-        pairs), positions a < b in flights, with its float64 planar2; and, in
-        that column of cells, its flat index in a's and in b's row of a
-        (len(flights), width) table whose row holds a flight's pairs in flight
-        order of the other, width being the largest count. Positions and
-        cells take the smallest unsigned type that holds them."""
-        if (d_comm_m, n) not in self._pairs:
-            self._plan_pairs(d_comm_m, n, every)
-        return self._pairs[(d_comm_m, n)]
+    def neighbor_pairs(self, d_comm_m: float, n: int) -> tuple:
+        """plan_pairs of the flights enroute at step n by their tracks, kept
+        under (d_comm_m, n): a scenario's first episode plans the steps its
+        worlds observe, and every later one reads them."""
+        if (key := (d_comm_m, n)) not in self._pairs:
+            enroute = np.flatnonzero((self._spawn <= n) & (n < self._end))
+            self._pairs[key] = self.plan_pairs(d_comm_m, n, enroute)
+        return self._pairs[key]
 
-    def _plan_pairs(self, d_comm_m, n, every):
-        # the batch's steps, each with its enroute flights, in flight order, in
-        # a row of a (steps, w) table, w the largest count; NaN pads the rest
-        steps = n + every * np.arange(_PAIR_STEPS)
-        enroute = (self._spawn <= steps[:, None]) & (steps[:, None] < self._end)
-        m = enroute.sum(axis=1)
-        size = np.maximum.accumulate(m) ** 2 * np.arange(1, len(m) + 1)
-        steps = steps[:max(1, size.searchsorted(_PAIR_CELLS, "right"))]
-        m = m[:len(steps)]
-        w = max(int(m.max(initial=0)), 1)
-        step, flight = np.nonzero(enroute[:len(steps)])
-        first = np.cumsum(m) - m  # each step's first entry in flight
-        at = step * w + np.arange(len(flight)) - first[step]
-        x, y = np.full((2, len(steps) * w), np.nan)
-        x[at], y[at] = self._xy[:, self._column[flight] + steps[step]]
-        route = np.zeros(len(steps) * w, dtype=np.intp)
-        route[at] = self._route[flight]
-        x, y = x.reshape(-1, w), y.reshape(-1, w)
-        # planar2[s, a, b] of flights a and b of step s; e runs over the (s,
-        # a, b), a < b, in range (a NaN compares false) and on related routes,
-        # as flat indices, ascending, and row and col over the cells of (s, a)
-        # and (s, b) in the table
-        planar2, dy = x[:, :, None] - x[:, None, :], y[:, :, None] - y[:, None, :]
+    def plan_pairs(self, d_comm_m: float, n: int, flights) -> tuple:
+        """(ab, planar2, cells, width) of the neighbour pairs at step n among
+        flights, ascending flight indices of flights enroute at n (see the
+        class docstring): each pair once, as a column (a, b) of ab (2, pairs),
+        positions a < b in flights, ascending, with its float64 planar2; and,
+        in that column of cells, its flat index in a's and in b's row of a
+        (len(flights), width) table whose row holds a flight's pairs in
+        flight order of the other, width being the largest count. Positions
+        and cells take the smallest unsigned type that holds them."""
+        x, y = self._xy[:, self._column[flights] + n]
+        route = self._route[flights]
+        planar2, dy = x[:, None] - x, y[:, None] - y
         planar2 *= planar2
         dy *= dy
         planar2 += dy
         near = planar2 <= d_comm_m * d_comm_m
-        near &= np.arange(w)[:, None] < np.arange(w)
-        e = np.flatnonzero(near)
-        row, b = np.divmod(e, w)
-        a = row % w
-        col = row - a + b
-        keep = self._related[route[row], route[col]]
-        e, row, col, a, b = e[keep], row[keep], col[keep], a[keep], b[keep]
-        # a flight's table row holds its pairs with earlier flights, then those
-        # with later ones, each by flight: the pair (s, a, b) sits at column
-        # slot_a of the row of (s, a) and slot_b of that of (s, b)
-        earlier, later = np.bincount(col, minlength=x.size), np.bincount(row, minlength=x.size)
-        count = earlier + later
-        slot_a = earlier[row] + np.arange(len(e)) - (np.cumsum(later) - later)[row]
-        by_col = col.astype(np.min_scalar_type(x.size)).argsort(kind="stable")  # radix, if small
-        slot_b = np.empty(len(e), dtype=np.intp)
-        slot_b[by_col] = np.arange(len(e)) - (np.cumsum(earlier) - earlier)[col[by_col]]
-        widths = count.reshape(len(steps), w).max(axis=1)
-        width = widths[row // w]
-        cells = np.array([a * width + slot_a, b * width + slot_b])
-        cells = cells.astype(np.min_scalar_type(int((m * widths).max())))
-        ab = np.array([a, b], dtype=np.min_scalar_type(w - 1))
-        planar2, flight = planar2.ravel()[e], flight.astype(np.int32)
-        bounds = (row // w).searchsorted(np.arange(len(steps) + 1)).tolist()
-        for k, (at_n, lo, rows) in enumerate(zip(steps.tolist(), first.tolist(), m.tolist())):
-            pairs = slice(bounds[k], bounds[k + 1])
-            self._pairs[(d_comm_m, at_n)] = (flight[lo:lo + rows], ab[:, pairs], planar2[pairs],
-                                             cells[:, pairs], int(widths[k]))
+        near &= self._related[route[:, None], route]
+        np.fill_diagonal(near, False)
+        # a pair's slot in each flight's row is the other's rank among its pairs
+        rank = near.cumsum(axis=1) - 1
+        a, b = np.nonzero(np.triu(near))
+        m, width = len(flights), int(near.sum(axis=1).max(initial=0))
+        cells = np.array([a * width + rank[a, b], b * width + rank[b, a]])
+        return (np.array([a, b], dtype=np.min_scalar_type(max(m - 1, 0))), planar2[a, b],
+                cells.astype(np.min_scalar_type(m * width)), width)
 
 
 def motion_plan(scenario: Scenario, config: SimConfig) -> MotionPlan:
@@ -370,8 +330,9 @@ class World:
     and after a step, and is enroute while k < K. ``position`` looks it up
     by flight index; a step writes only the altitudes of the aircraft
     changing layer and the phase of its arrivals.
-    ``neighbors`` and ``detect_los`` measure only the plan's pairs of the
-    step, from the plan's planar2 and the records' altitudes.
+    ``neighbors`` measures only the plan's neighbour pairs of the enroute
+    flights at the step, and ``detect_los`` its LOS candidates, from the
+    plan's planar2 and the records' altitudes.
     """
 
     def __init__(self, scenario: Scenario, config: SimConfig):
@@ -486,30 +447,25 @@ class World:
         planar range, dx*dx + dy*dy <= d_comm*d_comm, at most limit of them,
         as flat arrays (row, other, distance): enroute indices and the 3-D
         distance, rows ascending, then ascending by (distance, enroute index).
-        The pairs and their planar2 are the motion plan's for this step; a
-        pair with a flight not yet spawned, as at a step whose departures are
-        still due, is dropped. Only the altitudes come from the records. Each
-        row's few entries are sorted in a compact (n, largest count) table;
-        no (n, n) array is formed."""
-        flights, ab, planar2, cells, width = self._plan.neighbor_pairs(
-            self.config.d_comm_m, self.n_steps, self._interval_steps)
-        acs = self._enroute
+        The pairs and their planar2 are the motion plan's for this step, or,
+        while departures are still due, as at the last observation of an
+        episode the horizon cuts, its plan_pairs of the world's own enroute
+        flights, unkept. Only the altitudes come from the records. Each row's
+        few entries are sorted in a compact (n, largest count) table."""
+        acs, n, d_comm = self._enroute, self.n_steps, self.config.d_comm_m
+        if self._next < len(self._queue) and self._queue[self._next][0] <= n:
+            ab, planar2, cells, width = self._plan.plan_pairs(
+                d_comm, n, [ac.flight_index for ac in acs])
+        else:  # the enroute flights are the plan's
+            ab, planar2, cells, width = self._plan.neighbor_pairs(d_comm, n)
         n = len(acs)
-        # the world's enroute flights are the plan's, less any departures still due
-        if n < len(flights):  # rows by flight index; pairs with an unspawned flight go
-            row_of = np.full(len(self._records), -1)
-            row_of[[ac.flight_index for ac in acs]] = np.arange(n)
-            ab = row_of[flights[ab]]
-            spawned = np.minimum(*ab) >= 0
-            ab, planar2 = ab[:, spawned], planar2[spawned]
-            cells = ab * width + cells[:, spawned] % width
         z = np.array([ac.z_ft for ac in acs])
         dist = z[ab[0]] - z[ab[1]]  # dz, then the pair's distance, in place
         dist *= FT_TO_M
         dist *= dist
         dist += planar2
         np.sqrt(dist, out=dist)
-        # a dropped pair leaves an inf cell, which sorts after every entry
+        # an empty cell stays inf, which sorts after every entry
         table, other = np.full(n * width, np.inf), np.empty(n * width, dtype=ab.dtype)
         table[cells] = dist
         other[cells] = ab[::-1]

@@ -423,6 +423,33 @@ def test_failed_sweep_makes_no_out_dir(runner, scenario_file, tmp_path, monkeypa
     assert not out_dir.exists()
 
 
+def _no_flights(doc):
+    doc["flights"] = []
+
+
+def _departures_at_horizon(doc):
+    for flight in doc["flights"]:
+        flight["departure_s"] = 7200.0  # SimConfig's max_episode_time_s
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("corrupt", [_no_flights, _departures_at_horizon],
+                         ids=["no-flights", "departures-at-horizon"])
+def test_episode_without_decision_tick_row_exits_1(runner, tmp_path, command, corrupt):
+    # simulate and sweep evaluate an episode, and one without a trace row has no metrics
+    doc = json.loads(_scenario_text("bundled"))
+    corrupt(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    args = {"simulate": ["--policy", "baseline:hold", "--seed", "0"],
+            "sweep": ["--rhos", "0.5", "--seeds", "0", "--iterations", "0", "--hidden", "4",
+                      "--out-dir", str(tmp_path / "sweep")]}[command]
+    result = runner.invoke(main, [command, "--scenario", str(path), *args])
+    assert result.exit_code == 1, result.output
+    assert ("error: no aircraft was enroute at any decision tick before the horizon (7200.0 s)"
+            in result.output)
+
+
 @pytest.mark.parametrize("field, value", [
     ("hidden", "0"), ("learning_rate", "-1"), ("learning_rate", "inf"), ("iterations", "-3"),
     ("minibatch_size", "0"), ("epochs", "0"), ("checkpoint_interval", "-1"),

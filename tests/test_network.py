@@ -84,6 +84,20 @@ class TestLoadNetwork:
         with pytest.raises(ValidationError, match="link 'A-B' has zero length"):
             Network(vp, {"A-B": Link("A-B", "A", "B")}, AltitudeLayerSet(), {})
 
+    def test_self_loop_rejected(self):
+        # named a self-loop, not a zero-length link, in a network built in code
+        vp = {"A": Vertiport("A", 0.0, 0.0)}
+        with pytest.raises(ValidationError, match="^link 'A-A' is a self-loop$"):
+            Network(vp, {"A-A": Link("A-A", "A", "A")}, AltitudeLayerSet(), {})
+
+    def test_third_link_between_a_pair_rejected(self):
+        vp = {"A": Vertiport("A", 0.0, 0.0), "B": Vertiport("B", 1000.0, 0.0)}
+        links = {lid: Link(lid, *ends) for lid, ends in
+                 (("l1", "AB"), ("l2", "BA"), ("l3", "AB"))}
+        with pytest.raises(ValidationError, match=r"^vertiport pair \('A', 'B'\) has more "
+                                                  r"than two links$"):
+            Network(vp, links, AltitudeLayerSet(), {})
+
     def test_incomplete_zone_partition_rejected(self, tmp_path):
         doc = dict(MINIMAL, zones=[{"id": "Z1", "members": ["A", "B"], "ambient_db": 40}])
         with pytest.raises(ValidationError, match="A-B"):

@@ -981,6 +981,20 @@ def test_tracer_step_contract(bundled_scenario, monkeypatch):
     assert inside == [None] and episode.trace
 
 
+def test_neighbor_pairs_planned_at_observed_steps_only(bundled_scenario):
+    """After a hold rollout, the plan keeps the neighbour pairs of exactly
+    the steps the world observed: each decision tick and the final step,
+    none past the last arrival."""
+    scenario = Scenario(bundled_scenario.network, bundled_scenario.flights)  # a plan of its own
+    config = SimConfig()
+    collect_rollout(scenario, None, config, RewardConfig.for_layers(scenario.network.layers, 0.5))
+    plan = motion_plan(scenario, config)
+    last = max(plan.arrivals)
+    assert last * config.dt_s < config.max_episode_time_s  # the last arrival ends the episode
+    ticks = range(0, last, round(config.decision_interval_s / config.dt_s))
+    assert sorted(plan._pairs) == [(config.d_comm_m, n) for n in [*ticks, last]]
+
+
 def one_hot(action):
     return [float(action == a) for a in Action]
 
