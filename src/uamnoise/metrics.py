@@ -162,13 +162,9 @@ def run_episode(
     """Full episode under the policy (params=None is the hold-only baseline):
     argmax actions when greedy, otherwise sampled from a generator of seed.
     Returns the episode's metrics and its trace. The episode's PPO batch is
-    never packed: only training needs it. An episode without a trace row has
-    no metrics."""
+    never packed: only training needs it."""
     episode = collect_rollout(scenario, params, sim_config, reward_config,
                               None if greedy else np.random.default_rng(seed))
-    if not episode.trace:
-        raise ValidationError("no aircraft was enroute at any decision tick before the "
-                              f"horizon ({sim_config.max_episode_time_s} s)")
     metrics = metrics_from_trace(episode.trace, scenario.network, episode.los_count,
                                  episode.mean_return, seed, reward_config.rho)
     return metrics, episode.trace

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nnet
 from .errors import ValidationError, check_number, check_object, check_type, read_json
-from .mdp import INTRUDER_DIM, OWN_DIM, RewardConfig, observe_tick, tick_rewards
+from .mdp import INTRUDER_DIM, RewardConfig, observe_tick, tick_rewards
 from .network import AltitudeLayerSet, Scenario
 from .sim import Action, AircraftState, SimConfig, World, action_mask
 
@@ -111,7 +111,7 @@ class Episode:
 
     trace: list[TraceRow]
     los_count: int
-    mean_return: float       # mean over the agents that acted; 0 with none
+    mean_return: float       # mean over the agents that acted
     blocks: list[_Block]
     order: np.ndarray        # (B,) the blocks' concatenated rows, agent-major
     rewards: np.ndarray      # (B,) agent-major, aligned with order
@@ -127,7 +127,9 @@ def collect_rollout(
 ) -> Episode:
     """Run one full episode with every enroute aircraft acting from the shared
     params. params=None means the hold-only baseline. Actions are sampled
-    from rng, or are the argmax without one (nnet.sample_actions).
+    from rng, or are the argmax without one (nnet.sample_actions). An
+    episode in which no aircraft is enroute at any decision tick has no
+    agent, and raises ValidationError.
 
     A decision tick's agents are world.enroute(), the enroute records in
     flight order, read once. The tick is one set of array operations over
@@ -176,18 +178,20 @@ def collect_rollout(
                     trace.append(TraceRow(t, ac.id, x, y, ac.z_ft, action, ac.b_changing, member))
                     command(ac, action)
         world.step()
+    if not blocks:
+        raise ValidationError("no aircraft was enroute at any decision tick before the "
+                              f"horizon ({sim_config.max_episode_time_s} s)")
     if acted:
         _, intr, intr_mask = observe_tick(world, reward_config)
         rewards.append(tick_rewards(acted, reward_config, (world.enroute(), intr, intr_mask)))
-    flight = np.concatenate([np.zeros(0, dtype=int), *(blk.flight for blk in blocks)])
+    flight = np.concatenate([blk.flight for blk in blocks])
     order = np.argsort(flight, kind="stable")
-    r = np.concatenate([np.zeros(0), *rewards])[order]
+    r = np.concatenate(rewards)[order]
     counts = np.bincount(flight, minlength=len(scenario.flights)).tolist()
     ends = np.cumsum(counts).tolist()
     agent_slices = {fl.id: slice(end - n, end)
                     for fl, n, end in zip(scenario.flights, counts, ends) if n}
-    mean_return = (sum(float(r[sl].sum()) for sl in agent_slices.values()) / len(agent_slices)
-                   if agent_slices else 0.0)
+    mean_return = sum(float(r[sl].sum()) for sl in agent_slices.values()) / len(agent_slices)
     return Episode(trace, len(world.los_events), mean_return, blocks, order, r, agent_slices)
 
 
@@ -195,11 +199,7 @@ def _pack(episode: Episode) -> RolloutResult:
     """The episode's PPO batch: its tick blocks concatenated in the episode's
     agent-major order, intruders zero-padded to the batch's K. Each block's
     intruders are written straight to their batch rows."""
-    empty = _Block(np.zeros(0, dtype=int), np.zeros((0, OWN_DIM)), np.zeros((0, 1, INTRUDER_DIM)),
-                   np.zeros((0, 1), dtype=bool), np.zeros((0, 3), dtype=bool),
-                   np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))
-    blocks = [empty, *episode.blocks]
-    order = episode.order
+    blocks, order = episode.blocks, episode.order
 
     def column(name):
         return np.concatenate([getattr(blk, name) for blk in blocks])[order]
@@ -288,10 +288,8 @@ def train(
 
     for it in range(train_config.iterations):
         episode = collect_rollout(scenario, params, sim_config, reward_config, rng=rng)
-        batch = _pack(episode)
-        if len(batch.actions):
-            ppo_update(params, batch, train_config, adam, rng)
-        top = altitude_histogram(episode.trace, layers)[layers.z_max] if episode.trace else 0.0
+        ppo_update(params, _pack(episode), train_config, adam, rng)
+        top = altitude_histogram(episode.trace, layers)[layers.z_max]
         row = (it, episode.mean_return, episode.los_count, top)
         metrics.append(row)
         if progress is not None:

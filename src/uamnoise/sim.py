@@ -21,7 +21,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from itertools import accumulate
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 import numpy as np
 
@@ -111,8 +111,8 @@ class MotionPlan:
     is in the plane, which pairs the plane brings within d_los, and which
     related pairs within a d_comm. Built once per key by ``motion_plan``; only
     the neighbour pairs are added to afterwards, one step at a time, at the
-    steps a world observes. A world reads positions, arrivals and both pair
-    queries' pairs and planar distances from here.
+    steps a world observes. A world reads its spawns, positions, arrivals,
+    end and both pair queries' pairs and planar distances from here.
 
     - ``points`` holds each distinct route's track, one (x_m, y_m, member)
       per step k since spawn, for k = 0 (the origin) up to K, the first step
@@ -128,7 +128,8 @@ class MotionPlan:
       first n with n * dt_s >= departure_s, end = spawn + K, and at step n >=
       spawn the flight sits at points[column + min(n, end)], enroute while n
       < end.
-    - ``arrivals`` maps a step n to the flight indices i, ascending, whose end is n.
+    - ``departures`` and ``arrivals`` map a step n to the flight indices i,
+      ascending, whose spawn, and whose end, is n.
     - ``los_steps`` maps a step n to a range [lo, hi) of ``los_a`` and
       ``los_b``: the flight-index pairs a < b, ascending, that are both
       enroute at n by their tracks (spawned at or before n, and not arrived)
@@ -136,11 +137,10 @@ class MotionPlan:
       dx*dx + dy*dy. Both cut-offs are exact, since the 3-D distance is never
       below |dx| or |dy|: in binary floating point sqrt(y*y) rounds back to
       |y|, and rounding is monotone.
-    - ``plan_pairs(d_comm_m, n, flights)`` gives, for an ascending list of
-      flights enroute at n, as positions in that list, the pairs a < b,
-      ascending, on related routes and there within planar range, dx*dx +
-      dy*dy <= d_comm*d_comm, with that planar2. ``neighbor_pairs(d_comm_m,
-      n)`` keeps it for the flights enroute at n by their tracks.
+    - ``neighbor_pairs(d_comm_m, n, spawned)`` gives, among the flights
+      enroute at n by their tracks and spawned at or before step spawned, the
+      pairs on related routes and there within planar range, dx*dx + dy*dy <=
+      d_comm*d_comm, with that planar2, and keeps them.
 
     The LOS candidate search bins the (flight, step) positions into cells of
     side w > d_los (just above, unless the network's extent caps the cell
@@ -216,13 +216,15 @@ class MotionPlan:
         self._xy, self._column = xy, start[route] - spawn
         self._spawn, self._end = spawn, spawn + arrival[route]
         self.spans = list(zip(self._column.tolist(), spawn.tolist(), self._end.tolist()))
+        self.departures: dict[int, list[int]] = {}
         self.arrivals: dict[int, list[int]] = {}
-        for i, n in enumerate(self._end.tolist()):
-            self.arrivals.setdefault(n, []).append(i)
+        for i, (_, s, e) in enumerate(self.spans):
+            self.departures.setdefault(s, []).append(i)
+            self.arrivals.setdefault(e, []).append(i)
         self._route = route
         self._related = route_intersections(net, list(number))
         self._related.setflags(write=False)
-        self._pairs: dict[tuple[float, int], tuple] = {}
+        self._pairs: dict[tuple[float, int, int], tuple] = {}
 
     def _plan_los(self, xy, start, arrival, route, spawn, d_los_m):
         # One row per flight and step it is enroute at, k = 0 .. K - 1.
@@ -267,24 +269,21 @@ class MotionPlan:
         self.los_a, self.los_b = a.astype(np.int32), b.astype(np.int32)
         self.los_planar2 = planar2[by]
 
-    def neighbor_pairs(self, d_comm_m: float, n: int) -> tuple:
-        """plan_pairs of the flights enroute at step n by their tracks, kept
-        under (d_comm_m, n): a scenario's first episode plans the steps its
-        worlds observe, and every later one reads them."""
-        if (key := (d_comm_m, n)) not in self._pairs:
-            enroute = np.flatnonzero((self._spawn <= n) & (n < self._end))
-            self._pairs[key] = self.plan_pairs(d_comm_m, n, enroute)
-        return self._pairs[key]
-
-    def plan_pairs(self, d_comm_m: float, n: int, flights) -> tuple:
+    def neighbor_pairs(self, d_comm_m: float, n: int, spawned: int) -> tuple:
         """(ab, planar2, cells, width) of the neighbour pairs at step n among
-        flights, ascending flight indices of flights enroute at n (see the
-        class docstring): each pair once, as a column (a, b) of ab (2, pairs),
-        positions a < b in flights, ascending, with its float64 planar2; and,
-        in that column of cells, its flat index in a's and in b's row of a
-        (len(flights), width) table whose row holds a flight's pairs in
-        flight order of the other, width being the largest count. Positions
-        and cells take the smallest unsigned type that holds them."""
+        the flights enroute at n by their tracks and spawned at or before
+        step spawned (n, or n - 1 while step n's departures are due), in
+        ascending flight index: each pair once, as a column (a, b) of ab (2,
+        pairs), positions a < b among those flights, ascending, with its
+        float64 planar2; and, in that column of cells, its flat index in a's
+        and in b's row of a (flights, width) table whose row holds a flight's
+        pairs in flight order of the other, width being the largest count.
+        Positions and cells take the smallest unsigned type that holds them.
+        Kept under (d_comm_m, n, spawned): a scenario's first episode plans
+        the steps its worlds observe, and every later one reads them."""
+        if (key := (d_comm_m, n, spawned)) in self._pairs:
+            return self._pairs[key]
+        flights = np.flatnonzero((self._spawn <= spawned) & (n < self._end))
         x, y = self._xy[:, self._column[flights] + n]
         route = self._route[flights]
         planar2, dy = x[:, None] - x, y[:, None] - y
@@ -299,8 +298,9 @@ class MotionPlan:
         a, b = np.nonzero(np.triu(near))
         m, width = len(flights), int(near.sum(axis=1).max(initial=0))
         cells = np.array([a * width + rank[a, b], b * width + rank[b, a]])
-        return (np.array([a, b], dtype=np.min_scalar_type(max(m - 1, 0))), planar2[a, b],
-                cells.astype(np.min_scalar_type(m * width)), width)
+        self._pairs[key] = (np.array([a, b], dtype=np.min_scalar_type(max(m - 1, 0))),
+                            planar2[a, b], cells.astype(np.min_scalar_type(m * width)), width)
+        return self._pairs[key]
 
 
 def motion_plan(scenario: Scenario, config: SimConfig) -> MotionPlan:
@@ -317,19 +317,20 @@ class World:
     """Single-writer episode state; one world per rollout worker.
 
     Enroute index invariant: ``_enroute`` holds exactly the aircraft whose
-    phase is ENROUTE, in ``flight_index`` order, and ``_queue[_next:]`` exactly
-    the PENDING ones, sorted by (spawn step, flight index). Only
+    phase is ENROUTE, in ``flight_index`` order, and ``_spawned`` is the last
+    step whose departures have spawned: n, or n - 1 until step n's spawn, so
+    the PENDING aircraft are exactly those whose spawn step is later. Only
     ``spawn_due_aircraft`` (PENDING -> ENROUTE) and ``advance_kinematics``
     (ENROUTE -> ARRIVED) change ``phase``, and each keeps the index in step, so
     the queries read the index instead of scanning every aircraft.
 
     Horizontal motion comes from the scenario's MotionPlan for (dt_s,
     cruise_speed_mps, d_los_m), shared by every world of the scenario with
-    that key, and so do the spawn steps: at step n an aircraft spawned at
-    step s sits on its track at k = min(n - s, K), both just after a spawn
-    and after a step, and is enroute while k < K. ``position`` looks it up
-    by flight index; a step writes only the altitudes of the aircraft
-    changing layer and the phase of its arrivals.
+    that key, and so do the spawn and arrival steps: at step n an aircraft
+    spawned at step s sits on its track at k = min(n - s, K), both just after
+    a spawn and after a step, and is enroute while k < K. ``position`` looks
+    it up by flight index; a step writes only the altitudes of the aircraft
+    changing layer and the phase of its spawns and arrivals.
     ``neighbors`` measures only the plan's neighbour pairs of the enroute
     flights at the step, and ``detect_los`` its LOS candidates, from the
     plan's planar2 and the records' altitudes.
@@ -342,20 +343,19 @@ class World:
         # Integer clock: t, decision ticks and the horizon all derive from n_steps.
         self.n_steps = 0
         self._interval_steps = round(config.decision_interval_s / config.dt_s)
-        self._horizon_steps = math.ceil(config.max_episode_time_s / config.dt_s - 1e-9)
         self._plan = plan = motion_plan(scenario, config)
+        # the last step: the horizon's, or the last arrival's if earlier
+        self._last_step = min(math.ceil(config.max_episode_time_s / config.dt_s - 1e-9),
+                              max(plan.arrivals, default=0))
         # memoryviews: iterating one yields Python ints and floats
         self._los_a, self._los_b = memoryview(plan.los_a), memoryview(plan.los_b)
         self._los_planar2 = memoryview(plan.los_planar2)
-        self._los_steps, self._arrivals = plan.los_steps, plan.arrivals
+        self._los_steps, self._departures, self._arrivals = (
+            plan.los_steps, plan.departures, plan.arrivals)
         self._points, self._spans = plan.points, plan.spans
         self._records = [AircraftState(fl.id, i) for i, fl in enumerate(scenario.flights)]
         self.aircraft = {ac.id: ac for ac in self._records}
-        # Enroute index (see the class docstring): a spawn queue of (spawn
-        # step, aircraft), stably sorted, with a cursor, and the enroute list.
-        self._queue = sorted(((spawn, ac) for (_, spawn, _), ac in zip(plan.spans, self._records)),
-                             key=itemgetter(0))
-        self._next = 0
+        self._spawned = -1  # the enroute index (see the class docstring)
         self._enroute: list[AircraftState] = []
 
         self.los_events: list[LosEvent] = []
@@ -385,20 +385,19 @@ class World:
 
     @property
     def terminal(self) -> bool:
-        if self.n_steps >= self._horizon_steps:
-            return True
-        return self._next == len(self._queue) and not self._enroute
+        """At the horizon, or once every flight has arrived."""
+        return self.n_steps >= self._last_step
 
     # -- dynamics ---------------------------------------------------------
 
     def spawn_due_aircraft(self) -> None:
-        """Pending flights whose spawn step (MotionPlan) has come, the first
-        step at or past their departure time, leave the spawn queue and enter
-        the network at their origin on the lowest layer, level."""
-        n = self.n_steps
-        while self._next < len(self._queue) and self._queue[self._next][0] <= n:
-            ac = self._queue[self._next][1]
-            self._next += 1
+        """The flights whose spawn step (MotionPlan.departures) is this one,
+        the first step at or past their departure time, enter the network at
+        their origin on the lowest layer, level; once per step."""
+        if self._spawned == (n := self.n_steps):
+            return
+        self._spawned = n
+        for ac in map(self._records.__getitem__, self._departures.get(n, ())):
             insort(self._enroute, ac, key=attrgetter("flight_index"))
             ac.phase = Phase.ENROUTE
             ac.z_ft = ac.z_target_ft = self.net.layers.z_min
@@ -447,17 +446,14 @@ class World:
         planar range, dx*dx + dy*dy <= d_comm*d_comm, at most limit of them,
         as flat arrays (row, other, distance): enroute indices and the 3-D
         distance, rows ascending, then ascending by (distance, enroute index).
-        The pairs and their planar2 are the motion plan's for this step, or,
-        while departures are still due, as at the last observation of an
-        episode the horizon cuts, its plan_pairs of the world's own enroute
-        flights, unkept. Only the altitudes come from the records. Each row's
-        few entries are sorted in a compact (n, largest count) table."""
-        acs, n, d_comm = self._enroute, self.n_steps, self.config.d_comm_m
-        if self._next < len(self._queue) and self._queue[self._next][0] <= n:
-            ab, planar2, cells, width = self._plan.plan_pairs(
-                d_comm, n, [ac.flight_index for ac in acs])
-        else:  # the enroute flights are the plan's
-            ab, planar2, cells, width = self._plan.neighbor_pairs(d_comm, n)
+        The pairs and their planar2 are the motion plan's for this step and
+        the last step spawned, which is the step before it while its
+        departures are still due, as at the last observation of an episode
+        the horizon cuts. Only the altitudes come from the records. Each
+        row's few entries are sorted in a compact (n, largest count) table."""
+        acs = self._enroute
+        ab, planar2, cells, width = self._plan.neighbor_pairs(
+            self.config.d_comm_m, self.n_steps, self._spawned)
         n = len(acs)
         z = np.array([ac.z_ft for ac in acs])
         dist = z[ab[0]] - z[ab[1]]  # dz, then the pair's distance, in place

@@ -432,22 +432,28 @@ def _departures_at_horizon(doc):
         flight["departure_s"] = 7200.0  # SimConfig's max_episode_time_s
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("command", ["simulate", "sweep", "train"])
 @pytest.mark.parametrize("corrupt", [_no_flights, _departures_at_horizon],
                          ids=["no-flights", "departures-at-horizon"])
 def test_episode_without_decision_tick_row_exits_1(runner, tmp_path, command, corrupt):
-    # simulate and sweep evaluate an episode, and one without a trace row has no metrics
+    # an episode without a trace row has no agent: simulate and sweep have no
+    # metrics to report, and train no transition to learn from nor a checkpoint
+    # or log to write
     doc = json.loads(_scenario_text("bundled"))
     corrupt(doc)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     args = {"simulate": ["--policy", "baseline:hold", "--seed", "0"],
             "sweep": ["--rhos", "0.5", "--seeds", "0", "--iterations", "0", "--hidden", "4",
-                      "--out-dir", str(tmp_path / "sweep")]}[command]
+                      "--out-dir", str(tmp_path / "sweep")],
+            "train": ["--rho", "0.5", "--seed", "0", "--iterations", "2", "--hidden", "4",
+                      "--out", str(tmp_path / "policy.json"),
+                      "--metrics-log", str(tmp_path / "log.csv")]}[command]
     result = runner.invoke(main, [command, "--scenario", str(path), *args])
     assert result.exit_code == 1, result.output
     assert ("error: no aircraft was enroute at any decision tick before the horizon (7200.0 s)"
             in result.output)
+    assert not (tmp_path / "policy.json").exists() and not (tmp_path / "log.csv").exists()
 
 
 @pytest.mark.parametrize("field, value", [

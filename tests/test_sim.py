@@ -983,16 +983,26 @@ def test_tracer_step_contract(bundled_scenario, monkeypatch):
 
 def test_neighbor_pairs_planned_at_observed_steps_only(bundled_scenario):
     """After a hold rollout, the plan keeps the neighbour pairs of exactly
-    the steps the world observed: each decision tick and the final step,
-    none past the last arrival."""
-    scenario = Scenario(bundled_scenario.network, bundled_scenario.flights)  # a plan of its own
-    config = SimConfig()
-    collect_rollout(scenario, None, config, RewardConfig.for_layers(scenario.network.layers, 0.5))
-    plan = motion_plan(scenario, config)
-    last = max(plan.arrivals)
-    assert last * config.dt_s < config.max_episode_time_s  # the last arrival ends the episode
-    ticks = range(0, last, round(config.decision_interval_s / config.dt_s))
-    assert sorted(plan._pairs) == [(config.d_comm_m, n) for n in [*ticks, last]]
+    the steps the world observed, each under (d_comm, step, last step
+    spawned): each decision tick, after its spawn, and the final step,
+    before it; none past the last arrival. A horizon that cuts the episode
+    at a step with departures keeps that step's pairs without them. A
+    second episode on the scenario adds no key."""
+    plan = motion_plan(Scenario(bundled_scenario.network, bundled_scenario.flights), SimConfig())
+    cut = sorted(plan.departures)[10]  # the eleventh departure step
+    assert 0 < cut < max(plan.arrivals) < 7200.0 / SimConfig().dt_s
+    # the last arrival ends the first episode, and the horizon the second
+    for last, horizon_s in [(max(plan.arrivals), 7200.0), (cut, cut * SimConfig().dt_s)]:
+        scenario = Scenario(bundled_scenario.network, bundled_scenario.flights)  # a plan of its own
+        config = SimConfig(max_episode_time_s=horizon_s)
+        plan = motion_plan(scenario, config)
+        reward_config = RewardConfig.for_layers(scenario.network.layers, 0.5)
+        collect_rollout(scenario, None, config, reward_config)
+        ticks = range(0, last, round(config.decision_interval_s / config.dt_s))
+        keys = [(config.d_comm_m, n, n) for n in ticks] + [(config.d_comm_m, last, last - 1)]
+        assert sorted(plan._pairs) == keys
+        collect_rollout(scenario, None, config, reward_config)
+        assert sorted(plan._pairs) == keys
 
 
 def one_hot(action):
